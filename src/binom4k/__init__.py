@@ -12,12 +12,11 @@ from .exact import (
     Poly,
     RatFunc,
     ZeroDivisorError,
-    nf_reduce,
     sqrt_in_field,
     sturm_isolate,
 )
 from .balls import Ball, QuadResult, const_log, const_pi, const_sqrt, quad_integrate
-from .series import SeriesSpec, TermState, harmonic, sum_series, tail_bound, term_value
+from .series import SeriesSpec, TermState, harmonic, sum_series
 from .genfunc import (
     AlphaContext,
     BetaContext,

@@ -17,7 +17,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Optional
+
+from .exact import pow_by_squaring
 
 # ---------------------------------------------------------------------------
 # dyadic numbers: value = m * 2**e, held as plain Python integers
@@ -182,12 +185,6 @@ class Ball:
         return not (self.hi_fraction() < other.lo_fraction()
                     or other.hi_fraction() < self.lo_fraction())
 
-    def is_positive(self) -> bool:
-        return self.lo[0] > 0
-
-    def is_negative(self) -> bool:
-        return self.hi[0] < 0
-
     # -- arithmetic ----------------------------------------------------------
 
     @staticmethod
@@ -251,14 +248,7 @@ class Ball:
     def __pow__(self, n: int) -> "Ball":
         if n < 0:
             return self.reciprocal() ** (-n)
-        result = Ball.exact(1, self.prec)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return pow_by_squaring(self, n, Ball.exact(1, self.prec))
 
     def sqrt(self) -> "Ball":
         if self.lo[0] < 0:
@@ -285,19 +275,25 @@ class Ball:
         return f"Ball({self.decimal(12)}, prec={self.prec})"
 
 
+def _decimal_normalise(x: Fraction) -> tuple[Fraction, int]:
+    """(y, e) with |x| = y * 10^e and 1 <= y < 10, for x != 0."""
+    y = abs(x)
+    e = 0
+    while y >= 10:
+        y /= 10
+        e += 1
+    while y < 1:
+        y *= 10
+        e -= 1
+    return y, e
+
+
 def _fraction_decimal(x: Fraction, digits: int) -> str:
     """Truncated decimal rendering to `digits` significant digits (display only)."""
     if x == 0:
         return "0"
     sign = "-" if x < 0 else ""
-    y = abs(x)
-    exp10 = 0
-    while y >= 10:
-        y /= 10
-        exp10 += 1
-    while y < 1:
-        y *= 10
-        exp10 -= 1
+    y, exp10 = _decimal_normalise(x)
     mant = str(int(y * Fraction(10) ** (digits - 1))).rjust(digits, "0")
     if -4 <= exp10 < digits:
         if exp10 >= 0:
@@ -310,25 +306,13 @@ def _fraction_decimal(x: Fraction, digits: int) -> str:
 def _fraction_sci(x: Fraction) -> str:
     if x == 0:
         return "0"
-    e = 0
-    y = abs(x)
-    while y >= 10:
-        y /= 10
-        e += 1
-    while y < 1:
-        y *= 10
-        e -= 1
+    y, e = _decimal_normalise(x)
     lead = int(y * 100)
     return f"{lead/100:.2f}e{e:+d}"
 
 
 # ---------------------------------------------------------------------------
 # constants with proved remainder bounds
-
-_cache: dict = {}
-
-GUARD_BITS = 8
-
 
 def _atan_inv_enclosure(c: int, prec: int) -> tuple[Fraction, Fraction]:
     """Exact rational enclosure of arctan(1/c) for integer c >= 2.
@@ -349,32 +333,21 @@ def _atan_inv_enclosure(c: int, prec: int) -> tuple[Fraction, Fraction]:
         k += 1
 
 
+@lru_cache(maxsize=None)
 def const_pi(prec: int) -> Ball:
     """Rigorous enclosure of pi (Machin: 16 atan(1/5) - 4 atan(1/239))."""
-    key = ("pi", prec)
-    got = _cache.get(key)
-    if got is not None:
-        return got
     a5 = _atan_inv_enclosure(5, prec + 6)
     a239 = _atan_inv_enclosure(239, prec + 6)
     lo = 16 * a5[0] - 4 * a239[1]
     hi = 16 * a5[1] - 4 * a239[0]
-    b = Ball.from_fractions(lo, hi, prec)
-    _cache[key] = b
-    return b
+    return Ball.from_fractions(lo, hi, prec)
 
 
+@lru_cache(maxsize=None)
 def _log2_enclosure(prec: int) -> tuple[Fraction, Fraction]:
     """log 2 = 2 atanh(1/3), with the geometric tail bound."""
-    key = ("log2f", prec)
-    got = _cache.get(key)
-    if got is not None:
-        return got
-    u = Fraction(1, 3)
-    lo, hi = _atanh_enclosure(u, prec)
-    out = (2 * lo, 2 * hi)
-    _cache[key] = out
-    return out
+    lo, hi = _atanh_enclosure(Fraction(1, 3), prec)
+    return 2 * lo, 2 * hi
 
 
 def _atanh_enclosure(u: Fraction, prec: int) -> tuple[Fraction, Fraction]:
@@ -422,31 +395,21 @@ def _log_fraction(q: Fraction, prec: int) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
+@lru_cache(maxsize=None)
 def const_log(q, prec: int) -> Ball:
     """Rigorous enclosure of log q for rational q > 0."""
     q = Fraction(q)
     if q <= 0:
         raise BallDomainError("log requires a positive rational")
-    key = ("log", q, prec)
-    got = _cache.get(key)
-    if got is not None:
-        return got
-    b = Ball.from_fractions(*_log_fraction(q, prec), prec)
-    _cache[key] = b
-    return b
+    return Ball.from_fractions(*_log_fraction(q, prec), prec)
 
 
+@lru_cache(maxsize=None)
 def const_sqrt(n: int, prec: int) -> Ball:
     """Rigorous enclosure of sqrt(n) for a positive integer n."""
     if n <= 0:
         raise BallDomainError("sqrt requires a positive integer")
-    key = ("sqrt", n, prec)
-    got = _cache.get(key)
-    if got is not None:
-        return got
-    b = Ball(_dy_sqrt((n, 0), prec, False), _dy_sqrt((n, 0), prec, True), prec)
-    _cache[key] = b
-    return b
+    return Ball(_dy_sqrt((n, 0), prec, False), _dy_sqrt((n, 0), prec, True), prec)
 
 
 # ---------------------------------------------------------------------------

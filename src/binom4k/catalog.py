@@ -237,6 +237,20 @@ _KP = [0, 11, -92, 22]      # k * (22k^2 - 92k + 11)
 _KQ = [0, 1, 8, 11]         # k * (11k^2 + 8k + 1)
 _Q2 = [1, 8, 11]            # 11k^2 + 8k + 1
 
+# The lemma 5.1 combinations, one per x0 of theorem 1.3: case -> (x0, d,
+# weights (wa, wb, wc), numerator (q0, q1) of the linear-weight series, r)
+# with value r*sqrt(d).  The components are, in order, the linear-weight
+# series (q0 + q1 k), the G_4 series over (3k+1) and the (8k+2) series over
+# (3k+1)(3k+2).  The exact proof suite reduces the same table in Q(f(x0)).
+LEMMA51_CASES: dict[str, tuple[Fraction, int, tuple, tuple, Fraction]] = {
+    "m256": (_F(-1, 256), 2, (_F(64, 5), _F(-36, 5), _F(-1)), (_F(5), _F(182)), _F(72, 5)),
+    "128": (_F(1, 128), 2, (_F(32, 5), _F(-12, 5), _F(1)), (_F(-49), _F(725)), _F(-576, 5)),
+    "m72": (_F(-1, 72), 3, (_F(242, 65), _F(-28, 5), _F(-1)), (_F(12), _F(175)), _F(216, 65)),
+    "m25": (_F(-1, 25), 5, (_F(1, 115), _F(-96, 5), _F(-4)), (_F(17320), _F(118237)),
+            _F(72, 23)),
+    "24": (_F(1, 24), 3, (_F(1, 5), _F(-4, 5), _F(1)), (_F(1160), _F(-3038)), _F(216, 5)),
+}
+
 
 def builtin_catalog() -> list[IdentityEntry]:
     """Every displayed series identity, in source order."""
@@ -354,28 +368,15 @@ def builtin_catalog() -> list[IdentityEntry]:
                          den=("3k+1", "3k+2"))),),
           rat(0)),
     ]
-    # lemma 5.1 equivalence combinations; component order: linear-weight
-    # series, the G_4 series (3k+1), the (8k+2) series (3k+1)(3k+2)
-    for (suffix, x, r0, ws, rhs) in (
-        ("m256", _F(-1, 256), [5, 182], (_F(64, 5), _F(-36, 5), _F(-1)),
-         rat(_F(72, 5)) * sqrt(2)),
-        ("128", _F(1, 128), [-49, 725], (_F(32, 5), _F(-12, 5), _F(1)),
-         rat(_F(-576, 5)) * sqrt(2)),
-        ("m72", _F(-1, 72), [12, 175], (_F(242, 65), _F(-28, 5), _F(-1)),
-         rat(_F(216, 65)) * sqrt(3)),
-        ("m25", _F(-1, 25), [17320, 118237], (_F(1, 115), _F(-96, 5), _F(-4)),
-         rat(_F(72, 23)) * sqrt(5)),
-        ("24", _F(1, 24), [1160, -3038], (_F(1, 5), _F(-4, 5), _F(1)),
-         rat(_F(216, 5)) * sqrt(3)),
-    ):
+    for suffix, (x, d, ws, q, r) in LEMMA51_CASES.items():
         entries.append(E(
             f"lem5.1-{suffix}", f"lemma 5.1 (x={x})",
             (
-                (ws[0], _spec(x, {0: r0})),
+                (ws[0], _spec(x, {0: q})),
                 (ws[1], _spec(x, {0: [1]}, den=("3k+1",))),
                 (ws[2], _spec(x, {0: [2, 8]}, den=("3k+1", "3k+2"))),
             ),
-            rhs))
+            rat(r) * sqrt(d)))
     ids = [e.id for e in entries]
     assert len(ids) == len(set(ids)) == CATALOG_SIZE
     return entries

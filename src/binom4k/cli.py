@@ -31,15 +31,20 @@ from .catalog import (
     CatalogError,
     IdentityEntry,
     builtin_catalog,
+    catalog_by_id,
     eval_closed_form,
     parse_component,
 )
-from .exact import AlgebraicReal, NFElem, Poly
+from .exact import NFElem, Poly
 from .genfunc import eval_f
 from .proofs import alpha_context, run_exact_checks, substituted_integrands
 from .series import PrecisionError, SeriesSpec, SpecError, sum_series
 
 DEFAULT_DIGITS_ENV = "BINOM4K_DIGITS"
+
+# upper limits and coefficients over Q(alpha) or Q(cbrt 2) are enclosed this
+# tightly before the 60-digit quadratures of the cross-checks
+QUAD_WIDTH = Fraction(1, 10**55)
 
 # weight slack: components are evaluated 3 digits past the request, so the
 # combined difference stays well under the 10^(1-D) pass threshold
@@ -88,13 +93,25 @@ class VerificationRecord:
 
 
 def default_digits() -> int:
+    """Digits from BINOM4K_DIGITS (an integer >= 10), else 50."""
     env = os.environ.get(DEFAULT_DIGITS_ENV)
-    if env:
-        try:
-            return max(10, int(env))
-        except ValueError:
-            pass
-    return 50
+    if not env:
+        return 50
+    try:
+        digits = int(env)
+    except ValueError:
+        digits = 0
+    if digits < 10:
+        raise SystemExit2(f"{DEFAULT_DIGITS_ENV} must be an integer >= 10, got {env!r}")
+    return digits
+
+
+def _digits(args, minimum: int = 10) -> int:
+    """--digits, else the default; a usage error below `minimum`."""
+    digits = default_digits() if args.digits is None else args.digits
+    if digits < minimum:
+        raise SystemExit2(f"digits must be >= {minimum}")
+    return digits
 
 
 def verify_entry(entry: IdentityEntry, digits: int) -> VerificationRecord:
@@ -244,22 +261,6 @@ def crosscheck_j1(x: Fraction, tol: float) -> CrosscheckRecord:
             tol, qr.evaluations)
 
 
-def _upper_limit_mpf(j: int, width=Fraction(1, 10**55)):
-    ctx = alpha_context()
-    a = ctx.elem
-    if j == 2:
-        iv = (4 * a * a / (3 * a + 1) ** 2).embedding_interval(width)
-        return (iv[0] + iv[1]) / 2
-    if j == 3:
-        u = (2 * a / (3 * a + 1)).embedding_interval(width)
-        c = AlgebraicReal(Poly([-2, 0, 0, 1]), (Fraction(1), Fraction(2))).refine(width)
-        return ((u[0] + u[1]) / 2) * ((c[0] + c[1]) / 2)
-    if j == 4:
-        iv = (2 * a / (3 * a + 1)).embedding_interval(width)
-        return (iv[0] + iv[1]) / 2
-    raise ValueError("j must be 2, 3 or 4")
-
-
 def crosscheck_substituted(j: int, tol: float) -> CrosscheckRecord:
     """Two comparisons at x = 1/16:
 
@@ -278,8 +279,9 @@ def crosscheck_substituted(j: int, tol: float) -> CrosscheckRecord:
     dps = 60
     with mpmath.workdps(dps):
         alpha = _mpf_of_fraction((lambda iv: (iv[0] + iv[1]) / 2)(
-            alpha_context().alpha.refine(Fraction(1, 10**55))))
-        upper = _mpf_of_fraction(_upper_limit_mpf(j))
+            alpha_context().alpha.refine(QUAD_WIDTH)))
+        si = substituted_integrands(j, QUAD_WIDTH)
+        upper = _mpf_of_fraction(sum(si.upper_interval) / 2)
         cbrt2 = mpmath.cbrt(2)
 
         if j == 2:
@@ -304,9 +306,8 @@ def crosscheck_substituted(j: int, tol: float) -> CrosscheckRecord:
                 core = (y - alpha) / (y * ym1 * (3 * y + 1 - 2 * y / z))
                 return core * 16 * z ** 3 / (3 * z4 - 1) ** 2
 
-        si = substituted_integrands(j)
-        ncoef = _poly_mpf_coeffs(si.num, Fraction(1, 10**55))
-        dcoef = _poly_mpf_coeffs(si.den, Fraction(1, 10**55))
+        ncoef = _poly_mpf_coeffs(si.num, QUAD_WIDTH)
+        dcoef = _poly_mpf_coeffs(si.den, QUAD_WIDTH)
 
         def weighted(z):
             return _horner(ncoef, z) / _horner(dcoef, z)
@@ -388,20 +389,15 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return _dispatch(args)
-    except SystemExit2 as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (CatalogError, SpecError) as exc:
+    except (SystemExit2, CatalogError, SpecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
 def _dispatch(args) -> int:
     if args.command == "verify":
-        digits = args.digits or default_digits()
-        if digits < 10:
-            raise SystemExit2("digits must be >= 10")
-        by_id = {e.id: e for e in builtin_catalog()}
+        digits = _digits(args)
+        by_id = catalog_by_id()
         if args.id not in by_id:
             raise SystemExit2(f"unknown identity id {args.id!r}; see `binom4k catalog list`")
         rec = verify_entry(by_id[args.id], digits)
@@ -409,9 +405,7 @@ def _dispatch(args) -> int:
         return 0 if rec.status == "PASS" else 1
 
     if args.command == "verify-all":
-        digits = args.digits or default_digits()
-        if digits < 10:
-            raise SystemExit2("digits must be >= 10")
+        digits = _digits(args)
         if args.jobs < 1:
             raise SystemExit2("jobs must be >= 1")
         records = run_verify_all(digits, args.jobs)
@@ -455,14 +449,13 @@ def _dispatch(args) -> int:
         return 0 if rec.status == "PASS" else 1
 
     if args.command == "catalog":
-        entries = builtin_catalog()
         if args.action == "list":
-            for e in entries:
+            for e in builtin_catalog():
                 print(f"{e.id:18s} {e.provenance:40s} = {e.rhs.render()}")
             return 0
         if not args.id:
             raise SystemExit2("catalog show needs an id")
-        by_id = {e.id: e for e in entries}
+        by_id = catalog_by_id()
         if args.id not in by_id:
             raise SystemExit2(f"unknown identity id {args.id!r}")
         e = by_id[args.id]
@@ -480,17 +473,20 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "eval":
-        digits = args.digits or default_digits()
+        digits = _digits(args, minimum=1)
         try:
             with open(args.spec, "r", encoding="utf-8") as fh:
                 obj = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise SystemExit2(f"cannot read spec file: {exc}") from None
+        if not isinstance(obj, dict):
+            raise SystemExit2("spec file must hold a JSON object")
+        _, spec = parse_component({**obj, "weight": obj.get("weight", "1/1")}, "spec")
         try:
-            _, spec = parse_component({**obj, "weight": obj.get("weight", "1/1")}, "spec")
-        except CatalogError as exc:
-            raise SystemExit2(str(exc)) from None
-        b = sum_series(spec, digits)
+            b = sum_series(spec, digits)
+        except PrecisionError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         print(b.decimal(digits))
         return 0
 

@@ -46,17 +46,20 @@ def ival_add(a: Ival, b: Ival) -> Ival:
     return (a[0] + b[0], a[1] + b[1])
 
 
-def ival_neg(a: Ival) -> Ival:
-    return (-a[1], -a[0])
-
-
 def ival_mul(a: Ival, b: Ival) -> Ival:
     ps = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
     return (min(ps), max(ps))
 
 
-def ival_scale(a: Ival, c: Fraction) -> Ival:
-    return (a[0] * c, a[1] * c) if c >= 0 else (a[1] * c, a[0] * c)
+def pow_by_squaring(base, n: int, one):
+    """base**n for an integer n >= 0 by square-and-multiply, starting at `one`."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base if n > 1 else base
+        n >>= 1
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -172,21 +175,7 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = Poly([1])
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
-
-    def shift(self, k: int) -> "Poly":
-        """Multiply by x^k."""
-        if self.is_zero():
-            return self
-        zero = self.coeffs[0] * 0
-        return Poly([zero] * k + list(self.coeffs))
+        return pow_by_squaring(self, n, Poly([1]))
 
     def divrem(self, other: "Poly") -> tuple["Poly", "Poly"]:
         """Euclidean division: self = q*other + r with deg r < deg other."""
@@ -214,10 +203,6 @@ class Poly:
 
     def __mod__(self, other: "Poly") -> "Poly":
         return self.divrem(other)[1]
-
-    def divides_exactly(self, other: "Poly") -> bool:
-        """True if self divides other with zero remainder."""
-        return other.divrem(self)[1].is_zero()
 
     def monic(self) -> "Poly":
         if self.is_zero():
@@ -421,10 +406,6 @@ class AlgebraicReal:
     def __setattr__(self, *a):
         raise AttributeError("AlgebraicReal is immutable")
 
-    @property
-    def interval(self) -> Ival:
-        return (self.lo, self.hi)
-
     def refine(self, width: Fraction) -> Ival:
         """Shrink the isolating interval to the requested width by bisection.
 
@@ -450,9 +431,6 @@ class AlgebraicReal:
             else:
                 hi = mid
         return (lo, hi)
-
-    def refined(self, width: Fraction) -> "AlgebraicReal":
-        return AlgebraicReal(self.defining, self.refine(width))
 
     def __repr__(self):
         return f"AlgebraicReal({self.defining.pretty()}, ({self.lo}, {self.hi}))"
@@ -666,14 +644,7 @@ class NFElem:
     def __pow__(self, n: int) -> "NFElem":
         if n < 0:
             return self.inverse() ** (-n)
-        result = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return pow_by_squaring(self, n, self.field.one())
 
     def embedding_interval(self, width: Fraction = Fraction(1, 10**12)) -> Ival:
         """Rational enclosure of the element under the field's real embedding."""
@@ -701,11 +672,6 @@ class NFElem:
 
     def __repr__(self):
         return f"NFElem({self.rep.pretty('t')})"
-
-
-def nf_reduce(expr: Poly, field: NumberField) -> NFElem:
-    """Reduce a polynomial in the field generator to its canonical element."""
-    return field.reduce(expr)
 
 
 def sqrt_in_field(field: NumberField, d: int) -> NFElem:
@@ -783,14 +749,6 @@ class RatFunc:
         return RatFunc(Poly([c]))
 
     @staticmethod
-    def const(c) -> "RatFunc":
-        return RatFunc(Poly([c]))
-
-    @staticmethod
-    def var() -> "RatFunc":
-        return RatFunc(Poly([0, 1]))
-
-    @staticmethod
     def _coerce(x) -> "RatFunc":
         if isinstance(x, RatFunc):
             return x
@@ -854,14 +812,7 @@ class RatFunc:
     def __pow__(self, n: int) -> "RatFunc":
         if n < 0:
             return (RatFunc(Poly([1])) / self) ** (-n)
-        result = RatFunc(Poly([1]))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return pow_by_squaring(self, n, RatFunc(Poly([1])))
 
     def derivative(self) -> "RatFunc":
         return RatFunc(

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .balls import Ball
-from .exact import AlgebraicReal, NFElem, NumberField, Poly, sqrt_in_field
+from .exact import AlgebraicReal, NFElem, NumberField, Poly, pow_by_squaring, sqrt_in_field
 from .series import RADIUS, SeriesSpec, sum_series
 
 
@@ -116,15 +116,7 @@ class TruncSeries:
     def __pow__(self, n: int) -> "TruncSeries":
         if n < 0:
             raise ValueError("negative series power")
-        K = self.order
-        result = TruncSeries.constant(1, K)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return pow_by_squaring(self, n, TruncSeries.constant(1, self.order))
 
     def shift_x(self) -> "TruncSeries":
         """Multiply by x, keeping the order."""

@@ -27,8 +27,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
+from .catalog import LEMMA51_CASES
 from .exact import (
-    AlgebraicReal,
     Ival,
     NFElem,
     NumberField,
@@ -38,7 +38,7 @@ from .exact import (
     ival_mul,
     sqrt_in_field,
 )
-from .genfunc import AlphaContext, BetaContext, make_alpha, make_beta, eval_f
+from .genfunc import ALPHA_CUBIC, AlphaContext, BetaContext, make_alpha, make_beta, eval_f
 from .series import harmonic
 
 F = Fraction
@@ -102,12 +102,24 @@ def check_poly_identity(lhs: Poly, rhs: Poly) -> CheckOutcome:
 
 # -- the four antiderivative instances --------------------------------------
 
+# Integrand factors of g2, g3 and g4.  `substituted_integrands` reuses these
+# Polys as they are, so the cross-checks integrate the verified coefficients.
+_G2_NUM = 16 * Poly([1, 3, -1, 1]) * Poly([4, 0, -75, 0, 81])
+_G2_DEN = Poly([-1, 1]) * Poly([-1, 0, 3]) ** 4 * Poly([1, 0, 1])
+_G3_SEXTIC = Poly([16, 0, 0, -83, 0, 0, 40])
+_G3_NONIC = Poly([-8, 0, 0, 28, 0, 0, -10, 0, 0, 1])   # z^9 - 10z^6 + 28z^3 - 8
+_G3_CUBE_FACTOR = 2 * Poly([-1, 0, 0, 1]) ** 4
+_G4_NUM = (8 * Poly([1, 1, -1, 1]) * Poly([1, 0, 3, 0, -1, 0, 1])
+           * Poly([4, 0, 0, 0, -75, 0, 0, 0, 81]))
+_G4_DEN = Poly([-1, 1]) * Poly([-1, 0, 0, 0, 3]) ** 4 * Poly([1, 0, 0, 0, 1])
+
 
 def _rf(num, den=Poly([1])) -> RatFunc:
     return RatFunc(num if isinstance(num, Poly) else Poly(num),
                    den if isinstance(den, Poly) else Poly(den))
 
 
+@lru_cache(maxsize=1)
 def antiderivative_g() -> tuple[LogRationalExpr, RatFunc]:
     """g(y) with g' = (27y^2-3y-40)(3y+1)^2 / (2y(y+1))."""
     g = LogRationalExpr(
@@ -121,6 +133,7 @@ def antiderivative_g() -> tuple[LogRationalExpr, RatFunc]:
     return g, integrand
 
 
+@lru_cache(maxsize=1)
 def antiderivative_g2() -> tuple[LogRationalExpr, RatFunc]:
     g2 = LogRationalExpr(
         rational_part=_rf(
@@ -129,11 +142,7 @@ def antiderivative_g2() -> tuple[LogRationalExpr, RatFunc]:
         ),
         log_terms=((F(10), _rf(Poly([-1, 1]) ** 2, Poly([1, 0, 1]))),),
     )
-    integrand = _rf(
-        16 * Poly([1, 3, -1, 1]) * Poly([4, 0, -75, 0, 81]),
-        Poly([-1, 1]) * Poly([-1, 0, 3]) ** 4 * Poly([1, 0, 1]),
-    )
-    return g2, integrand
+    return g2, _rf(_G2_NUM, _G2_DEN)
 
 
 @lru_cache(maxsize=1)
@@ -141,6 +150,12 @@ def cbrt2_field() -> NumberField:
     return NumberField(Poly([-2, 0, 0, 1]), (F(1), F(2)))
 
 
+def _g3_quartic() -> Poly:
+    """z^4 - 4z + 2 cbrt2, the factor of the g3 integrand over Q(cbrt(2))."""
+    return Poly([2 * cbrt2_field().gen(), -4, 0, 0, 1])
+
+
+@lru_cache(maxsize=1)
 def antiderivative_g3() -> tuple[LogRationalExpr, RatFunc]:
     """The cube-root case, over Q(cbrt(2))."""
     K = cbrt2_field()
@@ -151,24 +166,17 @@ def antiderivative_g3() -> tuple[LogRationalExpr, RatFunc]:
         rational_part=_rf(num, 2 * Poly([-1, 0, 0, 1]) ** 3),
         log_terms=((F(-20, 3), _rf(Poly([2]), Poly([c, -1]) ** 3)),),
     )
-    integrand = _rf(
-        Poly([16, 0, 0, -83, 0, 0, 40]) * Poly([-8, 0, 0, 28, 0, 0, -10, 0, 0, 1]),
-        2 * Poly([-1, 0, 0, 1]) ** 4 * Poly([2 * c, -4, 0, 0, 1]),
-    )
-    return g3, integrand
+    return g3, _rf(_G3_SEXTIC * _G3_NONIC, _G3_CUBE_FACTOR * _g3_quartic())
 
 
+@lru_cache(maxsize=1)
 def antiderivative_g4() -> tuple[LogRationalExpr, RatFunc]:
     Qz = Poly([6, 11, 18, 27, -68, -126, -216, -351, 54, 135, 270, 486])
     g4 = LogRationalExpr(
         rational_part=_rf(2 * Poly([0, 1]) * Qz, Poly([-1, 0, 0, 0, 3]) ** 3),
         log_terms=((F(5), _rf(Poly([-1, 1]) ** 4, Poly([1, 0, 0, 0, 1]))),),
     )
-    integrand = _rf(
-        8 * Poly([1, 1, -1, 1]) * Poly([1, 0, 3, 0, -1, 0, 1]) * Poly([4, 0, 0, 0, -75, 0, 0, 0, 81]),
-        Poly([-1, 1]) * Poly([-1, 0, 0, 0, 3]) ** 4 * Poly([1, 0, 0, 0, 1]),
-    )
-    return g4, integrand
+    return g4, _rf(_G4_NUM, _G4_DEN)
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +185,6 @@ def antiderivative_g4() -> tuple[LogRationalExpr, RatFunc]:
 
 S5 = Poly([0, 5, 14, -16, -30, 27])   # 27y^5 - 30y^4 - 16y^3 + 14y^2 + 5y
 S3 = Poly([0, -1, -2, 3])             # 3y^3 - 2y^2 - y
-CUBIC = Poly([-1, -7, -11, 11])       # 11y^3 - 11y^2 - 7y - 1
 
 
 @dataclass(frozen=True)
@@ -232,7 +239,7 @@ def standard_decomposition() -> DecompositionResult:
     """The decomposition used by every sigma chain: target is the series-level
     scaling (1/8)(27y^2-3y-40)(cubic), for which the solved weights are
     (11/128, -35/8, 11)."""
-    target = (Poly([-40, -3, 27]) * CUBIC).scale(F(1, 8))
+    target = (Poly([-40, -3, 27]) * ALPHA_CUBIC).scale(F(1, 8))
     ctx = alpha_context()
     target = Poly([ctx.field.const(c) for c in target.coeffs])
     return solve_decomposition(DecompositionProblem(target=target, basis=standard_basis(ctx)))
@@ -258,51 +265,49 @@ P5 = Poly([1, 24, 245, 1356, 4177, 5660, -5139, -30728, -30309, 41488,
            108295, 20604, -111085, -54788, 82967])
 
 _Y = Poly([0, 1])
+_U = _rf(Poly([0, 2]), Poly([1, 3]))                            # 2y/(3y+1)
 _DERIV_NUM = _rf(Poly([0, 0, 0, 0, 0, 64]), Poly([1, 3]) ** 2)  # 64y^5/(3y+1)^2
 
+# The rational part of sigma_j is that of g_j at the substituted point (y for
+# j=1, then u^2, cbrt2*u and u with u = 2y/(3y+1)) plus the printed
+# polynomial corrections.
 
+
+@lru_cache(maxsize=1)
 def sigma1_rational() -> RatFunc:
-    return (_rf(Poly([216, -243, -54, 81]).scale(F(1, 2)))
-            - F(54, 16) * _DERIV_NUM + 108 * _rf(Poly([-1, 1])))
+    g = antiderivative_g()[0].rational_part
+    return g - F(54, 16) * _DERIV_NUM + 108 * _rf(Poly([-1, 1]))
 
 
+@lru_cache(maxsize=1)
 def sigma2_rational() -> RatFunc:
-    w = _rf(Poly([0, 0, 4]), Poly([1, 3]) ** 2)
-    g2num = Poly([11, 27, -126, -351, 135, 486])
-    g2_at_w = 4 * w * _horner_rf(g2num, w) / (3 * w * w - 1) ** 3
-    return g2_at_w + F(287, 16) * _DERIV_NUM - 115 * _rf(Poly([-1, 1])) - 214
+    g2 = antiderivative_g2()[0].rational_part
+    return g2(_U * _U) + F(287, 16) * _DERIV_NUM - 115 * _rf(Poly([-1, 1])) - 214
 
 
+def _at_cbrt2_times(p: Poly, u: RatFunc) -> RatFunc:
+    """p(cbrt2 * u) for p over Q(cbrt(2)) in z: every monomial cbrt2^i z^n of
+    p has 3 | i + n, so cbrt2^i (cbrt2 u)^n = 2^((i+n)/3) u^n is rational."""
+    acc = RatFunc(Poly())
+    for n, coef in enumerate(p.coeffs):
+        for i, q in enumerate(coef.rep.coeffs):
+            if q:
+                assert (i + n) % 3 == 0
+                acc = acc + q * 2 ** ((i + n) // 3) * u ** n
+    return acc
+
+
+@lru_cache(maxsize=1)
 def sigma3_rational() -> RatFunc:
-    # z = cbrt2 * u with u = 2y/(3y+1); every monomial of the g3 numerator has
-    # cbrt2-exponent + z-exponent divisible by 3, so the value is rational in y
-    u = _rf(Poly([0, 2]), Poly([1, 3]))
-    terms = [  # (z-power, cbrt2-power, coefficient) of z * (g3 numerator core)
-        (9, 0, F(72)), (8, 1, F(40)), (7, 2, F(20)),
-        (6, 0, F(-135)), (5, 1, F(-80)), (4, 2, F(-44)),
-        (3, 0, F(36)), (2, 1, F(22)), (1, 2, F(12)),
-    ]
-    num = RatFunc(Poly())
-    for zp, cp, coef in terms:
-        assert (zp + cp) % 3 == 0  # z^zp c^cp = 2^((zp+cp)/3) u^zp at z = c u
-        num = num + coef * (2 ** ((zp + cp) // 3)) * u ** zp
-    zcubed = 2 * u ** 3
-    g3_at = num / (2 * (zcubed - 1) ** 3)
+    g3 = antiderivative_g3()[0].rational_part
+    g3_at = _at_cbrt2_times(g3.num, _U) / _at_cbrt2_times(g3.den, _U)
     return g3_at - F(296, 16) * _DERIV_NUM + 178 * _rf(Poly([-1, 1])) + 196
 
 
+@lru_cache(maxsize=1)
 def sigma4_rational() -> RatFunc:
-    z4 = _rf(Poly([0, 2]), Poly([1, 3]))
-    Qz = Poly([6, 11, 18, 27, -68, -126, -216, -351, 54, 135, 270, 486])
-    g4_at = 2 * z4 * _horner_rf(Qz, z4) / (3 * z4 ** 4 - 1) ** 3
-    return g4_at - F(449, 32) * _DERIV_NUM + F(275, 2) * _rf(Poly([-1, 1])) + 151
-
-
-def _horner_rf(p: Poly, x: RatFunc) -> RatFunc:
-    acc = RatFunc(Poly())
-    for c in reversed(p.coeffs):
-        acc = acc * x + c
-    return acc
+    g4 = antiderivative_g4()[0].rational_part
+    return g4(_U) - F(449, 32) * _DERIV_NUM + F(275, 2) * _rf(Poly([-1, 1])) + 151
 
 
 def sigma_rational_closure(idx: int, quartic: Poly = Q33) -> CheckOutcome:
@@ -310,33 +315,35 @@ def sigma_rational_closure(idx: int, quartic: Poly = Q33) -> CheckOutcome:
     rational functions in y.  idx=2 and idx=4 take the disambiguation quartic."""
     if idx == 1:
         lhs = sigma1_rational()
-        rhs = _rf(27 * _Y * Poly([1, 1]) * CUBIC, 2 * Poly([1, 3]) ** 2)
+        rhs = _rf(27 * _Y * Poly([1, 1]) * ALPHA_CUBIC, 2 * Poly([1, 3]) ** 2)
     elif idx == 2:
         lhs = sigma2_rational()
-        rhs = _rf(CUBIC * P1, Poly([1, 3]) ** 2 * quartic ** 3)
+        rhs = _rf(ALPHA_CUBIC * P1, Poly([1, 3]) ** 2 * quartic ** 3)
     elif idx == 3:
         lhs = sigma3_rational()
-        rhs = _rf(-2 * CUBIC * P3, Poly([1, 3]) ** 2 * C3 ** 3)
+        rhs = _rf(-2 * ALPHA_CUBIC * P3, Poly([1, 3]) ** 2 * C3 ** 3)
     elif idx == 4:
         lhs = sigma4_rational()
-        rhs = _rf(-(CUBIC * P4), 2 * Poly([1, 3]) ** 2 * quartic ** 3)
+        rhs = _rf(-(ALPHA_CUBIC * P4), 2 * Poly([1, 3]) ** 2 * quartic ** 3)
     else:
         raise ValueError("idx must be 1..4")
     diff = lhs - rhs
     return CheckOutcome(diff.is_zero(), None if diff.is_zero() else repr(diff))
 
 
-def sigma_log_ident(idx: int) -> CheckOutcome:
-    """Polynomial identities behind the log cancellations."""
+def sigma_log_ident(idx: int, quartic: Poly = Q97) -> CheckOutcome:
+    """Polynomial identities behind the log cancellations.  idx=2 and idx=4
+    take the disambiguation quartic; the 97-quartic closes them, the 33 one
+    does not."""
     if idx in (1, 3):
-        lhs = Poly([1, 1]) ** 3 * Poly([1, 3]) ** 2 + Poly([1, 2, 5]) * CUBIC
+        lhs = Poly([1, 1]) ** 3 * Poly([1, 3]) ** 2 + Poly([1, 2, 5]) * ALPHA_CUBIC
         return check_poly_identity(lhs, Poly([0, 0, 0, 0, 0, 64]))
-    if idx == 2:  # closed by the 97-quartic, not the 33 one
-        lhs = (Poly([0, 0, 0, 0, 0, 64]) * Q97 ** 3
+    if idx == 2:
+        lhs = (Poly([0, 0, 0, 0, 0, 64]) * quartic ** 3
                - Poly([1, 1]) ** 6 * Poly([1, 3]) ** 5 * Poly([1, 5]) ** 6)
-        return check_poly_identity(lhs, CUBIC * P2)
+        return check_poly_identity(lhs, ALPHA_CUBIC * P2)
     if idx == 4:
-        lhs = Poly([-1, 1]) ** 5 * Q97 ** 3 - CUBIC * P5
+        lhs = Poly([-1, 1]) ** 5 * quartic ** 3 - ALPHA_CUBIC * P5
         return check_poly_identity(lhs, 4 * Poly([0, 0, 0, 1]) * Poly([1, 1]) ** 12 * Poly([1, 3]) ** 2)
     raise ValueError("idx must be 1..4")
 
@@ -347,11 +354,7 @@ def p_identity(which: int, quartic: Optional[Poly] = None) -> CheckOutcome:
     if which == 1:
         return sigma_rational_closure(2, quartic if quartic is not None else Q33)
     if which == 2:
-        if quartic is None or quartic == Q97:
-            return sigma_log_ident(2)
-        lhs = (Poly([0, 0, 0, 0, 0, 64]) * quartic ** 3
-               - Poly([1, 1]) ** 6 * Poly([1, 3]) ** 5 * Poly([1, 5]) ** 6)
-        return check_poly_identity(lhs, CUBIC * P2)
+        return sigma_log_ident(2, quartic if quartic is not None else Q97)
     if which == 3:
         return sigma_rational_closure(3)
     if which == 4:
@@ -369,17 +372,17 @@ def sigma_value_closure(idx: int) -> CheckOutcome:
     a = ctx.elem
     one = ctx.field.one()
     if idx == 1:
-        r = _rffield(sigma1_rational(), a)
+        r = sigma1_rational()(a)
         M = (2 * a / (a + 1)) ** 3 * (4 * a / (3 * a + 1)) ** 2 / 2
     elif idx == 2:
-        r = _rffield(sigma2_rational(), a)
+        r = sigma2_rational()(a)
         w = 4 * a * a / (3 * a + 1) ** 2
         M = ((w - 1) ** 2 / (w * w + 1)) ** 3 * ((3 * a + 1) / (4 * a)) ** 5 * 16
     elif idx == 3:
-        r = _rffield(sigma3_rational(), a)
+        r = sigma3_rational()(a)
         M = ((3 * a + 1) / (a + 1)) ** 3 * (4 * a / (3 * a + 1)) ** 5 / 16
     elif idx == 4:
-        r = _rffield(sigma4_rational(), a)
+        r = sigma4_rational()(a)
         z4 = 2 * a / (3 * a + 1)
         M = ((z4 - 1) ** 4 / (z4 ** 4 + 1)) ** 3 * ((3 * a + 1) / (4 * a)) ** 17 * (2 ** 16)
     else:
@@ -389,10 +392,6 @@ def sigma_value_closure(idx: int) -> CheckOutcome:
     if not (M - one).is_zero():
         return CheckOutcome(False, witness=f"log argument {M!r}")
     return CheckOutcome(True)
-
-
-def _rffield(rf: RatFunc, a: NFElem) -> NFElem:
-    return rf.num(a) / rf.den(a)
 
 
 def alpha_power_identity() -> CheckOutcome:
@@ -504,10 +503,6 @@ def partial_fraction_decomposition(corrected: bool = True) -> CheckOutcome:
     return CheckOutcome(diff.is_zero(), None if diff.is_zero() else repr(diff))
 
 
-def check_partial_fractions() -> CheckOutcome:
-    return partial_fraction_decomposition(corrected=True)
-
-
 # ---------------------------------------------------------------------------
 # the five x-specializations of section 5
 
@@ -523,19 +518,9 @@ class CaseContext:
     sqrt_d: NFElem
 
 
-THEOREM3_CASES: dict[str, tuple[Fraction, int, tuple, tuple, Fraction]] = {
-    # case: (x0, d, weights (wa, wb, wc), Sa numerator (q0, q1), rhs = r*sqrt(d))
-    "m256": (F(-1, 256), 2, (F(64, 5), F(-36, 5), F(-1)), (F(5), F(182)), F(72, 5)),
-    "128": (F(1, 128), 2, (F(32, 5), F(-12, 5), F(1)), (F(-49), F(725)), F(-576, 5)),
-    "m72": (F(-1, 72), 3, (F(242, 65), F(-28, 5), F(-1)), (F(12), F(175)), F(216, 65)),
-    "m25": (F(-1, 25), 5, (F(1, 115), F(-96, 5), F(-4)), (F(17320), F(118237)), F(72, 23)),
-    "24": (F(1, 24), 3, (F(1, 5), F(-4, 5), F(1)), (F(1160), F(-3038)), F(216, 5)),
-}
-
-
 @lru_cache(maxsize=None)
 def case_context(case: str) -> CaseContext:
-    x0, d, _, _, _ = THEOREM3_CASES[case]
+    x0, d, _, _, _ = LEMMA51_CASES[case]
     A = 27 - 256 * x0
     den = A.denominator
     quartic = Poly([-den, -8 * den, -18 * den, 0, A.numerator])
@@ -547,7 +532,7 @@ def case_context(case: str) -> CaseContext:
 
 def theorem3_combination(case: str, gamma: NFElem, sqrt_d: NFElem) -> NFElem:
     """The closed form of the lemma 5.1 combination minus its stated constant."""
-    x0, _, (wa, wb, wc), (q0, q1), r = THEOREM3_CASES[case]
+    x0, _, (wa, wb, wc), (q0, q1), r = LEMMA51_CASES[case]
     g = gamma
     xg = 64 * x0 * g ** 5 / (3 * g + 1) ** 2       # sum k C(4k,k) x^k = x f'(x)
     sa = q1 * xg + q0 * g                          # sum (q0 + q1 k) C x^k
@@ -586,18 +571,14 @@ class SubstitutedIntegrand:
                 return False
             return count_roots(sf, F(0), hi) == 0 and self.den(F(0)) != 0
         # j=3: rational factor (z^3-1)^4 plus the linear factor (z - cbrt2)
-        cbrt = AlgebraicReal(Poly([-2, 0, 0, 1]), (F(1), F(2)))
-        clo, _ = cbrt.refine(F(1, 10**6))
+        clo, _ = cbrt2_field().embedding.refine(F(1, 10**6))
         return hi < clo and hi < 1
 
 
-def _alpha_embed(e: NFElem, width=F(1, 10**9)) -> Ival:
-    return e.embedding_interval(width)
-
-
-def substituted_integrands(j: int) -> SubstitutedIntegrand:
+def substituted_integrands(j: int, width: Fraction = F(1, 10**9)) -> SubstitutedIntegrand:
     """The z-substituted forms of the weighted integrals at x = 1/16, with the
-    removable endpoint factor of j=3 cancelled exactly.
+    removable endpoint factor of j=3 cancelled exactly, and the upper limit
+    enclosed to about `width`.
 
     For j=3 the denominator factor z^4 - 4z + 2 cbrt2 factors as
     (z - cbrt2) * M(z) with M the minimal polynomial of the upper endpoint;
@@ -610,41 +591,38 @@ def substituted_integrands(j: int) -> SubstitutedIntegrand:
         upper = 4 * a * a / (3 * a + 1) ** 2
         return SubstitutedIntegrand(
             j=2,
-            num=16 * Poly([1, 3, -1, 1]) * Poly([4, 0, -75, 0, 81]),
-            den=Poly([-1, 1]) * Poly([-1, 0, 3]) ** 4 * Poly([1, 0, 1]),
+            num=_G2_NUM,
+            den=_G2_DEN,
             field=None,
             upper_desc="4a^2/(3a+1)^2 with a = f(1/16)",
-            upper_interval=_alpha_embed(upper),
+            upper_interval=upper.embedding_interval(width),
         )
     if j == 4:
         upper = 2 * a / (3 * a + 1)
         return SubstitutedIntegrand(
             j=4,
-            num=8 * Poly([1, 1, -1, 1]) * Poly([1, 0, 3, 0, -1, 0, 1])
-                * Poly([4, 0, 0, 0, -75, 0, 0, 0, 81]),
-            den=Poly([-1, 1]) * Poly([-1, 0, 0, 0, 3]) ** 4 * Poly([1, 0, 0, 0, 1]),
+            num=_G4_NUM,
+            den=_G4_DEN,
             field=None,
             upper_desc="2a/(3a+1) with a = f(1/16)",
-            upper_interval=_alpha_embed(upper),
+            upper_interval=upper.embedding_interval(width),
         )
     if j == 3:
         K = cbrt2_field()
         c = K.gen()
-        quartic = Poly([2 * c, -4, 0, 0, 1])
-        mz, rem = quartic.divrem(Poly([-c, 1]))
+        mz, rem = _g3_quartic().divrem(Poly([-c, 1]))
         if not rem.is_zero():
             raise ArithmeticError("endpoint cofactor division left a remainder")
-        n6, rem = Poly([-8, 0, 0, 28, 0, 0, -10, 0, 0, 1]).divrem(mz)
+        n6, rem = _G3_NONIC.divrem(mz)
         if not rem.is_zero():
             raise ArithmeticError(
                 "endpoint cancellation division left a remainder (transcription fault)")
         u = 2 * a / (3 * a + 1)
-        cbrt = AlgebraicReal(Poly([-2, 0, 0, 1]), (F(1), F(2)))
-        upper_iv = ival_mul(cbrt.refine(F(1, 10**9)), _alpha_embed(u))
+        upper_iv = ival_mul(K.embedding.refine(width), u.embedding_interval(width))
         return SubstitutedIntegrand(
             j=3,
-            num=Poly([16, 0, 0, -83, 0, 0, 40]) * n6,
-            den=2 * Poly([-1, 0, 0, 1]) ** 4 * Poly([-c, 1]),
+            num=_G3_SEXTIC * n6,
+            den=_G3_CUBE_FACTOR * Poly([-c, 1]),
             field=K,
             upper_desc="2 cbrt2 a/(3a+1) with a = f(1/16)",
             upper_interval=upper_iv,
@@ -744,36 +722,30 @@ def run_exact_checks(only: Optional[str] = None) -> list[ExactCheck]:
         add(f"sigma{idx}-value-closure",
             lambda name, idx=idx: _outcome(name, sigma_value_closure(idx)))
 
-    def p1(name):
-        with33 = p_identity(1, Q33)
-        with97 = p_identity(1, Q97)
-        ok = with33.ok and not with97.ok
-        wit = None if ok else (with33.witness or "both quartic candidates closed")
-        return ExactCheck(name, ok, wit,
-                          note="closes with the 33-quartic; the 97-quartic does not "
-                               "(the two printed quartics serve different spots)")
-    add("p1-identity", p1)
+    def closes_only(true, wrong, both_closed: str, note: str):
+        """A check that passes when the true variant closes and the wrong
+        (printed or adjacent) variant does not."""
+        def run(name):
+            good, bad = true(), wrong()
+            ok = good.ok and not bad.ok
+            return ExactCheck(name, ok, None if ok else (good.witness or both_closed), note)
+        return run
 
-    def p2(name):
-        with97 = p_identity(2, Q97)
-        with33 = p_identity(2, Q33)
-        ok = with97.ok and not with33.ok
-        wit = None if ok else (with97.witness or "both quartic candidates closed")
-        return ExactCheck(name, ok, wit,
-                          note="closes with the 97-quartic; the 33-quartic does not")
-    add("p2-identity", p2)
-
+    add("p1-identity", closes_only(
+        lambda: p_identity(1, Q33), lambda: p_identity(1, Q97),
+        "both quartic candidates closed",
+        "closes with the 33-quartic; the 97-quartic does not "
+        "(the two printed quartics serve different spots)"))
+    add("p2-identity", closes_only(
+        lambda: p_identity(2, Q97), lambda: p_identity(2, Q33),
+        "both quartic candidates closed",
+        "closes with the 97-quartic; the 33-quartic does not"))
     add("p3-identity", lambda name: _outcome(name, p_identity(3)))
-
-    def p4(name):
-        with33 = p_identity(4, Q33)
-        printed = sigma_rational_closure(4, C3)
-        ok = with33.ok and not printed.ok
-        wit = None if ok else (with33.witness or "printed denominator also closed")
-        return ExactCheck(name, ok, wit,
-                          note="denominator is the 33-quartic cube; the printed "
-                               "(11y^3+27y^2+9y+1)^3 does not close (degree mismatch)")
-    add("p4-identity", p4)
+    add("p4-identity", closes_only(
+        lambda: p_identity(4, Q33), lambda: sigma_rational_closure(4, C3),
+        "printed denominator also closed",
+        "denominator is the 33-quartic cube; the printed "
+        "(11y^3+27y^2+9y+1)^3 does not close (degree mismatch)"))
 
     add("p5-identity", lambda name: _outcome(name, p_identity(5)))
 
@@ -800,17 +772,14 @@ def run_exact_checks(only: Optional[str] = None) -> list[ExactCheck]:
                                "has psi(0) = 0")
     add("abel-boundary-convention", abel_boundary)
 
-    def pf(name):
-        good = partial_fraction_decomposition(corrected=True)
-        bad = partial_fraction_decomposition(corrected=False)
-        ok = good.ok and not bad.ok
-        wit = None if ok else (good.witness or "printed transposition also closed")
-        return ExactCheck(name, ok, wit,
-                          note="printed display transposes the two cubic numerators; "
-                               "the corrected pairing closes, the printed one fails")
-    add("partial-fractions", pf)
+    add("partial-fractions", closes_only(
+        lambda: partial_fraction_decomposition(corrected=True),
+        lambda: partial_fraction_decomposition(corrected=False),
+        "printed transposition also closed",
+        "printed display transposes the two cubic numerators; "
+        "the corrected pairing closes, the printed one fails"))
 
-    for case in THEOREM3_CASES:
+    for case in LEMMA51_CASES:
         add(f"theorem3-reduction-{case}",
             lambda name, c=case: _outcome(name, check_theorem3_reduction(c)))
 

@@ -28,12 +28,12 @@ with T(K+1) evaluated exactly.  No asymptotics are assumed anywhere.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional
 
 from .balls import Ball
-from .exact import Poly
 
 # linear factors a*k + b allowed in denominators
 DENOM_FACTORS: dict[str, tuple[int, int]] = {
@@ -65,6 +65,7 @@ class PrecisionError(ArithmeticError):
 
 
 _harmonic_memo: list[Fraction] = [Fraction(0)]
+_harmonic_lock = threading.Lock()
 
 
 def harmonic(n: int) -> Fraction:
@@ -72,8 +73,12 @@ def harmonic(n: int) -> Fraction:
     if n < 0:
         raise ValueError("harmonic number of a negative index")
     memo = _harmonic_memo
-    while len(memo) <= n:  # append-only growth; benign under concurrent use
-        memo.append(memo[-1] + Fraction(1, len(memo)))
+    if len(memo) <= n:
+        # growth reads memo[-1] and len(memo) before appending: two threads
+        # growing at once would append the same entry twice
+        with _harmonic_lock:
+            while len(memo) <= n:
+                memo.append(memo[-1] + Fraction(1, len(memo)))
     return memo[n]
 
 
@@ -208,14 +213,6 @@ def term_exact(spec: SeriesSpec, state: TermState) -> Fraction:
     return t / state.binom
 
 
-def term_value(spec: SeriesSpec, state: TermState, prec: int = 64) -> Ball:
-    """Enclosure of term k (exact value rounded outward once)."""
-    if state.k < spec.start:
-        raise SpecError("term index below the series start")
-    t = term_exact(spec, state)
-    return Ball.exact(t, prec)
-
-
 # ---------------------------------------------------------------------------
 # certified tail bounds
 
@@ -270,12 +267,6 @@ def tail_bound_exact(spec: SeriesSpec, K: int) -> Fraction:
     return head / (1 - qbar)
 
 
-def tail_bound(spec: SeriesSpec, K: int, prec: int = 64) -> Ball:
-    """The exact tail bound rounded outward into an enclosure."""
-    t = tail_bound_exact(spec, K)
-    return Ball.from_fractions(Fraction(0), t, prec)
-
-
 # ---------------------------------------------------------------------------
 # full summation
 
@@ -316,8 +307,3 @@ def sum_series(spec: SeriesSpec, digits: int = 50) -> Ball:
 
 def _bits_for_digits(digits: int) -> int:
     return int(digits * math.log2(10)) + 16
-
-
-def spec_poly(spec: SeriesSpec, j: int) -> Poly:
-    """Channel polynomial as a Poly in k (for exact cross-module work)."""
-    return Poly(list(spec.channels.get(j, ())))

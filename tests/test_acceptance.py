@@ -38,12 +38,12 @@ from binom4k.proofs import (
     Q97,
     check_abel_step,
     check_antiderivative,
-    check_partial_fractions,
     antiderivative_g,
     antiderivative_g2,
     antiderivative_g3,
     antiderivative_g4,
     p_identity,
+    partial_fraction_decomposition,
     sigma_rational_closure,
     standard_decomposition,
 )
@@ -106,7 +106,7 @@ def test_criterion_5_symbolic_proof_suite():
     ok = ok and p_identity(2).ok and p_identity(3).ok
     ok = ok and p_identity(4, Q33).ok and p_identity(5).ok
     ok = ok and check_abel_step("A").ok and check_abel_step("B").ok
-    ok = ok and check_partial_fractions().ok
+    ok = ok and partial_fraction_decomposition().ok
     # quartic disambiguation: exactly one of the two printed quartics closes
     # each sigma2 identity, and the tool reports which
     rational_33 = sigma_rational_closure(2, Q33).ok

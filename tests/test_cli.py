@@ -1,12 +1,16 @@
 """CLI behavior: exit codes, report formats, determinism, schema validation."""
 
+import dataclasses
+import hashlib
 import json
 import re
+from fractions import Fraction as F
 
 import pytest
 
 from binom4k.cli import (
     REPORT_SCHEMA,
+    SystemExit2,
     build_parser,
     default_digits,
     main,
@@ -15,7 +19,7 @@ from binom4k.cli import (
     run_verify_all,
     verify_entry,
 )
-from binom4k.catalog import builtin_catalog
+from binom4k.catalog import builtin_catalog, catalog_by_id, pi, rat, serialize_catalog
 
 
 def _strip_timing(text: str) -> str:
@@ -33,8 +37,10 @@ class TestVerify:
         assert main(["verify", "no-such-id"]) == 2
         assert "unknown identity" in capsys.readouterr().err
 
-    def test_digits_too_small_exit2(self):
+    def test_digits_too_small_exit2(self, capsys):
         assert main(["verify", "eq-1.1", "--digits", "3"]) == 2
+        assert main(["verify", "eq-1.1", "--digits", "0"]) == 2
+        assert "digits must be >= 10" in capsys.readouterr().err
 
     def test_thm11_h4k_at_50(self):
         entry = {e.id: e for e in builtin_catalog()}["thm1.1-H4k"]
@@ -113,15 +119,17 @@ class TestCatalogCommand:
         assert main(["catalog", "show", "nope"]) == 2
 
 
+EQ11_SPEC = {
+    "x": "1/16", "binomial_power": 1, "start": 0,
+    "channels": {"0": ["11/1", "-92/1", "22/1"]},
+    "denominator_factors": [],
+}
+
+
 class TestEvalCommand:
     def test_eval_spec_file(self, tmp_path, capsys):
-        spec = {
-            "x": "1/16", "binomial_power": 1, "start": 0,
-            "channels": {"0": ["11/1", "-92/1", "22/1"]},
-            "denominator_factors": [],
-        }
         path = tmp_path / "spec.json"
-        path.write_text(json.dumps(spec))
+        path.write_text(json.dumps(EQ11_SPEC))
         assert main(["eval", "--spec", str(path), "--digits", "25"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("-5.0000000000")
@@ -136,6 +144,29 @@ class TestEvalCommand:
     def test_eval_missing_file(self):
         assert main(["eval", "--spec", "/nonexistent.json"]) == 2
 
+    @pytest.mark.parametrize("digits", ["0", "-3"])
+    def test_eval_nonpositive_digits_exit2(self, tmp_path, capsys, digits):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(EQ11_SPEC))
+        assert main(["eval", "--spec", str(path), "--digits", digits]) == 2
+        assert "digits must be >= 1" in capsys.readouterr().err
+
+    def test_eval_json_array_exit2(self, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps([EQ11_SPEC]))
+        assert main(["eval", "--spec", str(path)]) == 2
+        assert "JSON object" in capsys.readouterr().err
+
+    def test_eval_unreachable_radius_is_an_error_line(self, tmp_path, capsys):
+        # terms of size 10^200 leave rounding far above 10^-10 at every
+        # working precision the summation tries
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({**EQ11_SPEC, "channels": {"0": [f"{10**200}/1"]}}))
+        assert main(["eval", "--spec", str(path), "--digits", "10"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: radius target unreachable")
+
 
 class TestCrosscheckCommand:
     def test_j1_trivial_x0(self, capsys):
@@ -148,13 +179,51 @@ class TestCrosscheckCommand:
         assert main(["crosscheck", "--j", "1", "--x", "abc"]) == 2
 
 
-def test_default_digits_env(monkeypatch):
+def test_default_digits_env(monkeypatch, capsys):
     monkeypatch.delenv("BINOM4K_DIGITS", raising=False)
     assert default_digits() == 50
     monkeypatch.setenv("BINOM4K_DIGITS", "64")
     assert default_digits() == 64
-    monkeypatch.setenv("BINOM4K_DIGITS", "junk")
-    assert default_digits() == 50
+    for bad in ("junk", "3"):
+        monkeypatch.setenv("BINOM4K_DIGITS", bad)
+        with pytest.raises(SystemExit2, match="BINOM4K_DIGITS"):
+            default_digits()
+        assert main(["verify", "eq-1.1"]) == 2
+        assert "BINOM4K_DIGITS" in capsys.readouterr().err
+
+
+# A perturbed rhs must FAIL once the offset is above the resolution of the
+# difference enclosure, and a divisor enclosing 0 must give ERROR, never FAIL.
+# At 1e-60 the offset is below the 1e-49 pass threshold; eq-1.1 and
+# lem5.1-m25 cannot resolve it and PASS, while thm1.1-H4k's difference
+# enclosure (radius 6e-61) excludes 0, so FAIL is the sound verdict there.
+@pytest.mark.parametrize("entry_id, sub_resolution", [
+    ("eq-1.1", "PASS"), ("thm1.1-H4k", "FAIL"), ("lem5.1-m25", "PASS")])
+def test_verify_entry_negative_paths(entry_id, sub_resolution):
+    entry = catalog_by_id()[entry_id]
+
+    def status(rhs):
+        return verify_entry(dataclasses.replace(entry, rhs=rhs), 50).status
+
+    assert status(entry.rhs + rat(F(1, 10**20))) == "FAIL"
+    assert status(entry.rhs + rat(F(1, 10**60))) == sub_resolution
+    assert status(rat(1) / (pi() - pi())) == "ERROR"
+
+
+def test_data_derived_outputs_pinned(capsys):
+    """SHA-256 digests of the outputs derived from the paper data: a change to
+    any paper constant, or to these report formats, changes one of them."""
+    def sha(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    assert sha(serialize_catalog(builtin_catalog())) == \
+        "1930b17ed0f46cbacfd41f790a6c7a7a3ddfbf313bab813873bd512f2ad50ddc"
+    assert main(["exact-checks", "--format", "json"]) == 0
+    assert sha(capsys.readouterr().out) == \
+        "d65366f2b8f7921c64fe85cb272a21d7b8c63ed621cf2c8721561a93db26615e"
+    assert main(["catalog", "list"]) == 0
+    assert sha(capsys.readouterr().out) == \
+        "3ace5728a45573357bd616bb756029cd9b950f5a25cd2e5d3e9e8562de96d65e"
 
 
 def test_parser_rejects_unknown_command():

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from binom4k.catalog import LEMMA51_CASES
 from binom4k.exact import Poly, RatFunc
 from binom4k.proofs import (
     C3,
@@ -14,7 +15,6 @@ from binom4k.proofs import (
     Q97,
     DecompositionProblem,
     LogRationalExpr,
-    THEOREM3_CASES,
     abel_boundary_discrepancy,
     abel_telescoped_sum,
     alpha_context,
@@ -26,7 +26,6 @@ from binom4k.proofs import (
     case_context,
     check_abel_step,
     check_antiderivative,
-    check_partial_fractions,
     check_poly_identity,
     check_theorem3_reduction,
     diff_log_rational,
@@ -193,7 +192,7 @@ class TestAbel:
 
 class TestPartialFractions:
     def test_corrected_passes(self):
-        assert check_partial_fractions().ok
+        assert partial_fraction_decomposition().ok
 
     def test_printed_fails(self):
         assert not partial_fraction_decomposition(corrected=False).ok
@@ -215,11 +214,11 @@ class TestPartialFractions:
 
 class TestTheorem3:
     def test_all_cases_reduce(self):
-        for case in THEOREM3_CASES:
+        for case in LEMMA51_CASES:
             assert check_theorem3_reduction(case).ok, case
 
     def test_sqrt_d_is_exact(self):
-        for case in THEOREM3_CASES:
+        for case in LEMMA51_CASES:
             ctx = case_context(case)
             assert ctx.sqrt_d * ctx.sqrt_d == ctx.d
             assert ctx.sqrt_d.sign() == 1

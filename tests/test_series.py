@@ -2,6 +2,8 @@
 
 import math
 import random
+import sys
+import threading
 from fractions import Fraction as F
 
 import pytest
@@ -14,10 +16,8 @@ from binom4k.series import (
     harmonic,
     min_tail_cutoff,
     sum_series,
-    tail_bound,
     tail_bound_exact,
     term_exact,
-    term_value,
 )
 
 EQ11 = SeriesSpec(x=F(1, 16), channels={0: (11, -92, 22)})
@@ -34,6 +34,28 @@ def test_harmonic_values():
 def test_harmonic_negative():
     with pytest.raises(ValueError):
         harmonic(-1)
+
+
+def test_harmonic_memo_concurrent_growth(monkeypatch):
+    """Four threads growing a fresh memo at once must leave H_i = H_{i-1} + 1/i
+    for every entry (the tail envelopes read this memo)."""
+    from binom4k import series
+
+    memo = [F(0)]
+    monkeypatch.setattr(series, "_harmonic_memo", memo)
+    threads = [threading.Thread(target=harmonic, args=(3000,)) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(memo) > 3000
+    assert all(memo[i] == memo[i - 1] + F(1, i) for i in range(1, len(memo)))
 
 
 class TestSpecValidation:
@@ -71,11 +93,6 @@ class TestTerms:
     def test_reciprocal_k1(self):
         st = TermState.initial(RECIP_PI)
         assert term_exact(RECIP_PI, st) == 2  # 2*8/(1*2*1*4)
-
-    def test_term_value_ball(self):
-        st = TermState.initial(EQ11)
-        st.advance(EQ11)
-        assert term_value(EQ11, st, 96).contains(F(-59, 4))
 
     def test_recurrences_match_direct(self):
         spec = SeriesSpec(x=F(-1, 72), start=0,
@@ -127,11 +144,6 @@ class TestTailBound:
         assert K0 > 1
         with pytest.raises(SpecError, match="K0"):
             tail_bound_exact(RECIP_PI, 1)
-
-    def test_ball_wrapper(self):
-        spec = SeriesSpec(x=F(1, 16), channels={0: (1,)})
-        b = tail_bound(spec, 10, 96)
-        assert b.hi_fraction() >= tail_bound_exact(spec, 10)
 
     def test_reciprocal_ratio_contracts(self):
         """Certified ratio is < 1 at K0 and decreases with K."""
