@@ -16,7 +16,7 @@ from .exact import (
     sturm_isolate,
 )
 from .balls import Ball, QuadResult, const_log, const_pi, const_sqrt, quad_integrate
-from .series import SeriesSpec, TermState, harmonic, sum_series
+from .series import SeriesSpec, harmonic, sum_series
 from .genfunc import (
     AlphaContext,
     BetaContext,

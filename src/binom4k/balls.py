@@ -153,10 +153,6 @@ class Ball:
         return Ball(_dy_from_fraction(Fraction(lo), prec, False),
                     _dy_from_fraction(Fraction(hi), prec, True), prec)
 
-    @staticmethod
-    def zero(prec: int) -> "Ball":
-        return Ball((0, 0), (0, 0), prec)
-
     # -- structure -----------------------------------------------------------
 
     def lo_fraction(self) -> Fraction:
@@ -180,10 +176,6 @@ class Ball:
     def contains(self, x) -> bool:
         x = Fraction(x)
         return self.lo_fraction() <= x <= self.hi_fraction()
-
-    def intersects(self, other: "Ball") -> bool:
-        return not (self.hi_fraction() < other.lo_fraction()
-                    or other.hi_fraction() < self.lo_fraction())
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -278,7 +270,10 @@ class Ball:
 def _decimal_normalise(x: Fraction) -> tuple[Fraction, int]:
     """(y, e) with |x| = y * 10^e and 1 <= y < 10, for x != 0."""
     y = abs(x)
-    e = 0
+    # log10 |x| lies within log10(2) of (bitlen(num) - bitlen(den)) log10(2),
+    # so one division by a power of 10 leaves y in (1/2, 20)
+    e = (y.numerator.bit_length() - y.denominator.bit_length()) * 30103 // 100000
+    y = y / 10**e if e >= 0 else y * 10**-e
     while y >= 10:
         y /= 10
         e += 1

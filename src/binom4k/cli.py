@@ -46,8 +46,8 @@ DEFAULT_DIGITS_ENV = "BINOM4K_DIGITS"
 # tightly before the 60-digit quadratures of the cross-checks
 QUAD_WIDTH = Fraction(1, 10**55)
 
-# weight slack: components are evaluated 3 digits past the request, so the
-# combined difference stays well under the 10^(1-D) pass threshold
+# weight slack: the lhs and the rhs are enclosed 3 digits past the request,
+# so the combined difference stays well under the 10^(1-D) pass threshold
 COMPONENT_PAD = 3
 
 REPORT_SCHEMA = {
@@ -117,10 +117,16 @@ def _digits(args, minimum: int = 10) -> int:
 def verify_entry(entry: IdentityEntry, digits: int) -> VerificationRecord:
     t0 = time.perf_counter()
     inner = digits + COMPONENT_PAD
+    # one more digit per decade of the total weight keeps the weighted sum of
+    # the component radii within 10^-inner
+    spread = sum(abs(w) for w, _ in entry.components)
+    component_digits = inner
+    while 10 ** (component_digits - inner) < spread:
+        component_digits += 1
     try:
         lhs: Optional[Ball] = None
         for weight, spec in entry.components:
-            part = weight * sum_series(spec, inner)
+            part = weight * sum_series(spec, component_digits)
             lhs = part if lhs is None else lhs + part
         rhs = eval_closed_form(entry.rhs, inner)
         diff = lhs - rhs

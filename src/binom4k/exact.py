@@ -526,17 +526,11 @@ class NumberField:
     def const(self, c: Fraction) -> "NFElem":
         return NFElem(self, Poly([c]))
 
-    def zero(self) -> "NFElem":
-        return NFElem(self, Poly())
-
     def one(self) -> "NFElem":
         return self.const(Fraction(1))
 
     def gen(self) -> "NFElem":
         return NFElem(self, Poly([0, 1]))
-
-    def element(self, coeffs: Iterable) -> "NFElem":
-        return NFElem(self, Poly(coeffs))
 
     def reduce(self, p: Poly) -> "NFElem":
         """Canonical reduction of a rational polynomial in the generator."""

@@ -76,7 +76,8 @@ class TestClosedForm:
 
     def test_nested_precision_intersects(self):
         cf = (rat(9) - rat(5) * log(2)) / (rat(4) * sqrt(2))
-        assert eval_closed_form(cf, 20).intersects(eval_closed_form(cf, 40))
+        a, b = eval_closed_form(cf, 20), eval_closed_form(cf, 40)
+        assert a.lo_fraction() <= b.hi_fraction() and b.lo_fraction() <= a.hi_fraction()
 
     def test_division_by_zero_tree_rejected(self):
         with pytest.raises(CatalogError):

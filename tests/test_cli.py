@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import re
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -19,7 +20,9 @@ from binom4k.cli import (
     run_verify_all,
     verify_entry,
 )
+from binom4k import series
 from binom4k.catalog import builtin_catalog, catalog_by_id, pi, rat, serialize_catalog
+from binom4k.series import MAX_TERMS, SeriesSpec, sum_series
 
 
 def _strip_timing(text: str) -> str:
@@ -157,15 +160,37 @@ class TestEvalCommand:
         assert main(["eval", "--spec", str(path)]) == 2
         assert "JSON object" in capsys.readouterr().err
 
-    def test_eval_unreachable_radius_is_an_error_line(self, tmp_path, capsys):
-        # terms of size 10^200 leave rounding far above 10^-10 at every
-        # working precision the summation tries
+    def test_eval_unreachable_radius_is_an_error_line(self, tmp_path, capsys, monkeypatch):
+        # qbar < 1 needs a cutoff near 10^9 here, far above the work budget:
+        # the error comes from the a-priori cutoff, before any tail envelope
+        # or term is evaluated
+        def never(*args):
+            raise AssertionError("evaluated above the work budget")
+
+        monkeypatch.setattr(series, "_envelope_at", never)
+        monkeypatch.setattr(series, "fixed_point_terms", never)
+        x = F(27, 256) * (1 - F(1, 10**9))
         path = tmp_path / "spec.json"
-        path.write_text(json.dumps({**EQ11_SPEC, "channels": {"0": [f"{10**200}/1"]}}))
-        assert main(["eval", "--spec", str(path), "--digits", "10"]) == 1
+        path.write_text(json.dumps({**EQ11_SPEC, "x": str(x), "channels": {"4": ["1/1"]}}))
+        assert main(["eval", "--spec", str(path), "--digits", "20"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: radius target unreachable")
+        assert captured.err.startswith("error: ")
+        assert f"K <= {MAX_TERMS}" in captured.err
+
+    def test_eval_huge_coefficient_is_contained(self, tmp_path, capsys):
+        """Terms of size 10^200 at 10 digits: the working precision grows with
+        the coefficients, and the enclosure contains 10^200 times that of the
+        unit-coefficient series."""
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({**EQ11_SPEC, "channels": {"0": [f"{10**200}/1"]}}))
+        assert main(["eval", "--spec", str(path), "--digits", "10"]) == 0
+        assert capsys.readouterr().out.startswith("1.473679689e+200 +/- ")
+        big = sum_series(SeriesSpec(x=F(1, 16), channels={0: (10**200,)}), 10)
+        unit = sum_series(SeriesSpec(x=F(1, 16), channels={0: (1,)}), 240)
+        assert big.radius() <= F(1, 10**10)
+        assert big.lo_fraction() <= 10**200 * unit.lo_fraction()
+        assert 10**200 * unit.hi_fraction() <= big.hi_fraction()
 
 
 class TestCrosscheckCommand:
@@ -194,11 +219,12 @@ def test_default_digits_env(monkeypatch, capsys):
 
 # A perturbed rhs must FAIL once the offset is above the resolution of the
 # difference enclosure, and a divisor enclosing 0 must give ERROR, never FAIL.
-# At 1e-60 the offset is below the 1e-49 pass threshold; eq-1.1 and
-# lem5.1-m25 cannot resolve it and PASS, while thm1.1-H4k's difference
-# enclosure (radius 6e-61) excludes 0, so FAIL is the sound verdict there.
+# At 1e-60 the offset is below the 1e-49 pass threshold and below the
+# resolution of all three difference enclosures (radius 4e-54 to 1e-52 with
+# the bisected cutoff), so PASS is the sound verdict; an enclosure narrow
+# enough to exclude 0 there would give FAIL, which is sound as well.
 @pytest.mark.parametrize("entry_id, sub_resolution", [
-    ("eq-1.1", "PASS"), ("thm1.1-H4k", "FAIL"), ("lem5.1-m25", "PASS")])
+    ("eq-1.1", "PASS"), ("thm1.1-H4k", "PASS"), ("lem5.1-m25", "PASS")])
 def test_verify_entry_negative_paths(entry_id, sub_resolution):
     entry = catalog_by_id()[entry_id]
 

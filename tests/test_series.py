@@ -2,22 +2,21 @@
 
 import math
 import random
-import sys
-import threading
 from fractions import Fraction as F
 
 import pytest
 
 from binom4k.balls import const_pi
 from binom4k.series import (
+    DENOM_FACTORS,
     SeriesSpec,
     SpecError,
-    TermState,
+    channel_scale,
+    fixed_point_terms,
     harmonic,
     min_tail_cutoff,
     sum_series,
     tail_bound_exact,
-    term_exact,
 )
 
 EQ11 = SeriesSpec(x=F(1, 16), channels={0: (11, -92, 22)})
@@ -34,28 +33,6 @@ def test_harmonic_values():
 def test_harmonic_negative():
     with pytest.raises(ValueError):
         harmonic(-1)
-
-
-def test_harmonic_memo_concurrent_growth(monkeypatch):
-    """Four threads growing a fresh memo at once must leave H_i = H_{i-1} + 1/i
-    for every entry (the tail envelopes read this memo)."""
-    from binom4k import series
-
-    memo = [F(0)]
-    monkeypatch.setattr(series, "_harmonic_memo", memo)
-    threads = [threading.Thread(target=harmonic, args=(3000,)) for _ in range(4)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert len(memo) > 3000
-    assert all(memo[i] == memo[i - 1] + F(1, i) for i in range(1, len(memo)))
 
 
 class TestSpecValidation:
@@ -80,31 +57,64 @@ class TestSpecValidation:
             SeriesSpec(x=F(1, 16), channels={7: (1,)})
 
 
+def _exact_terms(spec, K):
+    """t_k for start <= k <= K from math.comb and exact harmonic sums."""
+    terms = {}
+    for k in range(spec.start, K + 1):
+        num = F(0)
+        for j, cs in spec.channels.items():
+            pv = sum(c * k**i for i, c in enumerate(cs))
+            num += pv if j == 0 else pv * sum(F(1, i) for i in range(1, j * k + 1))
+        t = spec.x**k * num / spec.denominator_at(k)
+        c = math.comb(4 * k, k)
+        terms[k] = t * c if spec.binomial_power == 1 else t / c
+    return terms
+
+
+def _checked_terms(spec, K, prec=200):
+    """The fixed-point terms, each checked against the exact term within its
+    tracked error bound."""
+    scale = channel_scale(spec) << prec
+    exact = _exact_terms(spec, K)
+    got = list(fixed_point_terms(spec, K, prec))
+    assert [k for k, _, _ in got] == list(exact)
+    for k, T, err in got:
+        assert abs(T - scale * exact[k]) <= err, k
+    return got
+
+
 class TestTerms:
     def test_eq11_k0(self):
-        st = TermState.initial(EQ11)
-        assert term_exact(EQ11, st) == 11
+        assert _checked_terms(EQ11, 0) == [(0, 11 << 200, 0)]
 
     def test_eq11_k1(self):
-        st = TermState.initial(EQ11)
-        st.advance(EQ11)
-        assert term_exact(EQ11, st) == F(-59, 4)  # (22-92+11)*4/16
+        # (22-92+11)*4/16, exact in binary
+        assert _checked_terms(EQ11, 1)[1] == (1, -59 << 198, 0)
 
     def test_reciprocal_k1(self):
-        st = TermState.initial(RECIP_PI)
-        assert term_exact(RECIP_PI, st) == 2  # 2*8/(1*2*1*4)
+        # 2*8/(1*2*1*4), exact in binary
+        assert _checked_terms(RECIP_PI, 1) == [(1, 2 << 200, 0)]
+
+    def test_inexact_floor_costs_one_unit(self):
+        # B_1 = 2^198 and N_1 = 2^200 are exact; dividing by D(1) = 5 is not
+        spec = SeriesSpec(x=F(1, 16), channels={0: (1,)}, denominator_factors=("3k+2",))
+        assert _checked_terms(spec, 1) == [(0, 1 << 199, 0), (1, (1 << 198) // 5, 1)]
 
     def test_recurrences_match_direct(self):
         spec = SeriesSpec(x=F(-1, 72), start=0,
                           channels={0: (1, 2), 1: (3,), 2: (1, 1), 3: (2,), 4: (0, 5)},
                           denominator_factors=("3k+1",))
-        st = TermState.initial(spec)
-        for k in range(0, 31):
-            assert st.binom == math.comb(4 * k, k)
-            assert st.power == F(-1, 72) ** k
-            for j in (1, 2, 3, 4):
-                assert st.harmonics[j] == sum(F(1, i) for i in range(1, j * k + 1))
-            st.advance(spec)
+        got = _checked_terms(spec, 30)
+        # the bounds are tight: a few thousand ulps of 2^-200
+        assert max(err for _, _, err in got) < 2**16
+
+    def test_reciprocal_terms_grow_then_shrink(self):
+        """At x = 9 the ratios x/rho(k) exceed 1 for the first terms, so the
+        magnitude errors grow before they shrink."""
+        spec = SeriesSpec(x=F(9), binomial_power=-1, start=1, channels={0: (1, -4, 5), 2: (1,)},
+                          denominator_factors=("3k-1",))
+        got = _checked_terms(spec, 60)
+        assert max(err for _, _, err in got) < 2**16
 
     def test_vanishing_denominator_is_error(self):
         spec = SeriesSpec(x=F(1, 16), start=1, channels={0: (1,)},
@@ -178,7 +188,7 @@ class TestSumSeries:
     def test_nesting_and_radius_drop(self):
         b10 = sum_series(EQ11, 10)
         b20 = sum_series(EQ11, 20)
-        assert b10.intersects(b20)
+        assert b10.lo_fraction() <= b20.hi_fraction() and b20.lo_fraction() <= b10.hi_fraction()
         assert b20.radius() * 10 <= b10.radius()
 
     def test_partial_sum_inside_enclosure_with_tail(self):
@@ -238,3 +248,64 @@ def test_random_specs_contain_partial_sums():
             s += math.comb(4 * k, k) * x**k * num / den
         tb = tail_bound_exact(spec, 400)
         assert b.lo_fraction() - tb <= s <= b.hi_fraction() + tb
+
+
+def _mpmath_sum(spec, dps: int, cut_digits: int):
+    """mpmath value of the series at `dps` digits by the test's own
+    recurrences, summed until the absolute-value envelope of the terms has
+    stayed below 10^-cut_digits and shrunk for 20 consecutive terms."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        mpq = lambda q: mpmath.mpf(q.numerator) / q.denominator
+        x = mpq(spec.x)
+        coeffs = {j: [mpq(cf) for cf in cs] for j, cs in spec.channels.items()}
+        k = spec.start
+        c = math.comb(4 * k, k)
+        base = x**k * c if spec.binomial_power == 1 else x**k / c
+        harm = {j: mpmath.fsum(1 / mpmath.mpf(i) for i in range(1, j * k + 1))
+                for j in spec.channels if j}
+        eps = mpmath.mpf(10) ** -cut_digits
+        total, quiet, last = mpmath.mpf(0), 0, None
+        while quiet < 20:
+            num = env = mpmath.mpf(0)
+            for j, cs in coeffs.items():
+                powers = [k**i for i in range(len(cs))]
+                h = harm[j] if j else 1
+                num += sum(cf * p for cf, p in zip(cs, powers)) * h
+                env += sum(abs(cf) * p for cf, p in zip(cs, powers)) * h
+            d = 1
+            for name in spec.denominator_factors:
+                a, b = DENOM_FACTORS[name]
+                d *= a * k + b
+            total += base * num / d
+            env = abs(base) * env / abs(d)
+            quiet = quiet + 1 if env < eps and last is not None and env < last else 0
+            last = env
+            rho = F(4 * (4 * k + 1) * (4 * k + 2) * (4 * k + 3),
+                    (3 * k + 1) * (3 * k + 2) * (3 * k + 3))
+            base *= x * mpq(rho if spec.binomial_power == 1 else 1 / rho)
+            for j in harm:
+                for i in range(1, j + 1):
+                    harm[j] += 1 / mpmath.mpf(j * k + i)
+            k += 1
+        return total
+
+
+def test_catalog_components_200_digits_against_mpmath():
+    """Every catalog component at 200 digits: radius <= 10^-200, and the
+    enclosure holds an mpmath sum at 260 digits (a test oracle only)."""
+    import mpmath
+
+    from binom4k.catalog import builtin_catalog
+
+    slack = F(1, 10**240)
+    for entry in builtin_catalog():
+        for _, spec in entry.components:
+            b = sum_series(spec, 200)
+            assert b.radius() <= F(1, 10**200), entry.id
+            ref = _mpmath_sum(spec, 260, 250)
+            lo, hi = b.lo_fraction() - slack, b.hi_fraction() + slack
+            with mpmath.workdps(300):
+                assert (mpmath.mpf(lo.numerator) / lo.denominator <= ref
+                        <= mpmath.mpf(hi.numerator) / hi.denominator), entry.id
