@@ -1,7 +1,8 @@
 """Rigorous enclosure arithmetic at arbitrary working precision.
 
-A Ball is a pair of exact dyadic endpoints [lo, hi] with every operation
-rounded outward, so containment of the true value is preserved through any
+A Ball is an exact rational interval [lo, hi] (an `exact.Ival`) whose
+Fraction endpoints are rounded outward to a working precision of `prec`
+significant bits, so containment of the true value is preserved through any
 chain of operations.  Enclosures of pi, log q and sqrt(n) come with proved
 remainder bounds (alternating / geometric series tails, integer square
 roots), so the radius contract is rigorous, not heuristic.
@@ -20,118 +21,41 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional
 
-from .exact import pow_by_squaring
-
-# ---------------------------------------------------------------------------
-# dyadic numbers: value = m * 2**e, held as plain Python integers
+from .exact import Ival, ival_add, ival_mul
 
 
-def _dy_round(m: int, e: int, prec: int, up: bool) -> tuple[int, int]:
-    """Round m*2^e to at most prec significant bits, directed."""
-    if m == 0:
-        return 0, 0
-    bl = m.bit_length() if m > 0 else (-m).bit_length()
-    if bl <= prec:
-        return m, e
-    shift = bl - prec
-    if up:
-        q = -((-m) >> shift)  # ceil(m / 2^shift)
-    else:
-        q = m >> shift  # floor
-    return q, e + shift
-
-
-def _dy_add(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
-    (ma, ea), (mb, eb) = a, b
-    if ma == 0:
-        return b
-    if mb == 0:
-        return a
-    if ea >= eb:
-        return ma * (1 << (ea - eb)) + mb, eb
-    return ma + mb * (1 << (eb - ea)), ea
-
-
-def _dy_neg(a: tuple[int, int]) -> tuple[int, int]:
-    return -a[0], a[1]
-
-
-def _dy_mul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
-    return a[0] * b[0], a[1] + b[1]
-
-
-def _dy_cmp(a: tuple[int, int], b: tuple[int, int]) -> int:
-    m, e = _dy_add(a, _dy_neg(b))
-    return (m > 0) - (m < 0)
-
-
-def _dy_from_fraction(x: Fraction, prec: int, up: bool) -> tuple[int, int]:
-    """Directed rounding of an exact rational to a dyadic with prec bits."""
+def _round(x: Fraction, prec: int, up: bool) -> Fraction:
+    """x rounded up (toward +inf) or down to at most prec significant bits."""
     n, d = x.numerator, x.denominator
-    if n == 0:
-        return 0, 0
-    # scale so the quotient carries prec+2 significant bits
-    shift = prec + 2 - (n.bit_length() - d.bit_length())
-    if shift < 0:
-        shift = 0
-    scaled = n << shift
-    if up:
-        q = -((-scaled) // d)
-    else:
-        q = scaled // d
-    return _dy_round(q, -shift, prec, up)
-
-
-def _dy_to_fraction(a: tuple[int, int]) -> Fraction:
-    m, e = a
-    return Fraction(m) * Fraction(2) ** e if e < 0 else Fraction(m * (1 << e)) if e > 0 else Fraction(m)
-
-
-def _dy_recip(a: tuple[int, int], prec: int, up: bool) -> tuple[int, int]:
-    """Directed reciprocal of a nonzero dyadic."""
-    m, e = a
-    if m == 0:
-        raise ZeroDivisionError("reciprocal of zero")
-    return _dy_from_fraction(Fraction(1) / _dy_to_fraction(a), prec, up)
-
-
-def _dy_sqrt(a: tuple[int, int], prec: int, up: bool) -> tuple[int, int]:
-    """Directed square root of a nonnegative dyadic."""
-    m, e = a
-    if m < 0:
-        raise ValueError("sqrt of negative dyadic")
-    if m == 0:
-        return 0, 0
-    if e % 2:
-        m <<= 1
-        e -= 1
-    g = e // 2
-    s = m << (2 * prec)
-    r = math.isqrt(s)
-    if up and r * r != s:
-        r += 1
-    return _dy_round(r, g - prec, prec, up)
-
-
-# ---------------------------------------------------------------------------
+    # scale so that the quotient has more than prec bits, then drop the excess:
+    # two directed roundings by powers of 2 compose into one
+    s = prec + 1 - (abs(n).bit_length() - d.bit_length())
+    num, den = (n << s, d) if s >= 0 else (n, d << -s)
+    q = -(-num // den) if up else num // den
+    excess = max(abs(q).bit_length() - prec, 0)
+    q = -(-q >> excess) if up else q >> excess
+    e = excess - s
+    return Fraction(q << e) if e >= 0 else Fraction(q, 1 << -e)
 
 
 class BallDomainError(ArithmeticError):
     """Domain violation: division by an enclosure of 0, log of a non-positive
-    enclosure, sqrt of a negative enclosure."""
+    rational, sqrt of a non-positive integer."""
 
 
 class Ball:
-    """Real enclosure [lo, hi] with exact dyadic endpoints.
+    """Real enclosure: the `exact.Ival` (lo, hi) with dyadic Fraction endpoints.
 
-    `prec` is the working precision in bits; results of arithmetic are
-    rounded outward to that many significant bits per endpoint.
+    `prec` is the working precision in bits; the constructor rounds each
+    endpoint outward to that many significant bits, so every operation that
+    builds its result through it keeps the true value inside.
     """
 
     __slots__ = ("lo", "hi", "prec")
 
-    def __init__(self, lo: tuple[int, int], hi: tuple[int, int], prec: int):
-        if _dy_cmp(lo, hi) > 0:
+    def __init__(self, lo, hi, prec: int):
+        lo, hi = _round(Fraction(lo), prec, False), _round(Fraction(hi), prec, True)
+        if lo > hi:
             raise ValueError("inverted enclosure")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
@@ -140,42 +64,31 @@ class Ball:
     def __setattr__(self, *a):
         raise AttributeError("Ball is immutable")
 
-    # -- constructors --------------------------------------------------------
-
     @staticmethod
     def exact(x, prec: int = 64) -> "Ball":
         """Enclosure of an int / Fraction; exact when x is dyadic."""
-        x = Fraction(x)
-        return Ball(_dy_from_fraction(x, prec, False), _dy_from_fraction(x, prec, True), prec)
-
-    @staticmethod
-    def from_fractions(lo: Fraction, hi: Fraction, prec: int) -> "Ball":
-        return Ball(_dy_from_fraction(Fraction(lo), prec, False),
-                    _dy_from_fraction(Fraction(hi), prec, True), prec)
+        return Ball(x, x, prec)
 
     # -- structure -----------------------------------------------------------
 
+    # the endpoints under the names that callers outside the package use
     def lo_fraction(self) -> Fraction:
-        return _dy_to_fraction(self.lo)
+        return self.lo
 
     def hi_fraction(self) -> Fraction:
-        return _dy_to_fraction(self.hi)
+        return self.hi
 
     def midpoint(self) -> Fraction:
-        return (self.lo_fraction() + self.hi_fraction()) / 2
+        return (self.lo + self.hi) / 2
 
     def radius(self) -> Fraction:
-        return (self.hi_fraction() - self.lo_fraction()) / 2
+        return (self.hi - self.lo) / 2
 
     def width(self) -> Fraction:
-        return self.hi_fraction() - self.lo_fraction()
+        return self.hi - self.lo
 
     def contains_zero(self) -> bool:
-        return self.lo[0] <= 0 <= self.hi[0]
-
-    def contains(self, x) -> bool:
-        x = Fraction(x)
-        return self.lo_fraction() <= x <= self.hi_fraction()
+        return self.lo <= 0 <= self.hi
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -191,14 +104,12 @@ class Ball:
         o = Ball._coerce(other, self.prec)
         if o is NotImplemented:
             return o
-        p = max(self.prec, o.prec)
-        return Ball(_dy_round(*_dy_add(self.lo, o.lo), p, False),
-                    _dy_round(*_dy_add(self.hi, o.hi), p, True), p)
+        return Ball(*ival_add((self.lo, self.hi), (o.lo, o.hi)), max(self.prec, o.prec))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Ball(_dy_neg(self.hi), _dy_neg(self.lo), self.prec)
+        return Ball(-self.hi, -self.lo, self.prec)
 
     def __sub__(self, other):
         o = Ball._coerce(other, self.prec)
@@ -213,20 +124,14 @@ class Ball:
         o = Ball._coerce(other, self.prec)
         if o is NotImplemented:
             return o
-        p = max(self.prec, o.prec)
-        cands = [_dy_mul(self.lo, o.lo), _dy_mul(self.lo, o.hi),
-                 _dy_mul(self.hi, o.lo), _dy_mul(self.hi, o.hi)]
-        lo = min(cands, key=_dy_to_fraction)
-        hi = max(cands, key=_dy_to_fraction)
-        return Ball(_dy_round(*lo, p, False), _dy_round(*hi, p, True), p)
+        return Ball(*ival_mul((self.lo, self.hi), (o.lo, o.hi)), max(self.prec, o.prec))
 
     __rmul__ = __mul__
 
     def reciprocal(self) -> "Ball":
         if self.contains_zero():
             raise BallDomainError("division by an enclosure containing 0")
-        p = self.prec
-        return Ball(_dy_recip(self.hi, p, False), _dy_recip(self.lo, p, True), p)
+        return Ball(1 / self.hi, 1 / self.lo, self.prec)
 
     def __truediv__(self, other):
         o = Ball._coerce(other, self.prec)
@@ -236,25 +141,6 @@ class Ball:
 
     def __rtruediv__(self, other):
         return Ball._coerce(other, self.prec) * self.reciprocal()
-
-    def __pow__(self, n: int) -> "Ball":
-        if n < 0:
-            return self.reciprocal() ** (-n)
-        return pow_by_squaring(self, n, Ball.exact(1, self.prec))
-
-    def sqrt(self) -> "Ball":
-        if self.lo[0] < 0:
-            raise BallDomainError("sqrt of an enclosure reaching below 0")
-        p = self.prec
-        return Ball(_dy_sqrt(self.lo, p, False), _dy_sqrt(self.hi, p, True), p)
-
-    def log(self) -> "Ball":
-        if self.lo[0] <= 0:
-            raise BallDomainError("log of a non-positive enclosure")
-        p = self.prec
-        lo = _log_fraction(self.lo_fraction(), p)[0]
-        hi = _log_fraction(self.hi_fraction(), p)[1]
-        return Ball(_dy_from_fraction(lo, p, False), _dy_from_fraction(hi, p, True), p)
 
     # -- display -------------------------------------------------------------
 
@@ -309,7 +195,7 @@ def _fraction_sci(x: Fraction) -> str:
 # ---------------------------------------------------------------------------
 # constants with proved remainder bounds
 
-def _atan_inv_enclosure(c: int, prec: int) -> tuple[Fraction, Fraction]:
+def _atan_inv_enclosure(c: int, prec: int) -> Ival:
     """Exact rational enclosure of arctan(1/c) for integer c >= 2.
 
     Alternating series; the truth lies between consecutive partial sums.
@@ -333,19 +219,17 @@ def const_pi(prec: int) -> Ball:
     """Rigorous enclosure of pi (Machin: 16 atan(1/5) - 4 atan(1/239))."""
     a5 = _atan_inv_enclosure(5, prec + 6)
     a239 = _atan_inv_enclosure(239, prec + 6)
-    lo = 16 * a5[0] - 4 * a239[1]
-    hi = 16 * a5[1] - 4 * a239[0]
-    return Ball.from_fractions(lo, hi, prec)
+    return Ball(16 * a5[0] - 4 * a239[1], 16 * a5[1] - 4 * a239[0], prec)
 
 
 @lru_cache(maxsize=None)
-def _log2_enclosure(prec: int) -> tuple[Fraction, Fraction]:
+def _log2_enclosure(prec: int) -> Ival:
     """log 2 = 2 atanh(1/3), with the geometric tail bound."""
     lo, hi = _atanh_enclosure(Fraction(1, 3), prec)
     return 2 * lo, 2 * hi
 
 
-def _atanh_enclosure(u: Fraction, prec: int) -> tuple[Fraction, Fraction]:
+def _atanh_enclosure(u: Fraction, prec: int) -> Ival:
     """Exact enclosure of atanh(u) for |u| < 1/2 via the odd-power series.
 
     Tail after the u^(2n+1) term is bounded by |u|^(2n+3)/((2n+3)(1-u^2)).
@@ -366,37 +250,24 @@ def _atanh_enclosure(u: Fraction, prec: int) -> tuple[Fraction, Fraction]:
             return s - bound, s + bound
 
 
-def _log_fraction(q: Fraction, prec: int) -> tuple[Fraction, Fraction]:
-    """Exact rational enclosure of log q for rational q > 0."""
-    if q <= 0:
-        raise BallDomainError("log of a non-positive rational")
-    if q == 1:
-        return Fraction(0), Fraction(0)
-    e = q.numerator.bit_length() - q.denominator.bit_length()
-    r = q / Fraction(2) ** e
-    if r < Fraction(2, 3):
-        r, e = 2 * r, e - 1
-    elif r > Fraction(4, 3):
-        r, e = r / 2, e + 1
-    u = (r - 1) / (r + 1)  # |u| <= 1/5 after the adjustment above
-    slo, shi = _atanh_enclosure(u, prec)
-    lo, hi = 2 * slo, 2 * shi
-    if e:
-        l2lo, l2hi = _log2_enclosure(prec)
-        if e > 0:
-            lo, hi = lo + e * l2lo, hi + e * l2hi
-        else:
-            lo, hi = lo + e * l2hi, hi + e * l2lo
-    return lo, hi
-
-
 @lru_cache(maxsize=None)
 def const_log(q, prec: int) -> Ball:
     """Rigorous enclosure of log q for rational q > 0."""
     q = Fraction(q)
     if q <= 0:
         raise BallDomainError("log requires a positive rational")
-    return Ball.from_fractions(*_log_fraction(q, prec), prec)
+    e = q.numerator.bit_length() - q.denominator.bit_length()
+    r = q / Fraction(2) ** e
+    if r < Fraction(2, 3):
+        r, e = 2 * r, e - 1
+    elif r > Fraction(4, 3):
+        r, e = r / 2, e + 1
+    # log q = 2 atanh(u) + e log 2 with |u| <= 1/5 after the adjustment above
+    lo, hi = _atanh_enclosure((r - 1) / (r + 1), prec)
+    iv = (2 * lo, 2 * hi)
+    if e:
+        iv = ival_add(iv, ival_mul((e, e), _log2_enclosure(prec)))
+    return Ball(*iv, prec)
 
 
 @lru_cache(maxsize=None)
@@ -404,7 +275,10 @@ def const_sqrt(n: int, prec: int) -> Ball:
     """Rigorous enclosure of sqrt(n) for a positive integer n."""
     if n <= 0:
         raise BallDomainError("sqrt requires a positive integer")
-    return Ball(_dy_sqrt((n, 0), prec, False), _dy_sqrt((n, 0), prec, True), prec)
+    # sqrt(n) lies in [r, r + 1] / 2^prec, and at r / 2^prec when n 4^prec = r^2
+    s = n << 2 * prec
+    r = math.isqrt(s)
+    return Ball(Fraction(r, 1 << prec), Fraction(r + (r * r != s), 1 << prec), prec)
 
 
 # ---------------------------------------------------------------------------

@@ -532,10 +532,6 @@ class NumberField:
     def gen(self) -> "NFElem":
         return NFElem(self, Poly([0, 1]))
 
-    def reduce(self, p: Poly) -> "NFElem":
-        """Canonical reduction of a rational polynomial in the generator."""
-        return NFElem(self, p % self.modulus)
-
     def __repr__(self):
         return f"NumberField({self.raw_modulus.pretty('t')})"
 

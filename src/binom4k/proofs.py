@@ -371,20 +371,20 @@ def sigma_value_closure(idx: int) -> CheckOutcome:
     ctx = alpha_context()
     a = ctx.elem
     one = ctx.field.one()
+    u = _U(a)                           # 2a/(3a+1); the j=2 point is u^2
     if idx == 1:
         r = sigma1_rational()(a)
-        M = (2 * a / (a + 1)) ** 3 * (4 * a / (3 * a + 1)) ** 2 / 2
+        M = (2 * a / (a + 1)) ** 3 * (2 * u) ** 2 / 2
     elif idx == 2:
         r = sigma2_rational()(a)
-        w = 4 * a * a / (3 * a + 1) ** 2
-        M = ((w - 1) ** 2 / (w * w + 1)) ** 3 * ((3 * a + 1) / (4 * a)) ** 5 * 16
+        w = u * u
+        M = ((w - 1) ** 2 / (w * w + 1)) ** 3 / (2 * u) ** 5 * 16
     elif idx == 3:
         r = sigma3_rational()(a)
-        M = ((3 * a + 1) / (a + 1)) ** 3 * (4 * a / (3 * a + 1)) ** 5 / 16
+        M = ((3 * a + 1) / (a + 1)) ** 3 * (2 * u) ** 5 / 16
     elif idx == 4:
         r = sigma4_rational()(a)
-        z4 = 2 * a / (3 * a + 1)
-        M = ((z4 - 1) ** 4 / (z4 ** 4 + 1)) ** 3 * ((3 * a + 1) / (4 * a)) ** 17 * (2 ** 16)
+        M = ((u - 1) ** 4 / (u ** 4 + 1)) ** 3 / (2 * u) ** 17 * (2 ** 16)
     else:
         raise ValueError("idx must be 1..4")
     if not r.is_zero():
@@ -525,7 +525,7 @@ def case_context(case: str) -> CaseContext:
     den = A.denominator
     quartic = Poly([-den, -8 * den, -18 * den, 0, A.numerator])
     ball = eval_f(x0, digits=12)
-    field = NumberField(quartic, (ball.lo_fraction(), ball.hi_fraction()))
+    field = NumberField(quartic, (ball.lo, ball.hi))
     return CaseContext(x0=x0, d=d, field=field, gamma=field.gen(),
                        sqrt_d=sqrt_in_field(field, d))
 
@@ -585,27 +585,24 @@ def substituted_integrands(j: int, width: Fraction = F(1, 10**9)) -> Substituted
     M divides the numerator factor z^9 - 10z^6 + 28z^3 - 8 exactly, and both
     divisions are checked (a nonzero remainder raises).
     """
-    ctx = alpha_context()
-    a = ctx.elem
+    u = _U(alpha_context().elem)        # 2a/(3a+1)
     if j == 2:
-        upper = 4 * a * a / (3 * a + 1) ** 2
         return SubstitutedIntegrand(
             j=2,
             num=_G2_NUM,
             den=_G2_DEN,
             field=None,
             upper_desc="4a^2/(3a+1)^2 with a = f(1/16)",
-            upper_interval=upper.embedding_interval(width),
+            upper_interval=(u * u).embedding_interval(width),
         )
     if j == 4:
-        upper = 2 * a / (3 * a + 1)
         return SubstitutedIntegrand(
             j=4,
             num=_G4_NUM,
             den=_G4_DEN,
             field=None,
             upper_desc="2a/(3a+1) with a = f(1/16)",
-            upper_interval=upper.embedding_interval(width),
+            upper_interval=u.embedding_interval(width),
         )
     if j == 3:
         K = cbrt2_field()
@@ -617,7 +614,6 @@ def substituted_integrands(j: int, width: Fraction = F(1, 10**9)) -> Substituted
         if not rem.is_zero():
             raise ArithmeticError(
                 "endpoint cancellation division left a remainder (transcription fault)")
-        u = 2 * a / (3 * a + 1)
         upper_iv = ival_mul(K.embedding.refine(width), u.embedding_interval(width))
         return SubstitutedIntegrand(
             j=3,

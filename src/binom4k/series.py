@@ -53,7 +53,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Mapping, Optional
+from typing import Iterator, Mapping
 
 from .balls import Ball
 
@@ -86,12 +86,7 @@ class SpecError(ValueError):
 
 
 class PrecisionError(ArithmeticError):
-    """Requested enclosure radius unreachable within the budget; carries the
-    best enclosure found."""
-
-    def __init__(self, msg: str, best: Optional[Ball] = None):
-        super().__init__(msg)
-        self.best = best
+    """Requested enclosure radius unreachable within the budget."""
 
 
 def harmonic(n: int) -> Fraction:
@@ -388,10 +383,10 @@ def sum_series(spec: SeriesSpec, digits: int = 50) -> Ball:
     unit = channel_scale(spec) << prec
     # endpoints keep out_prec bits below the leading bit of the value
     magnitude = (abs(S) + E).bit_length() - unit.bit_length() + 1
-    ball = Ball.from_fractions(Fraction(S - E, unit) - tail, Fraction(S + E, unit) + tail,
-                               out_prec + max(magnitude, 0))
+    ball = Ball(Fraction(S - E, unit) - tail, Fraction(S + E, unit) + tail,
+                out_prec + max(magnitude, 0))
     if ball.radius() > target:
-        raise PrecisionError("radius target unreachable", best=ball)
+        raise PrecisionError("radius target unreachable")
     return ball
 
 

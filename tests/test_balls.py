@@ -14,6 +14,7 @@ from binom4k.balls import (
     const_pi,
     const_sqrt,
     _decimal_normalise,
+    _round,
     quad_integrate,
 )
 
@@ -67,7 +68,7 @@ def _log_oracle(q: F, digits: int = 50) -> tuple[F, F]:
 class TestBallArithmetic:
     def test_exact_add(self):
         b = Ball.exact(2, 96) + Ball.exact(3, 96)
-        assert b.contains(5) and b.radius() == 0
+        assert b.lo == b.hi == 5
 
     def test_sub_mul_containment_random(self):
         rng = random.Random(5)
@@ -75,20 +76,21 @@ class TestBallArithmetic:
             x = F(rng.randint(-99, 99), rng.randint(1, 40))
             y = F(rng.randint(-99, 99), rng.randint(1, 40))
             bx, by = Ball.exact(x, 80), Ball.exact(y, 80)
-            assert (bx + by).contains(x + y)
-            assert (bx - by).contains(x - y)
-            assert (bx * by).contains(x * y)
+            for b, v in ((bx + by, x + y), (bx - by, x - y), (bx * by, x * y)):
+                assert b.lo <= v <= b.hi
             if y != 0 and not by.contains_zero():
-                assert (bx / by).contains(x / y)
+                q = bx / by
+                assert q.lo <= x / y <= q.hi
 
     def test_sqrt_contains(self):
-        s = Ball.exact(2, 80).sqrt()
+        s = const_sqrt(2, 80)
         lo, hi = _isqrt_oracle(2, 30)
         assert s.lo_fraction() <= hi and lo <= s.hi_fraction()
-        assert (s * s).contains(2)
+        s2 = s * s
+        assert s2.lo <= 2 <= s2.hi
 
     def test_log_additivity(self):
-        d = Ball.exact(4, 128).log() - 2 * Ball.exact(2, 128).log()
+        d = const_log(4, 128) - 2 * const_log(2, 128)
         assert d.contains_zero()
 
     def test_division_by_zero_enclosure(self):
@@ -96,20 +98,53 @@ class TestBallArithmetic:
             Ball.exact(1, 64) / (Ball.exact(1, 64) - Ball.exact(1, 64))
 
     def test_log_domain(self):
-        with pytest.raises(BallDomainError):
-            (Ball.exact(0, 64) - Ball.exact(1, 64)).log()
+        for q in (0, -1):
+            with pytest.raises(BallDomainError):
+                const_log(q, 64)
 
     def test_pow(self):
         b = Ball.exact(F(3, 7), 96)
-        assert (b ** 5).contains(F(3, 7) ** 5)
-        assert (b ** -2).contains(F(49, 9))
+        b2 = b * b
+        b5 = b2 * b2 * b
+        assert b5.lo <= F(3, 7) ** 5 <= b5.hi
+        inv2 = 1 / b2
+        assert inv2.lo <= F(49, 9) <= inv2.hi
 
     def test_sqrt_containment_random(self):
         rng = random.Random(9)
         for _ in range(50):
-            q = F(rng.randint(1, 10**9), rng.randint(1, 10**6))
-            s = Ball.exact(q, 72).sqrt()
-            assert s.lo_fraction() ** 2 <= q <= s.hi_fraction() ** 2
+            n = rng.randint(1, 10**9)
+            s = const_sqrt(n, 72)
+            assert s.lo ** 2 <= n <= s.hi ** 2
+        assert const_sqrt(rng.randint(1, 10**9) ** 2, 72).width() == 0
+
+    def test_round_directed(self):
+        """_round gives at most prec significant bits, encloses x from the
+        requested side, keeps short dyadics exact and carries into 2^k."""
+        def bits(v):
+            m, d = abs(v.numerator), v.denominator
+            assert d & (d - 1) == 0     # dyadic
+            return (m >> ((m & -m).bit_length() - 1)).bit_length() if m else 0
+
+        rng = random.Random(23)
+        for _ in range(300):
+            prec = rng.randint(1, 80)
+            x = F(rng.randint(1, 10**rng.randint(1, 40)), rng.randint(1, 10**rng.randint(1, 40)))
+            for v in (x, -x):
+                lo, hi = _round(v, prec, False), _round(v, prec, True)
+                assert bits(lo) <= prec and bits(hi) <= prec
+                assert lo <= v <= hi
+                assert hi - lo <= abs(v) / 2 ** (prec - 1)
+        for prec in (1, 5, 53):
+            for _ in range(50):
+                d = (rng.getrandbits(prec) | 1) * F(2) ** rng.randint(-60, 60)
+                for v in (d, -d):
+                    assert _round(v, prec, False) == v == _round(v, prec, True)
+            for k in (-40, 0, 7, 90):
+                v = F(2) ** k * (1 - F(1, 2 ** (prec + 5)))    # just below 2^k
+                assert _round(v, prec, True) == F(2) ** k
+                assert _round(-v, prec, False) == -F(2) ** k
+        assert _round(F(0), 10, True) == 0 == _round(F(0), 10, False)
 
     def test_decimal_normalise_matches_decade_loop(self):
         """The exponent from digit counts gives what dividing or multiplying
@@ -171,7 +206,7 @@ class TestConstants:
 
     def test_log_one_is_zero(self):
         b = const_log(1, 77)
-        assert b.width() == 0 and b.contains(0)
+        assert b.lo == b.hi == 0
 
     def test_log2_against_digits(self):
         b = const_log(2, 128)

@@ -63,11 +63,11 @@ class TestBuiltin:
 class TestClosedForm:
     def test_rational_exact(self):
         b = eval_closed_form(rat(17), 20)
-        assert b.contains(17) and b.width() == 0
+        assert b.lo == b.hi == 17
 
     def test_log1_exact_zero(self):
         b = eval_closed_form(log(1), 20)
-        assert b.contains(0) and b.width() == 0
+        assert b.lo == b.hi == 0
 
     def test_thm11_h4k_rhs_radius(self):
         cf = rat(-151) - rat(F(80, 3)) * log(2)

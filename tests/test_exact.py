@@ -212,8 +212,8 @@ class TestNumberField:
         for _ in range(20):
             p = Poly([F(rng.randint(-9, 9)) for _ in range(6)])
             q = Poly([F(rng.randint(-9, 9)) for _ in range(6)])
-            assert K.reduce(p * q) == K.reduce(p) * K.reduce(q)
-            assert K.reduce(p + q) == K.reduce(p) + K.reduce(q)
+            assert NFElem(K, p * q) == NFElem(K, p) * NFElem(K, q)
+            assert NFElem(K, p + q) == NFElem(K, p) + NFElem(K, q)
 
     def test_inverse(self):
         K = NumberField(ALPHA_CUBIC, (F(1), F(2)))

@@ -167,18 +167,18 @@ class TestTailBound:
 class TestSumSeries:
     def test_eq11_thirty_digits(self):
         b = sum_series(EQ11, 30)
-        assert b.contains(-5)
+        assert b.lo <= -5 <= b.hi
         assert b.radius() <= F(1, 10**30)
 
     def test_lemma43_value(self):
         spec = SeriesSpec(x=F(1, 16), start=1, channels={0: (-59, -199, 194, 966, 638)},
                           denominator_factors=("k+1", "3k+1", "3k+2"))
         b = sum_series(spec, 30)
-        assert b.contains(F(103, 2))
+        assert b.lo <= F(103, 2) <= b.hi
 
     def test_zero_spec(self):
         b = sum_series(SeriesSpec(x=F(1, 16), channels={}), 20)
-        assert b.width() == 0 and b.contains(0)
+        assert b.lo == b.hi == 0
 
     def test_reciprocal_pi(self):
         b = sum_series(RECIP_PI, 30)
@@ -236,11 +236,13 @@ def test_random_specs_contain_partial_sums():
             continue
         b = sum_series(spec, 12)
         s = F(0)
+        H = dict.fromkeys(spec.channels, F(0))     # running H_{jk}
         for k in range(1, 401):
             num = F(0)
             for j, cs in spec.channels.items():
+                H[j] += sum(F(1, i) for i in range(j * (k - 1) + 1, j * k + 1))
                 pv = sum(c * k**i for i, c in enumerate(cs))
-                num += pv if j == 0 else pv * sum(F(1, i) for i in range(1, j * k + 1))
+                num += pv if j == 0 else pv * H[j]
             den = F(1)
             for name in dens:
                 a, bb = {"k+1": (1, 1), "3k+1": (3, 1), "3k+2": (3, 2), "2k-1": (2, -1)}[name]
