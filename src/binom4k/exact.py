@@ -211,7 +211,13 @@ class Poly:
         return Poly([c / lead for c in self.coeffs])
 
     def gcd(self, other: "Poly") -> "Poly":
+        """The monic gcd (zero for two zero polynomials).  Over Q it comes
+        from a primitive remainder sequence on integers; field and
+        rational-function coefficients take the Euclidean loop."""
         a, b = Poly._pair(self, other)
+        if all(isinstance(c, Fraction) for c in a.coeffs + b.coeffs):
+            g = _primitive_gcd(_primitive(a.coeffs), _primitive(b.coeffs))
+            return Poly([Fraction(c, g[-1]) for c in g]) if g else Poly()
         while not b.is_zero():
             a, b = b, a % b
         return a.monic() if not a.is_zero() else a
@@ -271,6 +277,40 @@ class Poly:
         return " + ".join(parts).replace("+ -", "- ")
 
 
+def _primitive(coeffs: Sequence[Fraction]) -> list[int]:
+    """Primitive integer coefficients of a rational polynomial: scaled by the
+    lcm of the denominators, then divided by the gcd of the numerators (which
+    keeps the sign of the leading coefficient).  Zero gives []."""
+    if not coeffs:
+        return []
+    den = math.lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in coeffs]
+    content = math.gcd(*ints)
+    return [c // content for c in ints]
+
+
+def _primitive_gcd(a: list[int], b: list[int]) -> list[int]:
+    """A gcd of two primitive integer polynomials (ascending coefficients) by
+    the primitive pseudo-remainder sequence of Knuth, TAOCP vol. 2, 4.6.1:
+    the remainder of lead(b)^n a by b, an integer polynomial, is cut down to
+    its primitive part at each step.  Unique up to sign; [] only for
+    a = b = []."""
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        lead, r = b[-1], list(a)
+        while len(r) >= len(b):
+            c, shift = r[-1], len(r) - len(b)
+            r = [lead * x for x in r]
+            for i, cb in enumerate(b):
+                r[shift + i] -= c * cb
+            while r and r[-1] == 0:
+                r.pop()
+        content = math.gcd(*r) if r else 1
+        a, b = b, [x // content for x in r]
+    return a
+
+
 # ---------------------------------------------------------------------------
 # Sturm sequences and real-root isolation
 
@@ -287,6 +327,17 @@ def _sturm_chain(p: Poly) -> list[Poly]:
 
 def _sign(x: Fraction) -> int:
     return (x > 0) - (x < 0)
+
+
+def _sign_at(ints: Sequence[int], x: Fraction) -> int:
+    """Sign of the integer polynomial `ints` at x, from d^deg times its value
+    at x = n/d (homogeneous Horner on integers)."""
+    n, d = x.numerator, x.denominator
+    acc, dpow = 0, 1
+    for c in reversed(ints):
+        acc = acc * n + c * dpow
+        dpow *= d
+    return (acc > 0) - (acc < 0)
 
 
 def _variations(chain: Sequence[Poly], x: Fraction) -> int:
@@ -406,27 +457,35 @@ class AlgebraicReal:
     def __setattr__(self, *a):
         raise AttributeError("AlgebraicReal is immutable")
 
-    def refine(self, width: Fraction) -> Ival:
+    def refine(self, width: Fraction, start: Optional[Ival] = None) -> Ival:
         """Shrink the isolating interval to the requested width by bisection.
 
         Returns a sub-interval of the stored one; an exact rational root
-        collapses to a point interval.
+        collapses to a point interval.  `start` resumes the bisection from a
+        bracket that an earlier call returned for a width >= `width`:
+        bisection is deterministic, so the result is the one a fresh call
+        gives.  A `start` outside the isolating interval, or one whose
+        endpoint signs do not bracket the root, raises ValueError.
         """
         if width <= 0:
             raise ValueError("width must be positive")
-        p = self.defining
-        lo, hi = self.lo, self.hi
-        if p(lo) == 0:
+        ints = _primitive(self.defining.coeffs)  # same sign as the defining polynomial
+        lo, hi = (self.lo, self.hi) if start is None else start
+        if not self.lo <= lo <= hi <= self.hi:
+            raise ValueError("start bracket outside the isolating interval")
+        slo, shi = _sign_at(ints, lo), _sign_at(ints, hi)
+        if slo == 0:
             return (lo, lo)
-        if p(hi) == 0:
+        if shi == 0:
             return (hi, hi)
-        slo = _sign(p(lo))
+        if slo == shi:
+            raise ValueError("start bracket does not bracket the root")
         while hi - lo > width:
             mid = (lo + hi) / 2
-            v = p(mid)
+            v = _sign_at(ints, mid)
             if v == 0:
                 return (mid, mid)
-            if _sign(v) == slo:
+            if v == slo:
                 lo = mid
             else:
                 hi = mid
@@ -441,11 +500,10 @@ class AlgebraicReal:
 
 
 def _rational_roots(p: Poly) -> list[Fraction]:
-    """All rational roots, by the rational root theorem on a scaled copy."""
+    """All rational roots, by the rational root theorem on the primitive part."""
     if p.is_zero():
         raise ValueError("zero polynomial")
-    den = math.lcm(*(c.denominator for c in p.coeffs))
-    ints = [c.numerator * (den // c.denominator) for c in p.coeffs]
+    ints = _primitive(p.coeffs)
     while ints and ints[0] == 0:
         ints = ints[1:]  # factor out x; zero is a root of the original iff constant term was 0
     a0, an = abs(ints[0]), abs(ints[-1])
@@ -466,7 +524,7 @@ def _rational_roots(p: Poly) -> list[Fraction]:
     for r in divisors(a0):
         for s in divisors(an):
             for cand in (Fraction(r, s), Fraction(-r, s)):
-                if p(cand) == 0:
+                if _sign_at(ints, cand) == 0:
                     roots.add(cand)
     return sorted(roots)
 
@@ -639,9 +697,11 @@ class NFElem:
     def embedding_interval(self, width: Fraction = Fraction(1, 10**12)) -> Ival:
         """Rational enclosure of the element under the field's real embedding."""
         root = self.field.embedding
+        bracket = (root.lo, root.hi)
         w = (root.hi - root.lo) or Fraction(1, 2)
         for _ in range(20000):
-            iv = self.rep.eval_interval(root.refine(w))
+            bracket = root.refine(w, bracket)  # resume: w only shrinks
+            iv = self.rep.eval_interval(bracket)
             if iv[1] - iv[0] <= width:
                 return iv
             w /= 16

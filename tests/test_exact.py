@@ -95,6 +95,54 @@ class TestPolySuite:
             _, rem = got.divrem(g.monic())
             assert rem.is_zero()  # gcd(ag, bg) divisible by g
 
+    def test_gcd_matches_fraction_euclid(self):
+        """The integer primitive gcd equals the monic gcd of the Fraction
+        Euclid loop, kept here as the reference."""
+        def reference(a, b):
+            while not b.is_zero():
+                a, b = b, a % b
+            return a.monic() if not a.is_zero() else a
+
+        rng = random.Random(41)
+
+        def coeff():
+            kind = rng.random()
+            if kind < 0.1:
+                return F(rng.randint(-10**40, 10**40), rng.randint(1, 10**35))
+            if kind < 0.2:
+                return F(rng.randint(-10**33, 10**33))
+            return F(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 7, 12]))
+
+        def poly(d):
+            cs = [coeff() for _ in range(d + 1)]
+            if d >= 0 and cs[-1] == 0:
+                cs[-1] = F(rng.choice([-3, -1, 2, 5]), rng.choice([1, 4]))
+            return Poly(cs)
+
+        pairs = [(Poly(), Poly()), (Poly(), Poly([3])), (Poly([F(-2, 3)]), Poly()),
+                 (Poly([5]), Poly([F(1, 7)])), (Poly([0, 1]), Poly()), (Poly(), Poly([1, 2, -3]))]
+        for _ in range(1200):
+            g = poly(rng.randint(0, 3))
+            a, b = poly(rng.randint(-1, 4)), poly(rng.randint(-1, 4))
+            pairs.append((a * g, b * g) if rng.random() < 0.7 else (a, b))
+        for a, b in pairs:
+            got = a.gcd(b)
+            assert got.coeffs == reference(a, b).coeffs, (a, b)
+            assert got == b.gcd(a)
+
+    def test_field_gcd_takes_the_euclid_loop(self):
+        K = NumberField(ALPHA_CUBIC, (F(1), F(2)))
+        t = K.gen()
+        g = Poly([t, 1])                                  # y + t
+        a = g * Poly([3 * t - 1, K.const(F(2))])          # (y + t)(2y + 3t - 1)
+        b = g * Poly([t * t, K.const(F(0)), t])           # (y + t)(t y^2 + t^2)
+        got = a.gcd(b)
+        r, s = a, b
+        while not s.is_zero():
+            r, s = s, r % s
+        assert got.coeffs == r.monic().coeffs
+        assert got == g
+
     def test_exact_division_test(self):
         assert Poly([-1, 0, 1]).divrem(Poly([1, 1]))[1].is_zero()
         assert not Poly([1, 0, 1]).divrem(Poly([1, 1]))[1].is_zero()
@@ -174,6 +222,41 @@ class TestAlgebraicReal:
         outer = a.refine(F(1, 10))
         inner = AlgebraicReal(a.defining, outer).refine(F(1, 10**6))
         assert outer[0] <= inner[0] <= inner[1] <= outer[1]
+
+    def test_resumed_refine_matches_fresh(self):
+        """Resuming each bisection from the bracket of the previous width
+        returns exactly what a fresh refine gives, down to 1e-60."""
+        from binom4k.proofs import alpha_context, beta_context, cbrt2_field
+
+        roots = {
+            "alpha": alpha_context().alpha,
+            "beta": beta_context().field.embedding,
+            "cbrt2": cbrt2_field().embedding,
+            "sqrt2": AlgebraicReal(Poly([-2, 0, 1]), (F(1), F(2))),
+            "rational": AlgebraicReal(Poly([-3, 8]), (F(0), F(1))),   # 3/8: a bisection point
+            "endpoint-lo": AlgebraicReal(Poly([-1, 0, 1]), (F(1), F(2))),
+            "endpoint-hi": AlgebraicReal(Poly([-4, 0, 1]), (F(1), F(2))),
+        }
+        widths = sorted({F(1, 16**i) for i in range(51)} | {F(1, 10**i) for i in range(61)}
+                        | {F(3, 7 * 10**i) for i in range(0, 60, 7)}, reverse=True)
+        for name, root in roots.items():
+            bracket = (root.lo, root.hi)
+            for w in widths:
+                bracket = root.refine(w, bracket)
+                assert bracket == root.refine(w), (name, w)
+                assert root.lo <= bracket[0] <= bracket[1] <= root.hi
+                assert bracket[1] - bracket[0] <= w
+            if name == "rational":
+                assert bracket == (F(3, 8), F(3, 8))
+            if name.startswith("endpoint"):
+                assert bracket[0] == bracket[1] in (root.lo, root.hi)
+
+    def test_resume_rejects_a_bracket_that_misses_the_root(self):
+        a = AlgebraicReal(Poly([-2, 0, 1]), (F(1), F(2)))
+        with pytest.raises(ValueError, match="bracket"):
+            a.refine(F(1, 100), (F(3, 2), F(2)))     # sqrt(2) < 3/2
+        with pytest.raises(ValueError, match="outside"):
+            a.refine(F(1, 100), (F(1, 2), F(3, 2)))
 
     def test_rejects_multi_root_interval(self):
         with pytest.raises(ValueError):

@@ -100,6 +100,14 @@ class TestTerms:
         spec = SeriesSpec(x=F(1, 16), channels={0: (1,)}, denominator_factors=("3k+2",))
         assert _checked_terms(spec, 1) == [(0, 1 << 199, 0), (1, (1 << 198) // 5, 1)]
 
+    def test_underflowed_term_keeps_the_product_of_errors(self):
+        """At P = 8 and x = 1/256, B_3 floors to 0, and with H_3 = 469/256 in
+        8-bit fixed point N_3 = 256 (Hh_1 - 469) is exactly 0 as well; the
+        exact term is nonzero, so only the eB*eN part of the bound covers it."""
+        spec = SeriesSpec(x=F(1, 256), channels={0: (F(-469, 256),), 1: (1,)})
+        k, T, err = _checked_terms(spec, 3, prec=8)[3]
+        assert (k, T) == (3, 0) and err > 0
+
     def test_recurrences_match_direct(self):
         spec = SeriesSpec(x=F(-1, 72), start=0,
                           channels={0: (1, 2), 1: (3,), 2: (1, 1), 3: (2,), 4: (0, 5)},
@@ -250,6 +258,68 @@ def test_random_specs_contain_partial_sums():
             s += math.comb(4 * k, k) * x**k * num / den
         tb = tail_bound_exact(spec, 400)
         assert b.lo_fraction() - tb <= s <= b.hi_fraction() + tb
+
+
+def _random_spec(rng, xs, recip_xs):
+    """A seeded spec with |x| drawn from `xs` (C(4k,k)) or `recip_xs`
+    (1/C(4k,k)): either sign of x, either binomial power, any channels
+    (small integer coefficients, or up to about 10^12 over denominators up
+    to 10^6) and any denominator factors."""
+    power = rng.choice([1, -1])
+    sign = rng.choice([1, -1])
+    x = sign * rng.choice(xs if power == 1 else recip_xs)
+    big = rng.random() < 0.5
+    chans = {j: tuple(F(rng.randint(-10**12, 10**12), rng.randint(1, 10**6)) if big
+                      else F(rng.randint(-3, 3)) for _ in range(rng.randint(1, 3)))
+             for j in rng.sample(range(5), rng.randint(1, 5))}
+    dens = tuple(rng.sample(sorted(DENOM_FACTORS), rng.randint(0, 3)))
+    start = 1 if "k" in dens else rng.randint(0, 1)
+    return SeriesSpec(x=x, binomial_power=power, start=start, channels=chans,
+                      denominator_factors=dens)
+
+
+def test_low_precision_terms_within_their_bounds():
+    """At P = 8..24 bits the floors of B_k and of the H_{jk} channels are a
+    visible share of each term, so a bound that misses a part of the error
+    shows: |T - L 2^P t_k| <= err against exact Fraction terms."""
+    rng = random.Random(2718)
+    for _ in range(12):
+        spec = _random_spec(rng, [F(n, 256) for n in (1, 7, 16, 26)],
+                            [F(n, 2) for n in (1, 5, 11, 18)])
+        exact = _exact_terms(spec, 40)
+        for prec in (8, 12, 16, 20, 24):
+            scale = channel_scale(spec) << prec
+            for k, T, err in fixed_point_terms(spec, 40, prec):
+                assert abs(T - scale * exact[k]) <= err, (spec, prec, k)
+
+
+def test_enclosure_less_tail_contains_partial_sum():
+    """sum_series narrowed by the tail bound at its own cutoff K still holds
+    the exact partial sum S_K: the tracked error E alone must cover the
+    floors of the fixed-point sum, whatever slack the tail bound has."""
+    from binom4k.series import _cutoff
+
+    rng = random.Random(3141)
+    for _ in range(16):
+        spec = _random_spec(rng, [F(n, 256) for n in (1, 5, 12, 20)], [F(n, 2) for n in (1, 3, 7, 9)])
+        digits = rng.choice([5, 12, 30])
+        b = sum_series(spec, digits)
+        K = _cutoff(spec, F(1, 10**digits) / 2)
+        tail = tail_bound_exact(spec, K)
+        s, H = F(0), dict.fromkeys(spec.channels, F(0))     # running H_{jk}
+        mag = F(1)                                           # x^k C(4k,k)^(+-1)
+        for k in range(K + 1):
+            if k:
+                for j in H:
+                    H[j] += sum(F(1, i) for i in range(j * (k - 1) + 1, j * k + 1))
+                c = F(math.comb(4 * k, k), math.comb(4 * k - 4, k - 1))
+                mag *= spec.x * (c if spec.binomial_power == 1 else 1 / c)
+            if k < spec.start:
+                continue
+            num = sum(sum(c * k**i for i, c in enumerate(cs)) * (H[j] if j else 1)
+                      for j, cs in spec.channels.items())
+            s += mag * num / spec.denominator_at(k)
+        assert b.lo_fraction() + tail <= s <= b.hi_fraction() - tail, (spec, digits)
 
 
 def _mpmath_sum(spec, dps: int, cut_digits: int):
