@@ -185,15 +185,12 @@ def sqrt(n: int) -> ClosedForm:
 
 
 def eval_closed_form(cf: ClosedForm, digits: int = 50) -> Ball:
-    """Enclosure with radius <= 10^-digits (precision escalates as needed)."""
-    target = Fraction(1, 10**digits)
-    prec = int(digits * 3.33) + 32
-    for _ in range(8):
-        b = cf.eval(prec)
-        if b.radius() <= target:
-            return b
-        prec *= 2
-    raise ArithmeticError("closed-form radius target unreachable")
+    """Enclosure with radius <= 10^-digits, from one evaluation at
+    3.33 digits + 32 bits; ArithmeticError if that misses the radius."""
+    b = cf.eval(int(digits * 3.33) + 32)
+    if b.radius() > Fraction(1, 10**digits):
+        raise ArithmeticError("closed-form radius target unreachable")
+    return b
 
 
 # ---------------------------------------------------------------------------

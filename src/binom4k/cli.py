@@ -37,7 +37,7 @@ from .catalog import (
 from .exact import NFElem, Poly
 from .genfunc import eval_f
 from .proofs import alpha_context, run_exact_checks, substituted_integrands
-from .series import PrecisionError, SeriesSpec, SpecError, sum_series
+from .series import PrecisionError, SeriesSpec, SpecError, fold_shared, sum_series
 
 DEFAULT_DIGITS_ENV = "BINOM4K_DIGITS"
 
@@ -116,15 +116,16 @@ def _digits(args, minimum: int = 10) -> int:
 def verify_entry(entry: IdentityEntry, digits: int) -> VerificationRecord:
     t0 = time.perf_counter()
     inner = digits + COMPONENT_PAD
+    components = fold_shared(entry.components)
     # one more digit per decade of the total weight keeps the weighted sum of
     # the component radii within 10^-inner
-    spread = sum(abs(w) for w, _ in entry.components)
+    spread = sum(abs(w) for w, _ in components)
     component_digits = inner
     while 10 ** (component_digits - inner) < spread:
         component_digits += 1
     try:
         lhs: Optional[Ball] = None
-        for weight, spec in entry.components:
+        for weight, spec in components:
             part = weight * sum_series(spec, component_digits)
             lhs = part if lhs is None else lhs + part
         rhs = eval_closed_form(entry.rhs, inner)
@@ -198,11 +199,13 @@ def _mpf_of_fraction(q: Fraction):
     return mpmath.mpf(q.numerator) / q.denominator
 
 
-def _poly_mpf_coeffs(p: Poly, width: Fraction):
+def _poly_mpf_coeffs(p: Poly, width: Fraction, brackets: list):
+    """mpf coefficients of p; `brackets` is the root's bracket list of the one
+    field its NFElem coefficients lie in (see `NFElem.embedding_interval`)."""
     out = []
     for c in p.coeffs:
         if isinstance(c, NFElem):
-            lo, hi = c.embedding_interval(width)
+            lo, hi = c.embedding_interval(width, brackets)
             out.append(_mpf_of_fraction((lo + hi) / 2))
         else:
             out.append(_mpf_of_fraction(c))
@@ -312,8 +315,9 @@ def crosscheck_substituted(j: int, tol: float) -> CrosscheckRecord:
                 core = (y - alpha) / (y * ym1 * (3 * y + 1 - 2 * y / z))
                 return core * 16 * z ** 3 / (3 * z4 - 1) ** 2
 
-        ncoef = _poly_mpf_coeffs(si.num, QUAD_WIDTH)
-        dcoef = _poly_mpf_coeffs(si.den, QUAD_WIDTH)
+        brackets: list = []  # one field: its root is refined once per width
+        ncoef = _poly_mpf_coeffs(si.num, QUAD_WIDTH, brackets)
+        dcoef = _poly_mpf_coeffs(si.den, QUAD_WIDTH, brackets)
 
         def weighted(z):
             return _horner(ncoef, z) / _horner(dcoef, z)

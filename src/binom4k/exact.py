@@ -694,14 +694,22 @@ class NFElem:
             return self.inverse() ** (-n)
         return pow_by_squaring(self, n, self.field.one())
 
-    def embedding_interval(self, width: Fraction = Fraction(1, 10**12)) -> Ival:
-        """Rational enclosure of the element under the field's real embedding."""
+    def embedding_interval(self, width: Fraction = Fraction(1, 10**12),
+                           brackets: Optional[list] = None) -> Ival:
+        """Rational enclosure of the element under the field's real embedding.
+
+        The root is refined to widths w0, w0/16, w0/16^2, ... until the
+        element's interval is narrow enough.  `brackets`, a list the caller
+        keeps for one field, holds the root's bracket at each of these widths:
+        calls extend it and read it instead of bisecting again, with the same
+        result as without it."""
         root = self.field.embedding
-        bracket = (root.lo, root.hi)
+        brackets = [] if brackets is None else brackets
         w = (root.hi - root.lo) or Fraction(1, 2)
-        for _ in range(20000):
-            bracket = root.refine(w, bracket)  # resume: w only shrinks
-            iv = self.rep.eval_interval(bracket)
+        for i in range(20000):
+            if i == len(brackets):  # resume: w only shrinks
+                brackets.append(root.refine(w, brackets[-1] if brackets else None))
+            iv = self.rep.eval_interval(brackets[i])
             if iv[1] - iv[0] <= width:
                 return iv
             w /= 16

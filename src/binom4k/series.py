@@ -8,24 +8,30 @@ H_{jk}) and D(k) a product of the linear factors that occur in the catalog.
 The terms up to a cutoff K are summed in integer fixed-point arithmetic at P
 bits, every value scaled by 2^P, each carried with an integer bound on its
 error in units of the last place (the series evaluation of Haible and
-Papanikolaou, with midpoint-radius error accounting as in Arb):
+Papanikolaou, with midpoint-radius error accounting as in Arb).  With
+m_k = |x|^k C(4k,k)^(+-1) and a_k / b_k = m_{k+1} / m_k the exact term ratio
+(small integers), every value is advanced by a small-integer multiply and a
+floor division, as in mpmath's hypergeometric summator:
 
-    B_k    ~ 2^P |x|^k C(4k,k)^(+-1), advanced by B_{k+1} = floor(B_k a_k / b_k)
-             with a_k / b_k the exact term ratio; B_k is low by at most e_k,
-             e_{k+1} = ceil(e_k a_k / b_k) + 1 (+0 when the floor was exact)
-    Hh_j   ~ 2^P H_{jk}, advanced by floor(2^P / i) for each new i; low by
-             less than jk
+    B_k     ~ 2^P m_k, advanced by B_{k+1} = floor(B_k a_k / b_k); B_k is low
+              by at most e_k, e_{k+1} = ceil(e_k a_k / b_k) + 1 (+0 when the
+              floor was exact)
+    C_{j,k} ~ 2^P m_k H_{jk} for each harmonic channel j the spec uses,
+              advanced by C_{j,k+1} = floor((C_{j,k} + sum_i floor(B_k / i)) a_k / b_k)
+              over i = jk+1 .. jk+j; it is low by at most e_{C_j,k}, with
+              e_{C_j,k+1} = ceil((e_{C_j,k} + sum_i (ceil(e_k / i) + 1)) a_k / b_k) + 1
+              (+0 when the floor was exact)
 
-One common denominator L makes every channel polynomial integral, so
-N_k = sum_j L Rj(k) Hh_j (with Hh_0 = 2^P) is an integer, and term k becomes
-floor(+-B_k N_k / (2^P |D(k)|)) ~ L 2^P t_k.  Its integer error bound covers the
-errors of B_k and N_k through the product and one more unit for the floor,
-unless that floor divided exactly: an exactly representable sum stays exact.
-With S the sum of the terms and E the sum of their bounds, the partial sum
-lies in [(S - E) / (L 2^P), (S + E) / (L 2^P)].  P is fixed before the sum from
-the digits, K, the coefficient sizes and the peak of |x|^k C(4k,k)^(+-1) for
-k <= K.  Floats only choose P; the enclosure is built from the tracked
-integers, and a bound that still misses the target raises PrecisionError.
+One common denominator L makes every channel polynomial integral, and with
+C_0 = B term k is floor(+-sum_j L Rj(k) C_j / |D(k)|) ~ L 2^P t_k, a sum of
+P-bit by small-integer products.  Its integer error bound is
+ceil(sum_j |L Rj(k)| e_{C_j} / |D(k)|) plus one unit for the floor, unless that
+floor divided exactly: an exactly representable sum stays exact.  With S the
+sum of the terms and E the sum of their bounds, the partial sum lies in
+[(S - E) / (L 2^P), (S + E) / (L 2^P)].  P is fixed before the sum from the
+digits, K, the coefficient sizes and the peak of m_k for k <= K.  Floats only
+choose P; the enclosure is built from the tracked integers, and a bound that
+still misses the target raises PrecisionError.
 
 The tail after the cutoff K is bounded by a certified geometric envelope:
 
@@ -44,18 +50,24 @@ H_{j(k+1)} <= H_{jk} * (1 + 1/k), and D is increasing.  Hence
 
 and T(K+1) is evaluated exactly except for its harmonic numbers, which are
 replaced by the rational upper bound H_n <= 1 + ln n < 1 + (7/10) bitlength(n).
-K is found by bisection on this bound, never above the work budget
-MAX_TERMS.  No asymptotics are assumed anywhere.
+K is chosen by bisection on a float estimate of the log2 of this bound
+(lgamma for C(4k,k), log2 of the exact integers for the rest), never above
+the work budget MAX_TERMS; one exact evaluation of the bound then certifies
+K, and only if it misses does the search step upward on the exact bound.
+Floats only choose K, as they only choose P.  No asymptotics are assumed
+anywhere.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Mapping
 
 from .balls import Ball
+from .exact import Poly
 
 # linear factors a*k + b allowed in denominators
 DENOM_FACTORS: dict[str, tuple[int, int]] = {
@@ -169,6 +181,41 @@ class SeriesSpec:
         return not self.channels
 
 
+def fold_shared(components) -> list[tuple[Fraction, SeriesSpec]]:
+    """The weighted components (weight, spec), with those that share x, the
+    binomial power and the start folded into one spec of weight 1 over the
+    union D of their denominator factors:
+
+        sum_i w_i R_i(k) / D_i(k) = sum_i w_i R_i(k) (D / D_i)(k) / D(k),
+
+    so one pass sums the group.  Components alone in their group stay as
+    they are; groups keep the order of their first component."""
+    groups: dict[tuple, list] = {}
+    for w, s in components:
+        groups.setdefault((s.x, s.binomial_power, s.start), []).append((w, s))
+    out = []
+    for (x, power, start), group in groups.items():
+        if len(group) == 1:
+            out.extend(group)
+            continue
+        union: Counter = Counter()  # the factors as a multiset
+        for _, s in group:
+            union |= Counter(s.denominator_factors)
+        channels: dict[int, Poly] = {}
+        for w, s in group:
+            lack = Poly([w])
+            for name in (union - Counter(s.denominator_factors)).elements():
+                a, b = DENOM_FACTORS[name]
+                lack = lack * Poly([b, a])
+            for j, cs in s.channels.items():
+                channels[j] = channels.get(j, Poly()) + Poly(cs) * lack
+        out.append((Fraction(1), SeriesSpec(
+            x=x, binomial_power=power, start=start,
+            channels={j: p.coeffs for j, p in channels.items()},
+            denominator_factors=tuple(union.elements()))))
+    return out
+
+
 def _rho(k: int) -> tuple[int, int]:
     """rho(k) = C(4(k+1),k+1) / C(4k,k) as (numerator, denominator)."""
     return 4 * (4 * k + 1) * (4 * k + 2) * (4 * k + 3), (3 * k + 1) * (3 * k + 2) * (3 * k + 3)
@@ -238,25 +285,85 @@ def tail_bound_exact(spec: SeriesSpec, K: int) -> Fraction:
     return head / (1 - qbar)
 
 
-def _cutoff(spec: SeriesSpec, budget: Fraction) -> int:
-    """A cutoff K <= MAX_TERMS with tail_bound_exact(spec, K) <= budget:
-    exponential search from min_tail_cutoff, then bisection.
+def _log2(q: Fraction) -> float:
+    """log2 of a positive rational from its integers, which may lie far
+    outside the float range."""
+    return math.log2(q.numerator) - math.log2(q.denominator)
 
-    The bisection stops once the bracket is within 1/64 of K: one envelope
-    at K costs about as much as summing a few hundred terms."""
-    lo = hi = min_tail_cutoff(spec)
-    while tail_bound_exact(spec, hi) > budget:
+
+def _tail_log2_estimator(spec: SeriesSpec):
+    """K -> a float estimate of log2 tail_bound_exact(spec, K), the same
+    formula in logarithms: lgamma for C(4k,k), log2 of the exact integers for
+    |x| and the coefficients, a log-sum of the envelope's monomials.  -inf
+    when the bound is 0, +inf where the float ratio bound reaches 1.  It
+    never raises: nothing that can leave the float range is exponentiated."""
+    monomials = [(j, i, _log2(abs(c))) for j, cs in spec.channels.items()
+                 for i, c in enumerate(cs) if c]
+    log2_x = _log2(abs(spec.x)) if spec.x else -math.inf
+    growth = spec.max_degree() + 1
+    ln2 = math.log(2)
+
+    def estimate(K: int) -> float:
+        k = K + 1
+        if not monomials or log2_x == -math.inf:
+            return -math.inf
+        log2_k = math.log2(k)
+        parts = [c + i * log2_k + (math.log2(1 + 0.7 * (j * k).bit_length()) if j else 0.0)
+                 for j, i, c in monomials]
+        top = max(parts)
+        log2_num = top + math.log2(sum(2.0 ** (p - top) for p in parts))
+        log2_binom = (math.lgamma(4 * k + 1) - math.lgamma(k + 1) - math.lgamma(3 * k + 1)) / ln2
+        if spec.binomial_power == 1:
+            log2_rho = math.log2(256 / 27)
+        else:
+            num, den = _rho(K + 1)
+            log2_rho = math.log2(den) - math.log2(num)
+        log2_q = log2_x + log2_rho + growth * math.log1p(1 / k) / ln2
+        if log2_q >= 0:
+            return math.inf
+        return (k * log2_x + spec.binomial_power * log2_binom + log2_num
+                - math.log2(abs(spec.denominator_at(k))) - math.log2(-math.expm1(log2_q * ln2)))
+
+    return estimate
+
+
+# log2 slack of the float cutoff search.  The estimate is within about 1e-9 of
+# the exact log2 (lgamma of arguments up to 4 MAX_TERMS), so the K it picks is
+# never above the minimal certified one, and is below it only when the bound
+# at the minimal K - 1 misses the budget by less than this factor.
+ESTIMATE_SLACK = 1e-6
+
+
+def _first_fit(lo: int, fits) -> int:
+    """Least K >= lo with fits(K), for a predicate that stays true once true:
+    doubling steps capped at MAX_TERMS, then bisection."""
+    hi = lo
+    while not fits(hi):
         if hi == MAX_TERMS:
             raise PrecisionError(f"the tail bound needs a cutoff K > {MAX_TERMS}: "
                                  f"the work budget is {MAX_TERMS} terms")
         lo, hi = hi + 1, min(2 * hi, MAX_TERMS)
-    while hi - lo > hi // 64:  # hi meets the budget, the last K < lo checked missed it
+    while lo < hi:  # hi fits, every K < lo checked missed
         mid = (lo + hi) // 2
-        if tail_bound_exact(spec, mid) <= budget:
+        if fits(mid):
             hi = mid
         else:
             lo = mid + 1
     return hi
+
+
+def _cutoff(spec: SeriesSpec, budget: Fraction) -> int:
+    """The least cutoff K <= MAX_TERMS with tail_bound_exact(spec, K) <= budget.
+
+    The search runs on the float estimate; one exact bound then certifies
+    its K, and only when that misses does the search go on upward on the
+    exact bound."""
+    target = _log2(budget) + ESTIMATE_SLACK
+    estimate = _tail_log2_estimator(spec)
+    K = _first_fit(min_tail_cutoff(spec), lambda K: estimate(K) <= target)
+    if tail_bound_exact(spec, K) > budget:
+        K = _first_fit(K + 1, lambda K: tail_bound_exact(spec, K) <= budget)
+    return K
 
 
 # ---------------------------------------------------------------------------
@@ -274,73 +381,87 @@ def _ceil_div(a: int, b: int) -> int:
 
 @dataclass(slots=True)
 class TermState:
-    """Fixed-point state at index k, every value scaled by 2^prec:
-    B ~ 2^prec |x|^k C(4k,k)^(+-1), low by at most eB, and, for each harmonic
-    channel j the spec uses, harm[j] ~ 2^prec H_{jk}, low by less than jk."""
+    """Fixed-point state at k = 0, where every value is exact: B = 2^prec m_0
+    with error bound eB = 0 and, for each harmonic channel j the spec uses,
+    C_j = 2^prec m_0 H_0 = 0 with error bound 0."""
 
-    k: int
-    prec: int
     B: int
     eB: int
-    harm: dict[int, int]
+    channels: list[int]
+    C: list[int]
+    eC: list[int]
 
     @staticmethod
     def initial(spec: SeriesSpec, prec: int) -> "TermState":
-        """The state at k = 0, where every value is exact."""
-        return TermState(0, prec, 1 << prec, 0, {j: 0 for j in spec.channels if j})
-
-    def advance(self, spec: SeriesSpec) -> None:
-        """Step to k + 1 by floor divisions, growing the error bounds."""
-        k, one = self.k, 1 << self.prec
-        a, b = _magnitude_step(spec, k)
-        self.B, rem = divmod(self.B * a, b)
-        self.eB = _ceil_div(self.eB * a, b) + (rem != 0)
-        for j, h in self.harm.items():
-            for i in range(j * k + 1, j * k + j + 1):
-                h += one // i
-            self.harm[j] = h
-        self.k = k + 1
+        js = sorted(j for j in spec.channels if j)
+        return TermState(1 << prec, 0, js, [0] * len(js), [0] * len(js))
 
 
 def fixed_point_terms(spec: SeriesSpec, K: int, prec: int) -> Iterator[tuple[int, int, int]]:
     """Yield (k, T, err) for spec.start <= k <= K, where T and the integer err
-    bound the exact term: |T - L 2^prec t_k| <= err, with L = channel_scale(spec)."""
-    one = 1 << prec
+    bound the exact term: |T - L 2^prec t_k| <= err, with L = channel_scale(spec).
+
+    The recurrences of the module docstring, with the state in locals: per
+    index every product is a P-bit value times a small integer."""
     scale = channel_scale(spec)
-    polys = {j: [int(c * scale) for c in cs] for j, cs in spec.channels.items()}
-    negative = spec.x < 0
+    # Horner coefficients, highest degree first, of L Rj for each channel
+    poly = {j: [int(c * scale) for c in reversed(cs)] for j, cs in spec.channels.items()}
     state = TermState.initial(spec, prec)
-    while True:
-        k = state.k
-        if k >= spec.start:
-            N = eN = 0
-            for j, coeffs in polys.items():
+    B, eB, js, C, eC = state.B, state.eB, state.channels, state.C, state.eC
+    r0 = poly.get(0)
+    rs = [poly[j] for j in js]
+    factors = [DENOM_FACTORS[n] for n in spec.denominator_factors]
+    xa, xb = abs(spec.x.numerator), spec.x.denominator
+    reciprocal, negative, start = spec.binomial_power == -1, spec.x < 0, spec.start
+    for k in range(K + 1):
+        if k >= start:
+            v = e = 0
+            if r0 is not None:
                 r = 0
-                for c in reversed(coeffs):
+                for c in r0:
                     r = r * k + c
-                N += r * state.harm[j] if j else r * one
-                eN += abs(r) * j * k
-            d = spec.denominator_at(k)
-            B, eB = state.B, state.eB
-            v = B * N
+                v, e = r * B, abs(r) * eB
+            for n, coeffs in enumerate(rs):
+                r = 0
+                for c in coeffs:
+                    r = r * k + c
+                v += r * C[n]
+                e += abs(r) * eC[n]
+            d = 1
+            for fa, fb in factors:
+                d *= fa * k + fb
             if (negative and k % 2 == 1) != (d < 0):
                 v = -v
             d = abs(d)
-            T, rem = divmod(v >> prec, d)
-            exact = rem == 0 and v & (one - 1) == 0
-            err = B * eN + abs(N) * eB + eB * eN
-            yield k, T, _ceil_div(_ceil_div(err, one), d) + (not exact)
+            T, rem = divmod(v, d)
+            yield k, T, -(-e // d) + (rem != 0)
         if k == K:
             return
-        state.advance(spec)
+        # a / b = m_{k+1} / m_k = |x| rho(k)^(+-1)
+        a = 4 * (4 * k + 1) * (4 * k + 2) * (4 * k + 3)
+        b = (3 * k + 1) * (3 * k + 2) * (3 * k + 3)
+        if reciprocal:
+            a, b = b, a
+        a, b = xa * a, xb * b
+        for n, j in enumerate(js):
+            s, es = C[n], eC[n]
+            for i in range(j * k + 1, j * k + j + 1):
+                s += B // i
+                es += -(-eB // i) + 1
+            C[n], rem = divmod(s * a, b)
+            eC[n] = -(-es * a // b) + (rem != 0)
+        B, rem = divmod(B * a, b)
+        eB = -(-eB * a // b) + (rem != 0)
 
 
 def _working_bits(spec: SeriesSpec, K: int, digits: int) -> int:
     """P for a sum to K whose tracked error is below 10^-digits / 4.
 
-    Per term the error is at most about 2^-P (m_k A_k 4k + A_k H_{4k} e_k + 2),
-    with m_k = |x|^k C(4k,k)^e, A_k = sum_j |Rj(k)| / |D(k)| and the
-    magnitude bound e_k <= 2k max_{i<=k} m_i.  Floats only estimate the logs.
+    Per term the error is at most about 2^-P (A_k e_{C,k} + 1), with
+    A_k = sum_j |Rj(k)| / |D(k)|, the magnitude bound e_k <= 2k max_{i<=k} m_i
+    and e_{C,k} <= H_{4k} e_k + 9k max_{i<=k} m_i, since each step adds at
+    most e_k (H_{j(k+1)} - H_{jk}) + 2j + 1 units to e_C before scaling.
+    Floats only estimate the logs.
     """
     peak = 0.0                      # log2 of max_{k<=K} m_k; m_0 = 1
     level, k = 0.0, 0
@@ -354,7 +475,7 @@ def _working_bits(spec: SeriesSpec, K: int, digits: int) -> int:
     coeff = max(sum(abs(c) for c in cs) for cs in spec.channels.values())
     coeff_bits = coeff.numerator.bit_length() - coeff.denominator.bit_length() + 4
     per_term = (peak + coeff_bits + spec.max_degree() * math.log2(K + 1)
-                + math.log2(4 * K + 2 * K * (2 + math.log(4 * K + 1)) + 1))
+                + math.log2(K * (11 + 2 * math.log(4 * K + 1)) + 1))
     bits = digits * math.log2(10) + 2 + math.log2(K + 1) + max(per_term, 0.0) + 2
     return math.ceil(bits) + GUARD_BITS
 

@@ -74,6 +74,18 @@ class TestClosedForm:
         b = eval_closed_form(cf, 50)
         assert b.radius() <= F(1, 10**50)
 
+    @pytest.mark.parametrize("digits", [13, 53, 303, 1003])
+    def test_one_evaluation_meets_every_catalog_rhs(self, digits):
+        # eval_closed_form evaluates once at 3.33 digits + 32 bits; a miss
+        # would be an ArithmeticError, so every catalog rhs must meet it
+        for e in builtin_catalog():
+            assert eval_closed_form(e.rhs, digits).radius() <= F(1, 10**digits), e.id
+
+    def test_missed_radius_is_an_error(self):
+        # 10^400 log 2 at 20 digits keeps about 98 significant bits
+        with pytest.raises(ArithmeticError, match="unreachable"):
+            eval_closed_form(rat(10**400) * log(2), 20)
+
     def test_nested_precision_intersects(self):
         cf = (rat(9) - rat(5) * log(2)) / (rat(4) * sqrt(2))
         a, b = eval_closed_form(cf, 20), eval_closed_form(cf, 40)

@@ -220,8 +220,8 @@ def test_default_digits_env(monkeypatch, capsys):
 # A perturbed rhs must FAIL once the offset is above the resolution of the
 # difference enclosure, and a divisor enclosing 0 must give ERROR, never FAIL.
 # At 1e-60 the offset is below the 1e-49 pass threshold and below the
-# resolution of all three difference enclosures (radius 4e-54 to 1e-52 with
-# the bisected cutoff), so PASS is the sound verdict; an enclosure narrow
+# resolution of all three difference enclosures (radius 4e-54 to 5e-54 with
+# the minimal certified cutoff), so PASS is the sound verdict; an enclosure narrow
 # enough to exclude 0 there would give FAIL, which is sound as well.
 @pytest.mark.parametrize("entry_id, sub_resolution", [
     ("eq-1.1", "PASS"), ("thm1.1-H4k", "PASS"), ("lem5.1-m25", "PASS")])
@@ -234,6 +234,18 @@ def test_verify_entry_negative_paths(entry_id, sub_resolution):
     assert status(entry.rhs + rat(F(1, 10**20))) == "FAIL"
     assert status(entry.rhs + rat(F(1, 10**60))) == sub_resolution
     assert status(rat(1) / (pi() - pi())) == "ERROR"
+
+
+@pytest.mark.parametrize("digits", [12, 50])
+def test_folded_entries_keep_the_lhs_radius(digits):
+    # the three components of a lem5.1 entry are summed as one series; the
+    # lhs radius stays within 10^-(D+3), as for a sum of weighted components
+    for entry in builtin_catalog():
+        if entry.id.startswith("lem5.1-"):
+            record = verify_entry(entry, digits)
+            assert record.status == "PASS", entry.id
+            radius = F(record.lhs.split(" +/- ")[1])
+            assert radius <= F(1, 10 ** (digits + 3)), (entry.id, record.lhs)
 
 
 def test_data_derived_outputs_pinned(capsys):

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from binom4k.balls import const_pi
+from binom4k.catalog import LEMMA51_CASES
 from binom4k.series import (
     DENOM_FACTORS,
     SeriesSpec,
@@ -96,17 +97,21 @@ class TestTerms:
         assert _checked_terms(RECIP_PI, 1) == [(1, 2 << 200, 0)]
 
     def test_inexact_floor_costs_one_unit(self):
-        # B_1 = 2^198 and N_1 = 2^200 are exact; dividing by D(1) = 5 is not
+        # B_1 = 2^198 is exact; dividing by D(1) = 5 is not
         spec = SeriesSpec(x=F(1, 16), channels={0: (1,)}, denominator_factors=("3k+2",))
         assert _checked_terms(spec, 1) == [(0, 1 << 199, 0), (1, (1 << 198) // 5, 1)]
 
-    def test_underflowed_term_keeps_the_product_of_errors(self):
-        """At P = 8 and x = 1/256, B_3 floors to 0, and with H_3 = 469/256 in
-        8-bit fixed point N_3 = 256 (Hh_1 - 469) is exactly 0 as well; the
-        exact term is nonzero, so only the eB*eN part of the bound covers it."""
-        spec = SeriesSpec(x=F(1, 256), channels={0: (F(-469, 256),), 1: (1,)})
-        k, T, err = _checked_terms(spec, 3, prec=8)[3]
-        assert (k, T) == (3, 0) and err > 0
+    def test_underflowed_magnitude_keeps_its_harmonic_channel(self):
+        """At P = 8 and x = 1/16, B_7 ~ 2^8 m_7 = 1.13 floors to 0 while
+        C_{4,7} ~ 2^8 m_7 H_28 = 4.4 does not: the bound of C_4 has to carry
+        the error of every B_k it folded in, not only its own floors."""
+        x = F(1, 16)
+        k, B, eB = _checked_terms(SeriesSpec(x=x, channels={0: (1,)}), 7, prec=8)[7]
+        assert (k, B) == (7, 0) and eB > 0
+        k, C, eC = _checked_terms(SeriesSpec(x=x, channels={4: (1,)}), 7, prec=8)[7]
+        assert k == 7 and 0 < C < 4
+        _checked_terms(SeriesSpec(x=x, channels={0: (2, 1), 4: (-1, 3)},
+                                  denominator_factors=("3k+1",)), 7, prec=8)
 
     def test_recurrences_match_direct(self):
         spec = SeriesSpec(x=F(-1, 72), start=0,
@@ -279,9 +284,10 @@ def _random_spec(rng, xs, recip_xs):
 
 
 def test_low_precision_terms_within_their_bounds():
-    """At P = 8..24 bits the floors of B_k and of the H_{jk} channels are a
-    visible share of each term, so a bound that misses a part of the error
-    shows: |T - L 2^P t_k| <= err against exact Fraction terms."""
+    """At P = 8..24 bits the floors of B_k, of the B_k / i folded into each
+    C_j and of the C_j themselves are a visible share of each term, so a
+    bound that misses a part of the error shows: |T - L 2^P t_k| <= err
+    against exact Fraction terms."""
     rng = random.Random(2718)
     for _ in range(12):
         spec = _random_spec(rng, [F(n, 256) for n in (1, 7, 16, 26)],
@@ -320,6 +326,96 @@ def test_enclosure_less_tail_contains_partial_sum():
                       for j, cs in spec.channels.items())
             s += mag * num / spec.denominator_at(k)
         assert b.lo_fraction() + tail <= s <= b.hi_fraction() - tail, (spec, digits)
+
+
+def test_fold_shared_keeps_every_term():
+    """Folding the catalog's components that share x, binomial power and
+    start changes no weighted term; only the lemma 5.1 entries have such
+    groups, three components each, and every other entry is left as it is."""
+    from binom4k.catalog import builtin_catalog
+    from binom4k.series import fold_shared
+
+    folded_ids = []
+    for entry in builtin_catalog():
+        folded = fold_shared(entry.components)
+        if folded == list(entry.components):
+            continue
+        folded_ids.append(entry.id)
+        assert len(folded) == 1 and len(entry.components) == 3, entry.id
+        want = {k: sum(w * _exact_terms(spec, 15)[k] for w, spec in entry.components)
+                for k in range(16)}
+        w, spec = folded[0]
+        assert w == 1 and _exact_terms(spec, 15) == want, entry.id
+    assert folded_ids == [f"lem5.1-{c}" for c in LEMMA51_CASES]
+    # repeated factors fold as multisets; a component with another x stays
+    x = F(-1, 72)
+    group = [(F(3), SeriesSpec(x=x, start=1, channels={0: (1, 2), 2: (F(1, 3),)},
+                               denominator_factors=("3k+1", "3k+1"))),
+             (F(-2, 7), SeriesSpec(x=x, start=1, channels={2: (5,), 4: (0, 1)},
+                                   denominator_factors=("k", "3k+1"))),
+             (F(5), SeriesSpec(x=F(1, 72), start=1, channels={0: (1,)}))]
+    (w, spec), alone = fold_shared(group)
+    assert alone == group[2] and sorted(spec.denominator_factors) == ["3k+1", "3k+1", "k"]
+    want = [sum(wi * _exact_terms(si, 12)[k] for wi, si in group[:2]) for k in range(1, 13)]
+    assert w == 1 and list(_exact_terms(spec, 12).values()) == want
+
+
+def test_cutoff_is_the_least_certified():
+    """On seeded specs (both powers, both signs of x, every channel, |x| up
+    to near the radius) the cutoff's tail bound meets the budget, and the
+    bound at K - 1 misses it wherever it is defined."""
+    from binom4k.series import _cutoff
+
+    rng = random.Random(1618)
+    seen = set()
+    for _ in range(40):
+        spec = _random_spec(rng, [F(n, 256) for n in (1, 7, 16, 26)] + [F(27, 256) * F(99, 100)],
+                            [F(n, 2) for n in (1, 5, 11, 18)])
+        seen |= {(spec.binomial_power, spec.x > 0, j) for j in spec.channels}
+        digits = rng.choice([5, 20, 60, 200])
+        budget = F(1, 10**digits) / 2
+        K = _cutoff(spec, budget)
+        assert tail_bound_exact(spec, K) <= budget, spec
+        if K - 1 >= min_tail_cutoff(spec):
+            assert tail_bound_exact(spec, K - 1) > budget, spec
+        # a budget just below the bound at K fits the estimate within its
+        # slack, so the exact certificate has to send the search on to K + 1
+        assert _cutoff(spec, tail_bound_exact(spec, K) * (1 - F(1, 10**9))) == K + 1, spec
+    assert len(seen) == 20
+
+
+def test_tail_estimate_never_raises():
+    """The float estimate of log2 tail_bound_exact stays finite and close
+    for coefficients 10^(+-400) and |x| = 10^-400, and is -inf for x = 0."""
+    from binom4k.series import _log2, _tail_log2_estimator
+
+    assert _tail_log2_estimator(SeriesSpec(x=F(0), channels={0: (1,), 4: (1,)}))(5) == -math.inf
+    for spec in (SeriesSpec(x=F(1, 16), start=1, channels={0: (F(10**400),), 2: (0, F(1, 10**400))},
+                            denominator_factors=("k",)),
+                 SeriesSpec(x=F(-1, 10**400), channels={0: (F(1, 10**400),)}),
+                 SeriesSpec(x=F(7, 2), binomial_power=-1, channels={3: (F(10**400), F(-3))})):
+        estimate = _tail_log2_estimator(spec)
+        for K in (min_tail_cutoff(spec), 100, 2000):
+            assert abs(estimate(K) - _log2(tail_bound_exact(spec, K))) < 1e-6, (spec, K)
+
+
+def test_near_radius_cutoff_takes_few_envelopes(monkeypatch):
+    """x = 27/256 (1 - 10^-3), channels 4 and 1, 20 digits: the cutoff is
+    near 50000, where each exact envelope is costly, and the sum evaluates
+    at most three of them."""
+    import binom4k.series as series
+
+    calls = []
+    exact = series.tail_bound_exact
+
+    def counted(spec, K):
+        calls.append(K)
+        return exact(spec, K)
+
+    monkeypatch.setattr(series, "tail_bound_exact", counted)
+    spec = SeriesSpec(x=F(27, 256) * (1 - F(1, 1000)), start=1, channels={4: (1,), 1: (1,)})
+    assert sum_series(spec, 20).radius() <= F(1, 10**20)
+    assert len(calls) <= 3 and calls[-1] > 50000
 
 
 def _mpmath_sum(spec, dps: int, cut_digits: int):
