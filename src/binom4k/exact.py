@@ -68,13 +68,15 @@ def pow_by_squaring(base, n: int, one):
 
 def _coerce_coeffs(coeffs: Iterable) -> tuple:
     """Normalize a coefficient sequence: ints/Fractions stay rational, and if
-    any coefficient is an NFElem (or RatFunc) the rational ones are lifted."""
+    any coefficient is an NFElem (or RatFunc) the rational ones are lifted.
+    Any other coefficient (a float, say) is a TypeError."""
     cs = list(coeffs)
     lift = None
     for c in cs:
-        if isinstance(c, (NFElem, RatFunc)):
+        if not isinstance(c, (int, Fraction, NFElem, RatFunc)):
+            raise TypeError(f"coefficient {c!r} is not an int, Fraction, NFElem or RatFunc")
+        if lift is None and isinstance(c, (NFElem, RatFunc)):
             lift = c
-            break
     out = []
     for c in cs:
         if isinstance(c, int):

@@ -21,62 +21,120 @@ from .exact import AlgebraicReal, NFElem, NumberField, Poly, pow_by_squaring, sq
 from .series import RADIUS, SeriesSpec, sum_series
 
 
-class TruncSeries:
-    """Formal power series truncated at a fixed order, exact coefficients."""
+def _mul_nums(a, b) -> list:
+    """The product of two integer polynomials (ascending coefficient
+    sequences) through the lower of their orders, from one big-integer
+    product.
 
-    __slots__ = ("coeffs",)
+    Kronecker substitution: an operand becomes sum_i a_i 2^(w i).  With
+    n = min(len a, len b), each coefficient c_k (k < n) of the product has at
+    most n terms, so |c_k| <= n max|a| max|b| < 2^(w-1) for
+    w = bits(max|a|) + bits(max|b|) + bits(n) + 1, and slot k of the product
+    holds c_k in w-bit two's complement, less the borrow of the slots below.
+    """
+    n = min(len(a), len(b))
+    a, b = a[:n], b[:n]
+    w = max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length() + n.bit_length() + 1
+    A = B = 0
+    for c in reversed(a):
+        A = (A << w) + c
+    for c in reversed(b):
+        B = (B << w) + c
+    C = (A * B) & ((1 << (w * n)) - 1)
+    mask, half = (1 << w) - 1, 1 << (w - 1)
+    out = []
+    for _ in range(n):
+        c = C & mask
+        if c >= half:
+            c -= 1 << w
+        out.append(c)
+        C = (C - c) >> w
+    return out
+
+
+class TruncSeries:
+    """Formal power series truncated at a fixed order, exact coefficients.
+
+    The coefficients are stored as integer numerators `nums` over one
+    positive common denominator `den`, reduced so that gcd(den, *nums) = 1:
+    equal series have equal representations, and a product is one
+    big-integer product of the numerators (`_mul_nums`).
+    """
+
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs):
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in coeffs))
-        if not self.coeffs:
+        cs = list(coeffs)
+        if not cs:
             raise ValueError("a truncated series needs at least order 0")
+        for c in cs:
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(f"series coefficient {c!r} is not an int or a Fraction")
+        den = math.lcm(*(c.denominator for c in cs))
+        self._store([c.numerator * (den // c.denominator) for c in cs], den)
+
+    def _store(self, nums, den: int) -> None:
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums, den = [c // g for c in nums], den // g
+        object.__setattr__(self, "nums", tuple(nums))
+        object.__setattr__(self, "den", den)
+
+    @staticmethod
+    def _make(nums, den: int) -> "TruncSeries":
+        """The series nums/den for integers nums and den > 0."""
+        s = object.__new__(TruncSeries)
+        s._store(nums, den)
+        return s
 
     def __setattr__(self, *a):
         raise AttributeError("TruncSeries is immutable")
 
     @property
+    def coeffs(self) -> tuple:
+        return tuple(Fraction(c, self.den) for c in self.nums)
+
+    @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def __getitem__(self, k: int) -> Fraction:
-        return self.coeffs[k]
+        return Fraction(self.nums[k], self.den)
 
     def __eq__(self, other):
         if isinstance(other, TruncSeries):
-            return self.coeffs == other.coeffs
+            return self.den == other.den and self.nums == other.nums
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     def truncate(self, K: int) -> "TruncSeries":
         if K >= self.order:
             return self
-        return TruncSeries(self.coeffs[: K + 1])
+        return TruncSeries._make(self.nums[: K + 1], self.den)
 
     @staticmethod
     def constant(c, K: int) -> "TruncSeries":
-        return TruncSeries((Fraction(c),) + (Fraction(0),) * K)
+        return TruncSeries((c,) + (0,) * K)
 
     # -- ring operations (exact through the common order) --------------------
-
-    def _common(self, other) -> int:
-        return min(self.order, other.order)
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = TruncSeries.constant(other, self.order)
-        K = self._common(other)
-        return TruncSeries([self[i] + other[i] for i in range(K + 1)])
+        elif not isinstance(other, TruncSeries):
+            return NotImplemented
+        den = math.lcm(self.den, other.den)
+        sa, sb = den // self.den, den // other.den
+        return TruncSeries._make([a * sa + b * sb for a, b in zip(self.nums, other.nums)], den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncSeries([-c for c in self.coeffs])
+        return TruncSeries._make([-c for c in self.nums], self.den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = TruncSeries.constant(other, self.order)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -84,34 +142,33 @@ class TruncSeries:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return TruncSeries([c * other for c in self.coeffs])
-        K = self._common(other)
-        out = [Fraction(0)] * (K + 1)
-        for i in range(K + 1):
-            a = self[i]
-            if a == 0:
-                continue
-            for j in range(K + 1 - i):
-                b = other[j]
-                if b:
-                    out[i + j] += a * b
-        return TruncSeries(out)
+            return TruncSeries._make([c * other.numerator for c in self.nums],
+                                     self.den * other.denominator)
+        if not isinstance(other, TruncSeries):
+            return NotImplemented
+        return TruncSeries._make(_mul_nums(self.nums, other.nums), self.den * other.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / other)
-        if other[0] == 0:
+            return self * (1 / Fraction(other))
+        if not isinstance(other, TruncSeries):
+            return NotImplemented
+        if other.nums[0] == 0:
             raise ZeroDivisionError("division by a series with zero constant term")
-        K = self._common(other)
-        out = [Fraction(0)] * (K + 1)
-        for n in range(K + 1):
-            acc = self[n]
-            for i in range(n):
-                acc -= out[i] * other[n - i]
-            out[n] = acc / other[0]
-        return TruncSeries(out)
+        return self * other.truncate(self.order)._inverse()
+
+    def _inverse(self) -> "TruncSeries":
+        """1/self through self.order by Newton's iteration g <- g (2 - self g),
+        which doubles the number of correct coefficients of g at each step."""
+        g = TruncSeries([Fraction(self.den, self.nums[0])])
+        n = 1
+        while n <= self.order:
+            n = min(2 * n, self.order + 1)
+            g = TruncSeries._make(g.nums + (0,) * (n - len(g.nums)), g.den)
+            g = g * (2 - self.truncate(n - 1) * g)
+        return g
 
     def __pow__(self, n: int) -> "TruncSeries":
         if n < 0:
@@ -120,22 +177,24 @@ class TruncSeries:
 
     def shift_x(self) -> "TruncSeries":
         """Multiply by x, keeping the order."""
-        return TruncSeries((Fraction(0),) + self.coeffs[:-1])
+        return TruncSeries._make((0,) + self.nums[:-1], self.den)
 
     def derivative(self) -> "TruncSeries":
         if self.order == 0:
-            return TruncSeries([Fraction(0)])
-        return TruncSeries([i * self.coeffs[i] for i in range(1, self.order + 1)])
+            return TruncSeries([0])
+        return TruncSeries._make([i * self.nums[i] for i in range(1, len(self.nums))], self.den)
 
     def integrate(self) -> "TruncSeries":
-        return TruncSeries([Fraction(0)] + [c / (i + 1) for i, c in enumerate(self.coeffs)])
+        L = math.lcm(*range(1, len(self.nums) + 1))
+        return TruncSeries._make([0] + [c * (L // (i + 1)) for i, c in enumerate(self.nums)],
+                                 self.den * L)
 
     def log(self) -> "TruncSeries":
         """log of a series with constant term 1, via integrating f'/f."""
         if self[0] != 1:
             raise ValueError("log needs constant term 1")
         if self.order == 0:
-            return TruncSeries([Fraction(0)])
+            return TruncSeries([0])
         q = self.derivative() / self.truncate(self.order - 1)
         return q.integrate()
 
@@ -150,16 +209,13 @@ class TruncSeries:
         return acc
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def first_nonzero(self) -> Optional[int]:
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                return i
-        return None
+        return next((i for i, c in enumerate(self.nums) if c), None)
 
     def __repr__(self):
-        head = ", ".join(str(c) for c in self.coeffs[:6])
+        head = ", ".join(str(self[i]) for i in range(min(len(self.nums), 6)))
         tail = ", ..." if self.order > 5 else ""
         return f"TruncSeries([{head}{tail}], order={self.order})"
 

@@ -352,18 +352,30 @@ def _first_fit(lo: int, fits) -> int:
     return hi
 
 
-def _cutoff(spec: SeriesSpec, budget: Fraction) -> int:
-    """The least cutoff K <= MAX_TERMS with tail_bound_exact(spec, K) <= budget.
+def _cutoff(spec: SeriesSpec, budget: Fraction) -> tuple[int, Fraction]:
+    """The least cutoff K <= MAX_TERMS with tail_bound_exact(spec, K) <= budget,
+    and that bound.
 
     The search runs on the float estimate; one exact bound then certifies
     its K, and only when that misses does the search go on upward on the
-    exact bound."""
+    exact bound.  Either way the last exact bound computed is the one at
+    the K returned."""
     target = _log2(budget) + ESTIMATE_SLACK
     estimate = _tail_log2_estimator(spec)
     K = _first_fit(min_tail_cutoff(spec), lambda K: estimate(K) <= target)
-    if tail_bound_exact(spec, K) > budget:
-        K = _first_fit(K + 1, lambda K: tail_bound_exact(spec, K) <= budget)
-    return K
+    bound = tail_bound_exact(spec, K)
+    if bound > budget:
+        last = {}
+
+        def fits(K):
+            last.clear()
+            last[K] = tail_bound_exact(spec, K)
+            return last[K] <= budget
+
+        K = _first_fit(K + 1, fits)
+        # the bisection may have ended on a miss at K - 1
+        bound = last[K] if K in last else tail_bound_exact(spec, K)
+    return K, bound
 
 
 # ---------------------------------------------------------------------------
@@ -494,8 +506,7 @@ def sum_series(spec: SeriesSpec, digits: int = 50) -> Ball:
     out_prec = _bits_for_digits(digits + 20)
     if spec.is_zero():
         return Ball.exact(0, out_prec)
-    K = _cutoff(spec, target / 2)
-    tail = tail_bound_exact(spec, K)
+    K, tail = _cutoff(spec, target / 2)
     prec = _working_bits(spec, K, digits)
     S = E = 0
     for _, T, err in fixed_point_terms(spec, K, prec):

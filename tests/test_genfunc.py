@@ -7,6 +7,8 @@ from fractions import Fraction as F
 
 import pytest
 
+from binom4k import genfunc
+from binom4k.exact import Poly, RatFunc
 from binom4k.genfunc import (
     TruncSeries,
     check_derivatives_f,
@@ -59,6 +61,171 @@ class TestTruncSeries:
     def test_derivative_integrate(self):
         s = TruncSeries([3, 1, 4, 1, 5])
         assert s.derivative().integrate() == TruncSeries([0, 1, 4, 1, 5])
+
+
+def _school_mul(a, b):
+    """Schoolbook Fraction product of two coefficient lists, through the
+    common order."""
+    n = min(len(a), len(b))
+    out = [F(0)] * n
+    for i in range(n):
+        for j in range(n - i):
+            out[i + j] += F(a[i]) * F(b[j])
+    return out
+
+
+def _school_div(a, b):
+    """a/b through the common order by the recurrence
+    q_n = (a_n - sum_{i<n} q_i b_{n-i}) / b_0."""
+    n = min(len(a), len(b))
+    out = []
+    for k in range(n):
+        out.append((F(a[k]) - sum(out[i] * b[k - i] for i in range(k))) / b[0])
+    return out
+
+
+def _random_coeffs(rng, n, rational=False):
+    """n seeded signed coefficients of 0 to 300 bits, with runs of zeros;
+    over small random denominators when `rational`."""
+    out = []
+    for _ in range(n):
+        c = rng.choice([0, 1]) * rng.randint(-2**rng.randint(0, 300), 2**rng.randint(0, 300))
+        out.append(F(c, rng.randint(1, 10**rng.randint(0, 12))) if rational else c)
+    return out
+
+
+class TestKernel:
+    """The integer kernel of TruncSeries against Fraction references."""
+
+    def test_random_products_match_schoolbook(self):
+        rng = random.Random(8)
+        for _ in range(60):
+            n, m = rng.randint(1, 40), rng.randint(1, 40)
+            a = _random_coeffs(rng, n, rational=rng.random() < 0.5)
+            b = _random_coeffs(rng, m, rational=rng.random() < 0.5)
+            prod = TruncSeries(a) * TruncSeries(b)
+            assert prod.order == min(n, m) - 1
+            assert list(prod.coeffs) == _school_mul(a, b)
+
+    def test_zero_runs(self):
+        a = [F(3, 7)] + [0] * 30 + [-(2**250)] + [0] * 20 + [F(1, 9)]
+        b = [0] * 25 + [2**200 + 1] + [0] * 27
+        for x, y in ((a, b), (b, a), (a, a), (b, b), (a, [0] * 53), ([0], [0])):
+            assert list((TruncSeries(x) * TruncSeries(y)).coeffs) == _school_mul(x, y)
+        zero = TruncSeries([0] * 12)
+        assert zero.is_zero() and zero.first_nonzero() is None
+        assert (zero * TruncSeries(a)).is_zero() and zero.den == 1
+        assert TruncSeries(b).first_nonzero() == 25
+
+    def test_order_zero(self):
+        a, b = TruncSeries([F(-3, 4)]), TruncSeries([F(5, 6)])
+        assert (a * b).coeffs == (F(-5, 8),)
+        assert (a / b).coeffs == (F(-9, 10),)
+        assert a.derivative() == TruncSeries([0])
+        assert a.integrate() == TruncSeries([0, F(-3, 4)])
+        assert TruncSeries([1]).log() == TruncSeries([0])
+
+    def test_common_order_truncates(self):
+        rng = random.Random(9)
+        long = _random_coeffs(rng, 30, rational=True)
+        short = [F(7, 3)] + _random_coeffs(rng, 5, rational=True)
+        for x, y in ((long, short), (short, long)):
+            assert list((TruncSeries(x) * TruncSeries(y)).coeffs) == _school_mul(x, y)
+            assert list((TruncSeries(x) + TruncSeries(y)).coeffs) == [
+                F(u) + F(v) for u, v in zip(x, y)]
+        assert list((TruncSeries(long) / TruncSeries(short)).coeffs) == _school_div(long, short)
+
+    def test_products_at_the_slot_edge(self):
+        """Coefficients of the largest magnitude of their bit length, and
+        powers of two: the product coefficient n (2^p - 1)(2^q - 1), with n
+        the number of its terms, sits just under the top of the slot the
+        kernel sizes for it, in either sign."""
+        for p, q, r in ((1, 1, 1), (7, 9, 3), (64, 1, 5), (300, 299, 6)):
+            M, N, n = 2**p - 1, 2**q - 1, 2**r - 1
+            for sa, sb in ((1, 1), (-1, 1), (1, -1), (-1, -1)):
+                for a, b in (([sa * M] * n, [sb * N] * n),
+                             ([sa * (-1)**i * M for i in range(n)], [sb * (-1)**i * N for i in range(n)]),
+                             ([sa * 2**p] * n, [sb * 2**q] * n)):
+                    got = genfunc._mul_nums(a, b)
+                    assert got == _school_mul(a, b), (p, q, r, sa, sb)
+                    assert all(isinstance(c, int) for c in got)
+                    assert (TruncSeries(a) * TruncSeries(b)).coeffs == tuple(_school_mul(a, b))
+
+    def test_division_matches_recurrence_and_roundtrips(self):
+        rng = random.Random(10)
+        for _ in range(25):
+            n = rng.randint(1, 34)
+            a = _random_coeffs(rng, n, rational=True)
+            b = [F(rng.choice([-1, 1]) * rng.randint(1, 2**rng.randint(0, 80)), rng.randint(1, 99))]
+            b += _random_coeffs(rng, n - 1, rational=True)
+            q = TruncSeries(a) / TruncSeries(b)
+            assert list(q.coeffs) == _school_div(a, b)
+            assert q * TruncSeries(b) == TruncSeries(a)
+        with pytest.raises(ZeroDivisionError):
+            TruncSeries([1, 2]) / TruncSeries([0, 1])
+
+    def test_canonical_form(self):
+        a, b = TruncSeries([F(1, 2), F(1, 3)]), TruncSeries([F(3, 6), F(2, 6)])
+        assert a == b and hash(a) == hash(b)
+        rng = random.Random(11)
+        s = TruncSeries(_random_coeffs(rng, 20, rational=True))
+        t = TruncSeries([F(5, 3)] + _random_coeffs(rng, 19, rational=True))
+        for u in (s * t / t, s * 12 / 12, (s + t) - t, -(-s), s * F(1, 3) * 3,
+                  s.integrate().derivative()):
+            assert u == s and hash(u) == hash(s)
+            assert u.den > 0 and math.gcd(u.den, *u.nums) == 1
+        assert TruncSeries([4, 6]).nums == (4, 6) and (TruncSeries([4, 6]) / 2).nums == (2, 3)
+        assert s != s.truncate(18) and TruncSeries([1, 0]) != TruncSeries([1])
+
+
+class TestExactTypes:
+    """The exact layer takes ints, Fractions, NFElems and RatFuncs only."""
+
+    def test_poly_rejects_float(self):
+        with pytest.raises(TypeError):
+            Poly([0.5, 1])
+
+    def test_truncseries_rejects_float(self):
+        with pytest.raises(TypeError):
+            TruncSeries([0.1])
+        with pytest.raises(TypeError):
+            TruncSeries([1, 2]) * 0.5
+
+    def test_ratfunc_rejects_float(self):
+        with pytest.raises(TypeError):
+            RatFunc(Poly([1, 0.1]), Poly([0.1, 1]))
+        with pytest.raises(TypeError):
+            RatFunc(0.5)
+
+
+class TestPerturbed:
+    """A coefficient of f or G_m changed at order 37 of 64 by a tiny
+    rational shows as the first bad order of every check that reads it."""
+
+    TINY = F(1, 10**40)
+
+    def _bump(self, s):
+        cs = list(s.coeffs)
+        cs[37] += self.TINY
+        return TruncSeries(cs)
+
+    def test_quartic(self):
+        r = check_quartic_f(64, f=self._bump(coeffs_f(64)))
+        assert not r.ok and r.first_bad_order == 37
+
+    def test_f_log(self, monkeypatch):
+        monkeypatch.setattr(genfunc, "coeffs_f", lambda K: self._bump(coeffs_f(K)))
+        r = check_f_log(64)
+        assert not r.ok and r.first_bad_order == 37
+
+    def test_gm_and_lagrange(self, monkeypatch):
+        monkeypatch.setattr(genfunc, "gm_series", lambda m, K: self._bump(gm_series(m, K)))
+        for m in range(1, 6):
+            r = check_gm(m, 64)
+            assert not r.ok and r.first_bad_order == 37, m
+            for n in range(1, 5):
+                r = check_lagrange(m, n, 64)
+                assert not r.ok and r.first_bad_order == 37, (m, n)
 
 
 class TestCoefficients:

@@ -310,8 +310,7 @@ def test_enclosure_less_tail_contains_partial_sum():
         spec = _random_spec(rng, [F(n, 256) for n in (1, 5, 12, 20)], [F(n, 2) for n in (1, 3, 7, 9)])
         digits = rng.choice([5, 12, 30])
         b = sum_series(spec, digits)
-        K = _cutoff(spec, F(1, 10**digits) / 2)
-        tail = tail_bound_exact(spec, K)
+        K, tail = _cutoff(spec, F(1, 10**digits) / 2)
         s, H = F(0), dict.fromkeys(spec.channels, F(0))     # running H_{jk}
         mag = F(1)                                           # x^k C(4k,k)^(+-1)
         for k in range(K + 1):
@@ -374,14 +373,78 @@ def test_cutoff_is_the_least_certified():
         seen |= {(spec.binomial_power, spec.x > 0, j) for j in spec.channels}
         digits = rng.choice([5, 20, 60, 200])
         budget = F(1, 10**digits) / 2
-        K = _cutoff(spec, budget)
-        assert tail_bound_exact(spec, K) <= budget, spec
+        K, bound = _cutoff(spec, budget)
+        assert bound == tail_bound_exact(spec, K) <= budget, spec
         if K - 1 >= min_tail_cutoff(spec):
             assert tail_bound_exact(spec, K - 1) > budget, spec
         # a budget just below the bound at K fits the estimate within its
         # slack, so the exact certificate has to send the search on to K + 1
-        assert _cutoff(spec, tail_bound_exact(spec, K) * (1 - F(1, 10**9))) == K + 1, spec
+        assert _cutoff(spec, bound * (1 - F(1, 10**9)))[0] == K + 1, spec
     assert len(seen) == 20
+
+
+def test_one_tail_bound_per_sum_at_its_cutoff(monkeypatch):
+    """Verifying the catalog at 50 digits computes exactly one exact tail
+    bound per sum, at the K that sum then runs to."""
+    import binom4k.series as series
+    from binom4k.catalog import builtin_catalog
+    from binom4k.cli import verify_entry
+
+    events = []
+    tail, terms = series.tail_bound_exact, series.fixed_point_terms
+
+    def counted_tail(spec, K):
+        events.append(("tail", K))
+        return tail(spec, K)
+
+    def counted_terms(spec, K, prec):
+        events.append(("sum", K))
+        return terms(spec, K, prec)
+
+    monkeypatch.setattr(series, "tail_bound_exact", counted_tail)
+    monkeypatch.setattr(series, "fixed_point_terms", counted_terms)
+    for entry in builtin_catalog():
+        assert verify_entry(entry, 50).status == "PASS", entry.id
+    sums = [i for i, (kind, _) in enumerate(events) if kind == "sum"]
+    assert len(sums) >= 36 and len(events) == 2 * len(sums)
+    assert all(events[i - 1] == ("tail", events[i][1]) for i in sums)
+
+
+def test_cutoff_miss_path_ends_on_its_bound(monkeypatch):
+    """When the exact bound rejects the estimate's K, the search goes on
+    upward on exact bounds; the last bound it computes, and the one it
+    returns, is the one at the K it returns.  Driven by a budget just below
+    the bound at K, and by an estimate skewed 40 bits low, whose upward
+    search bisects and can end on a miss at K - 1."""
+    import binom4k.series as series
+
+    calls = []
+    exact = series.tail_bound_exact
+
+    def counted(spec, K):
+        calls.append(K)
+        return exact(spec, K)
+
+    monkeypatch.setattr(series, "tail_bound_exact", counted)
+    for spec in (EQ11, RECIP_PI, SeriesSpec(x=F(-25, 256), start=1, channels={4: (1,), 1: (2, 1)})):
+        K, bound = series._cutoff(spec, F(1, 10**30))
+        calls.clear()
+        K1, bound1 = series._cutoff(spec, bound * (1 - F(1, 10**9)))
+        assert K1 == K + 1 and calls[-1] == K1 and bound1 == exact(spec, K1), spec
+
+    estimator = series._tail_log2_estimator
+    monkeypatch.setattr(series, "_tail_log2_estimator",
+                        lambda spec: lambda K: estimator(spec)(K) - 40)
+    ended_on_miss = 0
+    for spec in (EQ11, RECIP_PI):
+        for digits in range(20, 60):
+            calls.clear()
+            budget = F(1, 10**digits)
+            K, bound = series._cutoff(spec, budget)
+            assert calls[-1] == K and bound == exact(spec, K) <= budget, (spec, digits)
+            assert exact(spec, K - 1) > budget, (spec, digits)
+            ended_on_miss += len(calls) > 1 and calls[-2] == K - 1
+    assert ended_on_miss
 
 
 def test_tail_estimate_never_raises():
