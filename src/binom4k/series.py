@@ -365,16 +365,9 @@ def _cutoff(spec: SeriesSpec, budget: Fraction) -> tuple[int, Fraction]:
     K = _first_fit(min_tail_cutoff(spec), lambda K: estimate(K) <= target)
     bound = tail_bound_exact(spec, K)
     if bound > budget:
-        last = {}
-
-        def fits(K):
-            last.clear()
-            last[K] = tail_bound_exact(spec, K)
-            return last[K] <= budget
-
-        K = _first_fit(K + 1, fits)
+        K = _first_fit(K + 1, lambda K: tail_bound_exact(spec, K) <= budget)
         # the bisection may have ended on a miss at K - 1
-        bound = last[K] if K in last else tail_bound_exact(spec, K)
+        bound = tail_bound_exact(spec, K)
     return K, bound
 
 

@@ -136,10 +136,10 @@ class TestKernel:
         assert list((TruncSeries(long) / TruncSeries(short)).coeffs) == _school_div(long, short)
 
     def test_products_at_the_slot_edge(self):
-        """Coefficients of the largest magnitude of their bit length, and
-        powers of two: the product coefficient n (2^p - 1)(2^q - 1), with n
-        the number of its terms, sits just under the top of the slot the
-        kernel sizes for it, in either sign."""
+        """Coefficients of the largest magnitude of their bit length, whose
+        product coefficient n (2^p - 1)(2^q - 1) (n terms) sits just under
+        the top of the slot the kernel sizes for it, in either sign; and
+        powers of two, the least magnitude of their bit length."""
         for p, q, r in ((1, 1, 1), (7, 9, 3), (64, 1, 5), (300, 299, 6)):
             M, N, n = 2**p - 1, 2**q - 1, 2**r - 1
             for sa, sb in ((1, 1), (-1, 1), (1, -1), (-1, -1)):
