@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import Iterable
 
@@ -250,7 +251,12 @@ LEMMA51_CASES: dict[str, tuple[Fraction, int, tuple, tuple, Fraction]] = {
 
 
 def builtin_catalog() -> list[IdentityEntry]:
-    """Every displayed series identity, in source order."""
+    """Every displayed series identity, in source order; the frozen entries are built once."""
+    return list(_builtin_entries())
+
+
+@lru_cache(maxsize=None)
+def _builtin_entries() -> tuple[IdentityEntry, ...]:
     E = IdentityEntry
     entries = [
         E("eq-1.1", "intro (1.1)",
@@ -376,7 +382,7 @@ def builtin_catalog() -> list[IdentityEntry]:
             rat(r) * sqrt(d)))
     ids = [e.id for e in entries]
     assert len(ids) == len(set(ids)) == CATALOG_SIZE
-    return entries
+    return tuple(entries)
 
 
 CATALOG_SIZE = 36

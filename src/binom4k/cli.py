@@ -37,7 +37,7 @@ from .catalog import (
 from .exact import NFElem, Poly
 from .genfunc import eval_f
 from .proofs import alpha_context, run_exact_checks, substituted_integrands
-from .series import PrecisionError, SeriesSpec, SpecError, fold_shared, sum_series
+from .series import PrecisionError, SeriesSpec, SpecError, sum_many, sum_series
 
 DEFAULT_DIGITS_ENV = "BINOM4K_DIGITS"
 
@@ -114,52 +114,55 @@ def _digits(args, minimum: int = 10) -> int:
 
 
 def verify_entry(entry: IdentityEntry, digits: int) -> VerificationRecord:
-    t0 = time.perf_counter()
+    return _verify_entries([entry], digits)[0]
+
+
+def _verify_entries(entries: list[IdentityEntry], digits: int) -> list[VerificationRecord]:
+    """A record per entry from one `sum_many` call for all their components;
+    elapsed_ms is a record's own work plus its components' seconds."""
     inner = digits + COMPONENT_PAD
-    components = fold_shared(entry.components)
-    # one more digit per decade of the total weight keeps the weighted sum of
-    # the component radii within 10^-inner
-    spread = sum(abs(w) for w, _ in components)
-    component_digits = inner
-    while 10 ** (component_digits - inner) < spread:
-        component_digits += 1
+    requests = []
+    for entry in entries:
+        # one more digit per decade of the total weight keeps the weighted sum
+        # of the component radii within 10^-inner
+        spread = sum(abs(w) for w, _ in entry.components)
+        component_digits = inner
+        while 10 ** (component_digits - inner) < spread:
+            component_digits += 1
+        requests.extend((spec, component_digits) for _, spec in entry.components)
+    summed = iter(sum_many(requests))
+    return [_record(entry, digits, [next(summed) for _ in entry.components]) for entry in entries]
+
+
+def _record(entry: IdentityEntry, digits: int, summed: list) -> VerificationRecord:
+    """The verdict on an entry from its components' (enclosure or error, seconds)."""
+    t0 = time.perf_counter()
     try:
-        lhs: Optional[Ball] = None
-        for weight, spec in components:
-            part = weight * sum_series(spec, component_digits)
-            lhs = part if lhs is None else lhs + part
-        rhs = eval_closed_form(entry.rhs, inner)
+        for ball, _ in summed:
+            if isinstance(ball, Exception):
+                raise ball
+        lhs = sum((w * ball for (w, _), (ball, _) in zip(entry.components, summed)), Ball.exact(0))
+        rhs = eval_closed_form(entry.rhs, digits + COMPONENT_PAD)
         diff = lhs - rhs
-        threshold = Fraction(1, 10 ** (digits - 1))
         if not diff.contains_zero():
             status, msg = "FAIL", "difference enclosure excludes 0"
-        elif diff.width() > threshold:
+        elif diff.width() > Fraction(1, 10 ** (digits - 1)):
             status, msg = "ERROR", "difference enclosure too wide to decide"
         else:
             status, msg = "PASS", ""
-        return VerificationRecord(
-            id=entry.id, status=status,
-            lhs=lhs.decimal(digits), rhs=rhs.decimal(digits),
-            difference=diff.decimal(6), digits=digits,
-            elapsed_ms=1000 * (time.perf_counter() - t0),
-            provenance=entry.provenance, message=msg,
-        )
+        shown = lhs.decimal(digits), rhs.decimal(digits), diff.decimal(6)
     except (PrecisionError, SpecError, ArithmeticError) as exc:
-        return VerificationRecord(
-            id=entry.id, status="ERROR", lhs="", rhs="", difference="",
-            digits=digits, elapsed_ms=1000 * (time.perf_counter() - t0),
-            provenance=entry.provenance, message=str(exc),
-        )
+        status, msg, shown = "ERROR", str(exc), ("", "", "")
+    elapsed_ms = 1000 * (time.perf_counter() - t0 + sum(seconds for _, seconds in summed))
+    return VerificationRecord(entry.id, status, *shown, digits, elapsed_ms, entry.provenance, msg)
 
 
 def run_verify_all(digits: int, jobs: int) -> list[VerificationRecord]:
-    """Verify every catalog entry, one after another, in catalog order.
-
-    `jobs` (>= 1) is accepted and ignored: the work is pure Python, so a
-    thread pool gains nothing under the GIL.  The parameter stays because
-    `--jobs` and the benchmark worker (`bench/worker.py`) pass it.
-    """
-    return [verify_entry(e, digits) for e in builtin_catalog()]
+    """Verify every catalog entry, in catalog order, in one batch.  `jobs`
+    (>= 1) is accepted and ignored: the work is pure Python, so a thread pool
+    gains nothing under the GIL; it stays because `--jobs` and the benchmark
+    worker (`bench/worker.py`) pass it."""
+    return _verify_entries(builtin_catalog(), digits)
 
 
 def records_json(records: list[VerificationRecord]) -> str:

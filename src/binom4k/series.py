@@ -31,7 +31,10 @@ sum of the terms and E the sum of their bounds, the partial sum lies in
 [(S - E) / (L 2^P), (S + E) / (L 2^P)].  P is fixed before the sum from the
 digits, K, the coefficient sizes and the peak of m_k for k <= K.  Floats only
 choose P; the enclosure is built from the tracked integers, and a bound that
-still misses the target raises PrecisionError.
+still misses the target raises PrecisionError.  Specs that share x and the
+binomial power share B_k and every C_{j,k}: `sum_many` sums them in one pass,
+to their largest K at their largest P (more bits only shrink the tracked
+error), each taking its terms up to its own K.
 
 The tail after the cutoff K is bounded by a certified geometric envelope:
 
@@ -61,13 +64,12 @@ anywhere.
 from __future__ import annotations
 
 import math
-from collections import Counter
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Mapping
 
 from .balls import Ball
-from .exact import Poly
 
 # linear factors a*k + b allowed in denominators
 DENOM_FACTORS: dict[str, tuple[int, int]] = {
@@ -179,41 +181,6 @@ class SeriesSpec:
 
     def is_zero(self) -> bool:
         return not self.channels
-
-
-def fold_shared(components) -> list[tuple[Fraction, SeriesSpec]]:
-    """The weighted components (weight, spec), with those that share x, the
-    binomial power and the start folded into one spec of weight 1 over the
-    union D of their denominator factors:
-
-        sum_i w_i R_i(k) / D_i(k) = sum_i w_i R_i(k) (D / D_i)(k) / D(k),
-
-    so one pass sums the group.  Components alone in their group stay as
-    they are; groups keep the order of their first component."""
-    groups: dict[tuple, list] = {}
-    for w, s in components:
-        groups.setdefault((s.x, s.binomial_power, s.start), []).append((w, s))
-    out = []
-    for (x, power, start), group in groups.items():
-        if len(group) == 1:
-            out.extend(group)
-            continue
-        union: Counter = Counter()  # the factors as a multiset
-        for _, s in group:
-            union |= Counter(s.denominator_factors)
-        channels: dict[int, Poly] = {}
-        for w, s in group:
-            lack = Poly([w])
-            for name in (union - Counter(s.denominator_factors)).elements():
-                a, b = DENOM_FACTORS[name]
-                lack = lack * Poly([b, a])
-            for j, cs in s.channels.items():
-                channels[j] = channels.get(j, Poly()) + Poly(cs) * lack
-        out.append((Fraction(1), SeriesSpec(
-            x=x, binomial_power=power, start=start,
-            channels={j: p.coeffs for j, p in channels.items()},
-            denominator_factors=tuple(union.elements()))))
-    return out
 
 
 def _rho(k: int) -> tuple[int, int]:
@@ -387,7 +354,7 @@ def _ceil_div(a: int, b: int) -> int:
 @dataclass(slots=True)
 class TermState:
     """Fixed-point state at k = 0, where every value is exact: B = 2^prec m_0
-    with error bound eB = 0 and, for each harmonic channel j the spec uses,
+    with error bound eB = 0 and, for each harmonic channel j in `channels`,
     C_j = 2^prec m_0 H_0 = 0 with error bound 0."""
 
     B: int
@@ -397,66 +364,62 @@ class TermState:
     eC: list[int]
 
     @staticmethod
-    def initial(spec: SeriesSpec, prec: int) -> "TermState":
-        js = sorted(j for j in spec.channels if j)
-        return TermState(1 << prec, 0, js, [0] * len(js), [0] * len(js))
+    def initial(channels: list[int], prec: int) -> "TermState":
+        return TermState(1 << prec, 0, channels, [0] * len(channels), [0] * len(channels))
 
 
-def fixed_point_terms(spec: SeriesSpec, K: int, prec: int) -> Iterator[tuple[int, int, int]]:
-    """Yield (k, T, err) for spec.start <= k <= K, where T and the integer err
-    bound the exact term: |T - L 2^prec t_k| <= err, with L = channel_scale(spec).
-
-    The recurrences of the module docstring, with the state in locals: per
-    index every product is a P-bit value times a small integer."""
-    scale = channel_scale(spec)
-    # Horner coefficients, highest degree first, of L Rj for each channel
-    poly = {j: [int(c * scale) for c in reversed(cs)] for j, cs in spec.channels.items()}
-    state = TermState.initial(spec, prec)
-    B, eB, js, C, eC = state.B, state.eB, state.channels, state.C, state.eC
-    r0 = poly.get(0)
-    rs = [poly[j] for j in js]
-    factors = [DENOM_FACTORS[n] for n in spec.denominator_factors]
-    xa, xb = abs(spec.x.numerator), spec.x.denominator
-    reciprocal, negative, start = spec.binomial_power == -1, spec.x < 0, spec.start
-    for k in range(K + 1):
-        if k >= start:
+def fixed_point_terms(specs: list[SeriesSpec], cutoffs: list[int],
+                      prec: int) -> Iterator[tuple[int, int, int, int]]:
+    """Yield (i, k, T, err) for each spec i and specs[i].start <= k <= cutoffs[i]:
+    |T - L 2^prec t_k| <= err for the exact term t_k of spec i, L = channel_scale(specs[i]).
+    The specs share x and the binomial power, so one B stream and one C_j stream
+    per harmonic channel serve them all (the recurrences of the module docstring)."""
+    state = TermState.initial(sorted({j for s in specs for j in s.channels if j}), prec)
+    # slot 0 holds B and its error bound, slot n the C_j of j = js[n - 1]
+    js, values, errors = state.channels, [state.B, *state.C], [state.eB, *state.eC]
+    slot = {j: n for n, j in enumerate([0] + js)}
+    plans = []
+    for i, (spec, K) in enumerate(zip(specs, cutoffs)):
+        scale = channel_scale(spec)
+        # Horner coefficients, highest degree first, of L Rj for each channel
+        plans.append((i, spec.start, K, [(slot[j], [int(c * scale) for c in reversed(cs)])
+                                         for j, cs in spec.channels.items()],
+                      [DENOM_FACTORS[n] for n in spec.denominator_factors]))
+    x, reciprocal, last = specs[0].x, specs[0].binomial_power == -1, max(cutoffs)
+    xa, xb, negative = abs(x.numerator), x.denominator, x < 0
+    for k in range(last + 1):
+        flip = negative and k % 2 == 1   # the sign of x^k
+        if k:
+            a, b = 4 * (4 * k - 3) * (4 * k - 2) * (4 * k - 1), (3 * k - 2) * (3 * k - 1) * (3 * k)
+            a, b = (xa * b, xb * a) if reciprocal else (xa * a, xb * b)
+            B, eB = values[0], errors[0]
+            for n, j in enumerate(js, 1):
+                s, es = values[n], errors[n]
+                for i in range(j * k - j + 1, j * k + 1):
+                    s += B // i
+                    es += -(-eB // i) + 1
+                values[n], rem = divmod(s * a, b)
+                errors[n] = -(-es * a // b) + (rem != 0)
+            values[0], rem = divmod(B * a, b)
+            errors[0] = -(-eB * a // b) + (rem != 0)
+        for i, start, K, rs, factors in plans:
+            if not start <= k <= K:
+                continue
             v = e = 0
-            if r0 is not None:
-                r = 0
-                for c in r0:
-                    r = r * k + c
-                v, e = r * B, abs(r) * eB
-            for n, coeffs in enumerate(rs):
+            for n, coeffs in rs:
                 r = 0
                 for c in coeffs:
                     r = r * k + c
-                v += r * C[n]
-                e += abs(r) * eC[n]
+                v += r * values[n]
+                e += abs(r) * errors[n]
             d = 1
             for fa, fb in factors:
                 d *= fa * k + fb
-            if (negative and k % 2 == 1) != (d < 0):
+            if flip != (d < 0):
                 v = -v
             d = abs(d)
             T, rem = divmod(v, d)
-            yield k, T, -(-e // d) + (rem != 0)
-        if k == K:
-            return
-        # a / b = m_{k+1} / m_k = |x| rho(k)^(+-1)
-        a = 4 * (4 * k + 1) * (4 * k + 2) * (4 * k + 3)
-        b = (3 * k + 1) * (3 * k + 2) * (3 * k + 3)
-        if reciprocal:
-            a, b = b, a
-        a, b = xa * a, xb * b
-        for n, j in enumerate(js):
-            s, es = C[n], eC[n]
-            for i in range(j * k + 1, j * k + j + 1):
-                s += B // i
-                es += -(-eB // i) + 1
-            C[n], rem = divmod(s * a, b)
-            eC[n] = -(-es * a // b) + (rem != 0)
-        B, rem = divmod(B * a, b)
-        eB = -(-eB * a // b) + (rem != 0)
+            yield i, k, T, -(-e // d) + (rem != 0)
 
 
 def _working_bits(spec: SeriesSpec, K: int, digits: int) -> int:
@@ -485,34 +448,62 @@ def _working_bits(spec: SeriesSpec, K: int, digits: int) -> int:
     return math.ceil(bits) + GUARD_BITS
 
 
-def sum_series(spec: SeriesSpec, digits: int = 50) -> Ball:
-    """Enclosure of the series value with radius <= 10^-digits.
+def sum_many(requests: list[tuple[SeriesSpec, int]]) -> list[tuple[Ball | Exception, float]]:
+    """For each (spec, digits): an enclosure with radius <= 10^-digits, or the
+    SpecError or ArithmeticError that spec ran into; and its seconds, its
+    cutoff search plus its share of its pass by the terms it summed.  Specs
+    that share x and the binomial power share one pass (module docstring)."""
+    results: list = [None] * len(requests)
+    groups: dict[tuple, list[int]] = {}
+    for n, (spec, digits) in enumerate(requests):
+        if digits < 1:
+            raise ValueError("digits must be >= 1")
+        groups.setdefault((spec.x, spec.binomial_power), []).append(n)
+    for group in groups.values():
+        members, prec = [], 0
+        for n in group:
+            spec, digits = requests[n]
+            t0 = time.perf_counter()
+            if spec.is_zero():
+                results[n] = Ball.exact(0, _bits_for_digits(digits + 20)), time.perf_counter() - t0
+                continue
+            try:
+                K, tail = _cutoff(spec, Fraction(1, 10**digits) / 2)
+                prec = max(prec, _working_bits(spec, K, digits))
+            except (SpecError, ArithmeticError) as exc:
+                results[n] = exc, time.perf_counter() - t0
+                continue
+            members.append((n, spec, K, tail, time.perf_counter() - t0))
+        if not members:
+            continue
+        S, E = [0] * len(members), [0] * len(members)
+        t0 = time.perf_counter()
+        specs, cutoffs = [m[1] for m in members], [m[2] for m in members]
+        for i, _, T, err in fixed_point_terms(specs, cutoffs, prec):
+            S[i] += T
+            E[i] += err
+        pass_s = time.perf_counter() - t0
+        terms = sum(K - spec.start + 1 for _, spec, K, _, _ in members)
+        for i, (n, spec, K, tail, cutoff_s) in enumerate(members):
+            digits = requests[n][1]
+            unit = channel_scale(spec) << prec
+            # endpoints keep out_prec bits below the leading bit of the value
+            magnitude = (abs(S[i]) + E[i]).bit_length() - unit.bit_length() + 1
+            ball = Ball(Fraction(S[i] - E[i], unit) - tail, Fraction(S[i] + E[i], unit) + tail,
+                        _bits_for_digits(digits + 20) + max(magnitude, 0))
+            if ball.radius() > Fraction(1, 10**digits):
+                ball = PrecisionError("radius target unreachable")
+            results[n] = ball, cutoff_s + pass_s * (K - spec.start + 1) / terms
+    return results
 
-    The cutoff K is chosen first, so that the certified tail bound is at most
-    half the radius budget; then one fixed-point pass at an a-priori
-    precision sums the terms up to K.  The last tail bound computed is the
-    one at K, so a trace of the calls reads the cutoff the sum used.
-    """
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
-    target = Fraction(1, 10**digits)
-    out_prec = _bits_for_digits(digits + 20)
-    if spec.is_zero():
-        return Ball.exact(0, out_prec)
-    K, tail = _cutoff(spec, target / 2)
-    prec = _working_bits(spec, K, digits)
-    S = E = 0
-    for _, T, err in fixed_point_terms(spec, K, prec):
-        S += T
-        E += err
-    unit = channel_scale(spec) << prec
-    # endpoints keep out_prec bits below the leading bit of the value
-    magnitude = (abs(S) + E).bit_length() - unit.bit_length() + 1
-    ball = Ball(Fraction(S - E, unit) - tail, Fraction(S + E, unit) + tail,
-                out_prec + max(magnitude, 0))
-    if ball.radius() > target:
-        raise PrecisionError("radius target unreachable")
-    return ball
+
+def sum_series(spec: SeriesSpec, digits: int = 50) -> Ball:
+    """`sum_many` of one spec, raising its error.  The last tail bound it
+    computes is the one at its cutoff K, so a trace reads the K it used."""
+    result, _ = sum_many([(spec, digits)])[0]
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def _bits_for_digits(digits: int) -> int:

@@ -238,14 +238,76 @@ def test_verify_entry_negative_paths(entry_id, sub_resolution):
 
 @pytest.mark.parametrize("digits", [12, 50])
 def test_folded_entries_keep_the_lhs_radius(digits):
-    # the three components of a lem5.1 entry are summed as one series; the
-    # lhs radius stays within 10^-(D+3), as for a sum of weighted components
+    # the three components of a lem5.1 entry share x and are summed in one
+    # pass; the lhs radius stays within 10^-(D+3)
     for entry in builtin_catalog():
         if entry.id.startswith("lem5.1-"):
             record = verify_entry(entry, digits)
             assert record.status == "PASS", entry.id
             radius = F(record.lhs.split(" +/- ")[1])
             assert radius <= F(1, 10 ** (digits + 3)), (entry.id, record.lhs)
+
+
+def _lhs_ball(record):
+    mid, radius = (F(p) for p in record.lhs.split(" +/- "))
+    return mid - radius, mid + radius, radius
+
+
+def test_verify_and_verify_all_agree():
+    """At 50 digits every entry gets the same verdict alone as in the shared
+    passes of verify-all, where the working bits are those of its whole
+    group: same status, rhs, digits, provenance and message, overlapping lhs
+    enclosures, both with radius <= 10^-(D+3)."""
+    digits = 50
+    for alone, shared in zip((verify_entry(e, digits) for e in builtin_catalog()),
+                             run_verify_all(digits, 1), strict=True):
+        assert (alone.id, alone.status, alone.rhs, alone.digits, alone.provenance,
+                alone.message) == (shared.id, shared.status, shared.rhs, shared.digits,
+                                   shared.provenance, shared.message)
+        lo1, hi1, r1 = _lhs_ball(alone)
+        lo2, hi2, r2 = _lhs_ball(shared)
+        assert lo1 <= hi2 and lo2 <= hi1, alone.id
+        assert max(r1, r2) <= F(1, 10 ** (digits + 3)), alone.id
+
+
+@pytest.mark.parametrize("failure", ["cutoff", "radius"])
+def test_one_failed_component_spoils_only_its_entry(monkeypatch, failure):
+    """A cutoff that raises, or a ball that misses its radius, for one
+    component of thm1.1-H2k (x = 1/16) gives that entry an ERROR record; the
+    other 1/16 entries, summed in the same pass, keep their PASS."""
+    victim = catalog_by_id()["thm1.1-H2k"].components[0][1]
+    cutoff = series._cutoff
+
+    def failing(spec, budget):
+        if spec != victim:
+            return cutoff(spec, budget)
+        if failure == "cutoff":
+            raise series.PrecisionError("planted cutoff failure")
+        K, tail = cutoff(spec, budget)
+        return K, tail * 10**6
+
+    monkeypatch.setattr(series, "_cutoff", failing)
+    records = {r.id: r for r in run_verify_all(30, 1)}
+    bad = records.pop("thm1.1-H2k")
+    assert bad.status == "ERROR" and bad.lhs == ""
+    assert bad.message == ("planted cutoff failure" if failure == "cutoff"
+                           else "radius target unreachable")
+    sixteenths = [e.id for e in builtin_catalog()
+                  if e.id != "thm1.1-H2k" and e.components[0][1].x == F(1, 16)]
+    assert len(sixteenths) == 16
+    assert all(r.status == "PASS" for r in records.values()), \
+        [r.id for r in records.values() if r.status != "PASS"]
+
+
+def test_elapsed_ms_shares_the_passes():
+    """Each record's elapsed_ms is its own work plus its components' share
+    of the cutoffs and passes: every value is > 0 and they add up to no more
+    than the wall time of the run."""
+    t0 = time.perf_counter()
+    records = run_verify_all(50, 1)
+    wall_ms = 1000 * (time.perf_counter() - t0)
+    assert all(r.elapsed_ms > 0 for r in records)
+    assert sum(r.elapsed_ms for r in records) <= wall_ms
 
 
 def test_data_derived_outputs_pinned(capsys):

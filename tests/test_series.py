@@ -7,7 +7,6 @@ from fractions import Fraction as F
 import pytest
 
 from binom4k.balls import const_pi
-from binom4k.catalog import LEMMA51_CASES
 from binom4k.series import (
     DENOM_FACTORS,
     SeriesSpec,
@@ -72,16 +71,25 @@ def _exact_terms(spec, K):
     return terms
 
 
-def _checked_terms(spec, K, prec=200):
-    """The fixed-point terms, each checked against the exact term within its
-    tracked error bound."""
-    scale = channel_scale(spec) << prec
-    exact = _exact_terms(spec, K)
-    got = list(fixed_point_terms(spec, K, prec))
-    assert [k for k, _, _ in got] == list(exact)
-    for k, T, err in got:
-        assert abs(T - scale * exact[k]) <= err, k
+def _group_terms(specs, cutoffs, prec):
+    """The group kernel's terms of each spec, as a list of (k, T, err) per
+    spec: exactly the k with start <= k <= its cutoff, each within its
+    tracked error bound of the exact term."""
+    got = [[] for _ in specs]
+    for i, k, T, err in fixed_point_terms(specs, cutoffs, prec):
+        got[i].append((k, T, err))
+    for spec, K, terms in zip(specs, cutoffs, got):
+        scale = channel_scale(spec) << prec
+        exact = _exact_terms(spec, K)
+        assert [k for k, _, _ in terms] == list(exact)
+        for k, T, err in terms:
+            assert abs(T - scale * exact[k]) <= err, (spec, prec, k)
     return got
+
+
+def _checked_terms(spec, K, prec=200):
+    """The fixed-point terms of one spec, in a group of one."""
+    return _group_terms([spec], [K], prec)[0]
 
 
 class TestTerms:
@@ -99,7 +107,12 @@ class TestTerms:
     def test_inexact_floor_costs_one_unit(self):
         # B_1 = 2^198 is exact; dividing by D(1) = 5 is not
         spec = SeriesSpec(x=F(1, 16), channels={0: (1,)}, denominator_factors=("3k+2",))
-        assert _checked_terms(spec, 1) == [(0, 1 << 199, 0), (1, (1 << 198) // 5, 1)]
+        want = [(0, 1 << 199, 0), (1, (1 << 198) // 5, 1)]
+        assert _checked_terms(spec, 1) == want
+        # in a group of three its terms are the same, to its own cutoff
+        others = [SeriesSpec(x=F(1, 16), start=1, channels={2: (1,)}),
+                  SeriesSpec(x=F(1, 16), channels={0: (3,), 4: (1,)})]
+        assert _group_terms([others[0], spec, others[1]], [4, 1, 3], 200)[1] == want
 
     def test_underflowed_magnitude_keeps_its_harmonic_channel(self):
         """At P = 8 and x = 1/16, B_7 ~ 2^8 m_7 = 1.13 floors to 0 while
@@ -110,8 +123,14 @@ class TestTerms:
         assert (k, B) == (7, 0) and eB > 0
         k, C, eC = _checked_terms(SeriesSpec(x=x, channels={4: (1,)}), 7, prec=8)[7]
         assert k == 7 and 0 < C < 4
-        _checked_terms(SeriesSpec(x=x, channels={0: (2, 1), 4: (-1, 3)},
-                                  denominator_factors=("3k+1",)), 7, prec=8)
+        mixed = SeriesSpec(x=x, channels={0: (2, 1), 4: (-1, 3)}, denominator_factors=("3k+1",))
+        _checked_terms(mixed, 7, prec=8)
+        # the three in one group: the shared B and C_4 streams give each the
+        # terms it gets alone
+        group = [SeriesSpec(x=x, channels={0: (1,)}), SeriesSpec(x=x, channels={4: (1,)}), mixed]
+        assert _group_terms(group, [7, 7, 7], 8) == [_checked_terms(s, 7, prec=8) for s in group]
+        assert _group_terms(group, [3, 7, 5], 8) == [
+            _checked_terms(s, K, prec=8) for s, K in zip(group, [3, 7, 5])]
 
     def test_recurrences_match_direct(self):
         spec = SeriesSpec(x=F(-1, 72), start=0,
@@ -265,14 +284,18 @@ def test_random_specs_contain_partial_sums():
         assert b.lo_fraction() - tb <= s <= b.hi_fraction() + tb
 
 
-def _random_spec(rng, xs, recip_xs):
+def _random_spec(rng, xs, recip_xs, like=None):
     """A seeded spec with |x| drawn from `xs` (C(4k,k)) or `recip_xs`
     (1/C(4k,k)): either sign of x, either binomial power, any channels
     (small integer coefficients, or up to about 10^12 over denominators up
-    to 10^6) and any denominator factors."""
-    power = rng.choice([1, -1])
-    sign = rng.choice([1, -1])
-    x = sign * rng.choice(xs if power == 1 else recip_xs)
+    to 10^6) and any denominator factors.  Given `like`, x and the binomial
+    power are those of `like`."""
+    if like is None:
+        power = rng.choice([1, -1])
+        sign = rng.choice([1, -1])
+        x = sign * rng.choice(xs if power == 1 else recip_xs)
+    else:
+        power, x = like.binomial_power, like.x
     big = rng.random() < 0.5
     chans = {j: tuple(F(rng.randint(-10**12, 10**12), rng.randint(1, 10**6)) if big
                       else F(rng.randint(-3, 3)) for _ in range(rng.randint(1, 3)))
@@ -283,20 +306,43 @@ def _random_spec(rng, xs, recip_xs):
                       denominator_factors=dens)
 
 
+def _random_group(rng, size, xs, recip_xs):
+    """`size` seeded specs that share x and the binomial power."""
+    first = _random_spec(rng, xs, recip_xs)
+    return [first] + [_random_spec(rng, xs, recip_xs, like=first) for _ in range(size - 1)]
+
+
 def test_low_precision_terms_within_their_bounds():
     """At P = 8..24 bits the floors of B_k, of the B_k / i folded into each
     C_j and of the C_j themselves are a visible share of each term, so a
     bound that misses a part of the error shows: |T - L 2^P t_k| <= err
-    against exact Fraction terms."""
+    against exact Fraction terms, for groups of one and of three specs with
+    cutoffs of their own."""
     rng = random.Random(2718)
-    for _ in range(12):
-        spec = _random_spec(rng, [F(n, 256) for n in (1, 7, 16, 26)],
-                            [F(n, 2) for n in (1, 5, 11, 18)])
-        exact = _exact_terms(spec, 40)
+    for size in [1] * 12 + [3] * 6:
+        group = _random_group(rng, size, [F(n, 256) for n in (1, 7, 16, 26)],
+                              [F(n, 2) for n in (1, 5, 11, 18)])
+        cutoffs = [40] if size == 1 else [rng.randint(20, 40) for _ in group]
         for prec in (8, 12, 16, 20, 24):
-            scale = channel_scale(spec) << prec
-            for k, T, err in fixed_point_terms(spec, 40, prec):
-                assert abs(T - scale * exact[k]) <= err, (spec, prec, k)
+            _group_terms(group, cutoffs, prec)
+
+
+def _partial_sum(spec, K):
+    """The exact partial sum S_K from running H_{jk} and x^k C(4k,k)^(+-1)."""
+    s, H = F(0), dict.fromkeys(spec.channels, F(0))     # running H_{jk}
+    mag = F(1)                                           # x^k C(4k,k)^(+-1)
+    for k in range(K + 1):
+        if k:
+            for j in H:
+                H[j] += sum(F(1, i) for i in range(j * (k - 1) + 1, j * k + 1))
+            c = F(math.comb(4 * k, k), math.comb(4 * k - 4, k - 1))
+            mag *= spec.x * (c if spec.binomial_power == 1 else 1 / c)
+        if k < spec.start:
+            continue
+        num = sum(sum(c * k**i for i, c in enumerate(cs)) * (H[j] if j else 1)
+                  for j, cs in spec.channels.items())
+        s += mag * num / spec.denominator_at(k)
+    return s
 
 
 def test_enclosure_less_tail_contains_partial_sum():
@@ -311,52 +357,50 @@ def test_enclosure_less_tail_contains_partial_sum():
         digits = rng.choice([5, 12, 30])
         b = sum_series(spec, digits)
         K, tail = _cutoff(spec, F(1, 10**digits) / 2)
-        s, H = F(0), dict.fromkeys(spec.channels, F(0))     # running H_{jk}
-        mag = F(1)                                           # x^k C(4k,k)^(+-1)
-        for k in range(K + 1):
-            if k:
-                for j in H:
-                    H[j] += sum(F(1, i) for i in range(j * (k - 1) + 1, j * k + 1))
-                c = F(math.comb(4 * k, k), math.comb(4 * k - 4, k - 1))
-                mag *= spec.x * (c if spec.binomial_power == 1 else 1 / c)
-            if k < spec.start:
-                continue
-            num = sum(sum(c * k**i for i, c in enumerate(cs)) * (H[j] if j else 1)
-                      for j, cs in spec.channels.items())
-            s += mag * num / spec.denominator_at(k)
+        s = _partial_sum(spec, K)
         assert b.lo_fraction() + tail <= s <= b.hi_fraction() - tail, (spec, digits)
 
 
-def test_fold_shared_keeps_every_term():
-    """Folding the catalog's components that share x, binomial power and
-    start changes no weighted term; only the lemma 5.1 entries have such
-    groups, three components each, and every other entry is left as it is."""
-    from binom4k.catalog import builtin_catalog
-    from binom4k.series import fold_shared
+def test_batch_holds_each_partial_sum_to_its_own_cutoff(monkeypatch):
+    """sum_many on seeded groups that share x but differ in start, channels,
+    denominator factors and digits, next to a spec at another x: spec i
+    takes exactly the terms start_i <= k <= K_i of the shared pass, its
+    ball has radius <= 10^-digits_i, and the ball narrowed by its own tail
+    bound holds the exact partial sum S_{K_i}.  Both binomial powers and
+    both signs of x occur."""
+    import binom4k.series as series
 
-    folded_ids = []
-    for entry in builtin_catalog():
-        folded = fold_shared(entry.components)
-        if folded == list(entry.components):
-            continue
-        folded_ids.append(entry.id)
-        assert len(folded) == 1 and len(entry.components) == 3, entry.id
-        want = {k: sum(w * _exact_terms(spec, 15)[k] for w, spec in entry.components)
-                for k in range(16)}
-        w, spec = folded[0]
-        assert w == 1 and _exact_terms(spec, 15) == want, entry.id
-    assert folded_ids == [f"lem5.1-{c}" for c in LEMMA51_CASES]
-    # repeated factors fold as multisets; a component with another x stays
-    x = F(-1, 72)
-    group = [(F(3), SeriesSpec(x=x, start=1, channels={0: (1, 2), 2: (F(1, 3),)},
-                               denominator_factors=("3k+1", "3k+1"))),
-             (F(-2, 7), SeriesSpec(x=x, start=1, channels={2: (5,), 4: (0, 1)},
-                                   denominator_factors=("k", "3k+1"))),
-             (F(5), SeriesSpec(x=F(1, 72), start=1, channels={0: (1,)}))]
-    (w, spec), alone = fold_shared(group)
-    assert alone == group[2] and sorted(spec.denominator_factors) == ["3k+1", "3k+1", "k"]
-    want = [sum(wi * _exact_terms(si, 12)[k] for wi, si in group[:2]) for k in range(1, 13)]
-    assert w == 1 and list(_exact_terms(spec, 12).values()) == want
+    yielded = []
+    kernel = series.fixed_point_terms
+
+    def recorded(specs, cutoffs, prec):
+        for i, k, T, err in kernel(specs, cutoffs, prec):
+            yielded.append((specs[i], k))
+            yield i, k, T, err
+
+    monkeypatch.setattr(series, "fixed_point_terms", recorded)
+    rng = random.Random(1729)
+    xs, recip_xs = [F(n, 256) for n in (1, 5, 12, 20)], [F(n, 2) for n in (1, 3, 7, 9)]
+    seen, cutoffs_differ = set(), 0
+    for _ in range(8):
+        group = _random_group(rng, 3, xs, recip_xs)
+        requests = [(spec, rng.choice([5, 12, 30])) for spec in group]
+        requests.insert(1, (SeriesSpec(x=F(1, 16), start=1, channels={1: (1,)}), 8))
+        seen.add((group[0].binomial_power, group[0].x > 0))
+        yielded.clear()
+        results = series.sum_many(requests)
+        assert len(results) == len(requests)
+        cutoffs = []
+        for (spec, digits), (ball, seconds) in zip(requests, results):
+            K, tail = series._cutoff(spec, F(1, 10**digits) / 2)
+            cutoffs.append(K)
+            assert [k for s, k in yielded if s is spec] == list(range(spec.start, K + 1)), spec
+            assert ball.radius() <= F(1, 10**digits), (spec, digits)
+            s = _partial_sum(spec, K)
+            assert ball.lo_fraction() + tail <= s <= ball.hi_fraction() - tail, (spec, digits)
+            assert seconds > 0
+        cutoffs_differ += len({cutoffs[0], *cutoffs[2:]}) == 3
+    assert len(seen) == 4 and cutoffs_differ >= 4
 
 
 def test_cutoff_is_the_least_certified():
@@ -385,29 +429,32 @@ def test_cutoff_is_the_least_certified():
 
 def test_one_tail_bound_per_sum_at_its_cutoff(monkeypatch):
     """Verifying the catalog at 50 digits computes exactly one exact tail
-    bound per sum, at the K that sum then runs to."""
+    bound per sum, at the K that sum then runs to: every spec of a pass had
+    its bound computed before the pass, at the cutoff the pass gives it."""
     import binom4k.series as series
     from binom4k.catalog import builtin_catalog
     from binom4k.cli import verify_entry
 
-    events = []
+    pending, passes = [], 0
     tail, terms = series.tail_bound_exact, series.fixed_point_terms
 
     def counted_tail(spec, K):
-        events.append(("tail", K))
+        pending.append((spec, K))
         return tail(spec, K)
 
-    def counted_terms(spec, K, prec):
-        events.append(("sum", K))
-        return terms(spec, K, prec)
+    def counted_terms(specs, cutoffs, prec):
+        nonlocal passes
+        passes += 1
+        for spec, K in zip(specs, cutoffs):
+            pending.remove((spec, K))
+        return terms(specs, cutoffs, prec)
 
     monkeypatch.setattr(series, "tail_bound_exact", counted_tail)
     monkeypatch.setattr(series, "fixed_point_terms", counted_terms)
     for entry in builtin_catalog():
         assert verify_entry(entry, 50).status == "PASS", entry.id
-    sums = [i for i, (kind, _) in enumerate(events) if kind == "sum"]
-    assert len(sums) >= 36 and len(events) == 2 * len(sums)
-    assert all(events[i - 1] == ("tail", events[i][1]) for i in sums)
+        assert pending == [], entry.id
+    assert passes >= 36
 
 
 def test_cutoff_miss_path_ends_on_its_bound(monkeypatch):
