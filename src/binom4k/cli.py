@@ -117,9 +117,12 @@ def verify_entry(entry: IdentityEntry, digits: int) -> VerificationRecord:
     return _verify_entries([entry], digits)[0]
 
 
-def _verify_entries(entries: list[IdentityEntry], digits: int) -> list[VerificationRecord]:
-    """A record per entry from one `sum_many` call for all their components;
-    elapsed_ms is a record's own work plus its components' seconds."""
+def _verify_entries(entries: list[IdentityEntry], digits: int,
+                    jobs: int = 1) -> list[VerificationRecord]:
+    """A record per entry from one `sum_many` call for all their components,
+    its passes in up to `jobs` processes; elapsed_ms is a record's own work
+    plus its components' seconds, so with jobs > 1 it is work per process
+    and the records can add up to more than the wall time."""
     inner = digits + COMPONENT_PAD
     requests = []
     for entry in entries:
@@ -130,8 +133,15 @@ def _verify_entries(entries: list[IdentityEntry], digits: int) -> list[Verificat
         while 10 ** (component_digits - inner) < spread:
             component_digits += 1
         requests.extend((spec, component_digits) for _, spec in entry.components)
-    summed = iter(sum_many(requests))
+    summed = iter(sum_many(requests, jobs))
     return [_record(entry, digits, [next(summed) for _ in entry.components]) for entry in entries]
+
+
+def _lhs(entry: IdentityEntry, summed: list) -> Ball:
+    """The weighted sum of the component balls; a weight 1 takes the ball as
+    it is, which spares a product and two outward roundings."""
+    terms = [ball if w == 1 else w * ball for (w, _), (ball, _) in zip(entry.components, summed)]
+    return sum(terms[1:], terms[0])
 
 
 def _record(entry: IdentityEntry, digits: int, summed: list) -> VerificationRecord:
@@ -141,7 +151,7 @@ def _record(entry: IdentityEntry, digits: int, summed: list) -> VerificationReco
         for ball, _ in summed:
             if isinstance(ball, Exception):
                 raise ball
-        lhs = sum((w * ball for (w, _), (ball, _) in zip(entry.components, summed)), Ball.exact(0))
+        lhs = _lhs(entry, summed)
         rhs = eval_closed_form(entry.rhs, digits + COMPONENT_PAD)
         diff = lhs - rhs
         if not diff.contains_zero():
@@ -158,11 +168,11 @@ def _record(entry: IdentityEntry, digits: int, summed: list) -> VerificationReco
 
 
 def run_verify_all(digits: int, jobs: int) -> list[VerificationRecord]:
-    """Verify every catalog entry, in catalog order, in one batch.  `jobs`
-    (>= 1) is accepted and ignored: the work is pure Python, so a thread pool
-    gains nothing under the GIL; it stays because `--jobs` and the benchmark
-    worker (`bench/worker.py`) pass it."""
-    return _verify_entries(builtin_catalog(), digits)
+    """Verify every catalog entry, in catalog order, in one batch whose
+    fixed-point passes run in up to `jobs` (>= 1) processes, no more than
+    there are usable CPUs (`series.sum_many`).  Every field but elapsed_ms is
+    the same for every `jobs`."""
+    return _verify_entries(builtin_catalog(), digits, jobs)
 
 
 def records_json(records: list[VerificationRecord]) -> str:
@@ -372,7 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-all", help="verify every catalog identity")
     p.add_argument("--digits", type=int, default=None)
     p.add_argument("--jobs", type=int, default=1,
-                   help="accepted for compatibility (>= 1); entries run serially")
+                   help="processes for the series passes (>= 1, at most the usable CPUs); "
+                        "reports are the same for every value apart from elapsed_ms")
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
 
     p = sub.add_parser("exact-checks", help="run the exact symbolic suite")

@@ -34,7 +34,10 @@ choose P; the enclosure is built from the tracked integers, and a bound that
 still misses the target raises PrecisionError.  Specs that share x and the
 binomial power share B_k and every C_{j,k}: `sum_many` sums them in one pass,
 to their largest K at their largest P (more bits only shrink the tracked
-error), each taking its terms up to its own K.
+error), each taking its terms up to its own K.  With jobs > 1 the passes
+run in forked worker processes: a large group is cut into chunks of its
+specs, each chunk running its own streams at the group's P, so every
+enclosure is the same for every number of processes.
 
 The tail after the cutoff K is bounded by a certified geometric envelope:
 
@@ -448,7 +451,8 @@ def _working_bits(spec: SeriesSpec, K: int, digits: int) -> int:
     return math.ceil(bits) + GUARD_BITS
 
 
-def sum_many(requests: list[tuple[SeriesSpec, int]]) -> list[tuple[Ball | Exception, float]]:
+def sum_many(requests: list[tuple[SeriesSpec, int]],
+             jobs: int = 1) -> list[tuple[Ball | Exception, float]]:
     """For each (spec, digits): an enclosure with radius <= 10^-digits, or the
     SpecError or ArithmeticError that spec ran into; and its seconds, its
     cutoff search plus its share of its pass by the terms it summed.  Specs
@@ -459,6 +463,7 @@ def sum_many(requests: list[tuple[SeriesSpec, int]]) -> list[tuple[Ball | Except
         if digits < 1:
             raise ValueError("digits must be >= 1")
         groups.setdefault((spec.x, spec.binomial_power), []).append(n)
+    items = []  # work items (P, members), each member (n, spec, K, tail, cutoff seconds)
     for group in groups.values():
         members, prec = [], 0
         for n in group:
@@ -474,15 +479,19 @@ def sum_many(requests: list[tuple[SeriesSpec, int]]) -> list[tuple[Ball | Except
                 results[n] = exc, time.perf_counter() - t0
                 continue
             members.append((n, spec, K, tail, time.perf_counter() - t0))
-        if not members:
+        if members:
+            items.append((prec, members))
+    if jobs > 1:
+        from .workers import run_passes
+        done = run_passes(items, jobs)
+    else:
+        done = [(item, _run_pass(item)) for item in items]
+    for (prec, members), outcome in done:
+        if isinstance(outcome, Exception):
+            for n, _, _, _, cutoff_s in members:
+                results[n] = outcome, cutoff_s
             continue
-        S, E = [0] * len(members), [0] * len(members)
-        t0 = time.perf_counter()
-        specs, cutoffs = [m[1] for m in members], [m[2] for m in members]
-        for i, _, T, err in fixed_point_terms(specs, cutoffs, prec):
-            S[i] += T
-            E[i] += err
-        pass_s = time.perf_counter() - t0
+        S, E, pass_s = outcome
         terms = sum(K - spec.start + 1 for _, spec, K, _, _ in members)
         for i, (n, spec, K, tail, cutoff_s) in enumerate(members):
             digits = requests[n][1]
@@ -495,6 +504,17 @@ def sum_many(requests: list[tuple[SeriesSpec, int]]) -> list[tuple[Ball | Except
                 ball = PrecisionError("radius target unreachable")
             results[n] = ball, cutoff_s + pass_s * (K - spec.start + 1) / terms
     return results
+
+
+def _run_pass(item) -> tuple[list[int], list[int], float]:
+    """S and E of each spec of a work item, and the seconds of its pass."""
+    prec, members = item
+    S, E = [0] * len(members), [0] * len(members)
+    t0 = time.perf_counter()
+    for i, _, T, err in fixed_point_terms([m[1] for m in members], [m[2] for m in members], prec):
+        S[i] += T
+        E[i] += err
+    return S, E, time.perf_counter() - t0
 
 
 def sum_series(spec: SeriesSpec, digits: int = 50) -> Ball:

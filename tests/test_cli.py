@@ -9,9 +9,11 @@ from fractions import Fraction as F
 
 import pytest
 
+from binom4k.balls import Ball
 from binom4k.cli import (
     REPORT_SCHEMA,
     SystemExit2,
+    _lhs,
     build_parser,
     default_digits,
     main,
@@ -20,7 +22,7 @@ from binom4k.cli import (
     run_verify_all,
     verify_entry,
 )
-from binom4k import series
+from binom4k import series, workers
 from binom4k.catalog import builtin_catalog, catalog_by_id, pi, rat, serialize_catalog
 from binom4k.series import MAX_TERMS, SeriesSpec, sum_series
 
@@ -70,6 +72,15 @@ class TestVerifyAll:
         r1 = records_json(run_verify_all(10, 1))
         r8 = records_json(run_verify_all(10, 8))
         assert _strip_timing(r1) == _strip_timing(r8)
+
+    def test_jobs_determinism_300_digits(self, capsys, monkeypatch):
+        # two usable CPUs, so --jobs 2 forks one worker on any machine
+        monkeypatch.setattr(workers, "_usable_cpus", lambda: 2)
+        outputs = []
+        for jobs in ("1", "2"):
+            assert main(["verify-all", "--digits", "300", "--jobs", jobs, "--format", "json"]) == 0
+            outputs.append(_strip_timing(capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
 
     def test_csv(self):
         text = records_csv(run_verify_all(10, 4))
@@ -297,6 +308,21 @@ def test_one_failed_component_spoils_only_its_entry(monkeypatch, failure):
     assert len(sixteenths) == 16
     assert all(r.status == "PASS" for r in records.values()), \
         [r.id for r in records.values() if r.status != "PASS"]
+
+
+def test_weight_one_lhs_is_the_component_ball():
+    """A weight-1 single-component entry's lhs is its component's ball, and
+    every entry's lhs has the (lo, hi, prec) of the weighted sum started at
+    an exact 0."""
+    for entry in builtin_catalog():
+        summed = series.sum_many([(spec, 33) for _, spec in entry.components])
+        lhs = _lhs(entry, summed)
+        reference = sum((w * ball for (w, _), (ball, _) in zip(entry.components, summed)),
+                        Ball.exact(0))
+        assert (lhs.lo, lhs.hi, lhs.prec) == (reference.lo, reference.hi, reference.prec)
+        if [w for w, _ in entry.components] == [1]:
+            ball = summed[0][0]
+            assert (lhs.lo, lhs.hi, lhs.prec) == (ball.lo, ball.hi, ball.prec)
 
 
 def test_elapsed_ms_shares_the_passes():
