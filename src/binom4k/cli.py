@@ -119,10 +119,9 @@ def verify_entry(entry: IdentityEntry, digits: int) -> VerificationRecord:
 
 def _verify_entries(entries: list[IdentityEntry], digits: int,
                     jobs: int = 1) -> list[VerificationRecord]:
-    """A record per entry from one `sum_many` call for all their components,
-    its passes in up to `jobs` processes; elapsed_ms is a record's own work
-    plus its components' seconds, so with jobs > 1 it is work per process
-    and the records can add up to more than the wall time."""
+    """A record per entry from one `sum_many` call for all their components
+    (`jobs` processes); elapsed_ms is a record's own work plus its
+    components' seconds."""
     inner = digits + COMPONENT_PAD
     requests = []
     for entry in entries:
@@ -138,10 +137,9 @@ def _verify_entries(entries: list[IdentityEntry], digits: int,
 
 
 def _lhs(entry: IdentityEntry, summed: list) -> Ball:
-    """The weighted sum of the component balls; a weight 1 takes the ball as
-    it is, which spares a product and two outward roundings."""
-    terms = [ball if w == 1 else w * ball for (w, _), (ball, _) in zip(entry.components, summed)]
-    return sum(terms[1:], terms[0])
+    """The weighted sum of the balls; a weight 1 needs no product."""
+    lhs = [b if w == 1 else w * b for (w, _), (b, _) in zip(entry.components, summed)]
+    return sum(lhs[1:], lhs[0])
 
 
 def _record(entry: IdentityEntry, digits: int, summed: list) -> VerificationRecord:
@@ -168,10 +166,9 @@ def _record(entry: IdentityEntry, digits: int, summed: list) -> VerificationReco
 
 
 def run_verify_all(digits: int, jobs: int) -> list[VerificationRecord]:
-    """Verify every catalog entry, in catalog order, in one batch whose
-    fixed-point passes run in up to `jobs` (>= 1) processes, no more than
-    there are usable CPUs (`series.sum_many`).  Every field but elapsed_ms is
-    the same for every `jobs`."""
+    """Verify every catalog entry, in catalog order, in one batch whose passes
+    run in up to `jobs` processes.  Only elapsed_ms depends on `jobs`: it is
+    work per process, so records can add up to more than the wall time."""
     return _verify_entries(builtin_catalog(), digits, jobs)
 
 
@@ -382,8 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-all", help="verify every catalog identity")
     p.add_argument("--digits", type=int, default=None)
     p.add_argument("--jobs", type=int, default=1,
-                   help="processes for the series passes (>= 1, at most the usable CPUs); "
-                        "reports are the same for every value apart from elapsed_ms")
+                   help="processes for the series passes (>= 1, at most the CPUs)")
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
 
     p = sub.add_parser("exact-checks", help="run the exact symbolic suite")

@@ -35,9 +35,7 @@ still misses the target raises PrecisionError.  Specs that share x and the
 binomial power share B_k and every C_{j,k}: `sum_many` sums them in one pass,
 to their largest K at their largest P (more bits only shrink the tracked
 error), each taking its terms up to its own K.  With jobs > 1 the passes
-run in forked worker processes: a large group is cut into chunks of its
-specs, each chunk running its own streams at the group's P, so every
-enclosure is the same for every number of processes.
+run in forked processes (`workers`), with the same results.
 
 The tail after the cutoff K is bounded by a certified geometric envelope:
 
@@ -463,7 +461,7 @@ def sum_many(requests: list[tuple[SeriesSpec, int]],
         if digits < 1:
             raise ValueError("digits must be >= 1")
         groups.setdefault((spec.x, spec.binomial_power), []).append(n)
-    items = []  # work items (P, members), each member (n, spec, K, tail, cutoff seconds)
+    items = []  # (P, members), a member (n, spec, K, tail, cutoff seconds)
     for group in groups.values():
         members, prec = [], 0
         for n in group:
@@ -506,8 +504,8 @@ def sum_many(requests: list[tuple[SeriesSpec, int]],
     return results
 
 
-def _run_pass(item) -> tuple[list[int], list[int], float]:
-    """S and E of each spec of a work item, and the seconds of its pass."""
+def _run_pass(item):
+    """S and E per member of an item, and the pass's seconds."""
     prec, members = item
     S, E = [0] * len(members), [0] * len(members)
     t0 = time.perf_counter()

@@ -1,22 +1,20 @@
 """The fixed-point passes of `series.sum_many` in forked worker processes,
 used when jobs > 1 (imported only then, so a serial run never loads it).
 
-A spec's terms depend only on x, P and its own channels, so the specs of a
-pass can be cut into chunks that each run their own B and C_j streams at the
-pass's P: every S and E is the same whatever the cut.  The work items (P,
-members) go into at most min(jobs, items, usable CPUs) bins; the caller runs
-bin 0 and a child made by os.fork runs each other bin, sending back the
-marshalled (S, E, seconds) of each of its items through a pipe.  A bare fork
-costs about 2.5 ms and adds nothing to the caller's memory, where a
-multiprocessing pool takes about 40 ms to start; binom4k starts no threads,
-so forking is safe, and a child only sums, writes and leaves by os._exit.
-Where os.fork is missing or fails, the caller runs every bin itself.
+Each work item is one pass, (P, members) for the specs that share x and
+the binomial power, and the items go into at most min(jobs, items, usable
+CPUs) bins.  The caller runs bin 0 and a child made by os.fork runs each
+other bin, sending back the marshalled (S, E, seconds) of each of its items
+through a pipe.  A bare fork costs about 2.5 ms and adds nothing to the
+caller's ru_maxrss (the child's is separate), where a multiprocessing
+pool takes about 40 ms to start; binom4k starts no threads, so forking is
+safe, and a child only sums, writes and leaves by os._exit.  Where os.fork
+is missing or fails, the caller runs every bin itself.
 """
 
 from __future__ import annotations
 
 import marshal
-import math
 import os
 
 from . import series
@@ -37,44 +35,15 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _term_cost(member) -> int:
-    _, spec, K, _, _ = member
-    return (K - spec.start + 1) * (len(spec.channels) + 1)
-
-
 def _pass_cost(item) -> int:
-    """Estimated cost of a work item's pass in P-bit operations: per k to the
-    largest cutoff, the B update and, per harmonic channel j, j divisions and
-    an update; per term of each spec, a product per channel and the division
-    by D(k)."""
+    """Estimated cost of a work item's pass: P times the terms it sums."""
     prec, members = item
-    js = {j for _, spec, _, _, _ in members for j in spec.channels if j}
-    return prec * (max(K for _, _, K, _, _ in members) * (2 + sum(j + 1 for j in js))
-                   + sum(map(_term_cost, members)))
-
-
-def _chunks(item, parts: int) -> list:
-    """The item cut into at most `parts` items of about equal term cost, its
-    specs sorted by their channels first so that a chunk runs few streams."""
-    prec, members = item
-    members = sorted(members, key=lambda m: sorted(m[1].channels, reverse=True))
-    total, done = sum(map(_term_cost, members)), 0
-    chunks: list[list] = [[] for _ in range(parts)]
-    for m in members:
-        cost = _term_cost(m)
-        chunks[min(parts - 1, (2 * done + cost) * parts // (2 * total))].append(m)
-        done += cost
-    return [(prec, chunk) for chunk in chunks if chunk]
+    return prec * sum(K - spec.start + 1 for _, spec, K, _, _ in members)
 
 
 def _bins(items: list, procs: int) -> list[list]:
-    """The work items in at most `procs` bins.  An item that costs more than
-    an even share of the total is first cut into chunks; the items then go,
-    largest estimated cost first, each into the bin with the least cost so
-    far."""
-    share = sum(map(_pass_cost, items)) / procs
-    items = [chunk for item in items
-             for chunk in _chunks(item, min(len(item[1]), math.ceil(_pass_cost(item) / share)))]
+    """The work items in at most `procs` bins: largest estimated cost first,
+    each into the bin with the least cost so far."""
     bins: list[list] = [[] for _ in range(min(procs, len(items)))]
     loads = [0] * len(bins)
     for item in sorted(items, key=_pass_cost, reverse=True):

@@ -63,8 +63,8 @@ def test_every_jobs_gives_the_same_results(monkeypatch, forks, batch):
 
 @pytest.mark.parametrize("missing", ["no fork", "fork fails"])
 def test_without_fork_every_bin_runs_in_process(monkeypatch, missing):
-    """The same bins, chunks of a group among them, run in the caller: every
-    spec is summed once and every result is the same as in one pass per group."""
+    """The same bins run in the caller: every spec is summed once, in one
+    pass per group, and every result is the same."""
     batch = _catalog_batch(60)
     expected = _outcomes(sum_many(batch, 1))
     if missing == "no fork":
@@ -84,8 +84,7 @@ def test_without_fork_every_bin_runs_in_process(monkeypatch, missing):
     assert _outcomes(sum_many(batch, 3)) == expected
     summed = [spec for specs in passes for spec in specs]
     assert sorted(map(id, summed)) == sorted(id(spec) for spec, _ in batch if not spec.is_zero())
-    groups = {(spec.x, spec.binomial_power) for spec, _ in batch}
-    assert len(passes) > len(groups)  # a group was cut into chunks
+    assert len(passes) == len({(spec.x, spec.binomial_power) for spec, _ in batch})
 
 
 @pytest.mark.parametrize("cpus, jobs, batch, children", [
