@@ -3,14 +3,26 @@
 A Ball is an exact rational interval [lo, hi] (an `exact.Ival`) whose
 Fraction endpoints are rounded outward to a working precision of `prec`
 significant bits, so containment of the true value is preserved through any
-chain of operations.  Enclosures of pi, log q and sqrt(n) come with proved
-remainder bounds (alternating / geometric series tails, integer square
-roots), so the radius contract is rigorous, not heuristic.
+chain of operations.
 
-The quadrature routine at the bottom is the one deliberately *non-rigorous*
-piece: it wraps mpmath's adaptive tanh-sinh integrator and reports an error
-estimate.  It is used only for cross-checks, never inside an acceptance
-verdict.
+pi and log q are summed in integer fixed point with tracked error, as in
+`series`: for u = p/q, |u| <= 1/2, one kernel gives |2^P atan(u) - S| <= E
+(or atanh) from
+
+    power_k ~ 2^P u^(2k+1): power_0 = floor(2^P p / q), low by e_0 <= 1, and
+              power_{k+1} = floor(power_k p^2 / q^2), e_{k+1} = ceil(e_k p^2 / q^2) + 1
+    S += +-floor(power_k / (2k+1)) (alternating for atan), E += ceil(e_k / (2k+1)) + 1
+    tail <= (power_n + e_n) q^2 / ((2n+1)(q^2 - p^2)) (geometric, either sign)
+
+stopping at the first n whose tail bound is at most E, which it joins.  Every
+term adds at most 2 to E and power_n = 0 once 2n+1 > P, so E <= 2P + 4.
+Machin's pi = 16 atan(1/5) - 4 atan(1/239) and log q = 2 atanh(u) + e log 2,
+log 2 = 2 atanh(1/3), add the (S, E) pairs as integers at the least P that
+keeps [S - E, S + E] / 2^P within 2^-(prec+8), so the guard bits P - prec grow
+with the term count.  sqrt(n) comes from one integer square root.
+
+`quad_integrate` at the bottom is the one *non-rigorous* piece (mpmath's
+tanh-sinh with an error estimate): cross-checks only, never in a verdict.
 """
 
 from __future__ import annotations
@@ -21,7 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional
 
-from .exact import Ival, ival_add, ival_mul
+from .exact import ival_add, ival_mul
 
 
 def _round(x: Fraction, prec: int, up: bool) -> Fraction:
@@ -39,8 +51,7 @@ def _round(x: Fraction, prec: int, up: bool) -> Fraction:
 
 
 class BallDomainError(ArithmeticError):
-    """Domain violation: division by an enclosure of 0, log of a non-positive
-    rational, sqrt of a non-positive integer."""
+    """Division by an enclosure of 0, log or sqrt of a non-positive number."""
 
 
 class Ball:
@@ -113,9 +124,7 @@ class Ball:
 
     def __sub__(self, other):
         o = Ball._coerce(other, self.prec)
-        if o is NotImplemented:
-            return o
-        return self + (-o)
+        return o if o is NotImplemented else self + (-o)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -135,9 +144,7 @@ class Ball:
 
     def __truediv__(self, other):
         o = Ball._coerce(other, self.prec)
-        if o is NotImplemented:
-            return o
-        return self * o.reciprocal()
+        return o if o is NotImplemented else self * o.reciprocal()
 
     def __rtruediv__(self, other):
         return Ball._coerce(other, self.prec) * self.reciprocal()
@@ -146,8 +153,7 @@ class Ball:
 
     def decimal(self, digits: int = 20) -> str:
         """Midpoint +/- radius rendering, midpoint to `digits` significant digits."""
-        mid, rad = self.midpoint(), self.radius()
-        return f"{_fraction_decimal(mid, digits)} +/- {_fraction_sci(rad)}"
+        return f"{_fraction_decimal(self.midpoint(), digits)} +/- {_fraction_sci(self.radius())}"
 
     def __repr__(self):
         return f"Ball({self.decimal(12)}, prec={self.prec})"
@@ -169,13 +175,22 @@ def _decimal_normalise(x: Fraction) -> tuple[Fraction, int]:
     return y, e
 
 
+def _int_digits(n: int, width: int) -> str:
+    """The digits of 0 <= n < 10^width, zero-padded: split by powers of 10 into
+    pieces of at most 512 digits, below any `sys.set_int_max_str_digits`."""
+    if width <= 512:
+        return str(n).rjust(width, "0")
+    high, low = divmod(n, 10 ** (width // 2))
+    return _int_digits(high, width - width // 2) + _int_digits(low, width // 2)
+
+
 def _fraction_decimal(x: Fraction, digits: int) -> str:
     """Truncated decimal rendering to `digits` significant digits (display only)."""
     if x == 0:
         return "0"
     sign = "-" if x < 0 else ""
     y, exp10 = _decimal_normalise(x)
-    mant = str(int(y * Fraction(10) ** (digits - 1))).rjust(digits, "0")
+    mant = _int_digits(int(y * Fraction(10) ** (digits - 1)), digits)
     if -4 <= exp10 < digits:
         if exp10 >= 0:
             ip, fp = mant[: exp10 + 1], mant[exp10 + 1:]
@@ -193,61 +208,47 @@ def _fraction_sci(x: Fraction) -> str:
 
 
 # ---------------------------------------------------------------------------
-# constants with proved remainder bounds
+# constants in integer fixed point (see the module docstring)
 
-def _atan_inv_enclosure(c: int, prec: int) -> Ival:
-    """Exact rational enclosure of arctan(1/c) for integer c >= 2.
-
-    Alternating series; the truth lies between consecutive partial sums.
-    """
-    target = Fraction(1, 1 << (prec + 8))
-    s = Fraction(0)
-    k = 0
+def _atan_fixed(p: int, q: int, P: int, hyperbolic: bool) -> tuple[int, int]:
+    """(S, E) with |2^P atan(p/q) - S| <= E, or atanh(p/q) if `hyperbolic`,
+    for |p/q| <= 1/2 and q > 0 (both odd functions)."""
+    sign, p = (-1 if p < 0 else 1), abs(p)
+    assert 2 * p <= q
+    p2, q2 = p * p, q * q
+    power, rem = divmod(p << P, q)
+    e = int(rem != 0)
+    s = err = k = 0
     while True:
-        term = Fraction(1, (2 * k + 1) * c ** (2 * k + 1))
-        s_next = s + term if k % 2 == 0 else s - term
-        nxt = Fraction(1, (2 * k + 3) * c ** (2 * k + 3))
-        if nxt <= target:
-            lo, hi = sorted((s_next, s_next + (nxt if k % 2 == 1 else -nxt)))
-            return lo, hi
-        s = s_next
+        tail = -(-(power + e) * q2 // ((2 * k + 1) * (q2 - p2)))
+        if tail <= err:
+            return sign * s, err + tail
+        term = power // (2 * k + 1)
+        s += term if hyperbolic or k % 2 == 0 else -term
+        err += -(-e // (2 * k + 1)) + 1
+        power = power * p2 // q2
+        e = -(-e * p2 // q2) + 1
         k += 1
+
+
+def _fixed_sum(prec: int, terms: list) -> Ball:
+    """The sum of w atan(p/q) (atanh if hyperbolic) over (w, p, q, hyperbolic)
+    in `terms`, of width at most 2^-(prec+8) before the rounding to prec."""
+    weight = sum(abs(t[0]) for t in terms)
+    P = prec + 9
+    while weight * (2 * P + 4) > 1 << (P - prec - 9):
+        P += 1
+    s = e = 0
+    for w, p, q, hyperbolic in terms:
+        sk, ek = _atan_fixed(p, q, P, hyperbolic) if w else (0, 0)
+        s, e = s + w * sk, e + abs(w) * ek
+    return Ball(Fraction(s - e, 1 << P), Fraction(s + e, 1 << P), prec)
 
 
 @lru_cache(maxsize=None)
 def const_pi(prec: int) -> Ball:
     """Rigorous enclosure of pi (Machin: 16 atan(1/5) - 4 atan(1/239))."""
-    a5 = _atan_inv_enclosure(5, prec + 6)
-    a239 = _atan_inv_enclosure(239, prec + 6)
-    return Ball(16 * a5[0] - 4 * a239[1], 16 * a5[1] - 4 * a239[0], prec)
-
-
-@lru_cache(maxsize=None)
-def _log2_enclosure(prec: int) -> Ival:
-    """log 2 = 2 atanh(1/3), with the geometric tail bound."""
-    lo, hi = _atanh_enclosure(Fraction(1, 3), prec)
-    return 2 * lo, 2 * hi
-
-
-def _atanh_enclosure(u: Fraction, prec: int) -> Ival:
-    """Exact enclosure of atanh(u) for |u| < 1/2 via the odd-power series.
-
-    Tail after the u^(2n+1) term is bounded by |u|^(2n+3)/((2n+3)(1-u^2)).
-    """
-    assert abs(u) < Fraction(1, 2)
-    target = Fraction(1, 1 << (prec + 8))
-    u2 = u * u
-    s = Fraction(0)
-    power = u
-    n = 0
-    one_minus = 1 - u2
-    while True:
-        s += power / (2 * n + 1)
-        power *= u2
-        n += 1
-        bound = abs(power) / ((2 * n + 1) * one_minus)
-        if bound <= target:
-            return s - bound, s + bound
+    return _fixed_sum(prec, [(16, 1, 5, False), (-4, 1, 239, False)])
 
 
 @lru_cache(maxsize=None)
@@ -262,12 +263,9 @@ def const_log(q, prec: int) -> Ball:
         r, e = 2 * r, e - 1
     elif r > Fraction(4, 3):
         r, e = r / 2, e + 1
-    # log q = 2 atanh(u) + e log 2 with |u| <= 1/5 after the adjustment above
-    lo, hi = _atanh_enclosure((r - 1) / (r + 1), prec)
-    iv = (2 * lo, 2 * hi)
-    if e:
-        iv = ival_add(iv, ival_mul((e, e), _log2_enclosure(prec)))
-    return Ball(*iv, prec)
+    # log q = 2 atanh(u) + 2 e atanh(1/3) with |u| <= 1/5 after the adjustment above
+    u = (r - 1) / (r + 1)
+    return _fixed_sum(prec, [(2, u.numerator, u.denominator, True), (2 * e, 1, 3, True)])
 
 
 @lru_cache(maxsize=None)
@@ -293,8 +291,7 @@ class QuadResult:
 
 
 class QuadratureError(ArithmeticError):
-    """Raised when the integrator cannot meet the tolerance; carries the best
-    estimate found."""
+    """The integrator missed the tolerance; `best` is its best estimate."""
 
     def __init__(self, msg: str, best: Optional[QuadResult] = None):
         super().__init__(msg)

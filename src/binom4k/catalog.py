@@ -187,7 +187,8 @@ def sqrt(n: int) -> ClosedForm:
 
 def eval_closed_form(cf: ClosedForm, digits: int = 50) -> Ball:
     """Enclosure with radius <= 10^-digits, from one evaluation at
-    3.33 digits + 32 bits; ArithmeticError if that misses the radius."""
+    3.33 digits + 32 bits; ArithmeticError if that misses the radius, as a
+    parsed catalog's tree can (the built-in one never does, see its tests)."""
     b = cf.eval(int(digits * 3.33) + 32)
     if b.radius() > Fraction(1, 10**digits):
         raise ArithmeticError("closed-form radius target unreachable")

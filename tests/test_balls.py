@@ -2,10 +2,13 @@
 
 import math
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from binom4k import balls
 from binom4k.balls import (
     Ball,
     BallDomainError,
@@ -13,7 +16,10 @@ from binom4k.balls import (
     const_log,
     const_pi,
     const_sqrt,
+    _atan_fixed,
     _decimal_normalise,
+    _fixed_sum,
+    _fraction_decimal,
     _round,
     quad_integrate,
 )
@@ -40,6 +46,20 @@ def _mercator_enclosure(t: F, digits: int) -> tuple[F, F]:
             nxt = sign * power / n
             lo, hi = sorted((s, s + nxt))
             return lo, hi
+
+
+def _atan_oracle(u: F, hyperbolic: bool, bits: int) -> tuple[F, F]:
+    """Exact enclosure of atan(u) (atanh(u) if hyperbolic) for |u| <= 1/2: a
+    partial sum of the odd-power series and its geometric remainder bound,
+    of width below 2^-bits."""
+    s, power, k = F(0), u, 0
+    while True:
+        rest = abs(power) / ((2 * k + 1) * (1 - u * u))
+        if rest < F(1, 2 ** (bits + 1)):
+            return s - rest, s + rest
+        s += power / (2 * k + 1) if hyperbolic or k % 2 == 0 else -power / (2 * k + 1)
+        power *= u * u
+        k += 1
 
 
 def _log_oracle(q: F, digits: int = 50) -> tuple[F, F]:
@@ -188,19 +208,10 @@ class TestConstants:
 
     def test_pi_second_formula(self):
         # independent arctan decomposition: pi = 20 atan(1/7) + 8 atan(3/79)
-        from binom4k.balls import _atan_inv_enclosure
-        a7 = _atan_inv_enclosure(7, 140)
-        # atan(3/79) via the odd alternating series with x = 3/79
-        x = F(3, 79)
-        s, power, k = F(0), x, 0
-        while True:
-            s += power / (2 * k + 1) if k % 2 == 0 else -power / (2 * k + 1)
-            power *= x * x
-            k += 1
-            if power / (2 * k + 1) < F(1, 10**45):
-                break
-        lo = 20 * a7[0] + 8 * (s - power)
-        hi = 20 * a7[1] + 8 * (s + power)
+        a7 = _atan_oracle(F(1, 7), False, 150)
+        a379 = _atan_oracle(F(3, 79), False, 150)
+        lo = 20 * a7[0] + 8 * a379[0]
+        hi = 20 * a7[1] + 8 * a379[1]
         p = const_pi(128)
         assert lo <= p.hi_fraction() and p.lo_fraction() <= hi
 
@@ -246,6 +257,20 @@ class TestConstants:
             assert b.lo_fraction() <= hi and lo <= b.hi_fraction()
             assert hi - lo < F(1, 10**48)
 
+    def test_width_contract_every_precision(self, monkeypatch):
+        """Before the outward rounding to prec bits, pi and log q are
+        [S - E, S + E] / 2^P of width at most 2^-(prec+8) at every precision,
+        with a guard that grows with the term count, and E <= 2P + 4."""
+        monkeypatch.setattr(balls, "Ball", lambda lo, hi, prec: hi - lo)
+        for prec in list(range(1, 300)) + [1000, 5000]:
+            for terms in ([(16, 1, 5, False), (-4, 1, 239, False)],   # pi
+                          [(2, -1, 7, True), (4, 1, 3, True)],        # log 3
+                          [(2, 0, 1, True), (-600, 1, 3, True)]):     # log 2^-300
+                assert _fixed_sum(prec, terms) <= F(1, 2 ** (prec + 8)), (prec, terms)
+        for p, q, P in ((1, 2, 1), (1, 2, 57), (1, 3, 400), (1, 5, 2000), (-1, 7, 333)):
+            for hyperbolic in (False, True):
+                assert _atan_fixed(p, q, P, hyperbolic)[1] <= 2 * P + 4
+
     def test_domain_errors(self):
         with pytest.raises(BallDomainError):
             const_log(0, 64)
@@ -253,6 +278,31 @@ class TestConstants:
             const_log(F(-1, 2), 64)
         with pytest.raises(BallDomainError):
             const_sqrt(0, 64)
+
+
+class TestFixedPointKernel:
+    """_atan_fixed against exact Fraction enclosures at 8-40 bits, where one
+    missing unit of error shows."""
+
+    @staticmethod
+    def check(p, q, P, hyperbolic):
+        s, e = _atan_fixed(p, q, P, hyperbolic)
+        lo, hi = _atan_oracle(F(p, q), hyperbolic, P + 40)
+        assert F(s - e, 2**P) <= lo and hi <= F(s + e, 2**P), (p, q, P, hyperbolic)
+
+    @pytest.mark.parametrize("u", ["1/3", "1/5", "1/7", "1/9", "1/239", "3/79", "-1/7"])
+    def test_named_arguments(self, u):
+        u = F(u)
+        for P in range(8, 41):
+            for hyperbolic in (False, True):
+                self.check(u.numerator, u.denominator, P, hyperbolic)
+
+    def test_random_arguments(self):
+        rng = random.Random(29)
+        for _ in range(400):
+            q = rng.randint(5, 10**rng.randint(1, 12))
+            p = rng.randint(-(q // 5), q // 5)
+            self.check(p, q, rng.randint(8, 40), rng.random() < 0.5)
 
 
 class TestQuadrature:
@@ -284,3 +334,23 @@ class TestQuadrature:
                            F(0), F(1), tol=1e-30, dps=15)
         assert exc.value.best is not None
         assert exc.value.best.evaluations > 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(num=st.integers(-10**80, 10**80).filter(bool), den=st.integers(1, 10**80),
+       scale=st.integers(-60, 60), digits=st.integers(1, 6000))
+def test_fraction_decimal_matches_str_of_int(num, den, scale, digits):
+    """The mantissa split by powers of 10 gives the digits str(int) gives,
+    with the int-to-str limit lifted for the reference only."""
+    x = F(num, den) * F(10) ** scale
+    y, exp10 = _decimal_normalise(x)
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        mant = str(int(y * F(10) ** (digits - 1))).rjust(digits, "0")
+    finally:
+        sys.set_int_max_str_digits(old)
+    out = _fraction_decimal(x, digits)
+    assert out.startswith("-") == (x < 0)
+    assert out.lstrip("-").split("e")[0].replace(".", "").lstrip("0") == mant
+    assert ("e" in out) == (not -4 <= exp10 < digits)

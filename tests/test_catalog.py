@@ -74,10 +74,11 @@ class TestClosedForm:
         b = eval_closed_form(cf, 50)
         assert b.radius() <= F(1, 10**50)
 
-    @pytest.mark.parametrize("digits", [13, 53, 303, 1003])
+    @pytest.mark.parametrize("digits", [10, 13, 20, 50, 53, 200, 300, 303, 1000, 1003])
     def test_one_evaluation_meets_every_catalog_rhs(self, digits):
         # eval_closed_form evaluates once at 3.33 digits + 32 bits; a miss
-        # would be an ArithmeticError, so every catalog rhs must meet it
+        # would be an ArithmeticError, so every catalog rhs must meet it, at
+        # the verify-all precisions (digits + 3) and at round digit counts
         for e in builtin_catalog():
             assert eval_closed_form(e.rhs, digits).radius() <= F(1, 10**digits), e.id
 

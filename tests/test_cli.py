@@ -203,6 +203,16 @@ class TestEvalCommand:
         assert big.lo_fraction() <= 10**200 * unit.lo_fraction()
         assert 10**200 * unit.hi_fraction() <= big.hi_fraction()
 
+    def test_eval_past_the_int_str_limit(self, tmp_path, capsys):
+        """4400 digits, more than int-to-str conversion allows by default
+        (4300): the midpoint is rendered in full, with no traceback."""
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({**EQ11_SPEC, "x": "1/1000000", "channels": {"0": ["1/1"]}}))
+        assert main(["eval", "--spec", str(path), "--digits", "4400"]) == 0
+        mid = capsys.readouterr().out.split(" +/- ")[0]
+        assert mid.startswith("1.000004000028")
+        assert len(mid.replace(".", "")) == 4400
+
 
 class TestCrosscheckCommand:
     def test_j1_trivial_x0(self, capsys):
@@ -350,6 +360,16 @@ def test_data_derived_outputs_pinned(capsys):
     assert main(["catalog", "list"]) == 0
     assert sha(capsys.readouterr().out) == \
         "3ace5728a45573357bd616bb756029cd9b950f5a25cd2e5d3e9e8562de96d65e"
+    # verify-all reports without their timing field: every lhs, rhs and
+    # difference rendering, so a constant that moves one digit changes them
+    for digits, digest in (
+            (50, "0dcb8ef51b2499889e57f45ef4a5024356dea22d39fa1c3bb31a8368e2428f3c"),
+            (300, "cb78206069f4141f47a75ce024d962207299e830bf8c973330e266489ca1af95")):
+        assert main(["verify-all", "--digits", str(digits), "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        for record in report["records"]:
+            del record["elapsed_ms"]
+        assert sha(json.dumps(report, indent=1)) == digest, digits
 
 
 def test_parser_rejects_unknown_command():
