@@ -13,7 +13,6 @@ from .exact import (
     RatFunc,
     ZeroDivisorError,
     sqrt_in_field,
-    sturm_isolate,
 )
 from .balls import Ball, QuadResult, const_log, const_pi, const_sqrt, quad_integrate
 from .series import SeriesSpec, harmonic, sum_series
@@ -31,8 +30,6 @@ from .catalog import (
     IdentityEntry,
     builtin_catalog,
     eval_closed_form,
-    parse_catalog,
-    serialize_catalog,
 )
 
 __version__ = "0.1.0"

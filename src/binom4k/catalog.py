@@ -17,18 +17,16 @@ Two encodings deviate from the printed text, both confirmed numerically to
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
-from typing import Iterable
 
 from .balls import Ball, const_log, const_pi, const_sqrt
 from .series import DENOM_FACTORS, SeriesSpec, SpecError
 
 
 class CatalogError(ValueError):
-    """Malformed catalog text or an entry violating a spec invariant."""
+    """A malformed component spec or an entry violating a spec invariant."""
 
 
 # ---------------------------------------------------------------------------
@@ -110,41 +108,6 @@ class ClosedForm:
         op = {"add": "+", "sub": "-", "mul": "*", "div": "/"}[self.node]
         return f"({a} {op} {b})"
 
-    def to_json(self) -> dict:
-        if self.node == "rat":
-            return {"node": "rat", "value": _frac_str(self.value)}
-        if self.node == "pi":
-            return {"node": "pi"}
-        if self.node == "log":
-            return {"node": "log", "q": _frac_str(self.value)}
-        if self.node == "sqrt":
-            return {"node": "sqrt", "n": self.value}
-        return {"node": self.node,
-                "lhs": self.args[0].to_json(), "rhs": self.args[1].to_json()}
-
-    @staticmethod
-    def from_json(obj: dict, where: str = "rhs") -> "ClosedForm":
-        if not isinstance(obj, dict) or "node" not in obj:
-            raise CatalogError(f"{where}: expected an expression object")
-        node = obj["node"]
-        if node == "rat":
-            return rat(_parse_frac(obj.get("value"), where))
-        if node == "pi":
-            return pi()
-        if node == "log":
-            return log(_parse_frac(obj.get("q"), where))
-        if node == "sqrt":
-            n = obj.get("n")
-            if not isinstance(n, int):
-                raise CatalogError(f"{where}: sqrt needs an integer n")
-            return sqrt(n)
-        if node in ("add", "sub", "mul", "div"):
-            return ClosedForm(node, args=(
-                ClosedForm.from_json(obj.get("lhs"), where + ".lhs"),
-                ClosedForm.from_json(obj.get("rhs"), where + ".rhs"),
-            ))
-        raise CatalogError(f"{where}: unknown node tag {node!r}")
-
 
 def _is_zero_tree(cf: "ClosedForm") -> bool:
     if cf.node == "rat":
@@ -187,8 +150,8 @@ def sqrt(n: int) -> ClosedForm:
 
 def eval_closed_form(cf: ClosedForm, digits: int = 50) -> Ball:
     """Enclosure with radius <= 10^-digits, from one evaluation at
-    3.33 digits + 32 bits; ArithmeticError if that misses the radius, as a
-    parsed catalog's tree can (the built-in one never does, see its tests)."""
+    3.33 digits + 32 bits; ArithmeticError if that misses the radius (the
+    built-in trees never do, see their tests)."""
     b = cf.eval(int(digits * 3.33) + 32)
     if b.radius() > Fraction(1, 10**digits):
         raise ArithmeticError("closed-form radius target unreachable")
@@ -394,11 +357,7 @@ def catalog_by_id() -> dict[str, IdentityEntry]:
 
 
 # ---------------------------------------------------------------------------
-# file format
-
-
-def _frac_str(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
+# component specs, the JSON objects that `eval --spec` reads
 
 
 def _parse_frac(s, where: str) -> Fraction:
@@ -410,35 +369,15 @@ def _parse_frac(s, where: str) -> Fraction:
         raise CatalogError(f"{where}: bad rational {s!r}: {exc}") from None
 
 
-def serialize_catalog(entries: Iterable[IdentityEntry]) -> str:
-    out = {"version": 1, "entries": []}
-    for e in entries:
-        comps = []
-        for (w, spec) in e.components:
-            comps.append({
-                "weight": _frac_str(w),
-                "x": _frac_str(spec.x),
-                "binomial_power": spec.binomial_power,
-                "start": spec.start,
-                "channels": {str(j): [_frac_str(c) for c in cs]
-                             for j, cs in sorted(spec.channels.items())},
-                "denominator_factors": list(spec.denominator_factors),
-            })
-        out["entries"].append({
-            "id": e.id,
-            "provenance": e.provenance,
-            "rhs": e.rhs.to_json(),
-            "components": comps,
-        })
-    return json.dumps(out, indent=1)
-
-
 def parse_component(obj: dict, where: str) -> tuple[Fraction, SeriesSpec]:
     if not isinstance(obj, dict):
         raise CatalogError(f"{where}: component must be an object")
     for key in ("weight", "x", "binomial_power", "start", "channels", "denominator_factors"):
         if key not in obj:
             raise CatalogError(f"{where}: missing field {key!r}")
+    for key in ("binomial_power", "start"):
+        if type(obj[key]) is not int:  # JSON true/false would pass as 1/0
+            raise CatalogError(f"{where}.{key}: must be an integer, got {obj[key]!r}")
     weight = _parse_frac(obj["weight"], where + ".weight")
     chans = {}
     if not isinstance(obj["channels"], dict):
@@ -468,38 +407,3 @@ def parse_component(obj: dict, where: str) -> tuple[Fraction, SeriesSpec]:
     except SpecError as exc:
         raise CatalogError(f"{where}: {exc}") from None
     return weight, spec
-
-
-def parse_catalog(text: str) -> list[IdentityEntry]:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CatalogError(f"not valid JSON: {exc}") from None
-    if not isinstance(data, dict) or data.get("version") != 1:
-        raise CatalogError("top level must be an object with version 1")
-    raw = data.get("entries")
-    if not isinstance(raw, list):
-        raise CatalogError("missing entries list")
-    seen: set[str] = set()
-    entries = []
-    for i, obj in enumerate(raw):
-        where = f"entries[{i}]"
-        if not isinstance(obj, dict):
-            raise CatalogError(f"{where}: must be an object")
-        eid = obj.get("id")
-        if not isinstance(eid, str) or not eid:
-            raise CatalogError(f"{where}: missing id")
-        if eid in seen:
-            raise CatalogError(f"{where}: duplicate id {eid!r}")
-        seen.add(eid)
-        prov = obj.get("provenance")
-        if not isinstance(prov, str) or not prov:
-            raise CatalogError(f"{where} ({eid}): provenance is mandatory")
-        comps_raw = obj.get("components")
-        if not isinstance(comps_raw, list) or not comps_raw:
-            raise CatalogError(f"{where} ({eid}): nonempty components required")
-        comps = tuple(parse_component(c, f"{where}.components[{j}]")
-                      for j, c in enumerate(comps_raw))
-        rhs = ClosedForm.from_json(obj.get("rhs"), f"{where}.rhs")
-        entries.append(IdentityEntry(id=eid, provenance=prov, components=comps, rhs=rhs))
-    return entries

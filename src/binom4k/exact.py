@@ -1,7 +1,7 @@
 """Exact arithmetic kernel.
 
 Univariate polynomials over the rationals and over real number fields,
-Sturm-sequence real-root isolation, algebraic reals given by a defining
+Sturm-sequence real-root counting, algebraic reals given by a defining
 polynomial plus an isolating interval, and single-generator number fields
 Q[t]/(p(t)) with a distinguished real embedding.
 
@@ -314,7 +314,7 @@ def _primitive_gcd(a: list[int], b: list[int]) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Sturm sequences and real-root isolation
+# Sturm sequences and real-root counting
 
 
 def _sturm_chain(p: Poly) -> list[Poly]:
@@ -347,14 +347,6 @@ def _variations(chain: Sequence[Poly], x: Fraction) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def root_bound(p: Poly) -> Fraction:
-    """Cauchy bound: all real roots lie in (-B, B)."""
-    if p.degree < 1:
-        return Fraction(1)
-    lead = abs(p.leading())
-    return Fraction(1) + max(abs(c) for c in p.coeffs) / lead
-
-
 def count_roots(p: Poly, lo: Fraction, hi: Fraction) -> int:
     """Number of distinct real roots of squarefree p in the open (lo, hi)."""
     chain = _sturm_chain(p)
@@ -362,72 +354,6 @@ def count_roots(p: Poly, lo: Fraction, hi: Fraction) -> int:
     if p(hi) == 0:
         n -= 1
     return n
-
-
-def sturm_isolate(
-    p: Poly,
-    lo: Optional[Fraction] = None,
-    hi: Optional[Fraction] = None,
-    max_width: Optional[Fraction] = None,
-) -> list[Ival]:
-    """Isolate the real roots of a squarefree rational polynomial.
-
-    Returns disjoint open intervals, each containing exactly one root, whose
-    union covers every root in the requested (open) range.  Endpoints of the
-    returned intervals are never roots.  With `max_width` each interval is
-    additionally bisected down to at most that width (a bisection point that
-    hits a rational root exactly collapses that interval to a point).
-    """
-    if p.is_zero():
-        raise ValueError("cannot isolate roots of the zero polynomial")
-    if p.gcd(p.derivative()).degree > 0:
-        raise ValueError("polynomial is not squarefree; divide by gcd(p, p') first")
-    if p.degree == 0:
-        return []
-    bound = root_bound(p)
-    a = Fraction(lo) if lo is not None else -bound
-    b = Fraction(hi) if hi is not None else bound
-    if a >= b:
-        return []
-    # nudge endpoints off roots, staying inside the requested open range
-    step = (b - a) / (4 * p.degree + 4)
-    while p(a) == 0:
-        a += step
-        step /= 2
-    step = (b - a) / (4 * p.degree + 4)
-    while p(b) == 0:
-        b -= step
-        step /= 2
-    chain = _sturm_chain(p)
-
-    def var(x: Fraction) -> int:
-        return _variations(chain, x)
-
-    out: list[Ival] = []
-    work = [(a, b, var(a), var(b))]
-    while work:
-        x0, x1, v0, v1 = work.pop()
-        n = v0 - v1
-        if n == 0:
-            continue
-        if n == 1:
-            out.append((x0, x1))
-            continue
-        mid = (x0 + x1) / 2
-        if p(mid) == 0:
-            # shift the split point; a squarefree poly has finitely many roots
-            delta = (x1 - x0) / (8 * p.degree + 9)
-            while p(mid) == 0:
-                mid += delta
-                delta /= 2
-        vm = var(mid)
-        work.append((x0, mid, v0, vm))
-        work.append((mid, x1, vm, v1))
-    if max_width is not None:
-        # one root of odd multiplicity per interval => endpoint signs differ
-        out = [AlgebraicReal(p, iv).refine(Fraction(max_width)) for iv in out]
-    out.sort()
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -573,10 +499,10 @@ def is_irreducible(p: Poly) -> bool:
 class NumberField:
     """Q[t]/(modulus) with a distinguished real root of the modulus."""
 
-    def __init__(self, modulus: Poly, interval: Ival, check_irreducible: bool = True):
+    def __init__(self, modulus: Poly, interval: Ival):
         if modulus.degree < 1:
             raise ValueError("modulus must be nonconstant")
-        if check_irreducible and not is_irreducible(modulus):
+        if not is_irreducible(modulus):
             raise ValueError("modulus is reducible over Q")
         self.modulus = modulus.monic()
         self.raw_modulus = modulus

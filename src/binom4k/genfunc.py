@@ -198,16 +198,6 @@ class TruncSeries:
         q = self.derivative() / self.truncate(self.order - 1)
         return q.integrate()
 
-    def compose(self, inner: "TruncSeries") -> "TruncSeries":
-        """self(inner(x)) for inner with zero constant term."""
-        if inner[0] != 0:
-            raise ValueError("composition needs zero constant term")
-        K = min(self.order, inner.order)
-        acc = TruncSeries.constant(0, K)
-        for c in reversed(self.coeffs[: K + 1]):
-            acc = acc * inner.truncate(K) + c
-        return acc
-
     def is_zero(self) -> bool:
         return not any(self.nums)
 
@@ -295,20 +285,28 @@ def check_f_log(K: int) -> SeriesCheck:
     return SeriesCheck(f"f-log K={K}", True)
 
 
+def f_prime(f):
+    """f' as a function of f: 64 f^5/(3f+1)^2, for f in any ring with division
+    (a series, a number-field element, a rational function)."""
+    return 64 * f**5 / (3 * f + 1) ** 2
+
+
+def f_second(f):
+    """f'' as a function of f: 4096 f^9 (9f+5)/(3f+1)^5."""
+    return 4096 * f**9 * (9 * f + 5) / (3 * f + 1) ** 5
+
+
 def check_derivatives_f(K: int) -> SeriesCheck:
-    """Termwise f' vs 64 f^5/(3f+1)^2 (order K-1) and f'' vs
-    4096 f^9 (9f+5)/(3f+1)^5 (order K-2)."""
+    """Termwise f' vs f_prime(f) (order K-1) and f'' vs f_second(f) (order K-2)."""
     if K < 2:
         raise ValueError("K must be >= 2")
     f = coeffs_f(K)
     d1 = f.derivative()
-    closed1 = (64 * f**5) / ((3 * f + 1) ** 2)
-    r1 = d1 - closed1.truncate(K - 1)
+    r1 = d1 - f_prime(f).truncate(K - 1)
     if not r1.is_zero():
         return SeriesCheck(f"f-derivatives K={K}", False, r1.first_nonzero(), "first derivative")
     d2 = d1.derivative()
-    closed2 = (4096 * f**9 * (9 * f + 5)) / ((3 * f + 1) ** 5)
-    r2 = d2 - closed2.truncate(K - 2)
+    r2 = d2 - f_second(f).truncate(K - 2)
     if not r2.is_zero():
         return SeriesCheck(f"f-derivatives K={K}", False, r2.first_nonzero(), "second derivative")
     return SeriesCheck(f"f-derivatives K={K}", True)
@@ -351,8 +349,8 @@ class AlphaContext:
     field: NumberField
     alpha: AlgebraicReal
     elem: NFElem       # a as a field element
-    alpha_p: NFElem    # 64 a^5 / (3a+1)^2
-    alpha_pp: NFElem   # 4096 a^9 (9a+5) / (3a+1)^5
+    alpha_p: NFElem    # f_prime(a)
+    alpha_pp: NFElem   # f_second(a)
 
 
 @dataclass(frozen=True)
@@ -373,8 +371,7 @@ class BetaContext:
 def make_alpha() -> AlphaContext:
     field = NumberField(ALPHA_CUBIC, (Fraction(1), Fraction(2)))
     a = field.gen()
-    ap = 64 * a**5 / (3 * a + 1) ** 2
-    app = 4096 * a**9 * (9 * a + 5) / (3 * a + 1) ** 5
+    ap, app = f_prime(a), f_second(a)
     relation = Fraction(11, 128) * app - Fraction(35, 8) * ap + 11 * a + 5
     if not relation.is_zero():
         raise ContextError(f"closed-form relation residual is nonzero: {relation!r}")

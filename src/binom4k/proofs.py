@@ -38,7 +38,7 @@ from .exact import (
     ival_mul,
     sqrt_in_field,
 )
-from .genfunc import ALPHA_CUBIC, AlphaContext, BetaContext, make_alpha, make_beta, eval_f
+from .genfunc import ALPHA_CUBIC, AlphaContext, BetaContext, make_alpha, make_beta, eval_f, f_prime
 from .series import harmonic
 
 F = Fraction
@@ -266,7 +266,7 @@ P5 = Poly([1, 24, 245, 1356, 4177, 5660, -5139, -30728, -30309, 41488,
 
 _Y = Poly([0, 1])
 _U = _rf(Poly([0, 2]), Poly([1, 3]))                            # 2y/(3y+1)
-_DERIV_NUM = _rf(Poly([0, 0, 0, 0, 0, 64]), Poly([1, 3]) ** 2)  # 64y^5/(3y+1)^2
+_DERIV_NUM = f_prime(_rf(_Y))                                   # f' in terms of y = f
 
 # The rational part of sigma_j is that of g_j at the substituted point (y for
 # j=1, then u^2, cbrt2*u and u with u = 2y/(3y+1)) plus the printed
@@ -534,7 +534,7 @@ def theorem3_combination(case: str, gamma: NFElem, sqrt_d: NFElem) -> NFElem:
     """The closed form of the lemma 5.1 combination minus its stated constant."""
     x0, _, (wa, wb, wc), (q0, q1), r = LEMMA51_CASES[case]
     g = gamma
-    xg = 64 * x0 * g ** 5 / (3 * g + 1) ** 2       # sum k C(4k,k) x^k = x f'(x)
+    xg = x0 * f_prime(g)                           # sum k C(4k,k) x^k = x f'(x)
     sa = q1 * xg + q0 * g                          # sum (q0 + q1 k) C x^k
     sb = 4 * g / (3 * g + 1)                       # sum C x^k/(3k+1)
     sc = sb * sb                                   # sum (8k+2) C x^k/((3k+1)(3k+2))

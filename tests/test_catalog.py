@@ -1,6 +1,5 @@
-"""Catalog: builtin entries, closed forms, the file format round trip."""
+"""Catalog: builtin entries, closed forms, the component spec format."""
 
-import json
 from fractions import Fraction as F
 
 import pytest
@@ -12,10 +11,9 @@ from binom4k.catalog import (
     builtin_catalog,
     eval_closed_form,
     log,
-    parse_catalog,
+    parse_component,
     pi,
     rat,
-    serialize_catalog,
     sqrt,
 )
 
@@ -110,52 +108,35 @@ class TestClosedForm:
             sqrt(-2)
 
 
+COMPONENT = {
+    "weight": "1/1", "x": "1/16", "binomial_power": 1, "start": 0,
+    "channels": {"0": ["11/1", "-92/1", "22/1"]}, "denominator_factors": [],
+}
+
+
 class TestFileFormat:
-    def test_round_trip(self):
-        entries = builtin_catalog()
-        text = serialize_catalog(entries)
-        back = parse_catalog(text)
-        assert back == entries
+    """The component objects that `eval --spec` reads."""
 
-    def test_round_trip_twice_stable(self):
-        text = serialize_catalog(builtin_catalog())
-        assert serialize_catalog(parse_catalog(text)) == text
-
-    def test_duplicate_id_rejected(self):
-        data = json.loads(serialize_catalog(builtin_catalog()[:2]))
-        data["entries"][1]["id"] = data["entries"][0]["id"]
-        with pytest.raises(CatalogError, match="duplicate"):
-            parse_catalog(json.dumps(data))
+    def test_eq11_component(self):
+        weight, spec = parse_component(COMPONENT, "spec")
+        assert weight == 1
+        assert spec == builtin_catalog()[0].components[0][1]
 
     def test_out_of_radius_rejected(self):
         # 1/8 = 0.125 > 27/256 ~ 0.1055, so binomial_power +1 is outside
-        data = json.loads(serialize_catalog(builtin_catalog()[:1]))
-        data["entries"][0]["components"][0]["x"] = "1/8"
         with pytest.raises(CatalogError, match="radius"):
-            parse_catalog(json.dumps(data))
-
-    def test_missing_provenance_rejected(self):
-        data = json.loads(serialize_catalog(builtin_catalog()[:1]))
-        del data["entries"][0]["provenance"]
-        with pytest.raises(CatalogError, match="provenance"):
-            parse_catalog(json.dumps(data))
+            parse_component({**COMPONENT, "x": "1/8"}, "spec")
 
     def test_unknown_factor_rejected(self):
-        data = json.loads(serialize_catalog(builtin_catalog()[:1]))
-        data["entries"][0]["components"][0]["denominator_factors"] = ["9k+1"]
         with pytest.raises(CatalogError, match="factor"):
-            parse_catalog(json.dumps(data))
+            parse_component({**COMPONENT, "denominator_factors": ["9k+1"]}, "spec")
 
     def test_diagnostics_name_the_field(self):
-        data = json.loads(serialize_catalog(builtin_catalog()[:1]))
-        data["entries"][0]["components"][0]["weight"] = 5
-        with pytest.raises(CatalogError, match=r"components\[0\].weight"):
-            parse_catalog(json.dumps(data))
+        with pytest.raises(CatalogError, match=r"spec\.weight"):
+            parse_component({**COMPONENT, "weight": 5}, "spec")
 
-    def test_not_json(self):
-        with pytest.raises(CatalogError, match="JSON"):
-            parse_catalog("{nope")
-
-    def test_wrong_version(self):
-        with pytest.raises(CatalogError, match="version"):
-            parse_catalog(json.dumps({"version": 2, "entries": []}))
+    @pytest.mark.parametrize("key", ["binomial_power", "start"])
+    @pytest.mark.parametrize("value", [True, False, 1.0, "1"])
+    def test_integer_fields_reject_non_integers(self, key, value):
+        with pytest.raises(CatalogError, match=rf"spec\.{key}: must be an integer"):
+            parse_component({**COMPONENT, key: value}, "spec")

@@ -23,7 +23,7 @@ from binom4k.cli import (
     verify_entry,
 )
 from binom4k import series, workers
-from binom4k.catalog import builtin_catalog, catalog_by_id, pi, rat, serialize_catalog
+from binom4k.catalog import builtin_catalog, catalog_by_id, pi, rat
 from binom4k.series import MAX_TERMS, SeriesSpec, sum_series
 
 
@@ -154,6 +154,16 @@ class TestEvalCommand:
                                     "channels": {"0": ["1/1"]},
                                     "denominator_factors": []}))
         assert main(["eval", "--spec", str(path)]) == 2
+
+    @pytest.mark.parametrize("key", ["binomial_power", "start"])
+    def test_eval_rejects_boolean_integer_fields(self, tmp_path, capsys, key):
+        # JSON true equals 1 in Python, which both fields would otherwise accept
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({**EQ11_SPEC, key: True}))
+        assert main(["eval", "--spec", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"spec.{key}: must be an integer" in captured.err
 
     def test_eval_missing_file(self):
         assert main(["eval", "--spec", "/nonexistent.json"]) == 2
@@ -352,8 +362,11 @@ def test_data_derived_outputs_pinned(capsys):
     def sha(text):
         return hashlib.sha256(text.encode()).hexdigest()
 
-    assert sha(serialize_catalog(builtin_catalog())) == \
-        "1930b17ed0f46cbacfd41f790a6c7a7a3ddfbf313bab813873bd512f2ad50ddc"
+    # weights, x, binomial power, start, channels, denominators and rhs
+    for e in builtin_catalog():
+        assert main(["catalog", "show", e.id]) == 0
+    assert sha(capsys.readouterr().out) == \
+        "589b8fd32477ea40928d0dd8ca1b75645e673125b1bd2adbb709bf8bceff1667"
     assert main(["exact-checks", "--format", "json"]) == 0
     assert sha(capsys.readouterr().out) == \
         "d65366f2b8f7921c64fe85cb272a21d7b8c63ed621cf2c8721561a93db26615e"

@@ -1,4 +1,4 @@
-"""Exact kernel: polynomials, root isolation, algebraic reals, number fields."""
+"""Exact kernel: polynomials, root counting, algebraic reals, number fields."""
 
 import random
 from fractions import Fraction as F
@@ -15,7 +15,6 @@ from binom4k.exact import (
     count_roots,
     is_irreducible,
     sqrt_in_field,
-    sturm_isolate,
 )
 
 ALPHA_CUBIC = Poly([-1, -7, -11, 11])
@@ -155,26 +154,20 @@ class TestPolySuite:
 
 class TestSturm:
     def test_sqrt2_on_positive_axis(self):
-        ivs = sturm_isolate(Poly([-2, 0, 1]), F(0), None, max_width=F(1, 4))
-        assert len(ivs) == 1
-        lo, hi = ivs[0]
-        assert F(1) <= lo < hi <= F(2)
+        p = Poly([-2, 0, 1])
+        assert count_roots(p, F(0), F(3)) == 1
+        assert count_roots(p, F(1), F(2)) == 1
+        assert count_roots(p, F(-3), F(3)) == 2
 
     def test_cubic_on_positive_axis(self):
         # sign-evaluation oracle: p(1) = -8, p(2) = 29, single sign change
         p = ALPHA_CUBIC
         assert p(F(1)) == -8 and p(F(2)) == 29
-        ivs = sturm_isolate(p, F(0), None, max_width=F(1, 2))
-        assert len(ivs) == 1
-        lo, hi = ivs[0]
-        assert F(1) <= lo < hi <= F(2)
+        assert count_roots(p, F(0), F(100)) == 1
+        assert count_roots(p, F(1), F(2)) == 1
 
     def test_no_real_roots(self):
-        assert sturm_isolate(Poly([1, 0, 1])) == []
-
-    def test_rejects_non_squarefree(self):
-        with pytest.raises(ValueError, match="squarefree"):
-            sturm_isolate(Poly([1, 2, 1]))
+        assert count_roots(Poly([1, 0, 1]), F(-100), F(100)) == 0
 
     def test_count_matches_bruteforce_grid(self):
         """Sturm count vs sign-change count on a fine grid (brute-force oracle),
@@ -193,10 +186,12 @@ class TestSturm:
                 if prev is not None and s != prev:
                     grid_changes += 1
                 prev = s
-            ivs = sturm_isolate(p)
-            assert len(ivs) == len(roots) == grid_changes
-            for (lo, hi), r in zip(ivs, roots):
-                assert lo < r < hi
+            assert count_roots(p, F(-10), F(10)) == len(roots) == grid_changes
+            for r in roots:
+                assert count_roots(p, r - F(1, 2), r + F(1, 2)) == 1
+                # open interval: a root at either endpoint is not counted
+                assert count_roots(p, F(r), F(r) + F(1, 2)) == 0
+                assert count_roots(p, F(r) - F(1, 2), F(r)) == 0
 
 
 class TestAlgebraicReal:

@@ -46,18 +46,6 @@ class TestTruncSeries:
         s = TruncSeries([1, 2, 3, 4, 5, 6])
         assert s ** 5 == s * s * s * s * s
 
-    def test_compose(self):
-        # (1/(1-u)) o (x + x^2) has coefficients of sum_k (x+x^2)^k
-        geom = TruncSeries([1] * 7)
-        inner = TruncSeries([0, 1, 1, 0, 0, 0, 0])
-        expected = TruncSeries([1])
-        acc = TruncSeries([1, 0, 0, 0, 0, 0, 0])
-        total = TruncSeries([0] * 7)
-        for _ in range(7):
-            total = total + acc
-            acc = acc * inner
-        assert geom.compose(inner) == total
-
     def test_derivative_integrate(self):
         s = TruncSeries([3, 1, 4, 1, 5])
         assert s.derivative().integrate() == TruncSeries([0, 1, 4, 1, 5])
