@@ -383,10 +383,13 @@ def parse_component(obj: dict, where: str) -> tuple[Fraction, SeriesSpec]:
     if not isinstance(obj["channels"], dict):
         raise CatalogError(f"{where}.channels: must be an object")
     for js, coeffs in obj["channels"].items():
-        try:
+        try:  # only the canonical spelling, so that two keys cannot name one channel
             j = int(js)
+            if str(j) != js:
+                raise ValueError
         except ValueError:
-            raise CatalogError(f"{where}.channels: bad channel key {js!r}") from None
+            raise CatalogError(f"{where}.channels: bad channel key {js!r}: "
+                               "write a channel as a plain decimal integer like '0' or '2'") from None
         if not isinstance(coeffs, list):
             raise CatalogError(f"{where}.channels.{js}: must be a list")
         chans[j] = tuple(_parse_frac(c, f"{where}.channels.{js}") for c in coeffs)

@@ -10,8 +10,9 @@ Subcommands:
   eval --spec FILE [--digits D]       evaluate a bare series spec from JSON
 
 Exit codes: 0 all executed checks passed, 1 any FAIL or ERROR, 2 usage error.
-Default digits come from BINOM4K_DIGITS (fallback 50).  Reports are
-deterministic apart from the elapsed-time fields.
+Default digits come from BINOM4K_DIGITS (fallback 50); more than MAX_DIGITS
+is a usage error.  Reports are deterministic apart from the elapsed-time
+fields.
 """
 
 from __future__ import annotations
@@ -40,6 +41,11 @@ from .proofs import alpha_context, run_exact_checks, substituted_integrands
 from .series import PrecisionError, SeriesSpec, SpecError, sum_many, sum_series
 
 DEFAULT_DIGITS_ENV = "BINOM4K_DIGITS"
+
+# the budget for --digits and BINOM4K_DIGITS: the entries at x = 1/16 need
+# about 4.4 D terms, so past about 22,000 digits they exceed series.MAX_TERMS
+MAX_DIGITS = 20_000
+DIGITS_HELP = f"significant digits, at most {MAX_DIGITS} (default: {DEFAULT_DIGITS_ENV}, else 50)"
 
 # upper limits and coefficients over Q(alpha) or Q(cbrt 2) are enclosed this
 # tightly before the 60-digit quadratures of the cross-checks
@@ -92,7 +98,7 @@ class VerificationRecord:
 
 
 def default_digits() -> int:
-    """Digits from BINOM4K_DIGITS (an integer >= 10), else 50."""
+    """Digits from BINOM4K_DIGITS (an integer from 10 to MAX_DIGITS), else 50."""
     env = os.environ.get(DEFAULT_DIGITS_ENV)
     if not env:
         return 50
@@ -100,16 +106,20 @@ def default_digits() -> int:
         digits = int(env)
     except ValueError:
         digits = 0
-    if digits < 10:
-        raise SystemExit2(f"{DEFAULT_DIGITS_ENV} must be an integer >= 10, got {env!r}")
+    if not 10 <= digits <= MAX_DIGITS:
+        raise SystemExit2(f"{DEFAULT_DIGITS_ENV} must be an integer from 10 to {MAX_DIGITS}, "
+                          f"got {env!r}")
     return digits
 
 
 def _digits(args, minimum: int = 10) -> int:
-    """--digits, else the default; a usage error below `minimum`."""
+    """--digits, else the default; a usage error below `minimum` or above
+    MAX_DIGITS."""
     digits = default_digits() if args.digits is None else args.digits
     if digits < minimum:
         raise SystemExit2(f"digits must be >= {minimum}")
+    if digits > MAX_DIGITS:
+        raise SystemExit2(f"digits must be <= {MAX_DIGITS}")
     return digits
 
 
@@ -374,10 +384,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="verify one catalog identity numerically")
     p.add_argument("id")
-    p.add_argument("--digits", type=int, default=None)
+    p.add_argument("--digits", type=int, default=None, help=DIGITS_HELP)
 
     p = sub.add_parser("verify-all", help="verify every catalog identity")
-    p.add_argument("--digits", type=int, default=None)
+    p.add_argument("--digits", type=int, default=None, help=DIGITS_HELP)
     p.add_argument("--jobs", type=int, default=1,
                    help="processes for the series passes (>= 1, at most the CPUs)")
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
@@ -397,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate a series spec from a JSON file")
     p.add_argument("--spec", required=True)
-    p.add_argument("--digits", type=int, default=None)
+    p.add_argument("--digits", type=int, default=None, help=DIGITS_HELP)
     return ap
 
 

@@ -2,8 +2,15 @@
 
 Univariate polynomials over the rationals and over real number fields,
 Sturm-sequence real-root counting, algebraic reals given by a defining
-polynomial plus an isolating interval, and single-generator number fields
-Q[t]/(p(t)) with a distinguished real embedding.
+polynomial plus an isolating interval, single-generator number fields
+Q[t]/(p(t)) with a distinguished real embedding, and rational functions.
+
+A polynomial over Q is integer numerators over one denominator, and its
+arithmetic runs on integer kernels: one Kronecker big-integer product
+(`_mul_nums`, which also multiplies `genfunc.TruncSeries`), pseudo-division,
+a primitive remainder sequence for the gcd and homogeneous Horner for
+evaluation.  Number-field elements and the rational functions over Q reach
+the same kernels through their polynomials over Q.
 
 Everything in this module is exact: no floating point, no tolerances.
 All values are immutable after construction and all operations are pure,
@@ -15,8 +22,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
-
-Q = Fraction
 
 Scalar = Union[Fraction, "NFElem", "RatFunc"]
 
@@ -63,45 +68,144 @@ def pow_by_squaring(base, n: int, one):
 
 
 # ---------------------------------------------------------------------------
-# polynomials
+# integer polynomial kernels (ascending coefficient sequences)
 
 
-def _coerce_coeffs(coeffs: Iterable) -> tuple:
-    """Normalize a coefficient sequence: ints/Fractions stay rational, and if
-    any coefficient is an NFElem (or RatFunc) the rational ones are lifted.
-    Any other coefficient (a float, say) is a TypeError."""
-    cs = list(coeffs)
-    lift = None
-    for c in cs:
-        if not isinstance(c, (int, Fraction, NFElem, RatFunc)):
-            raise TypeError(f"coefficient {c!r} is not an int, Fraction, NFElem or RatFunc")
-        if lift is None and isinstance(c, (NFElem, RatFunc)):
-            lift = c
+def _mul_nums(a, b, n: int) -> list:
+    """Coefficients 0..n-1 of the product of two nonempty integer polynomials,
+    from one big-integer product.
+
+    Kronecker substitution: an operand becomes sum_i a_i 2^(w i).  Each
+    coefficient c_k (k < n) of the product is a sum of at most
+    m = min(len a, len b, n) terms, so |c_k| <= m max|a| max|b| < 2^(w-1) for
+    w = bits(max|a|) + bits(max|b|) + bits(m) + 1, and slot k of the product
+    holds c_k in w-bit two's complement, less the borrow of the slots below.
+    A constant operand scales the other one instead.
+    """
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) == 1:
+        return [a[0] * c for c in b[:n]]
+    a, b = a[:n], b[:n]
+    m = len(a)
+    w = max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length() + m.bit_length() + 1
+    A = B = 0
+    for c in reversed(a):
+        A = (A << w) + c
+    for c in reversed(b):
+        B = (B << w) + c
+    C = (A * B) & ((1 << (w * n)) - 1)
+    mask, half = (1 << w) - 1, 1 << (w - 1)
     out = []
-    for c in cs:
-        if isinstance(c, int):
-            c = Fraction(c)
-        if lift is not None and isinstance(c, Fraction):
-            c = lift._const(c)
+    for _ in range(n):
+        c = C & mask
+        if c >= half:
+            c -= 1 << w
         out.append(c)
-    return tuple(out)
+        C = (C - c) >> w
+    return out
+
+
+def _pseudo_divrem(a, b) -> tuple[list, list]:
+    """(q, r) with lead(b)^e a = q b + r, e = len(a) - len(b) + 1 and
+    len(r) = len(b) - 1, for integer polynomials with len(a) >= len(b):
+    pseudo-division, Knuth, TAOCP vol. 2, 4.6.1, Algorithm R."""
+    lead, db, r = b[-1], len(b) - 1, list(a)
+    e = len(a) - db
+    q = [0] * e
+    for k in range(e - 1, -1, -1):
+        c = r[k + db]
+        q[k] = c * lead**k
+        r = [lead * x for x in r[: k + db]]
+        for i in range(db):
+            r[k + i] -= c * b[i]
+    return q, r
+
+
+def _primitive_gcd(a, b) -> list[int]:
+    """A gcd over Q of two integer polynomials, by the primitive
+    pseudo-remainder sequence of Knuth, TAOCP vol. 2, 4.6.1: each remainder
+    of a by b (`_pseudo_divrem`), an integer polynomial, is cut down to its
+    primitive part.  Unique up to a rational factor; [] only for a = b = []."""
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        r = _pseudo_divrem(a, b)[1]
+        while r and r[-1] == 0:
+            r.pop()
+        content = math.gcd(*r) if r else 1
+        a, b = b, [x // content for x in r]
+    return a
+
+
+def _horner(ints: Sequence[int], n: int, d: int) -> int:
+    """d^deg times the value of the integer polynomial `ints` at n/d, d > 0
+    (homogeneous Horner on integers)."""
+    acc, dpow = 0, 1
+    for c in reversed(ints):
+        acc = acc * n + c * dpow
+        dpow *= d
+    return acc
+
+
+# ---------------------------------------------------------------------------
+# polynomials
 
 
 class Poly:
     """Dense univariate polynomial, coefficients in ascending degree order.
 
-    Coefficients are Fractions, NFElems of one common field, or RatFuncs.
-    The zero polynomial is the empty coefficient tuple; its degree is -1,
-    standing in for "minus infinity" in divrem logic.
+    Over Q the coefficients are stored as integer numerators `nums` over one
+    positive denominator `den`, reduced so that gcd(den, *nums) = 1 and with
+    no trailing zero: equal polynomials have equal (nums, den), and every
+    operation runs on integers.  Coefficients that are NFElems of one common
+    field, or RatFuncs, are kept as a tuple instead (`nums` and `den` are
+    None) and take the generic loops.  `coeffs` gives the coefficients either
+    way, as Fractions over Q.  The zero polynomial has no coefficients; its
+    degree is -1, standing in for "minus infinity" in divrem logic.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den", "_cs")
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = list(_coerce_coeffs(coeffs))
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        cs = list(coeffs)
+        lift = None
+        for c in cs:
+            if not isinstance(c, (int, Fraction, NFElem, RatFunc)):
+                raise TypeError(f"coefficient {c!r} is not an int, Fraction, NFElem or RatFunc")
+            if lift is None and isinstance(c, (NFElem, RatFunc)):
+                lift = c
+        if lift is not None:
+            cs = [lift._const(Fraction(c)) if isinstance(c, (int, Fraction)) else c for c in cs]
+            while cs and cs[-1].is_zero():
+                cs.pop()
+            if cs:
+                self._set(None, None, tuple(cs))
+                return
+        den = math.lcm(*(c.denominator for c in cs))
+        self._store([c.numerator * (den // c.denominator) for c in cs], den)
+
+    def _store(self, nums, den: int) -> None:
+        while nums and not nums[-1]:
+            nums = nums[:-1]
+        if den < 0:
+            nums, den = [-c for c in nums], -den
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums, den = [c // g for c in nums], den // g
+        self._set(tuple(nums), den, None)
+
+    def _set(self, nums, den, cs) -> None:
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_cs", cs)
+
+    @staticmethod
+    def _make(nums, den: int) -> "Poly":
+        """The polynomial with coefficients nums/den, for integers nums, den != 0."""
+        p = object.__new__(Poly)
+        p._store(nums, den)
+        return p
 
     def __setattr__(self, *a):  # immutable
         raise AttributeError("Poly is immutable")
@@ -109,69 +213,91 @@ class Poly:
     # -- basic structure ----------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple:
+        if self.nums is None:
+            return self._cs
+        return tuple(Fraction(c, self.den) for c in self.nums)
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._cs if self.nums is None else self.nums) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return self.nums == ()
 
     def leading(self) -> Scalar:
         if self.is_zero():
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self[self.degree]
 
     def __getitem__(self, i: int) -> Scalar:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
+        if not 0 <= i <= self.degree:
+            return Fraction(0)
+        return self._cs[i] if self.nums is None else Fraction(self.nums[i], self.den)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, Poly):
+        if not isinstance(other, Poly):
+            return NotImplemented
+        if self.nums is None or other.nums is None:
             return (self - other).is_zero()
-        return NotImplemented
+        return self.nums == other.nums and self.den == other.den
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash(self._cs if self.nums is None else (self.nums, self.den))
 
     # -- ring operations ----------------------------------------------------
 
     @staticmethod
     def _pair(a: "Poly", b: "Poly") -> tuple["Poly", "Poly"]:
         """Lift one operand when rational and field polynomials are mixed."""
-        sa = a.coeffs[0] if a.coeffs else None
-        sb = b.coeffs[0] if b.coeffs else None
-        if isinstance(sa, (NFElem, RatFunc)) and isinstance(sb, Fraction):
-            return a, Poly([sa._const(c) for c in b.coeffs])
-        if isinstance(sb, (NFElem, RatFunc)) and isinstance(sa, Fraction):
-            return Poly([sb._const(c) for c in a.coeffs]), b
+        if a.nums is None and b.nums is not None:
+            return a, Poly([a._cs[0]._const(c) for c in b.coeffs])
+        if b.nums is None and a.nums is not None:
+            return Poly([b._cs[0]._const(c) for c in a.coeffs]), b
         return a, b
 
     def __add__(self, other: "Poly") -> "Poly":
-        a, b = Poly._pair(self, other)
-        n = max(len(a.coeffs), len(b.coeffs))
-        return Poly([a[i] + b[i] for i in range(n)])
+        if self.nums is None or other.nums is None:
+            a, b = Poly._pair(self, other)
+            return Poly([a[i] + b[i] for i in range(max(a.degree, b.degree) + 1)])
+        den = math.lcm(self.den, other.den)
+        a, b = self.nums, other.nums
+        sa, sb = den // self.den, den // other.den
+        if len(a) < len(b):
+            a, b, sa, sb = b, a, sb, sa
+        out = [c * sa for c in a]
+        for i, c in enumerate(b):
+            out[i] += c * sb
+        return Poly._make(out, den)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
+        if self.nums is None:
+            return Poly([-c for c in self._cs])
+        return Poly._make([-c for c in self.nums], self.den)
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction, NFElem, RatFunc)):
             return self.scale(other)
-        a, b = Poly._pair(self, other)
-        if a.is_zero() or b.is_zero():
+        if self.is_zero() or other.is_zero():
             return Poly()
-        out = [Fraction(0)] * (len(a.coeffs) + len(b.coeffs) - 1)
-        for i, ca in enumerate(a.coeffs):
-            for j, cb in enumerate(b.coeffs):
-                out[i + j] = out[i + j] + ca * cb
+        if self.nums is not None and other.nums is not None:
+            a, b = self.nums, other.nums
+            return Poly._make(_mul_nums(a, b, len(a) + len(b) - 1), self.den * other.den)
+        a, b = Poly._pair(self, other)
+        out = [None] * (a.degree + b.degree + 1)
+        for i, ca in enumerate(a._cs):
+            for j, cb in enumerate(b._cs):
+                out[i + j] = ca * cb if out[i + j] is None else out[i + j] + ca * cb
         return Poly(out)
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "Poly":
-        if isinstance(c, int):
-            c = Fraction(c)
+        if self.nums is not None and isinstance(c, (int, Fraction)):
+            return Poly._make([x * c.numerator for x in self.nums], self.den * c.denominator)
         return Poly([x * c for x in self.coeffs])
 
     def __pow__(self, n: int) -> "Poly":
@@ -180,23 +306,28 @@ class Poly:
         return pow_by_squaring(self, n, Poly([1]))
 
     def divrem(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        """Euclidean division: self = q*other + r with deg r < deg other."""
+        """Euclidean division: self = q*other + r with deg r < deg other.
+        Over Q by integer pseudo-division of the numerators."""
         if other.is_zero():
             raise ZeroDivisorError("zero divisor")
         a, b = Poly._pair(self, other)
-        r = list(a.coeffs)
-        db = b.degree
-        lead = b.leading()
-        if len(r) - 1 < db:
+        if a.degree < b.degree:
             return Poly(), a
-        qcoeffs = [a.coeffs[0] * 0] * (len(r) - db)
+        if a.nums is not None:
+            q, r = _pseudo_divrem(a.nums, b.nums)
+            den = b.nums[-1] ** len(q) * a.den
+            return Poly._make([c * b.den for c in q], den), Poly._make(r, den)
+        r = list(a._cs)
+        db = b.degree
+        inv = 1 / b.leading()
+        qcoeffs = [r[0] * 0] * (len(r) - db)
         for i in range(len(r) - 1, db - 1, -1):
             c = r[i]
-            if c == 0:
+            if c.is_zero():
                 continue
-            f = c / lead
+            f = c * inv
             qcoeffs[i - db] = f
-            for j, cb in enumerate(b.coeffs):
+            for j, cb in enumerate(b._cs):
                 r[i - db + j] = r[i - db + j] - f * cb
         return Poly(qcoeffs), Poly(r[:db])
 
@@ -209,23 +340,27 @@ class Poly:
     def monic(self) -> "Poly":
         if self.is_zero():
             return self
-        lead = self.leading()
-        return Poly([c / lead for c in self.coeffs])
+        if self.nums is not None:
+            return Poly._make(self.nums, self.nums[-1])
+        inv = 1 / self.leading()
+        return Poly([c * inv for c in self._cs])
 
     def gcd(self, other: "Poly") -> "Poly":
         """The monic gcd (zero for two zero polynomials).  Over Q it comes
-        from a primitive remainder sequence on integers; field and
+        from a primitive remainder sequence on the numerators; field and
         rational-function coefficients take the Euclidean loop."""
         a, b = Poly._pair(self, other)
-        if all(isinstance(c, Fraction) for c in a.coeffs + b.coeffs):
-            g = _primitive_gcd(_primitive(a.coeffs), _primitive(b.coeffs))
-            return Poly([Fraction(c, g[-1]) for c in g]) if g else Poly()
+        if a.nums is not None and b.nums is not None:
+            g = _primitive_gcd(a.nums, b.nums)
+            return Poly._make(g, g[-1]) if g else Poly()
         while not b.is_zero():
             a, b = b, a % b
         return a.monic() if not a.is_zero() else a
 
     def derivative(self) -> "Poly":
-        return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
+        if self.nums is None:
+            return Poly([i * c for i, c in enumerate(self._cs)][1:])
+        return Poly._make([i * c for i, c in enumerate(self.nums)][1:], self.den)
 
     def compose(self, other: "Poly") -> "Poly":
         """self(other(x)) by Horner."""
@@ -235,20 +370,34 @@ class Poly:
         return acc
 
     def __call__(self, x):
-        """Evaluate by Horner at a scalar (Fraction, NFElem, ...)."""
+        """Evaluate by Horner at a scalar (Fraction, NFElem, ...); over Q at a
+        rational x by the homogeneous Horner on the numerators."""
+        if self.nums is not None and isinstance(x, (int, Fraction)):
+            n, d = x.numerator, x.denominator
+            return Fraction(_horner(self.nums, n, d), self.den * d ** max(self.degree, 0))
         acc = None
         for c in reversed(self.coeffs):
             acc = c if acc is None else acc * x + c
         if acc is None:
-            return Fraction(0) if isinstance(x, (int, Fraction)) else x * 0
+            return x * 0
         return acc
 
     def eval_interval(self, iv: Ival) -> Ival:
-        """Enclosure of the image of a rational interval (rational coeffs)."""
-        acc = (Fraction(0), Fraction(0))
-        for c in reversed(self.coeffs):
-            acc = ival_add(ival_mul(acc, iv), (c, c))
-        return acc
+        """Enclosure of the image of a rational interval (rational coeffs):
+        the interval Horner scheme, acc <- acc * iv + c, on integers.  With
+        iv = (a/d, b/d), the step for the coefficient c = nums_i/den keeps
+        acc = (L, U)/(den d^k), and both sides are scaled by the same
+        positive factor, so min and max are those of the Fraction scheme."""
+        lo, hi = iv
+        d = math.lcm(lo.denominator, hi.denominator)
+        a, b = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
+        L = U = 0
+        dpow = 1
+        for c in reversed(self.nums):
+            ps = (L * a, L * b, U * a, U * b)
+            L, U = min(ps) + c * dpow, max(ps) + c * dpow
+            dpow *= d
+        return (Fraction(L * d, self.den * dpow), Fraction(U * d, self.den * dpow))
 
     def squarefree_part(self) -> "Poly":
         g = self.gcd(self.derivative())
@@ -279,40 +428,6 @@ class Poly:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-def _primitive(coeffs: Sequence[Fraction]) -> list[int]:
-    """Primitive integer coefficients of a rational polynomial: scaled by the
-    lcm of the denominators, then divided by the gcd of the numerators (which
-    keeps the sign of the leading coefficient).  Zero gives []."""
-    if not coeffs:
-        return []
-    den = math.lcm(*(c.denominator for c in coeffs))
-    ints = [c.numerator * (den // c.denominator) for c in coeffs]
-    content = math.gcd(*ints)
-    return [c // content for c in ints]
-
-
-def _primitive_gcd(a: list[int], b: list[int]) -> list[int]:
-    """A gcd of two primitive integer polynomials (ascending coefficients) by
-    the primitive pseudo-remainder sequence of Knuth, TAOCP vol. 2, 4.6.1:
-    the remainder of lead(b)^n a by b, an integer polynomial, is cut down to
-    its primitive part at each step.  Unique up to sign; [] only for
-    a = b = []."""
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        lead, r = b[-1], list(a)
-        while len(r) >= len(b):
-            c, shift = r[-1], len(r) - len(b)
-            r = [lead * x for x in r]
-            for i, cb in enumerate(b):
-                r[shift + i] -= c * cb
-            while r and r[-1] == 0:
-                r.pop()
-        content = math.gcd(*r) if r else 1
-        a, b = b, [x // content for x in r]
-    return a
-
-
 # ---------------------------------------------------------------------------
 # Sturm sequences and real-root counting
 
@@ -327,23 +442,13 @@ def _sturm_chain(p: Poly) -> list[Poly]:
     return chain
 
 
-def _sign(x: Fraction) -> int:
+def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
 
-def _sign_at(ints: Sequence[int], x: Fraction) -> int:
-    """Sign of the integer polynomial `ints` at x, from d^deg times its value
-    at x = n/d (homogeneous Horner on integers)."""
-    n, d = x.numerator, x.denominator
-    acc, dpow = 0, 1
-    for c in reversed(ints):
-        acc = acc * n + c * dpow
-        dpow *= d
-    return (acc > 0) - (acc < 0)
-
-
 def _variations(chain: Sequence[Poly], x: Fraction) -> int:
-    signs = [s for s in (_sign(p(x)) for p in chain) if s != 0]
+    signs = [_sign(_horner(p.nums, x.numerator, x.denominator)) for p in chain]
+    signs = [s for s in signs if s != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
@@ -397,27 +502,31 @@ class AlgebraicReal:
         """
         if width <= 0:
             raise ValueError("width must be positive")
-        ints = _primitive(self.defining.coeffs)  # same sign as the defining polynomial
+        ints = self.defining.nums  # den > 0: the same signs as the defining polynomial
         lo, hi = (self.lo, self.hi) if start is None else start
         if not self.lo <= lo <= hi <= self.hi:
             raise ValueError("start bracket outside the isolating interval")
-        slo, shi = _sign_at(ints, lo), _sign_at(ints, hi)
+        slo = _sign(_horner(ints, lo.numerator, lo.denominator))
+        shi = _sign(_horner(ints, hi.numerator, hi.denominator))
         if slo == 0:
             return (lo, lo)
         if shi == 0:
             return (hi, hi)
         if slo == shi:
             raise ValueError("start bracket does not bracket the root")
-        while hi - lo > width:
-            mid = (lo + hi) / 2
-            v = _sign_at(ints, mid)
+        # on integers: the bracket is (a/den, b/den), and each halving doubles den
+        den = math.lcm(lo.denominator, hi.denominator)
+        a, b = lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator)
+        while (b - a) * width.denominator > width.numerator * den:
+            mid, a, b, den = a + b, 2 * a, 2 * b, 2 * den
+            v = _sign(_horner(ints, mid, den))
             if v == 0:
-                return (mid, mid)
+                return (Fraction(mid, den), Fraction(mid, den))
             if v == slo:
-                lo = mid
+                a = mid
             else:
-                hi = mid
-        return (lo, hi)
+                b = mid
+        return (Fraction(a, den), Fraction(b, den))
 
     def __repr__(self):
         return f"AlgebraicReal({self.defining.pretty()}, ({self.lo}, {self.hi}))"
@@ -431,13 +540,14 @@ def _rational_roots(p: Poly) -> list[Fraction]:
     """All rational roots, by the rational root theorem on the primitive part."""
     if p.is_zero():
         raise ValueError("zero polynomial")
-    ints = _primitive(p.coeffs)
-    while ints and ints[0] == 0:
+    content = math.gcd(*p.nums)
+    ints = [c // content for c in p.nums]
+    roots = set()
+    if ints[0] == 0:
+        roots.add(Fraction(0))
+    while ints[0] == 0:
         ints = ints[1:]  # factor out x; zero is a root of the original iff constant term was 0
     a0, an = abs(ints[0]), abs(ints[-1])
-    roots = set()
-    if p.coeffs[0] == 0:
-        roots.add(Fraction(0))
 
     def divisors(n: int) -> list[int]:
         out = []
@@ -451,9 +561,9 @@ def _rational_roots(p: Poly) -> list[Fraction]:
 
     for r in divisors(a0):
         for s in divisors(an):
-            for cand in (Fraction(r, s), Fraction(-r, s)):
-                if _sign_at(ints, cand) == 0:
-                    roots.add(cand)
+            for n in (r, -r):
+                if _horner(ints, n, s) == 0:
+                    roots.add(Fraction(n, s))
     return sorted(roots)
 
 
@@ -510,7 +620,7 @@ class NumberField:
         self.embedding = AlgebraicReal(modulus, interval)
 
     def const(self, c: Fraction) -> "NFElem":
-        return NFElem(self, Poly([c]))
+        return NFElem(self, Poly._make([c.numerator], c.denominator))
 
     def one(self) -> "NFElem":
         return self.const(Fraction(1))
@@ -564,10 +674,10 @@ class NFElem:
         o = NFElem._coerce(self.field, other)
         if o is NotImplemented:
             return NotImplemented
-        return (self.rep - o.rep).is_zero()
+        return self.rep == o.rep
 
     def __hash__(self):
-        return hash((id(self.field), self.rep.coeffs))
+        return hash((id(self.field), self.rep))
 
     def __add__(self, other):
         o = NFElem._coerce(self.field, other)
@@ -754,7 +864,7 @@ class RatFunc:
         return (self.num * o.den - o.num * self.den).is_zero()
 
     def __hash__(self):
-        return hash((self.num.coeffs, self.den.coeffs))
+        return hash((self.num, self.den))
 
     def __add__(self, other):
         o = RatFunc._coerce(other)

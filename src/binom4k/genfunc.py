@@ -17,39 +17,9 @@ from fractions import Fraction
 from typing import Optional
 
 from .balls import Ball
-from .exact import AlgebraicReal, NFElem, NumberField, Poly, pow_by_squaring, sqrt_in_field
+from .exact import (AlgebraicReal, NFElem, NumberField, Poly, _mul_nums, pow_by_squaring,
+                    sqrt_in_field)
 from .series import RADIUS, SeriesSpec, sum_series
-
-
-def _mul_nums(a, b) -> list:
-    """The product of two integer polynomials (ascending coefficient
-    sequences) through the lower of their orders, from one big-integer
-    product.
-
-    Kronecker substitution: an operand becomes sum_i a_i 2^(w i).  With
-    n = min(len a, len b), each coefficient c_k (k < n) of the product has at
-    most n terms, so |c_k| <= n max|a| max|b| < 2^(w-1) for
-    w = bits(max|a|) + bits(max|b|) + bits(n) + 1, and slot k of the product
-    holds c_k in w-bit two's complement, less the borrow of the slots below.
-    """
-    n = min(len(a), len(b))
-    a, b = a[:n], b[:n]
-    w = max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length() + n.bit_length() + 1
-    A = B = 0
-    for c in reversed(a):
-        A = (A << w) + c
-    for c in reversed(b):
-        B = (B << w) + c
-    C = (A * B) & ((1 << (w * n)) - 1)
-    mask, half = (1 << w) - 1, 1 << (w - 1)
-    out = []
-    for _ in range(n):
-        c = C & mask
-        if c >= half:
-            c -= 1 << w
-        out.append(c)
-        C = (C - c) >> w
-    return out
 
 
 class TruncSeries:
@@ -58,7 +28,7 @@ class TruncSeries:
     The coefficients are stored as integer numerators `nums` over one
     positive common denominator `den`, reduced so that gcd(den, *nums) = 1:
     equal series have equal representations, and a product is one
-    big-integer product of the numerators (`_mul_nums`).
+    big-integer product of the numerators (`exact._mul_nums`).
     """
 
     __slots__ = ("nums", "den")
@@ -146,7 +116,8 @@ class TruncSeries:
                                      self.den * other.denominator)
         if not isinstance(other, TruncSeries):
             return NotImplemented
-        return TruncSeries._make(_mul_nums(self.nums, other.nums), self.den * other.den)
+        n = min(len(self.nums), len(other.nums))
+        return TruncSeries._make(_mul_nums(self.nums, other.nums, n), self.den * other.den)
 
     __rmul__ = __mul__
 

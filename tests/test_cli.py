@@ -11,6 +11,7 @@ import pytest
 
 from binom4k.balls import Ball
 from binom4k.cli import (
+    MAX_DIGITS,
     REPORT_SCHEMA,
     SystemExit2,
     _lhs,
@@ -165,6 +166,18 @@ class TestEvalCommand:
         assert captured.out == ""
         assert f"spec.{key}: must be an integer" in captured.err
 
+    @pytest.mark.parametrize("channels, key", [
+        ({"0": ["11/1", "-92/1", "22/1"], "00": ["1/1"]}, "00"),   # used to print f(1/16)
+        ({"1_0": ["1/1"]}, "1_0"), ({"+1": ["1/1"]}, "+1"), ({" 1": ["1/1"]}, " 1"),
+        ({"01": ["1/1"]}, "01"), ({"1.0": ["1/1"]}, "1.0"), ({"one": ["1/1"]}, "one")])
+    def test_eval_rejects_noncanonical_channel_keys(self, tmp_path, capsys, channels, key):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({**EQ11_SPEC, "channels": channels}))
+        assert main(["eval", "--spec", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"bad channel key {key!r}" in captured.err
+
     def test_eval_missing_file(self):
         assert main(["eval", "--spec", "/nonexistent.json"]) == 2
 
@@ -246,6 +259,27 @@ def test_default_digits_env(monkeypatch, capsys):
             default_digits()
         assert main(["verify", "eq-1.1"]) == 2
         assert "BINOM4K_DIGITS" in capsys.readouterr().err
+
+
+def test_digits_budget(monkeypatch, capsys):
+    """Above MAX_DIGITS, --digits and BINOM4K_DIGITS are usage errors that
+    end at once, before any series is summed."""
+    monkeypatch.delenv("BINOM4K_DIGITS", raising=False)
+    t0 = time.perf_counter()
+    assert main(["verify-all", "--digits", "1000000"]) == 2
+    assert time.perf_counter() - t0 < 1
+    for argv in (["verify", "eq-1.1", "--digits", str(MAX_DIGITS + 1)],
+                 ["eval", "--spec", "/nonexistent.json", "--digits", str(MAX_DIGITS + 1)]):
+        assert main(argv) == 2
+        assert f"digits must be <= {MAX_DIGITS}" in capsys.readouterr().err
+    monkeypatch.setenv("BINOM4K_DIGITS", str(MAX_DIGITS))
+    assert default_digits() == MAX_DIGITS
+    monkeypatch.setenv("BINOM4K_DIGITS", str(MAX_DIGITS + 1))
+    assert main(["verify", "eq-1.1"]) == 2
+    assert "BINOM4K_DIGITS" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["verify-all", "--help"])
+    assert f"at most {MAX_DIGITS}" in capsys.readouterr().out
 
 
 # A perturbed rhs must FAIL once the offset is above the resolution of the
@@ -383,6 +417,13 @@ def test_data_derived_outputs_pinned(capsys):
         for record in report["records"]:
             del record["elapsed_ms"]
         assert sha(json.dumps(report, indent=1)) == digest, digits
+    # the quadrature cross-checks, whose integrands read the NFElem embedding
+    # intervals, with their exit codes
+    text = ""
+    for j in (1, 2, 3, 4):
+        code = main(["crosscheck", "--j", str(j)])
+        text += capsys.readouterr().out + f"exit {code}\n"
+    assert sha(text) == "85c1a9720b6094a838289ad4db73f1357588c00f7de11db5832260a880391a4c"
 
 
 def test_parser_rejects_unknown_command():

@@ -1,9 +1,11 @@
 """Exact kernel: polynomials, root counting, algebraic reals, number fields."""
 
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from binom4k.exact import (
     AlgebraicReal,
@@ -352,3 +354,130 @@ def test_count_roots_open_interval():
     assert count_roots(p, F(0), F(2)) == 1
     assert count_roots(p, F(-2), F(2)) == 2
     assert count_roots(p, F(2), F(3)) == 0
+
+
+# ---------------------------------------------------------------------------
+# the integer form of Poly over Q against a reference on Fraction lists
+
+
+def _trim(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def _ref_add(a, b):
+    n = max(len(a), len(b))
+    return _trim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)])
+
+
+def _ref_mul(a, b):
+    out = [F(0)] * max(0, len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trim(out)
+
+
+def _ref_horner(cs, x):
+    acc = F(0)
+    for c in reversed(cs):
+        acc = acc * x + c
+    return acc
+
+
+def _ref_interval_horner(cs, lo, hi):
+    acc = (F(0), F(0))
+    for c in reversed(cs):
+        ps = (acc[0] * lo, acc[0] * hi, acc[1] * lo, acc[1] * hi)
+        acc = (min(ps) + c, max(ps) + c)
+    return acc
+
+
+# small, huge and slot-edge (2^p - 1, the largest magnitude of its bit length)
+# coefficients; the repeated slot-edge lists put a product coefficient just
+# under the top of the Kronecker slot
+_coeff = st.one_of(
+    st.fractions(max_denominator=12).filter(lambda q: abs(q) <= 20),
+    st.builds(F, st.integers(-10**30, 10**30), st.integers(1, 10**20)),
+    st.builds(lambda p, s: F(s * (2**p - 1)), st.integers(1, 70), st.sampled_from([1, -1])))
+_edge = st.builds(lambda p, s, n: [F(s * (2**p - 1))] * n,
+                  st.integers(1, 70), st.sampled_from([1, -1]), st.integers(3, 13))
+_coeffs = st.one_of(st.lists(_coeff, max_size=13), _edge)   # degree <= 12
+_nonzero = _coeffs.map(_trim).filter(bool)
+_PROP = settings(max_examples=15, deadline=None, derandomize=True)
+
+
+def _canonical(p, cs):
+    """p holds cs in the stored form: den > 0, gcd(den, *nums) = 1, no
+    trailing zero."""
+    cs = _trim(cs)
+    assert p.coeffs == tuple(cs)
+    assert p.den > 0 and math.gcd(p.den, *p.nums) == 1
+    assert not p.nums or p.nums[-1] != 0
+    assert all(isinstance(c, int) for c in p.nums)
+
+
+class TestIntegerPolyProperties:
+    @_PROP
+    @given(a=_coeffs, b=_coeffs)
+    def test_ring_operations(self, a, b):
+        pa, pb = Poly(a), Poly(b)
+        _canonical(pa + pb, _ref_add(a, b))
+        _canonical(pa - pb, _ref_add(a, [-c for c in b]))
+        _canonical(pa * pb, _ref_mul(a, b))
+        _canonical(-pa, [-c for c in a])
+
+    @_PROP
+    @given(a=_coeffs, b=_nonzero)
+    def test_divrem(self, a, b):
+        q, r = Poly(a).divrem(Poly(b))
+        _canonical(q, q.coeffs)
+        _canonical(r, r.coeffs)
+        assert _ref_add(_ref_mul(list(q.coeffs), b), list(r.coeffs)) == _trim(a)
+        assert r.degree < len(b) - 1
+
+    @_PROP
+    @given(a=_coeffs, b=_coeffs, g=_nonzero)
+    def test_gcd_is_monic_and_divides(self, a, b, g):
+        a, b = _ref_mul(a, g), _ref_mul(b, g)
+        d = Poly(a).gcd(Poly(b))
+        if not a and not b:
+            assert d.is_zero()
+            return
+        _canonical(d, d.coeffs)
+        assert d.leading() == 1
+        for x in (a, b):
+            assert Poly(x).divrem(d)[1].is_zero()
+        assert d.degree >= len(g) - 1        # g divides both
+
+    @_PROP
+    @given(a=_coeffs, x=st.fractions(max_denominator=10**9).filter(lambda q: abs(q) < 10**6))
+    def test_call_at_a_rational(self, a, x):
+        assert Poly(a)(x) == _ref_horner(a, x)
+
+    @_PROP
+    @given(a=_coeffs, ends=st.lists(st.fractions(max_denominator=10**6).filter(lambda q: abs(q) < 100),
+                                    min_size=2, max_size=2))
+    def test_eval_interval_is_the_fraction_horner_interval(self, a, ends):
+        lo, hi = sorted(ends)
+        assert Poly(a).eval_interval((lo, hi)) == _ref_interval_horner(a, lo, hi)
+
+    @_PROP
+    @given(a=_coeffs)
+    def test_derivative_and_monic(self, a):
+        p = Poly(a)
+        _canonical(p.derivative(), [i * c for i, c in enumerate(a)][1:])
+        cs = _trim(a)
+        _canonical(p.monic(), [c / cs[-1] for c in cs] if cs else [])
+
+    @_PROP
+    @given(a=_coeffs, b=_coeffs, k=_coeff.filter(bool))
+    def test_equal_polynomials_have_equal_nums_and_den(self, a, b, k):
+        p = Poly(a)
+        for q in ((p + Poly(b)) - Poly(b), p.scale(k).scale(1 / k), (p * Poly([k])) // Poly([k]),
+                  Poly([c * 3 for c in a]).scale(F(1, 3))):
+            assert q == p and hash(q) == hash(p)
+            assert (q.nums, q.den) == (p.nums, p.den)
+            _canonical(q, a)

@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 from binom4k import genfunc
-from binom4k.exact import Poly, RatFunc
+from binom4k.exact import Poly, RatFunc, _mul_nums
 from binom4k.genfunc import (
     TruncSeries,
     check_derivatives_f,
@@ -134,7 +134,7 @@ class TestKernel:
                 for a, b in (([sa * M] * n, [sb * N] * n),
                              ([sa * (-1)**i * M for i in range(n)], [sb * (-1)**i * N for i in range(n)]),
                              ([sa * 2**p] * n, [sb * 2**q] * n)):
-                    got = genfunc._mul_nums(a, b)
+                    got = _mul_nums(a, b, n)
                     assert got == _school_mul(a, b), (p, q, r, sa, sb)
                     assert all(isinstance(c, int) for c in got)
                     assert (TruncSeries(a) * TruncSeries(b)).coeffs == tuple(_school_mul(a, b))
