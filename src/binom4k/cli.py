@@ -508,7 +508,7 @@ def _dispatch(args) -> int:
         try:
             with open(args.spec, "r", encoding="utf-8") as fh:
                 obj = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:  # undecodable, malformed, too deep
             raise SystemExit2(f"cannot read spec file: {exc}") from None
         if not isinstance(obj, dict):
             raise SystemExit2("spec file must hold a JSON object")

@@ -3,14 +3,18 @@
 Univariate polynomials over the rationals and over real number fields,
 Sturm-sequence real-root counting, algebraic reals given by a defining
 polynomial plus an isolating interval, single-generator number fields
-Q[t]/(p(t)) with a distinguished real embedding, and rational functions.
+Q[t]/(p(t)) with a distinguished real embedding, and rational functions
+over Q.
 
 A polynomial over Q is integer numerators over one denominator, and its
 arithmetic runs on integer kernels: one Kronecker big-integer product
 (`_mul_nums`, which also multiplies `genfunc.TruncSeries`), pseudo-division,
 a primitive remainder sequence for the gcd and homogeneous Horner for
 evaluation.  Number-field elements and the rational functions over Q reach
-the same kernels through their polynomials over Q.
+the same kernels through their polynomials over Q.  A polynomial over a
+number field keeps a tuple of NFElem coefficients and has ring arithmetic,
+scaling, division with remainder and evaluation only; the gcd, `monic` and
+the derivative are over Q.
 
 Everything in this module is exact: no floating point, no tolerances.
 All values are immutable after construction and all operations are pure,
@@ -23,7 +27,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-Scalar = Union[Fraction, "NFElem", "RatFunc"]
+Scalar = Union[Fraction, "NFElem"]
 
 
 class ZeroDivisorError(ZeroDivisionError):
@@ -159,9 +163,9 @@ class Poly:
     positive denominator `den`, reduced so that gcd(den, *nums) = 1 and with
     no trailing zero: equal polynomials have equal (nums, den), and every
     operation runs on integers.  Coefficients that are NFElems of one common
-    field, or RatFuncs, are kept as a tuple instead (`nums` and `den` are
-    None) and take the generic loops.  `coeffs` gives the coefficients either
-    way, as Fractions over Q.  The zero polynomial has no coefficients; its
+    field are kept as a tuple instead (`nums` and `den` are None) and take
+    the generic loops.  `coeffs` gives the coefficients either way, as
+    Fractions over Q.  The zero polynomial has no coefficients; its
     degree is -1, standing in for "minus infinity" in divrem logic.
     """
 
@@ -169,14 +173,14 @@ class Poly:
 
     def __init__(self, coeffs: Iterable = ()):
         cs = list(coeffs)
-        lift = None
+        field = None
         for c in cs:
-            if not isinstance(c, (int, Fraction, NFElem, RatFunc)):
-                raise TypeError(f"coefficient {c!r} is not an int, Fraction, NFElem or RatFunc")
-            if lift is None and isinstance(c, (NFElem, RatFunc)):
-                lift = c
-        if lift is not None:
-            cs = [lift._const(Fraction(c)) if isinstance(c, (int, Fraction)) else c for c in cs]
+            if not isinstance(c, (int, Fraction, NFElem)):
+                raise TypeError(f"coefficient {c!r} is not an int, Fraction or NFElem")
+            if field is None and isinstance(c, NFElem):
+                field = c.field
+        if field is not None:
+            cs = [c if isinstance(c, NFElem) else field.const(Fraction(c)) for c in cs]
             while cs and cs[-1].is_zero():
                 cs.pop()
             if cs:
@@ -243,6 +247,8 @@ class Poly:
         return self.nums == other.nums and self.den == other.den
 
     def __hash__(self):
+        if self.nums is None and all(c.is_rational() for c in self._cs):
+            return hash(Poly([c.to_fraction() for c in self._cs]))  # it equals its form over Q
         return hash(self._cs if self.nums is None else (self.nums, self.den))
 
     # -- ring operations ----------------------------------------------------
@@ -251,9 +257,9 @@ class Poly:
     def _pair(a: "Poly", b: "Poly") -> tuple["Poly", "Poly"]:
         """Lift one operand when rational and field polynomials are mixed."""
         if a.nums is None and b.nums is not None:
-            return a, Poly([a._cs[0]._const(c) for c in b.coeffs])
+            return a, Poly([a._cs[0].field.const(c) for c in b.coeffs])
         if b.nums is None and a.nums is not None:
-            return Poly([b._cs[0]._const(c) for c in a.coeffs]), b
+            return Poly([b._cs[0].field.const(c) for c in a.coeffs]), b
         return a, b
 
     def __add__(self, other: "Poly") -> "Poly":
@@ -279,8 +285,10 @@ class Poly:
         return Poly._make([-c for c in self.nums], self.den)
 
     def __mul__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction, NFElem, RatFunc)):
+        if isinstance(other, (int, Fraction, NFElem)):
             return self.scale(other)
+        if not isinstance(other, Poly):
+            return NotImplemented
         if self.is_zero() or other.is_zero():
             return Poly()
         if self.nums is not None and other.nums is not None:
@@ -338,28 +346,15 @@ class Poly:
         return self.divrem(other)[1]
 
     def monic(self) -> "Poly":
-        if self.is_zero():
-            return self
-        if self.nums is not None:
-            return Poly._make(self.nums, self.nums[-1])
-        inv = 1 / self.leading()
-        return Poly([c * inv for c in self._cs])
+        return self if self.is_zero() else Poly._make(self.nums, self.nums[-1])
 
     def gcd(self, other: "Poly") -> "Poly":
-        """The monic gcd (zero for two zero polynomials).  Over Q it comes
-        from a primitive remainder sequence on the numerators; field and
-        rational-function coefficients take the Euclidean loop."""
-        a, b = Poly._pair(self, other)
-        if a.nums is not None and b.nums is not None:
-            g = _primitive_gcd(a.nums, b.nums)
-            return Poly._make(g, g[-1]) if g else Poly()
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic() if not a.is_zero() else a
+        """The monic gcd over Q (zero for two zero polynomials), from a
+        primitive remainder sequence on the numerators."""
+        g = _primitive_gcd(self.nums, other.nums)
+        return Poly._make(g, g[-1]) if g else Poly()
 
     def derivative(self) -> "Poly":
-        if self.nums is None:
-            return Poly([i * c for i, c in enumerate(self._cs)][1:])
         return Poly._make([i * c for i, c in enumerate(self.nums)][1:], self.den)
 
     def compose(self, other: "Poly") -> "Poly":
@@ -646,9 +641,6 @@ class NFElem:
     def __setattr__(self, *a):
         raise AttributeError("NFElem is immutable")
 
-    def _const(self, c: Fraction) -> "NFElem":
-        return self.field.const(c)
-
     @staticmethod
     def _coerce(field: NumberField, x) -> "NFElem":
         if isinstance(x, NFElem):
@@ -676,8 +668,8 @@ class NFElem:
             return NotImplemented
         return self.rep == o.rep
 
-    def __hash__(self):
-        return hash((id(self.field), self.rep))
+    def __hash__(self):  # a rational element equals its Fraction, so hashes as it
+        return hash(self.to_fraction() if self.is_rational() else (id(self.field), self.rep))
 
     def __add__(self, other):
         o = NFElem._coerce(self.field, other)
@@ -808,24 +800,21 @@ def sqrt_in_field(field: NumberField, d: int) -> NFElem:
 
 
 class RatFunc:
-    """Rational function num/den over one variable.
+    """Rational function num/den over Q in one variable.
 
-    num and den are Polys over a common coefficient scalar type; den is kept
-    monic and the pair gcd-reduced, giving a canonical representative.
+    num and den are Polys over Q, den monic and the pair gcd-reduced: the
+    representation is canonical, so equal functions have equal parts.
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: Poly, den: Optional[Poly] = None, reduce: bool = True):
-        if den is None:
-            den = Poly([1])
-        if not isinstance(num, Poly):
-            num = Poly([num]) if num != 0 else Poly()
-        if not isinstance(den, Poly):
-            den = Poly([den])
+        den = Poly([1]) if den is None else den
+        for p in (num, den):
+            if not isinstance(p, Poly) or p.nums is None:
+                raise TypeError(f"{p!r} is not a polynomial over Q")
         if den.is_zero():
             raise ZeroDivisorError("zero divisor")
-        num, den = Poly._pair(num, den)
         if reduce and not num.is_zero():
             g = num.gcd(den)
             if g.degree > 0:
@@ -841,16 +830,13 @@ class RatFunc:
     def __setattr__(self, *a):
         raise AttributeError("RatFunc is immutable")
 
-    def _const(self, c: Fraction) -> "RatFunc":
-        return RatFunc(Poly([c]))
-
     @staticmethod
     def _coerce(x) -> "RatFunc":
         if isinstance(x, RatFunc):
             return x
         if isinstance(x, Poly):
             return RatFunc(x)
-        if isinstance(x, (int, Fraction, NFElem)):
+        if isinstance(x, (int, Fraction)):
             return RatFunc(Poly([x]))
         return NotImplemented
 
@@ -861,7 +847,7 @@ class RatFunc:
         o = RatFunc._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return (self.num * o.den - o.num * self.den).is_zero()
+        return self.num == o.num and self.den == o.den
 
     def __hash__(self):
         return hash((self.num, self.den))

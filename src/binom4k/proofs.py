@@ -1,7 +1,7 @@
 """Exact verification of the proof-level identities behind the catalog.
 
 Everything here is a zero-test in an exact structure: a polynomial ring over
-Q or over a number field, a rational-function field, or a number field
+Q or over a number field, the rational functions over Q, or a number field
 itself.  A check either passes or returns a nonzero witness; there are no
 tolerances anywhere in this module.
 
@@ -114,19 +114,14 @@ _G4_NUM = (8 * Poly([1, 1, -1, 1]) * Poly([1, 0, 3, 0, -1, 0, 1])
 _G4_DEN = Poly([-1, 1]) * Poly([-1, 0, 0, 0, 3]) ** 4 * Poly([1, 0, 0, 0, 1])
 
 
-def _rf(num, den=Poly([1])) -> RatFunc:
-    return RatFunc(num if isinstance(num, Poly) else Poly(num),
-                   den if isinstance(den, Poly) else Poly(den))
-
-
 @lru_cache(maxsize=1)
 def antiderivative_g() -> tuple[LogRationalExpr, RatFunc]:
     """g(y) with g' = (27y^2-3y-40)(3y+1)^2 / (2y(y+1))."""
     g = LogRationalExpr(
-        rational_part=_rf(Poly([216, -243, -54, 81]).scale(F(1, 2))),
-        log_terms=((F(-20), _rf(Poly([0, 2]), Poly([1, 1]))),),
+        rational_part=RatFunc(Poly([216, -243, -54, 81]).scale(F(1, 2))),
+        log_terms=((F(-20), RatFunc(Poly([0, 2]), Poly([1, 1]))),),
     )
-    integrand = _rf(
+    integrand = RatFunc(
         Poly([-40, -3, 27]) * Poly([1, 3]) ** 2,
         2 * (Poly([0, 1]) * Poly([1, 1])),
     )
@@ -136,13 +131,13 @@ def antiderivative_g() -> tuple[LogRationalExpr, RatFunc]:
 @lru_cache(maxsize=1)
 def antiderivative_g2() -> tuple[LogRationalExpr, RatFunc]:
     g2 = LogRationalExpr(
-        rational_part=_rf(
+        rational_part=RatFunc(
             Poly([0, 1]) * Poly([11, 27, -126, -351, 135, 486]).scale(4),
             Poly([-1, 0, 3]) ** 3,
         ),
-        log_terms=((F(10), _rf(Poly([-1, 1]) ** 2, Poly([1, 0, 1]))),),
+        log_terms=((F(10), RatFunc(Poly([-1, 1]) ** 2, Poly([1, 0, 1]))),),
     )
-    return g2, _rf(_G2_NUM, _G2_DEN)
+    return g2, RatFunc(_G2_NUM, _G2_DEN)
 
 
 @lru_cache(maxsize=1)
@@ -155,28 +150,55 @@ def _g3_quartic() -> Poly:
     return Poly([2 * cbrt2_field().gen(), -4, 0, 0, 1])
 
 
-@lru_cache(maxsize=1)
-def antiderivative_g3() -> tuple[LogRationalExpr, RatFunc]:
-    """The cube-root case, over Q(cbrt(2))."""
-    K = cbrt2_field()
-    c = K.gen()
+def _g3_z_factors() -> tuple:
+    """The printed factors of g3 and its integrand in z over Q(cbrt(2)), each
+    with its class r for `_in_w`: the rational part's numerator and denominator,
+    the cube in the log argument 2/(cbrt2 - z)^3, then the integrand's."""
+    c = cbrt2_field().gen()
     c2 = c * c
     num = Poly([0, 12 * c2, 22 * c, 36, -44 * c2, -80 * c, -135, 20 * c2, 40 * c, 72])
-    g3 = LogRationalExpr(
-        rational_part=_rf(num, 2 * Poly([-1, 0, 0, 1]) ** 3),
-        log_terms=((F(-20, 3), _rf(Poly([2]), Poly([c, -1]) ** 3)),),
-    )
-    return g3, _rf(_G3_SEXTIC * _G3_NONIC, _G3_CUBE_FACTOR * _g3_quartic())
+    return ((num, 0), (2 * Poly([-1, 0, 0, 1]) ** 3, 0), (Poly([c, -1]) ** 3, 0),
+            (_G3_SEXTIC, 0), (_G3_NONIC, 0), (_G3_CUBE_FACTOR, 0), (_g3_quartic(), 1))
+
+
+def _in_w(p: Poly, r: int = 0) -> Poly:
+    """The polynomial over Q in w with p(cbrt2 w) = cbrt2^r _in_w(p, r)(w), for
+    p in z over Q or Q(cbrt(2)): each monomial cbrt2^i z^n of p must have
+    i + n = r (mod 3), and becomes 2^((i+n-r)/3) w^n."""
+    out = []
+    for n, coef in enumerate(p.coeffs):
+        acc = F(0)
+        for i, q in enumerate(coef.rep.coeffs if isinstance(coef, NFElem) else (coef,)):
+            if q:
+                if (i + n - r) % 3:
+                    raise ValueError(f"monomial cbrt2^{i} z^{n} is not in the class r = {r} mod 3")
+                acc += q * 2 ** ((i + n - r) // 3)
+        out.append(acc)
+    return Poly(out)
+
+
+@lru_cache(maxsize=1)
+def antiderivative_g3() -> tuple[LogRationalExpr, RatFunc]:
+    """The cube-root case, printed in z over Q(cbrt(2)), as the pair g3(cbrt2 w)
+    and cbrt2 I(cbrt2 w) over Q: z = cbrt2 w is a change of variable, so g3' = I
+    iff d/dw g3(cbrt2 w) = cbrt2 I(cbrt2 w).  Each printed factor is cbrt2^r
+    times a polynomial over Q in w (`_in_w`); the log argument becomes
+    1/(1 - w)^3, and the quartic's cbrt2 (r = 1) cancels the one before I."""
+    num, den, log_cube, sextic, nonic, cube, quartic = (
+        _in_w(p, r) for p, r in _g3_z_factors())
+    g3 = LogRationalExpr(rational_part=RatFunc(num, den),
+                         log_terms=((F(-20, 3), RatFunc(Poly([2]), log_cube)),))
+    return g3, RatFunc(sextic * nonic, cube * quartic)
 
 
 @lru_cache(maxsize=1)
 def antiderivative_g4() -> tuple[LogRationalExpr, RatFunc]:
     Qz = Poly([6, 11, 18, 27, -68, -126, -216, -351, 54, 135, 270, 486])
     g4 = LogRationalExpr(
-        rational_part=_rf(2 * Poly([0, 1]) * Qz, Poly([-1, 0, 0, 0, 3]) ** 3),
-        log_terms=((F(5), _rf(Poly([-1, 1]) ** 4, Poly([1, 0, 0, 0, 1]))),),
+        rational_part=RatFunc(2 * Poly([0, 1]) * Qz, Poly([-1, 0, 0, 0, 3]) ** 3),
+        log_terms=((F(5), RatFunc(Poly([-1, 1]) ** 4, Poly([1, 0, 0, 0, 1]))),),
     )
-    return g4, _rf(_G4_NUM, _G4_DEN)
+    return g4, RatFunc(_G4_NUM, _G4_DEN)
 
 
 # ---------------------------------------------------------------------------
@@ -265,49 +287,36 @@ P5 = Poly([1, 24, 245, 1356, 4177, 5660, -5139, -30728, -30309, 41488,
            108295, 20604, -111085, -54788, 82967])
 
 _Y = Poly([0, 1])
-_U = _rf(Poly([0, 2]), Poly([1, 3]))                            # 2y/(3y+1)
-_DERIV_NUM = f_prime(_rf(_Y))                                   # f' in terms of y = f
+_U = RatFunc(Poly([0, 2]), Poly([1, 3]))        # 2y/(3y+1)
+_DERIV_NUM = f_prime(RatFunc(_Y))               # f' in terms of y = f
 
 # The rational part of sigma_j is that of g_j at the substituted point (y for
 # j=1, then u^2, cbrt2*u and u with u = 2y/(3y+1)) plus the printed
-# polynomial corrections.
+# polynomial corrections.  g3 is held in w = z/cbrt2, so its point is u.
 
 
 @lru_cache(maxsize=1)
 def sigma1_rational() -> RatFunc:
     g = antiderivative_g()[0].rational_part
-    return g - F(54, 16) * _DERIV_NUM + 108 * _rf(Poly([-1, 1]))
+    return g - F(54, 16) * _DERIV_NUM + 108 * RatFunc(Poly([-1, 1]))
 
 
 @lru_cache(maxsize=1)
 def sigma2_rational() -> RatFunc:
     g2 = antiderivative_g2()[0].rational_part
-    return g2(_U * _U) + F(287, 16) * _DERIV_NUM - 115 * _rf(Poly([-1, 1])) - 214
-
-
-def _at_cbrt2_times(p: Poly, u: RatFunc) -> RatFunc:
-    """p(cbrt2 * u) for p over Q(cbrt(2)) in z: every monomial cbrt2^i z^n of
-    p has 3 | i + n, so cbrt2^i (cbrt2 u)^n = 2^((i+n)/3) u^n is rational."""
-    acc = RatFunc(Poly())
-    for n, coef in enumerate(p.coeffs):
-        for i, q in enumerate(coef.rep.coeffs):
-            if q:
-                assert (i + n) % 3 == 0
-                acc = acc + q * 2 ** ((i + n) // 3) * u ** n
-    return acc
+    return g2(_U * _U) + F(287, 16) * _DERIV_NUM - 115 * RatFunc(Poly([-1, 1])) - 214
 
 
 @lru_cache(maxsize=1)
 def sigma3_rational() -> RatFunc:
     g3 = antiderivative_g3()[0].rational_part
-    g3_at = _at_cbrt2_times(g3.num, _U) / _at_cbrt2_times(g3.den, _U)
-    return g3_at - F(296, 16) * _DERIV_NUM + 178 * _rf(Poly([-1, 1])) + 196
+    return g3(_U) - F(296, 16) * _DERIV_NUM + 178 * RatFunc(Poly([-1, 1])) + 196
 
 
 @lru_cache(maxsize=1)
 def sigma4_rational() -> RatFunc:
     g4 = antiderivative_g4()[0].rational_part
-    return g4(_U) - F(449, 32) * _DERIV_NUM + F(275, 2) * _rf(Poly([-1, 1])) + 151
+    return g4(_U) - F(449, 32) * _DERIV_NUM + F(275, 2) * RatFunc(Poly([-1, 1])) + 151
 
 
 def sigma_rational_closure(idx: int, quartic: Poly = Q33) -> CheckOutcome:
@@ -315,16 +324,16 @@ def sigma_rational_closure(idx: int, quartic: Poly = Q33) -> CheckOutcome:
     rational functions in y.  idx=2 and idx=4 take the disambiguation quartic."""
     if idx == 1:
         lhs = sigma1_rational()
-        rhs = _rf(27 * _Y * Poly([1, 1]) * ALPHA_CUBIC, 2 * Poly([1, 3]) ** 2)
+        rhs = RatFunc(27 * _Y * Poly([1, 1]) * ALPHA_CUBIC, 2 * Poly([1, 3]) ** 2)
     elif idx == 2:
         lhs = sigma2_rational()
-        rhs = _rf(ALPHA_CUBIC * P1, Poly([1, 3]) ** 2 * quartic ** 3)
+        rhs = RatFunc(ALPHA_CUBIC * P1, Poly([1, 3]) ** 2 * quartic ** 3)
     elif idx == 3:
         lhs = sigma3_rational()
-        rhs = _rf(-2 * ALPHA_CUBIC * P3, Poly([1, 3]) ** 2 * C3 ** 3)
+        rhs = RatFunc(-2 * ALPHA_CUBIC * P3, Poly([1, 3]) ** 2 * C3 ** 3)
     elif idx == 4:
         lhs = sigma4_rational()
-        rhs = _rf(-(ALPHA_CUBIC * P4), 2 * Poly([1, 3]) ** 2 * quartic ** 3)
+        rhs = RatFunc(-(ALPHA_CUBIC * P4), 2 * Poly([1, 3]) ** 2 * quartic ** 3)
     else:
         raise ValueError("idx must be 1..4")
     diff = lhs - rhs
@@ -404,45 +413,36 @@ def alpha_power_identity() -> CheckOutcome:
 
 
 # ---------------------------------------------------------------------------
-# summation-by-parts per-step identity (exact in the field Q(m, k))
+# summation-by-parts per-step identity (over Q(k), coefficient by coefficient in m)
+
+# The printed kernel numerators K0(k) + m K1(k), as (K0, K1) in ascending powers
+# of k: A is (256 - 27m)k^3 + 384k^2 + (176 + 3m)k + 24 over 3k+1, B is
+# (256 - 27m)k^3 + 3(128 - 9m)k^2 + 2(88 - 3m)k + 24 over (3k+1)(3k+2).
+_ABEL_KERNELS = {"A": ([24, 176, 384, 256], [0, 3, 0, -27]),
+                 "B": ([24, 176, 384, 256], [0, -6, -27, -27])}
 
 
 def check_abel_step(variant: str) -> CheckOutcome:
-    """w(k) - m w(k-1)/rho(k) equals the printed summand kernel, verified as
-    an identity of rational functions in k with coefficients in Q(m).
-
-    The coefficient field Q(m) is RatFunc; the outer structure is RatFunc
-    again, so the scalar m is applied through explicit coefficient scaling
-    (never as an outer-level operand, which would alias the two variables)."""
+    """w(k) - m w(k-1)/rho(k) equals the printed summand kernel K0(k) + m K1(k)
+    for every m.  Both sides have degree 1 in m with coefficients in Q(k), and
+    m is free, so the identity holds iff w = K0 and -w(k-1)/rho = K1: two
+    identities of rational functions over Q in k.  The witness names the m^0
+    or m^1 part that fails."""
     if variant not in ("A", "B"):
         raise ValueError("variant must be 'A' or 'B'")
-    m_s = RatFunc(Poly([0, 1]))      # the symbol m, used only as a coefficient
-    c = lambda q: RatFunc(Poly([Fraction(q)]))
-    kpoly = lambda coeffs: Poly([x if isinstance(x, RatFunc) else c(x) for x in coeffs])
-    k = kpoly([0, 1])
-    w_num = 8 * (2 * k + kpoly([1])) * (4 * k + kpoly([1])) * (4 * k + kpoly([3]))
-    den31 = 3 * k + kpoly([1])
-    den32 = den31 * (3 * k + kpoly([2]))
-    rho = RatFunc((4 * k - kpoly([3])) * (4 * k - kpoly([2])) * (4 * k - kpoly([1])) * (4 * k),
-                  k * (3 * k - kpoly([2])) * (3 * k - kpoly([1])) * (3 * k))
-    shift = kpoly([-1, 1])  # k -> k-1
-
-    def at_prev(r: RatFunc) -> RatFunc:
-        return RatFunc(r.num.compose(shift), r.den.compose(shift))
-
-    if variant == "A":
-        w = RatFunc(w_num, den31)
-        kernel = RatFunc(
-            kpoly([24, c(176) + 3 * m_s, 384, c(256) - 27 * m_s]), den31)
-    else:
-        w = RatFunc(w_num, den32)
-        kernel = RatFunc(
-            kpoly([24, 2 * (c(88) - 3 * m_s), 3 * (c(128) - 9 * m_s), c(256) - 27 * m_s]),
-            den32)
-    wp = at_prev(w)
-    m_wp = RatFunc(wp.num.scale(m_s), wp.den)
-    diff = w - m_wp / rho - kernel
-    return CheckOutcome(diff.is_zero(), None if diff.is_zero() else repr(diff))
+    k = Poly([0, 1])
+    den = Poly([1, 3]) if variant == "A" else Poly([1, 3]) * Poly([2, 3])
+    w = RatFunc(8 * Poly([1, 2]) * Poly([1, 4]) * Poly([3, 4]), den)
+    rho = RatFunc(Poly([-3, 4]) * Poly([-2, 4]) * Poly([-1, 4]) * Poly([0, 4]),
+                  k * Poly([-2, 3]) * Poly([-1, 3]) * Poly([0, 3]))
+    shift = Poly([-1, 1])  # k -> k-1
+    w_prev = RatFunc(w.num.compose(shift), w.den.compose(shift))
+    k0, k1 = _ABEL_KERNELS[variant]
+    for part, lhs, kernel in (("m^0", w, k0), ("m^1", -w_prev / rho, k1)):
+        diff = lhs - RatFunc(Poly(kernel), den)
+        if not diff.is_zero():
+            return CheckOutcome(False, witness=f"{part} part: {diff!r}")
+    return CheckOutcome(True)
 
 
 def abel_telescoped_sum(variant: str, m: Fraction, psi, n: int) -> tuple[Fraction, Fraction]:
@@ -491,14 +491,14 @@ def partial_fraction_decomposition(corrected: bool = True) -> CheckOutcome:
     display transposes the two cubic numerators; `corrected=False` probes the
     display as printed (it fails at k=1)."""
     k = Poly([0, 1])
-    lhs = _rf(Poly([1, 8, 11]), Poly([1, 3]) * Poly([2, 3]))
+    lhs = RatFunc(Poly([1, 8, 11]), Poly([1, 3]) * Poly([2, 3]))
     cubic_a = Poly([24, 224, 384, -176])   # -176k^3 + 384k^2 + 224k + 24
     cubic_b = Poly([24, 80, -48, -176])    # -176k^3 - 48k^2 + 80k + 24
     if not corrected:
         cubic_a, cubic_b = cubic_b, cubic_a
-    rhs = (_rf(Poly([-11, 92, -22]).scale(F(1, 5)))
-           - F(3, 40) * _rf(cubic_a, Poly([1, 3]))
-           + F(3, 8) * _rf(cubic_b, Poly([1, 3]) * Poly([2, 3])))
+    rhs = (RatFunc(Poly([-11, 92, -22]).scale(F(1, 5)))
+           - F(3, 40) * RatFunc(cubic_a, Poly([1, 3]))
+           + F(3, 8) * RatFunc(cubic_b, Poly([1, 3]) * Poly([2, 3])))
     diff = lhs - rhs
     return CheckOutcome(diff.is_zero(), None if diff.is_zero() else repr(diff))
 

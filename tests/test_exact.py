@@ -131,19 +131,6 @@ class TestPolySuite:
             assert got.coeffs == reference(a, b).coeffs, (a, b)
             assert got == b.gcd(a)
 
-    def test_field_gcd_takes_the_euclid_loop(self):
-        K = NumberField(ALPHA_CUBIC, (F(1), F(2)))
-        t = K.gen()
-        g = Poly([t, 1])                                  # y + t
-        a = g * Poly([3 * t - 1, K.const(F(2))])          # (y + t)(2y + 3t - 1)
-        b = g * Poly([t * t, K.const(F(0)), t])           # (y + t)(t y^2 + t^2)
-        got = a.gcd(b)
-        r, s = a, b
-        while not s.is_zero():
-            r, s = s, r % s
-        assert got.coeffs == r.monic().coeffs
-        assert got == g
-
     def test_exact_division_test(self):
         assert Poly([-1, 0, 1]).divrem(Poly([1, 1]))[1].is_zero()
         assert not Poly([1, 0, 1]).divrem(Poly([1, 1]))[1].is_zero()
@@ -322,6 +309,18 @@ class TestNumberField:
         with pytest.raises(ValueError, match="reducible"):
             NumberField(Poly([-1, 0, 1]), (F(1, 2), F(2)))
 
+    def test_hash_agrees_with_eq_across_coefficient_kinds(self):
+        """A rational field element equals its Fraction and a field
+        polynomial with rational coefficients its form over Q; each pair
+        hashes alike, so a set holds one of them."""
+        K = NumberField(ALPHA_CUBIC, (F(1), F(2)))
+        assert K.one() == 1 and Poly([K.one()]) == Poly([1])
+        assert len({K.one(), 1}) == 1
+        assert len({Poly([K.one()]), Poly([1])}) == 1
+        assert len({Poly([K.const(F(2, 3)), 0, K.const(F(-5))]), Poly([F(2, 3), 0, -5])}) == 1
+        t = K.gen()
+        assert hash(Poly([t, 1])) == hash(Poly([t, K.one()]))
+
 
 class TestRatFunc:
     def test_cancellation(self):
@@ -336,6 +335,22 @@ class TestRatFunc:
         y = RatFunc(Poly([0, 1]))
         with pytest.raises(ZeroDivisorError):
             y / (y - y)
+
+    def test_only_polynomials_over_q(self):
+        K = NumberField(ALPHA_CUBIC, (F(1), F(2)))
+        with pytest.raises(TypeError):
+            RatFunc(Poly([K.gen()]))
+        with pytest.raises(TypeError):
+            RatFunc(Poly([1]), Poly([K.gen(), 1]))
+        with pytest.raises(TypeError):
+            Poly([RatFunc(Poly([0, 1]))])
+
+    def test_poly_times_ratfunc_is_the_ratfunc_product(self):
+        y = RatFunc(Poly([0, 1]))
+        got = Poly([1, 1]) * y
+        assert isinstance(got, RatFunc)
+        assert got == RatFunc(Poly([1, 1])) * y == y * Poly([1, 1])
+        assert got.num == Poly([0, 1, 1]) and got.den == Poly([1])
 
     def test_field_ops_random(self):
         rng = random.Random(31)

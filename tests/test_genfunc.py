@@ -167,7 +167,8 @@ class TestKernel:
 
 
 class TestExactTypes:
-    """The exact layer takes ints, Fractions, NFElems and RatFuncs only."""
+    """Poly coefficients are ints, Fractions or NFElems, TruncSeries
+    coefficients ints or Fractions, and a RatFunc is a pair of Polys over Q."""
 
     def test_poly_rejects_float(self):
         with pytest.raises(TypeError):

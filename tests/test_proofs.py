@@ -7,6 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from binom4k import proofs
 from binom4k.catalog import LEMMA51_CASES
 from binom4k.exact import Poly, RatFunc
 from binom4k.proofs import (
@@ -24,6 +25,7 @@ from binom4k.proofs import (
     antiderivative_g3,
     antiderivative_g4,
     case_context,
+    cbrt2_field,
     check_abel_step,
     check_antiderivative,
     check_poly_identity,
@@ -40,6 +42,9 @@ from binom4k.proofs import (
     standard_decomposition,
     substituted_integrands,
     theorem3_combination,
+    _g3_quartic,
+    _g3_z_factors,
+    _in_w,
 )
 from binom4k.series import harmonic
 
@@ -93,6 +98,34 @@ class TestAntiderivatives:
                         antiderivative_g3, antiderivative_g4):
             g, integrand = builder()
             assert check_antiderivative(g, integrand).ok
+
+    def test_g3_factors_in_w(self):
+        """Each printed factor p of g3 and its integrand, with its class r:
+        p(cbrt2 w) = cbrt2^r _in_w(p, r)(w) at rational w, the left side
+        evaluated in Q(cbrt(2))."""
+        c = cbrt2_field().gen()
+        factors = _g3_z_factors()
+        assert [r for _, r in factors] == [0, 0, 0, 0, 0, 0, 1]
+        for p, r in factors:
+            q = _in_w(p, r)
+            assert q.nums is not None  # over Q
+            for w in (F(-3), F(-1, 2), F(1, 3), F(2, 5), F(7, 4)):
+                assert p(c * w) == c ** r * q(w)
+
+    def test_g3_log_argument_in_w(self):
+        g3, _ = antiderivative_g3()
+        # the log argument 2/(cbrt2 - z)^3 at z = cbrt2 w
+        assert g3.log_terms == ((F(-20, 3), RatFunc(Poly([1]), Poly([1, -1]) ** 3)),)
+
+    def test_in_w_rejects_a_monomial_outside_its_class(self):
+        c = cbrt2_field().gen()
+        with pytest.raises(ValueError, match="class"):
+            _in_w(Poly([c, 1]))
+        with pytest.raises(ValueError, match="class"):
+            _in_w(_g3_quartic())          # its class is r = 1
+        with pytest.raises(ValueError, match="class"):
+            _in_w(Poly([0, 0, 1]), 1)
+        assert _in_w(Poly([c, -1]), 1) == Poly([1, -1])
 
     def test_constructed_mismatch(self):
         e = LogRationalExpr(rational_part=_rf([0]), log_terms=((F(1), _rf([0, 1])),))
@@ -169,6 +202,15 @@ class TestAbel:
     def test_symbolic_both_variants(self):
         assert check_abel_step("A").ok
         assert check_abel_step("B").ok
+
+    @pytest.mark.parametrize("variant, kernels, part", [
+        ("A", ([24, 176, 384, 256], [0, 4, 0, -27]), "m^1"),     # 176 + 4m
+        ("B", ([24, 176, 385, 256], [0, -6, -27, -27]), "m^0"),  # 3(128 - 9m) + 1
+    ])
+    def test_a_wrong_kernel_names_its_part(self, monkeypatch, variant, kernels, part):
+        monkeypatch.setitem(proofs._ABEL_KERNELS, variant, kernels)
+        r = check_abel_step(variant)
+        assert not r.ok and r.witness.startswith(f"{part} part: ")
 
     def test_numeric_spot_check(self):
         lhs, rhs = abel_telescoped_sum("A", F(16), lambda k: harmonic(k), 2)
