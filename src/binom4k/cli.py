@@ -35,7 +35,6 @@ from .catalog import (
     eval_closed_form,
     parse_component,
 )
-from .exact import NFElem, Poly
 from .genfunc import eval_f
 from .proofs import alpha_context, run_exact_checks, substituted_integrands
 from .series import PrecisionError, SeriesSpec, SpecError, sum_many, sum_series
@@ -43,12 +42,15 @@ from .series import PrecisionError, SeriesSpec, SpecError, sum_many, sum_series
 DEFAULT_DIGITS_ENV = "BINOM4K_DIGITS"
 
 # the budget for --digits and BINOM4K_DIGITS: the entries at x = 1/16 need
-# about 4.4 D terms, so past about 22,000 digits they exceed series.MAX_TERMS
+# about 4.4 D terms, so past about 22,000 digits they exceed series.MAX_TERMS;
+# it also bounds the numerator and denominator of an `eval` x by 10^MAX_DIGITS,
+# since the exact tail bounds compute with x at its full size
 MAX_DIGITS = 20_000
-DIGITS_HELP = f"significant digits, at most {MAX_DIGITS} (default: {DEFAULT_DIGITS_ENV}, else 50)"
+DIGITS_HELP = (f"absolute accuracy D: enclosures of radius about 10^-D, not D significant "
+               f"digits; at most {MAX_DIGITS} (default: {DEFAULT_DIGITS_ENV}, else 50)")
 
-# upper limits and coefficients over Q(alpha) or Q(cbrt 2) are enclosed this
-# tightly before the 60-digit quadratures of the cross-checks
+# alpha and the upper limits, in Q(alpha), are enclosed this tightly before
+# the 60-digit quadratures of the cross-checks
 QUAD_WIDTH = Fraction(1, 10**55)
 
 # weight slack: the lhs and the rhs are enclosed 3 digits past the request,
@@ -219,18 +221,6 @@ def _mpf_of_fraction(q: Fraction):
     return mpmath.mpf(q.numerator) / q.denominator
 
 
-def _poly_mpf_coeffs(p: Poly, width: Fraction, brackets: list):
-    """mpf coefficients of p; `brackets` is the root's bracket list of the one
-    field its NFElem coefficients lie in (see `NFElem.embedding_interval`)."""
-    out = []
-    for c in p.coeffs:
-        if isinstance(c, NFElem):
-            lo, hi = c.embedding_interval(width, brackets)
-            out.append(_mpf_of_fraction((lo + hi) / 2))
-        else:
-            out.append(_mpf_of_fraction(c))
-    return out
-
 def _horner(coeffs, z):
     acc = 0
     for c in reversed(coeffs):
@@ -297,6 +287,9 @@ def crosscheck_substituted(j: int, tol: float) -> CrosscheckRecord:
     (b) the weighted substituted integrand (the I_j form returned by
         substituted_integrands) against sum C(4k,k) P(k) H_{jk}/16^k with
         P(k) = 22k^2 - 92k + 11.
+
+    For j=3 both are integrated in w = z/cbrt2 over [0, u], as
+    substituted_integrands returns that case.
     """
     import mpmath
 
@@ -311,7 +304,6 @@ def crosscheck_substituted(j: int, tol: float) -> CrosscheckRecord:
             alpha_context().alpha.refine(QUAD_WIDTH)))
         si = substituted_integrands(j, QUAD_WIDTH)
         upper = _mpf_of_fraction(sum(si.upper_interval) / 2)
-        cbrt2 = mpmath.cbrt(2)
 
         if j == 2:
             def plain(z):
@@ -321,12 +313,12 @@ def crosscheck_substituted(j: int, tol: float) -> CrosscheckRecord:
                 core = 2 * (y - alpha) / (y * ((3 * y + 1) * ym1 - 4 * y * y * z))
                 return core * 8 * z / (3 * z2 - 1) ** 2
         elif j == 3:
-            def plain(z):
-                z3 = z ** 3
+            def plain(w):  # cbrt2 times the z-form at z = cbrt2 w: z^3 = 2w^3, cbrt2/z = 1/w
+                z3 = 2 * w ** 3
                 y = 1 / (1 - z3)
                 ym1 = z3 / (1 - z3)
-                core = 4 * (y - alpha) / (3 * y * ym1 * (3 * y + 1 - 2 * cbrt2 * y / z))
-                return core * 3 * z * z / (z3 - 1) ** 2
+                core = 4 * (y - alpha) / (3 * y * ym1 * (3 * y + 1 - 2 * y / w))
+                return core * 6 * w * w / (z3 - 1) ** 2
         else:
             def plain(z):
                 z4 = z ** 4
@@ -335,9 +327,8 @@ def crosscheck_substituted(j: int, tol: float) -> CrosscheckRecord:
                 core = (y - alpha) / (y * ym1 * (3 * y + 1 - 2 * y / z))
                 return core * 16 * z ** 3 / (3 * z4 - 1) ** 2
 
-        brackets: list = []  # one field: its root is refined once per width
-        ncoef = _poly_mpf_coeffs(si.num, QUAD_WIDTH, brackets)
-        dcoef = _poly_mpf_coeffs(si.den, QUAD_WIDTH, brackets)
+        ncoef = [_mpf_of_fraction(c) for c in si.num.coeffs]
+        dcoef = [_mpf_of_fraction(c) for c in si.den.coeffs]
 
         def weighted(z):
             return _horner(ncoef, z) / _horner(dcoef, z)
@@ -513,6 +504,8 @@ def _dispatch(args) -> int:
         if not isinstance(obj, dict):
             raise SystemExit2("spec file must hold a JSON object")
         _, spec = parse_component({**obj, "weight": obj.get("weight", "1/1")}, "spec")
+        if max(abs(spec.x.numerator), spec.x.denominator) > 10 ** MAX_DIGITS:
+            raise SystemExit2(f"spec.x: numerator and denominator must be at most 10^{MAX_DIGITS}")
         try:
             b = sum_series(spec, digits)
         except PrecisionError as exc:

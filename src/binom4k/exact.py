@@ -1,20 +1,18 @@
 """Exact arithmetic kernel.
 
-Univariate polynomials over the rationals and over real number fields,
-Sturm-sequence real-root counting, algebraic reals given by a defining
-polynomial plus an isolating interval, single-generator number fields
-Q[t]/(p(t)) with a distinguished real embedding, and rational functions
-over Q.
+Univariate polynomials over the rationals, Sturm-sequence real-root
+counting, algebraic reals given by a defining polynomial plus an isolating
+interval, single-generator number fields Q[t]/(p(t)) with a distinguished
+real embedding, and rational functions over Q.
 
 A polynomial over Q is integer numerators over one denominator, and its
 arithmetic runs on integer kernels: one Kronecker big-integer product
 (`_mul_nums`, which also multiplies `genfunc.TruncSeries`), pseudo-division,
 a primitive remainder sequence for the gcd and homogeneous Horner for
 evaluation.  Number-field elements and the rational functions over Q reach
-the same kernels through their polynomials over Q.  A polynomial over a
-number field keeps a tuple of NFElem coefficients and has ring arithmetic,
-scaling, division with remainder and evaluation only; the gcd, `monic` and
-the derivative are over Q.
+the same kernels through their polynomials over Q.  A polynomial with
+coefficients in a number field is never formed: the callers that meet one
+rewrite it over Q first (see `proofs`).
 
 Everything in this module is exact: no floating point, no tolerances.
 All values are immutable after construction and all operations are pure,
@@ -25,9 +23,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
-
-Scalar = Union[Fraction, "NFElem"]
+from typing import Iterable, Optional, Sequence
 
 
 class ZeroDivisorError(ZeroDivisionError):
@@ -157,35 +153,23 @@ def _horner(ints: Sequence[int], n: int, d: int) -> int:
 
 
 class Poly:
-    """Dense univariate polynomial, coefficients in ascending degree order.
+    """Dense univariate polynomial over Q, coefficients in ascending degree order.
 
-    Over Q the coefficients are stored as integer numerators `nums` over one
+    The coefficients are stored as integer numerators `nums` over one
     positive denominator `den`, reduced so that gcd(den, *nums) = 1 and with
     no trailing zero: equal polynomials have equal (nums, den), and every
-    operation runs on integers.  Coefficients that are NFElems of one common
-    field are kept as a tuple instead (`nums` and `den` are None) and take
-    the generic loops.  `coeffs` gives the coefficients either way, as
-    Fractions over Q.  The zero polynomial has no coefficients; its
-    degree is -1, standing in for "minus infinity" in divrem logic.
+    operation runs on integers.  `coeffs` gives the coefficients as
+    Fractions.  The zero polynomial has no coefficients; its degree is -1,
+    standing in for "minus infinity" in divrem logic.
     """
 
-    __slots__ = ("nums", "den", "_cs")
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs: Iterable = ()):
         cs = list(coeffs)
-        field = None
         for c in cs:
-            if not isinstance(c, (int, Fraction, NFElem)):
-                raise TypeError(f"coefficient {c!r} is not an int, Fraction or NFElem")
-            if field is None and isinstance(c, NFElem):
-                field = c.field
-        if field is not None:
-            cs = [c if isinstance(c, NFElem) else field.const(Fraction(c)) for c in cs]
-            while cs and cs[-1].is_zero():
-                cs.pop()
-            if cs:
-                self._set(None, None, tuple(cs))
-                return
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(f"coefficient {c!r} is not an int or Fraction")
         den = math.lcm(*(c.denominator for c in cs))
         self._store([c.numerator * (den // c.denominator) for c in cs], den)
 
@@ -197,12 +181,8 @@ class Poly:
         g = math.gcd(den, *nums)
         if g != 1:
             nums, den = [c // g for c in nums], den // g
-        self._set(tuple(nums), den, None)
-
-    def _set(self, nums, den, cs) -> None:
-        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "nums", tuple(nums))
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_cs", cs)
 
     @staticmethod
     def _make(nums, den: int) -> "Poly":
@@ -218,54 +198,36 @@ class Poly:
 
     @property
     def coeffs(self) -> tuple:
-        if self.nums is None:
-            return self._cs
         return tuple(Fraction(c, self.den) for c in self.nums)
 
     @property
     def degree(self) -> int:
-        return len(self._cs if self.nums is None else self.nums) - 1
+        return len(self.nums) - 1
 
     def is_zero(self) -> bool:
         return self.nums == ()
 
-    def leading(self) -> Scalar:
+    def leading(self) -> Fraction:
         if self.is_zero():
             raise ValueError("zero polynomial has no leading coefficient")
         return self[self.degree]
 
-    def __getitem__(self, i: int) -> Scalar:
+    def __getitem__(self, i: int) -> Fraction:
         if not 0 <= i <= self.degree:
             return Fraction(0)
-        return self._cs[i] if self.nums is None else Fraction(self.nums[i], self.den)
+        return Fraction(self.nums[i], self.den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
-        if self.nums is None or other.nums is None:
-            return (self - other).is_zero()
         return self.nums == other.nums and self.den == other.den
 
     def __hash__(self):
-        if self.nums is None and all(c.is_rational() for c in self._cs):
-            return hash(Poly([c.to_fraction() for c in self._cs]))  # it equals its form over Q
-        return hash(self._cs if self.nums is None else (self.nums, self.den))
+        return hash((self.nums, self.den))
 
     # -- ring operations ----------------------------------------------------
 
-    @staticmethod
-    def _pair(a: "Poly", b: "Poly") -> tuple["Poly", "Poly"]:
-        """Lift one operand when rational and field polynomials are mixed."""
-        if a.nums is None and b.nums is not None:
-            return a, Poly([a._cs[0].field.const(c) for c in b.coeffs])
-        if b.nums is None and a.nums is not None:
-            return Poly([b._cs[0].field.const(c) for c in a.coeffs]), b
-        return a, b
-
     def __add__(self, other: "Poly") -> "Poly":
-        if self.nums is None or other.nums is None:
-            a, b = Poly._pair(self, other)
-            return Poly([a[i] + b[i] for i in range(max(a.degree, b.degree) + 1)])
         den = math.lcm(self.den, other.den)
         a, b = self.nums, other.nums
         sa, sb = den // self.den, den // other.den
@@ -280,33 +242,22 @@ class Poly:
         return self + (-other)
 
     def __neg__(self) -> "Poly":
-        if self.nums is None:
-            return Poly([-c for c in self._cs])
         return Poly._make([-c for c in self.nums], self.den)
 
     def __mul__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction, NFElem)):
+        if isinstance(other, (int, Fraction)):
             return self.scale(other)
         if not isinstance(other, Poly):
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return Poly()
-        if self.nums is not None and other.nums is not None:
-            a, b = self.nums, other.nums
-            return Poly._make(_mul_nums(a, b, len(a) + len(b) - 1), self.den * other.den)
-        a, b = Poly._pair(self, other)
-        out = [None] * (a.degree + b.degree + 1)
-        for i, ca in enumerate(a._cs):
-            for j, cb in enumerate(b._cs):
-                out[i + j] = ca * cb if out[i + j] is None else out[i + j] + ca * cb
-        return Poly(out)
+        a, b = self.nums, other.nums
+        return Poly._make(_mul_nums(a, b, len(a) + len(b) - 1), self.den * other.den)
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "Poly":
-        if self.nums is not None and isinstance(c, (int, Fraction)):
-            return Poly._make([x * c.numerator for x in self.nums], self.den * c.denominator)
-        return Poly([x * c for x in self.coeffs])
+        return Poly._make([x * c.numerator for x in self.nums], self.den * c.denominator)
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -314,30 +265,15 @@ class Poly:
         return pow_by_squaring(self, n, Poly([1]))
 
     def divrem(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        """Euclidean division: self = q*other + r with deg r < deg other.
-        Over Q by integer pseudo-division of the numerators."""
+        """Euclidean division: self = q*other + r with deg r < deg other, by
+        integer pseudo-division of the numerators."""
         if other.is_zero():
             raise ZeroDivisorError("zero divisor")
-        a, b = Poly._pair(self, other)
-        if a.degree < b.degree:
-            return Poly(), a
-        if a.nums is not None:
-            q, r = _pseudo_divrem(a.nums, b.nums)
-            den = b.nums[-1] ** len(q) * a.den
-            return Poly._make([c * b.den for c in q], den), Poly._make(r, den)
-        r = list(a._cs)
-        db = b.degree
-        inv = 1 / b.leading()
-        qcoeffs = [r[0] * 0] * (len(r) - db)
-        for i in range(len(r) - 1, db - 1, -1):
-            c = r[i]
-            if c.is_zero():
-                continue
-            f = c * inv
-            qcoeffs[i - db] = f
-            for j, cb in enumerate(b._cs):
-                r[i - db + j] = r[i - db + j] - f * cb
-        return Poly(qcoeffs), Poly(r[:db])
+        if self.degree < other.degree:
+            return Poly(), self
+        q, r = _pseudo_divrem(self.nums, other.nums)
+        den = other.nums[-1] ** len(q) * self.den
+        return Poly._make([c * other.den for c in q], den), Poly._make(r, den)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return self.divrem(other)[0]
@@ -365,9 +301,9 @@ class Poly:
         return acc
 
     def __call__(self, x):
-        """Evaluate by Horner at a scalar (Fraction, NFElem, ...); over Q at a
-        rational x by the homogeneous Horner on the numerators."""
-        if self.nums is not None and isinstance(x, (int, Fraction)):
+        """Evaluate at a scalar: at a rational x by the homogeneous Horner on
+        the numerators, elsewhere (an NFElem, ...) by Horner on `coeffs`."""
+        if isinstance(x, (int, Fraction)):
             n, d = x.numerator, x.denominator
             return Fraction(_horner(self.nums, n, d), self.den * d ** max(self.degree, 0))
         acc = None
@@ -378,11 +314,11 @@ class Poly:
         return acc
 
     def eval_interval(self, iv: Ival) -> Ival:
-        """Enclosure of the image of a rational interval (rational coeffs):
-        the interval Horner scheme, acc <- acc * iv + c, on integers.  With
-        iv = (a/d, b/d), the step for the coefficient c = nums_i/den keeps
-        acc = (L, U)/(den d^k), and both sides are scaled by the same
-        positive factor, so min and max are those of the Fraction scheme."""
+        """Enclosure of the image of a rational interval: the interval Horner
+        scheme, acc <- acc * iv + c, on integers.  With iv = (a/d, b/d), the
+        step for the coefficient c = nums_i/den keeps acc = (L, U)/(den d^k),
+        and both sides are scaled by the same positive factor, so min and max
+        are those of the Fraction scheme."""
         lo, hi = iv
         d = math.lcm(lo.denominator, hi.denominator)
         a, b = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
@@ -724,22 +660,18 @@ class NFElem:
             return self.inverse() ** (-n)
         return pow_by_squaring(self, n, self.field.one())
 
-    def embedding_interval(self, width: Fraction = Fraction(1, 10**12),
-                           brackets: Optional[list] = None) -> Ival:
+    def embedding_interval(self, width: Fraction = Fraction(1, 10**12)) -> Ival:
         """Rational enclosure of the element under the field's real embedding.
 
         The root is refined to widths w0, w0/16, w0/16^2, ... until the
-        element's interval is narrow enough.  `brackets`, a list the caller
-        keeps for one field, holds the root's bracket at each of these widths:
-        calls extend it and read it instead of bisecting again, with the same
-        result as without it."""
+        element's interval is narrow enough, each refinement resuming from
+        the bracket of the one before (w only shrinks)."""
         root = self.field.embedding
-        brackets = [] if brackets is None else brackets
         w = (root.hi - root.lo) or Fraction(1, 2)
-        for i in range(20000):
-            if i == len(brackets):  # resume: w only shrinks
-                brackets.append(root.refine(w, brackets[-1] if brackets else None))
-            iv = self.rep.eval_interval(brackets[i])
+        bracket = None
+        for _ in range(20000):
+            bracket = root.refine(w, bracket)
+            iv = self.rep.eval_interval(bracket)
             if iv[1] - iv[0] <= width:
                 return iv
             w /= 16
@@ -811,7 +743,7 @@ class RatFunc:
     def __init__(self, num: Poly, den: Optional[Poly] = None, reduce: bool = True):
         den = Poly([1]) if den is None else den
         for p in (num, den):
-            if not isinstance(p, Poly) or p.nums is None:
+            if not isinstance(p, Poly):
                 raise TypeError(f"{p!r} is not a polynomial over Q")
         if den.is_zero():
             raise ZeroDivisorError("zero divisor")
@@ -849,7 +781,9 @@ class RatFunc:
             return NotImplemented
         return self.num == o.num and self.den == o.den
 
-    def __hash__(self):
+    def __hash__(self):  # a constant equals its Fraction, so hashes as it
+        if self.den.degree == 0 and self.num.degree <= 0:
+            return hash(self.num[0])
         return hash((self.num, self.den))
 
     def __add__(self, other):

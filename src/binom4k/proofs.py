@@ -1,9 +1,11 @@
 """Exact verification of the proof-level identities behind the catalog.
 
-Everything here is a zero-test in an exact structure: a polynomial ring over
-Q or over a number field, the rational functions over Q, or a number field
-itself.  A check either passes or returns a nonzero witness; there are no
-tolerances anywhere in this module.
+Everything here is a zero-test in an exact structure: the polynomial ring
+over Q, the rational functions over Q, or a number field.  A formula printed
+with coefficients in a number field is rewritten over Q before it is
+checked: the cube-root case by the change of variable z = cbrt2 w, the
+bracket decomposition row by row.  A check either passes or returns a
+nonzero witness; there are no tolerances anywhere in this module.
 
 Several printed formulas in the source collection contain transcription
 slips.  Where that happens the checks compute the truth rather than assert
@@ -25,7 +27,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
+from typing import Optional, Sequence
 
 from .catalog import LEMMA51_CASES
 from .exact import (
@@ -35,7 +37,6 @@ from .exact import (
     Poly,
     RatFunc,
     count_roots,
-    ival_mul,
     sqrt_in_field,
 )
 from .genfunc import ALPHA_CUBIC, AlphaContext, BetaContext, make_alpha, make_beta, eval_f, f_prime
@@ -145,28 +146,32 @@ def cbrt2_field() -> NumberField:
     return NumberField(Poly([-2, 0, 0, 1]), (F(1), F(2)))
 
 
-def _g3_quartic() -> Poly:
-    """z^4 - 4z + 2 cbrt2, the factor of the g3 integrand over Q(cbrt(2))."""
-    return Poly([2 * cbrt2_field().gen(), -4, 0, 0, 1])
+def _g3_quartic() -> tuple:
+    """z^4 - 4z + 2 cbrt2, the factor of the g3 integrand over Q(cbrt(2)), as
+    its coefficients in ascending powers of z."""
+    return (2 * cbrt2_field().gen(), -4, 0, 0, 1)
 
 
 def _g3_z_factors() -> tuple:
-    """The printed factors of g3 and its integrand in z over Q(cbrt(2)), each
-    with its class r for `_in_w`: the rational part's numerator and denominator,
-    the cube in the log argument 2/(cbrt2 - z)^3, then the integrand's."""
+    """The printed factors of g3 and its integrand in z over Q(cbrt(2)), as
+    coefficient tuples, each with its class r for `_in_w`: the rational part's
+    numerator and denominator, the cube (cbrt2 - z)^3 in the log argument
+    2/(cbrt2 - z)^3, then the integrand's."""
     c = cbrt2_field().gen()
     c2 = c * c
-    num = Poly([0, 12 * c2, 22 * c, 36, -44 * c2, -80 * c, -135, 20 * c2, 40 * c, 72])
-    return ((num, 0), (2 * Poly([-1, 0, 0, 1]) ** 3, 0), (Poly([c, -1]) ** 3, 0),
-            (_G3_SEXTIC, 0), (_G3_NONIC, 0), (_G3_CUBE_FACTOR, 0), (_g3_quartic(), 1))
+    num = (0, 12 * c2, 22 * c, 36, -44 * c2, -80 * c, -135, 20 * c2, 40 * c, 72)
+    return ((num, 0), ((2 * Poly([-1, 0, 0, 1]) ** 3).coeffs, 0), ((2, -3 * c2, 3 * c, -1), 0),
+            (_G3_SEXTIC.coeffs, 0), (_G3_NONIC.coeffs, 0), (_G3_CUBE_FACTOR.coeffs, 0),
+            (_g3_quartic(), 1))
 
 
-def _in_w(p: Poly, r: int = 0) -> Poly:
-    """The polynomial over Q in w with p(cbrt2 w) = cbrt2^r _in_w(p, r)(w), for
-    p in z over Q or Q(cbrt(2)): each monomial cbrt2^i z^n of p must have
-    i + n = r (mod 3), and becomes 2^((i+n-r)/3) w^n."""
+def _in_w(zs: Sequence, r: int = 0) -> Poly:
+    """The polynomial over Q in w with p(cbrt2 w) = cbrt2^r _in_w(zs, r)(w), for
+    p(z) = sum_n zs[n] z^n with each zs[n] an int, a Fraction or an NFElem of
+    Q(cbrt(2)): each monomial cbrt2^i z^n of p must have i + n = r (mod 3),
+    and becomes 2^((i+n-r)/3) w^n."""
     out = []
-    for n, coef in enumerate(p.coeffs):
+    for n, coef in enumerate(zs):
         acc = F(0)
         for i, q in enumerate(coef.rep.coeffs if isinstance(coef, NFElem) else (coef,)):
             if q:
@@ -213,48 +218,43 @@ S3 = Poly([0, -1, -2, 3])             # 3y^3 - 2y^2 - y
 class DecompositionProblem:
     """target = c1 (16 S5 - a'') + c2 (4 S3 - a') + c3 (y - a), rationals ci."""
 
-    target: Poly
-    basis: tuple  # three Polys over Q(alpha)
+    target: Poly  # over Q
+    basis: tuple  # three (part over Q, constant in Q(alpha)) pairs
 
 
 def standard_basis(ctx: Optional[AlphaContext] = None) -> tuple:
+    """The basis elements 16 S5 - a'', 4 S3 - a' and y - a, each as its part
+    over Q and its constant in Q(alpha)."""
     ctx = ctx or alpha_context()
-    to_field = lambda p: Poly([ctx.field.const(c) for c in p.coeffs])
-    b1 = to_field(S5.scale(16)) - Poly([ctx.alpha_pp])
-    b2 = to_field(S3.scale(4)) - Poly([ctx.alpha_p])
-    b3 = Poly([-ctx.elem, ctx.field.one()])
-    return (b1, b2, b3)
+    return ((S5.scale(16), -ctx.alpha_pp), (S3.scale(4), -ctx.alpha_p), (Poly([0, 1]), -ctx.elem))
 
 
 @dataclass(frozen=True)
 class DecompositionResult:
     coefficients: tuple  # (c1, c2, c3) Fractions
-    residual: Poly       # over Q(alpha); zero on success
+    residual: Poly       # rows y^1 and up, over Q; zero on success
+    constant: NFElem     # the constant row, in Q(alpha); zero on success
 
     @property
     def ok(self) -> bool:
-        return self.residual.is_zero()
+        return self.residual.is_zero() and self.constant.is_zero()
 
 
 def solve_decomposition(problem: DecompositionProblem) -> DecompositionResult:
-    """Least-structured exact solve from the y^5, y^3, y^1 rows; the full
-    residual (including the constant row, which lives in Q(alpha)) is
-    returned, never assumed."""
-
-    def rational_coeff(i: int) -> Fraction:
-        c = problem.target[i]
-        if isinstance(c, NFElem):
-            return c.to_fraction()
-        return Fraction(c)
-
-    t5, t3, t1 = (rational_coeff(i) for i in (5, 3, 1))
+    """Least-structured exact solve from the y^5, y^3, y^1 rows.  The ci are
+    rational and the target is over Q, so the rows y^1 and up of the residual
+    are over Q and only its constant row lives in Q(alpha): each is computed
+    in its own ring, and both are returned, never assumed."""
+    t5, t3, t1 = (problem.target[i] for i in (5, 3, 1))
     c1 = t5 / 432
     c2 = (t3 + 256 * c1) / 12
     c3 = t1 - 80 * c1 + 4 * c2
-    b1, b2, b3 = problem.basis
-    combo = b1 * c1 + b2 * c2 + b3 * c3
-    residual = problem.target - combo
-    return DecompositionResult(coefficients=(c1, c2, c3), residual=residual)
+    coefficients = (c1, c2, c3)
+    rows = problem.target
+    for c, (part, _) in zip(coefficients, problem.basis):
+        rows = rows - part.scale(c)
+    constant = rows[0] - sum(c * k for c, (_, k) in zip(coefficients, problem.basis))
+    return DecompositionResult(coefficients, rows - Poly([rows[0]]), constant)
 
 
 def standard_decomposition() -> DecompositionResult:
@@ -262,9 +262,7 @@ def standard_decomposition() -> DecompositionResult:
     scaling (1/8)(27y^2-3y-40)(cubic), for which the solved weights are
     (11/128, -35/8, 11)."""
     target = (Poly([-40, -3, 27]) * ALPHA_CUBIC).scale(F(1, 8))
-    ctx = alpha_context()
-    target = Poly([ctx.field.const(c) for c in target.coeffs])
-    return solve_decomposition(DecompositionProblem(target=target, basis=standard_basis(ctx)))
+    return solve_decomposition(DecompositionProblem(target=target, basis=standard_basis()))
 
 
 # ---------------------------------------------------------------------------
@@ -558,21 +556,15 @@ class SubstitutedIntegrand:
     j: int
     num: Poly
     den: Poly
-    field: Optional[NumberField]        # None over Q; the cbrt(2) field for j=3
     upper_desc: str
     upper_interval: Ival                # rational enclosure of the upper limit
 
     def denominator_root_free(self) -> bool:
         """No denominator zero on the closed segment [0, upper limit]."""
         hi = self.upper_interval[1]
-        if self.field is None:
-            sf = self.den.squarefree_part()
-            if self.den(F(0)) == 0 or self.den(hi) == 0:
-                return False
-            return count_roots(sf, F(0), hi) == 0 and self.den(F(0)) != 0
-        # j=3: rational factor (z^3-1)^4 plus the linear factor (z - cbrt2)
-        clo, _ = cbrt2_field().embedding.refine(F(1, 10**6))
-        return hi < clo and hi < 1
+        if self.den(F(0)) == 0 or self.den(hi) == 0:
+            return False
+        return count_roots(self.den.squarefree_part(), F(0), hi) == 0
 
 
 def substituted_integrands(j: int, width: Fraction = F(1, 10**9)) -> SubstitutedIntegrand:
@@ -580,9 +572,15 @@ def substituted_integrands(j: int, width: Fraction = F(1, 10**9)) -> Substituted
     removable endpoint factor of j=3 cancelled exactly, and the upper limit
     enclosed to about `width`.
 
-    For j=3 the denominator factor z^4 - 4z + 2 cbrt2 factors as
-    (z - cbrt2) * M(z) with M the minimal polynomial of the upper endpoint;
-    M divides the numerator factor z^9 - 10z^6 + 28z^3 - 8 exactly, and both
+    j=3 is printed in z over Q(cbrt(2)) and is returned in w = z/cbrt2, over
+    Q: z = cbrt2 w is a change of variable, so the integral of I(z) over
+    [0, cbrt2 u] is that of cbrt2 I(cbrt2 w) over [0, u], u = 2a/(3a+1).
+    Each printed factor is cbrt2^r times a polynomial over Q in w (`_in_w`),
+    and the quartic's cbrt2 (r = 1) cancels the one from dz.  The quartic
+    z^4 - 4z + 2 cbrt2 becomes 2(w^4 - 2w + 1) = (w - 1) M_w, with
+    z - cbrt2 = cbrt2 (w - 1) and M_w = 2(w^3 + w^2 + w - 1) the image of the
+    upper endpoint's minimal polynomial; M_w divides the nonic
+    z^9 - 10z^6 + 28z^3 - 8 = 8(w^9 - 5w^6 + 7w^3 - 1) exactly.  Both
     divisions are checked (a nonzero remainder raises).
     """
     u = _U(alpha_context().elem)        # 2a/(3a+1)
@@ -591,7 +589,6 @@ def substituted_integrands(j: int, width: Fraction = F(1, 10**9)) -> Substituted
             j=2,
             num=_G2_NUM,
             den=_G2_DEN,
-            field=None,
             upper_desc="4a^2/(3a+1)^2 with a = f(1/16)",
             upper_interval=(u * u).embedding_interval(width),
         )
@@ -600,28 +597,24 @@ def substituted_integrands(j: int, width: Fraction = F(1, 10**9)) -> Substituted
             j=4,
             num=_G4_NUM,
             den=_G4_DEN,
-            field=None,
             upper_desc="2a/(3a+1) with a = f(1/16)",
             upper_interval=u.embedding_interval(width),
         )
     if j == 3:
-        K = cbrt2_field()
-        c = K.gen()
-        mz, rem = _g3_quartic().divrem(Poly([-c, 1]))
+        w_minus_1 = Poly([-1, 1])
+        m_w, rem = _in_w(_g3_quartic(), 1).divrem(w_minus_1)
         if not rem.is_zero():
             raise ArithmeticError("endpoint cofactor division left a remainder")
-        n6, rem = _G3_NONIC.divrem(mz)
+        n6, rem = _in_w(_G3_NONIC.coeffs).divrem(m_w)
         if not rem.is_zero():
             raise ArithmeticError(
                 "endpoint cancellation division left a remainder (transcription fault)")
-        upper_iv = ival_mul(K.embedding.refine(width), u.embedding_interval(width))
         return SubstitutedIntegrand(
             j=3,
-            num=_G3_SEXTIC * n6,
-            den=_G3_CUBE_FACTOR * Poly([-c, 1]),
-            field=K,
-            upper_desc="2 cbrt2 a/(3a+1) with a = f(1/16)",
-            upper_interval=upper_iv,
+            num=_in_w(_G3_SEXTIC.coeffs) * n6,
+            den=_in_w(_G3_CUBE_FACTOR.coeffs) * w_minus_1,
+            upper_desc="2 cbrt2 a/(3a+1) with a = f(1/16)",   # named in z; the interval is u
+            upper_interval=u.embedding_interval(width),
         )
     raise ValueError("j must be 2, 3 or 4")
 
@@ -698,7 +691,8 @@ def run_exact_checks(only: Optional[str] = None) -> list[ExactCheck]:
         r = standard_decomposition()
         expected = (F(11, 128), F(-35, 8), F(11))
         ok = r.ok and r.coefficients == expected
-        wit = None if ok else f"coefficients {r.coefficients}, residual {r.residual.pretty()}"
+        wit = None if ok else (f"coefficients {r.coefficients}, residual {r.residual.pretty()}, "
+                               f"constant {r.constant!r}")
         return ExactCheck(name, ok, wit,
                           note="weights solved, not assumed: the printed display scaling "
                                "does not balance, the series-level scaling does")

@@ -178,6 +178,16 @@ class TestEvalCommand:
         assert captured.out == ""
         assert f"bad channel key {key!r}" in captured.err
 
+    @pytest.mark.parametrize("x", [f"1e-{MAX_DIGITS + 1}", f"-3e-{5 * MAX_DIGITS}", "1e-2000000"])
+    def test_eval_x_budget(self, tmp_path, capsys, x):
+        # the exact tail bound computes with x at its full size: "1e-2000000"
+        # used to run for minutes in its gcds
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({**EQ11_SPEC, "x": x}))
+        assert main(["eval", "--spec", str(path), "--digits", "10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "spec.x: numerator and denominator" in captured.err
+
     def test_eval_missing_file(self):
         assert main(["eval", "--spec", "/nonexistent.json"]) == 2
 

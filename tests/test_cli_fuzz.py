@@ -37,7 +37,8 @@ def _valid_spec(draw) -> dict:
     """A spec that parses: x on both sides of the radius of its binomial
     power (27/256 or 256/27), 10^-9 inside needing a cutoff past the work
     budget; channels of degree up to 39 with huge and tiny coefficients;
-    denominator factors, among them k, which vanishes at k = 0."""
+    denominator factors, among them k, which vanishes at k = 0; or x
+    written with an exponent, its denominator beyond the budget."""
     power = draw(st.sampled_from([1, -1]))
     radius = RADIUS if power == 1 else 1 / RADIUS
     x = draw(st.one_of(
@@ -45,7 +46,11 @@ def _valid_spec(draw) -> dict:
                          1 + F(1, 10**9), F(11, 10)]).map(lambda t: t * radius),
         st.builds(F, st.integers(0, 30), st.integers(1, 300)),
         st.sampled_from([F(1, 10**300), F(10**200 + 1, 10**202)])))
-    return {"x": str(-x if draw(st.booleans()) else x), "binomial_power": power,
+    x = str(-x if draw(st.booleans()) else x)
+    # or written with an exponent, beyond the 10^MAX_DIGITS bound on its size
+    x = draw(st.just(x) | st.sampled_from([f"1e-{MAX_DIGITS + 1}", f"-9e-{3 * MAX_DIGITS}",
+                                           "1e-100000"]))
+    return {"x": x, "binomial_power": power,
             "start": draw(st.sampled_from([0, 1])),
             "channels": draw(st.dictionaries(st.sampled_from("01234"),
                                              st.lists(_COEFF, max_size=40), max_size=3)),

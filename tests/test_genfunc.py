@@ -167,7 +167,7 @@ class TestKernel:
 
 
 class TestExactTypes:
-    """Poly coefficients are ints, Fractions or NFElems, TruncSeries
+    """Poly coefficients are ints or Fractions, TruncSeries
     coefficients ints or Fractions, and a RatFunc is a pair of Polys over Q."""
 
     def test_poly_rejects_float(self):

@@ -10,6 +10,7 @@ import pytest
 from binom4k import proofs
 from binom4k.catalog import LEMMA51_CASES
 from binom4k.exact import Poly, RatFunc
+from binom4k.genfunc import ALPHA_CUBIC
 from binom4k.proofs import (
     C3,
     Q33,
@@ -47,6 +48,15 @@ from binom4k.proofs import (
     _in_w,
 )
 from binom4k.series import harmonic
+
+
+def _at(zs, z):
+    """The value at z of the polynomial with coefficients zs (ascending), by
+    Horner in whatever ring z and zs lie in."""
+    acc = 0
+    for c in reversed(zs):
+        acc = acc * z + c
+    return acc
 
 
 def _rf(num, den=None) -> RatFunc:
@@ -106,11 +116,11 @@ class TestAntiderivatives:
         c = cbrt2_field().gen()
         factors = _g3_z_factors()
         assert [r for _, r in factors] == [0, 0, 0, 0, 0, 0, 1]
-        for p, r in factors:
-            q = _in_w(p, r)
-            assert q.nums is not None  # over Q
+        assert factors[2][0] == (2, -3 * c * c, 3 * c, -1)  # (cbrt2 - z)^3
+        for zs, r in factors:
+            q = _in_w(zs, r)
             for w in (F(-3), F(-1, 2), F(1, 3), F(2, 5), F(7, 4)):
-                assert p(c * w) == c ** r * q(w)
+                assert _at(zs, c * w) == c ** r * q(w)
 
     def test_g3_log_argument_in_w(self):
         g3, _ = antiderivative_g3()
@@ -120,12 +130,12 @@ class TestAntiderivatives:
     def test_in_w_rejects_a_monomial_outside_its_class(self):
         c = cbrt2_field().gen()
         with pytest.raises(ValueError, match="class"):
-            _in_w(Poly([c, 1]))
+            _in_w((c, 1))
         with pytest.raises(ValueError, match="class"):
             _in_w(_g3_quartic())          # its class is r = 1
         with pytest.raises(ValueError, match="class"):
-            _in_w(Poly([0, 0, 1]), 1)
-        assert _in_w(Poly([c, -1]), 1) == Poly([1, -1])
+            _in_w((0, 0, 1), 1)
+        assert _in_w((c, -1), 1) == Poly([1, -1])
 
     def test_constructed_mismatch(self):
         e = LogRationalExpr(rational_part=_rf([0]), log_terms=((F(1), _rf([0, 1])),))
@@ -147,19 +157,30 @@ class TestDecomposition:
         assert r.ok and r.coefficients == (0, 0, 0)
 
     def test_basis_element_target(self):
-        ctx = alpha_context()
-        basis = standard_basis(ctx)
-        r = solve_decomposition(DecompositionProblem(target=basis[2], basis=basis))
-        assert r.ok and r.coefficients == (0, 0, 1)
+        """The part over Q of each basis element solves to that element alone,
+        and leaves exactly minus its constant in Q(alpha) on the constant
+        row; twice the standard target solves to twice its weights."""
+        basis = standard_basis(alpha_context())
+        for i, (part, k) in enumerate(basis):
+            r = solve_decomposition(DecompositionProblem(target=part, basis=basis))
+            assert r.coefficients == tuple(int(n == i) for n in range(3))
+            assert r.residual.is_zero() and r.constant == -k and not r.ok
+        target = (Poly([-40, -3, 27]) * ALPHA_CUBIC).scale(F(1, 4))
+        r = solve_decomposition(DecompositionProblem(target=target, basis=basis))
+        assert r.ok and r.coefficients == (F(11, 64), F(-35, 4), F(22))
 
     def test_inconsistent_target_reports_residual(self):
-        ctx = alpha_context()
-        basis = standard_basis(ctx)
-        bad = Poly([ctx.field.const(F(1)), ctx.field.const(F(2)),
-                    ctx.field.const(F(3))])  # 3y^2+2y+1 is not in the span
+        basis = standard_basis(alpha_context())
+        bad = Poly([1, 2, 3])  # 3y^2+2y+1 is not in the span
         r = solve_decomposition(DecompositionProblem(target=bad, basis=basis))
         assert not r.ok
         assert not r.residual.is_zero()
+        # the standard target plus 1: every row y^1 and up closes, the
+        # constant row alone is off, by exactly 1
+        target = (Poly([-40, -3, 27]) * ALPHA_CUBIC).scale(F(1, 8)) + Poly([1])
+        r = solve_decomposition(DecompositionProblem(target=target, basis=basis))
+        assert r.coefficients == (F(11, 128), F(-35, 8), F(11))
+        assert r.residual.is_zero() and r.constant == 1 and not r.ok
 
 
 class TestPolyIdentities:
@@ -292,27 +313,39 @@ class TestSubstitutedIntegrands:
         assert F(543, 1000) < lo < hi < F(545, 1000)
         assert si.denominator_root_free()
 
+    # j=3 in w = z/cbrt2: the endpoint cofactor M_w, the cancelled quotient
+    # of the nonic, and their z-forms M(z), N6(z) over Q(cbrt(2))
+    M_W = 2 * Poly([-1, 1, 1, 1])                 # 2(w^3 + w^2 + w - 1)
+    N6_W = 4 * Poly([1, 1, 2, -3, 0, -1, 1])      # 4(w^6 - w^5 - 3w^3 + 2w^2 + w + 1)
+    Z_POINTS = (F(-3), F(-1, 2), F(0), F(1, 3), F(2, 5), F(7, 4))
+
     def test_j3_exact_division(self):
-        from binom4k.proofs import cbrt2_field
         si = substituted_integrands(3)
-        K = cbrt2_field()
-        c = K.gen()
-        # the cancelled factor: quotient of the nonomial by the endpoint cubic
-        n6 = Poly([4, 2 * c * c, 4 * c, -6, K.const(F(0)), -c, K.one()])
-        assert si.num == Poly([16, 0, 0, -83, 0, 0, 40]) * n6
-        # and the denominator kept the linear cofactor (z - cbrt2)
-        mz = Poly([-2, c * c, c, K.one()])
-        assert (Poly([-c, 1]) * mz) == Poly([2 * c, -4, 0, 0, 1])
+        # the sextic 40z^6 - 83z^3 + 16 in w, times the cancelled quotient
+        assert si.num == Poly([16, 0, 0, -166, 0, 0, 160]) * self.N6_W
+        # the denominator 2(z^3 - 1)^4 in w kept the linear cofactor w - 1,
+        # and (w - 1) M_w is the quartic 2w^4 - 4w + 2
+        assert si.den == 2 * Poly([-1, 0, 0, 2]) ** 4 * Poly([-1, 1])
+        assert Poly([-1, 1]) * self.M_W == Poly([2, -4, 0, 0, 2])
         assert si.denominator_root_free()
+        # z side: (z - cbrt2) M(z) = z^4 - 4z + 2 cbrt2, M(cbrt2 w) = M_w(w)
+        c = cbrt2_field().gen()
+        m_z = (-2, c * c, c, 1)
+        for z in self.Z_POINTS:
+            assert (z - c) * _at(m_z, z) == z ** 4 - 4 * z + 2 * c
+            assert _at(m_z, c * z) == self.M_W(z)
 
     def test_j3_divisibility_oracle(self):
-        from binom4k.proofs import cbrt2_field
-        K = cbrt2_field()
-        c = K.gen()
-        mz = Poly([-2, c * c, c, K.one()])
-        q, r = Poly([-8, 0, 0, 28, 0, 0, -10, 0, 0, 1]).divrem(mz)
-        assert r.is_zero()
-        assert q * mz == Poly([-8, 0, 0, 28, 0, 0, -10, 0, 0, 1])
+        nonic_w = 8 * Poly([-1, 0, 0, 7, 0, 0, -5, 0, 0, 1])  # z^9 - 10z^6 + 28z^3 - 8
+        q, r = nonic_w.divrem(self.M_W)
+        assert r.is_zero() and q == self.N6_W
+        assert q * self.M_W == nonic_w
+        # z side: M(z) N6(z) = z^9 - 10z^6 + 28z^3 - 8, N6(cbrt2 w) = N6_w(w)
+        c = cbrt2_field().gen()
+        m_z, n6_z = (-2, c * c, c, 1), (4, 2 * c * c, 4 * c, -6, 0, -c, 1)
+        for z in self.Z_POINTS:
+            assert _at(m_z, z) * _at(n6_z, z) == z ** 9 - 10 * z ** 6 + 28 * z ** 3 - 8
+            assert _at(n6_z, c * z) == self.N6_W(z)
 
     def test_bad_j(self):
         with pytest.raises(ValueError):
