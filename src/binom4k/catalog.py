@@ -195,9 +195,18 @@ def _hk(q: list, r0: list) -> dict:
 
 
 _F = Fraction
-_KP = [0, 11, -92, 22]      # k * (22k^2 - 92k + 11)
-_KQ = [0, 1, 8, 11]         # k * (11k^2 + 8k + 1)
-_Q2 = [1, 8, 11]            # 11k^2 + 8k + 1
+
+# Polynomials in k that the proof suite and the cross-checks read too, as
+# coefficients in ascending powers of k: the weights P(k) of (1.1) and Q(k)
+# of (1.3), and the H_k channels of the section 4 Abel instances, which are
+# the cubic numerators of the partial-fraction display (over 3k+1 and over
+# (3k+1)(3k+2), in the corrected pairing).
+P_COEFFS = (11, -92, 22)             # 22k^2 - 92k + 11
+Q_COEFFS = (1, 8, 11)                # 11k^2 + 8k + 1
+CUBIC_31 = (24, 224, 384, -176)      # -176k^3 + 384k^2 + 224k + 24
+CUBIC_32 = (24, 80, -48, -176)       # -176k^3 - 48k^2 + 80k + 24
+_KP = (0, *P_COEFFS)                 # k P(k)
+_KQ = (0, *Q_COEFFS)                 # k Q(k)
 
 # The lemma 5.1 combinations, one per x0 of theorem 1.3: case -> (x0, d,
 # weights (wa, wb, wc), numerator (q0, q1) of the linear-weight series, r)
@@ -224,11 +233,11 @@ def _builtin_entries() -> tuple[IdentityEntry, ...]:
     E = IdentityEntry
     entries = [
         E("eq-1.1", "intro (1.1)",
-          ((_F(1), _spec(_F(1, 16), {0: [11, -92, 22]})),), rat(-5)),
+          ((_F(1), _spec(_F(1, 16), {0: P_COEFFS})),), rat(-5)),
         E("eq-1.2", "intro (1.2)",
           ((_F(1), _spec(_F(1, 16), {0: [-2, 17, 22]}, den=("k+1",))),), rat(17)),
         E("eq-1.3", "intro (1.3)",
-          ((_F(1), _spec(_F(1, 16), {0: _Q2}, den=("3k+1", "3k+2"))),), rat(1)),
+          ((_F(1), _spec(_F(1, 16), {0: Q_COEFFS}, den=("3k+1", "3k+2"))),), rat(1)),
         E("eq-1.4", "intro (1.4)",
           ((_F(1), _spec(_F(1, 16), {0: [3, -18, 22]}, den=("2k-1", "4k-1", "4k-3"))),),
           rat(_F(-1, 3))),
@@ -258,12 +267,13 @@ def _builtin_entries() -> tuple[IdentityEntry, ...]:
           rat(_F(4, 3)) * log(2)),
         E("thm1.2-H2k-Hk", "thm 1.2, second",
           ((_F(1), _spec(_F(1, 16),
-                         {2: _Q2, 1: [_F(-5, 4) * c for c in _Q2], 0: [1, 4]},
+                         {2: Q_COEFFS, 1: [_F(-5, 4) * c for c in Q_COEFFS], 0: [1, 4]},
                          den=("3k+1", "3k+2"))),),
           log(2)),
         E("thm1.2-H4k-H2k", "thm 1.2, third",
           ((_F(1), _spec(_F(1, 16),
-                         {4: [10 * c for c in _Q2], 2: [-17 * c for c in _Q2], 0: [18, 2]},
+                         {4: [10 * c for c in Q_COEFFS], 2: [-17 * c for c in Q_COEFFS],
+                          0: [18, 2]},
                          den=("3k+1", "3k+2"))),),
           rat(8) * log(2)),
         E("thm1.3-m256", "thm 1.3 (x=-1/256)",
@@ -320,11 +330,11 @@ def _builtin_entries() -> tuple[IdentityEntry, ...]:
                          den=("k", "3k+1", "3k+2"), start=1)),),
           rat(_F(16, 3)) * log(2) - rat(_F(7, 4))),
         E("sec4-abel-Hk-31", "sec 4 Abel instance (H_k, 3k+1)",
-          ((_F(1), _spec(_F(1, 16), {1: [24, 224, 384, -176], 0: [-48, 0, 432]},
+          ((_F(1), _spec(_F(1, 16), {1: CUBIC_31, 0: [-48, 0, 432]},
                          den=("3k+1",), start=1)),),
           rat(0)),
         E("sec4-abel-Hk-32", "sec 4 Abel instance (H_k, 3k+1 3k+2)",
-          ((_F(1), _spec(_F(1, 16), {1: [24, 80, -48, -176], 0: [96, 432, 432]},
+          ((_F(1), _spec(_F(1, 16), {1: CUBIC_32, 0: [96, 432, 432]},
                          den=("3k+1", "3k+2"), start=1)),),
           rat(0)),
         E("sec5-abel-H-31", "sec 5 Abel instance (H, 3k+1)",

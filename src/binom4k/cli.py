@@ -28,6 +28,7 @@ from typing import Optional
 
 from .balls import Ball, QuadratureError, quad_integrate
 from .catalog import (
+    P_COEFFS,
     CatalogError,
     IdentityEntry,
     builtin_catalog,
@@ -296,8 +297,7 @@ def crosscheck_substituted(j: int, tol: float) -> CrosscheckRecord:
     name = f"crosscheck-j{j}"
     x16 = Fraction(1, 16)
     series_plain = sum_series(SeriesSpec(x=x16, start=1, channels={j: (Fraction(1),)}), 30)
-    series_weighted = sum_series(
-        SeriesSpec(x=x16, start=1, channels={j: (Fraction(11), Fraction(-92), Fraction(22))}), 30)
+    series_weighted = sum_series(SeriesSpec(x=x16, start=1, channels={j: P_COEFFS}), 30)
     dps = 60
     with mpmath.workdps(dps):
         alpha = _mpf_of_fraction((lambda iv: (iv[0] + iv[1]) / 2)(

@@ -5,11 +5,11 @@ counting, algebraic reals given by a defining polynomial plus an isolating
 interval, single-generator number fields Q[t]/(p(t)) with a distinguished
 real embedding, and rational functions over Q.
 
-A polynomial over Q is integer numerators over one denominator, and its
-arithmetic runs on integer kernels: one Kronecker big-integer product
-(`_mul_nums`, which also multiplies `genfunc.TruncSeries`), pseudo-division,
-a primitive remainder sequence for the gcd and homogeneous Horner for
-evaluation.  Number-field elements and the rational functions over Q reach
+A polynomial over Q is integer numerators over one denominator
+(`IntCoeffs`, which `genfunc.TruncSeries` shares), and its arithmetic runs
+on integer kernels: one Kronecker big-integer product (`_mul_nums`, which
+also multiplies truncated series), pseudo-division, a primitive remainder
+sequence for the gcd and homogeneous Horner for evaluation.  Number-field elements and the rational functions over Q reach
 the same kernels through their polynomials over Q.  A polynomial with
 coefficients in a number field is never formed: the callers that meet one
 rewrite it over Q first (see `proofs`).
@@ -152,16 +152,11 @@ def _horner(ints: Sequence[int], n: int, d: int) -> int:
 # polynomials
 
 
-class Poly:
-    """Dense univariate polynomial over Q, coefficients in ascending degree order.
-
-    The coefficients are stored as integer numerators `nums` over one
-    positive denominator `den`, reduced so that gcd(den, *nums) = 1 and with
-    no trailing zero: equal polynomials have equal (nums, den), and every
-    operation runs on integers.  `coeffs` gives the coefficients as
-    Fractions.  The zero polynomial has no coefficients; its degree is -1,
-    standing in for "minus infinity" in divrem logic.
-    """
+class IntCoeffs:
+    """A finite sequence of rationals stored as integer numerators `nums` over
+    one positive denominator `den`, reduced so that gcd(den, *nums) = 1: equal
+    sequences have equal (nums, den), and arithmetic runs on integers.  The
+    common representation of `Poly` and `genfunc.TruncSeries`."""
 
     __slots__ = ("nums", "den")
 
@@ -174,8 +169,6 @@ class Poly:
         self._store([c.numerator * (den // c.denominator) for c in cs], den)
 
     def _store(self, nums, den: int) -> None:
-        while nums and not nums[-1]:
-            nums = nums[:-1]
         if den < 0:
             nums, den = [-c for c in nums], -den
         g = math.gcd(den, *nums)
@@ -184,21 +177,45 @@ class Poly:
         object.__setattr__(self, "nums", tuple(nums))
         object.__setattr__(self, "den", den)
 
-    @staticmethod
-    def _make(nums, den: int) -> "Poly":
-        """The polynomial with coefficients nums/den, for integers nums, den != 0."""
-        p = object.__new__(Poly)
+    @classmethod
+    def _make(cls, nums, den: int):
+        """The value with coefficients nums/den, for integers nums, den != 0."""
+        p = object.__new__(cls)
         p._store(nums, den)
         return p
 
-    def __setattr__(self, *a):  # immutable
-        raise AttributeError("Poly is immutable")
-
-    # -- basic structure ----------------------------------------------------
+    def __setattr__(self, *a):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def coeffs(self) -> tuple:
         return tuple(Fraction(c, self.den) for c in self.nums)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.nums == other.nums and self.den == other.den
+
+    def __hash__(self):
+        return hash((self.nums, self.den))
+
+
+class Poly(IntCoeffs):
+    """Dense univariate polynomial over Q, coefficients in ascending degree order.
+
+    Stored as `IntCoeffs` with no trailing zero, so equal polynomials have
+    equal (nums, den).  The zero polynomial has no coefficients; its degree
+    is -1, standing in for "minus infinity" in divrem logic.
+    """
+
+    __slots__ = ()
+
+    def _store(self, nums, den: int) -> None:
+        while nums and not nums[-1]:
+            nums = nums[:-1]
+        IntCoeffs._store(self, nums, den)
+
+    # -- basic structure ----------------------------------------------------
 
     @property
     def degree(self) -> int:
@@ -216,14 +233,6 @@ class Poly:
         if not 0 <= i <= self.degree:
             return Fraction(0)
         return Fraction(self.nums[i], self.den)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self.nums == other.nums and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.nums, self.den))
 
     # -- ring operations ----------------------------------------------------
 
@@ -498,6 +507,15 @@ def _rational_roots(p: Poly) -> list[Fraction]:
     return sorted(roots)
 
 
+def _resolvent_cubic(quartic: Poly) -> tuple[Poly, Fraction, Fraction, Fraction]:
+    """For a quartic with no cubic term, monic t^4 + P t^2 + Q t + R after
+    division by its leading coefficient: (resolvent, P, Q, R), the resolvent
+    U^3 + 2P U^2 + (P^2 - 4R) U - Q^2 having the root U = u^2 for each
+    factorization (t^2 + u t + v)(t^2 - u t + w)."""
+    R, Q, P = (quartic.monic()[i] for i in range(3))
+    return Poly([-(Q * Q), P * P - 4 * R, 2 * P, 1]), P, Q, R
+
+
 def is_irreducible(p: Poly) -> bool:
     """Irreducibility over Q for degree <= 4 (rational roots + quadratic-factor
     search via the resolvent cubic).  Degrees above 4 are out of scope."""
@@ -513,12 +531,7 @@ def is_irreducible(p: Poly) -> bool:
     if d > 4:
         raise NotImplementedError("irreducibility test implemented for degree <= 4")
     # depress: x -> x - a3/(4 a4), which preserves reducibility
-    a4, a3 = p[4], p[3]
-    shift = Poly([-a3 / (4 * a4), 1])
-    q_ = p.compose(shift).monic()
-    P, Qc, R = q_[2], q_[1], q_[0]
-    # resolvent cubic for t^4 + P t^2 + Q t + R = (t^2+ut+v)(t^2-ut+w): U = u^2
-    res = Poly([-(Qc * Qc), P * P - 4 * R, 2 * P, 1])
+    res, P, Qc, R = _resolvent_cubic(p.compose(Poly([-p[3] / (4 * p[4]), 1])))
     for U in _rational_roots(res):
         if U == 0:
             # biquadratic-style splits: t^4 + P t^2 + R
@@ -706,9 +719,7 @@ def sqrt_in_field(field: NumberField, d: int) -> NFElem:
     mod = field.raw_modulus
     if mod.degree != 4 or mod[3] != 0:
         raise ValueError("sqrt_in_field requires a depressed quartic modulus")
-    lead = mod[4]
-    p, q, r = mod[2] / lead, mod[1] / lead, mod[0] / lead
-    res = Poly([-(q * q), p * p - 4 * r, 2 * p, 1])
+    res, p, q, r = _resolvent_cubic(mod)
     g = field.gen()
     for U in _rational_roots(res):
         if U <= 0:

@@ -17,52 +17,26 @@ from fractions import Fraction
 from typing import Optional
 
 from .balls import Ball
-from .exact import (AlgebraicReal, NFElem, NumberField, Poly, _mul_nums, pow_by_squaring,
-                    sqrt_in_field)
+from .exact import (AlgebraicReal, IntCoeffs, NFElem, NumberField, Poly, _mul_nums,
+                    pow_by_squaring, sqrt_in_field)
 from .series import RADIUS, SeriesSpec, sum_series
 
 
-class TruncSeries:
+class TruncSeries(IntCoeffs):
     """Formal power series truncated at a fixed order, exact coefficients.
 
-    The coefficients are stored as integer numerators `nums` over one
-    positive common denominator `den`, reduced so that gcd(den, *nums) = 1:
-    equal series have equal representations, and a product is one
-    big-integer product of the numerators (`exact._mul_nums`).
+    Stored as `exact.IntCoeffs`, integer numerators over one reduced
+    denominator: equal series have equal representations, and a product is
+    one big-integer product of the numerators (`exact._mul_nums`).
     """
 
-    __slots__ = ("nums", "den")
+    __slots__ = ()
 
     def __init__(self, coeffs):
         cs = list(coeffs)
         if not cs:
             raise ValueError("a truncated series needs at least order 0")
-        for c in cs:
-            if not isinstance(c, (int, Fraction)):
-                raise TypeError(f"series coefficient {c!r} is not an int or a Fraction")
-        den = math.lcm(*(c.denominator for c in cs))
-        self._store([c.numerator * (den // c.denominator) for c in cs], den)
-
-    def _store(self, nums, den: int) -> None:
-        g = math.gcd(den, *nums)
-        if g != 1:
-            nums, den = [c // g for c in nums], den // g
-        object.__setattr__(self, "nums", tuple(nums))
-        object.__setattr__(self, "den", den)
-
-    @staticmethod
-    def _make(nums, den: int) -> "TruncSeries":
-        """The series nums/den for integers nums and den > 0."""
-        s = object.__new__(TruncSeries)
-        s._store(nums, den)
-        return s
-
-    def __setattr__(self, *a):
-        raise AttributeError("TruncSeries is immutable")
-
-    @property
-    def coeffs(self) -> tuple:
-        return tuple(Fraction(c, self.den) for c in self.nums)
+        super().__init__(cs)
 
     @property
     def order(self) -> int:
@@ -70,14 +44,6 @@ class TruncSeries:
 
     def __getitem__(self, k: int) -> Fraction:
         return Fraction(self.nums[k], self.den)
-
-    def __eq__(self, other):
-        if isinstance(other, TruncSeries):
-            return self.den == other.den and self.nums == other.nums
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.nums, self.den))
 
     def truncate(self, K: int) -> "TruncSeries":
         if K >= self.order:
@@ -200,19 +166,27 @@ def gm_series(m: int, K: int) -> TruncSeries:
 
 
 @dataclass(frozen=True)
-class SeriesCheck:
-    name: str
+class CheckOutcome:
+    """The result of an exact check: a pass, or a failure with its witness;
+    `note` says what was checked where that is not plain from its name."""
+
     ok: bool
-    first_bad_order: Optional[int] = None
-    detail: str = ""
-
-    @staticmethod
-    def from_residual(name: str, residual: TruncSeries, detail: str = "") -> "SeriesCheck":
-        bad = residual.first_nonzero()
-        return SeriesCheck(name, bad is None, bad, detail)
+    witness: Optional[str] = None
+    note: Optional[str] = None
 
 
-def check_quartic_f(K: int, f: Optional[TruncSeries] = None) -> SeriesCheck:
+def zero_check(residual, witness=repr) -> CheckOutcome:
+    """Pass iff the exact residual is zero, else fail with witness(residual)."""
+    if residual.is_zero():
+        return CheckOutcome(True)
+    return CheckOutcome(False, witness(residual))
+
+
+def _first_nonzero(residual: TruncSeries) -> CheckOutcome:
+    return zero_check(residual, lambda r: f"first nonzero order {r.first_nonzero()}")
+
+
+def check_quartic_f(K: int, f: Optional[TruncSeries] = None) -> CheckOutcome:
     """Residual of 27 f^4 - 18 f^2 - 8 f - 1 - 256 x f^4 through order K."""
     if K < 1:
         raise ValueError("K must be >= 1")
@@ -220,40 +194,32 @@ def check_quartic_f(K: int, f: Optional[TruncSeries] = None) -> SeriesCheck:
         f = coeffs_f(K)
     f2 = f * f
     f4 = f2 * f2
-    residual = 27 * f4 - 18 * f2 - 8 * f - 1 - 256 * f4.shift_x()
-    return SeriesCheck.from_residual(f"quartic-f K={K}", residual)
+    return _first_nonzero(27 * f4 - 18 * f2 - 8 * f - 1 - 256 * f4.shift_x())
 
 
-def check_gm(m: int, K: int) -> SeriesCheck:
+def check_gm(m: int, K: int) -> CheckOutcome:
     """Residual of G_m - 1 - x G_m^m through order K."""
     if m < 1 or K < 1:
         raise ValueError("need m >= 1 and K >= 1")
     G = gm_series(m, K)
-    residual = G - 1 - (G**m).shift_x()
-    return SeriesCheck.from_residual(f"gm-equation m={m} K={K}", residual)
+    return _first_nonzero(G - 1 - (G**m).shift_x())
 
 
-def check_log_gm(m: int, K: int) -> SeriesCheck:
+def check_log_gm(m: int, K: int) -> CheckOutcome:
     """Coefficient k of m log G_m must equal C(mk,k)/k."""
     if m < 1 or K < 1:
         raise ValueError("need m >= 1 and K >= 1")
-    L = m * gm_series(m, K).log()
-    for k in range(1, K + 1):
-        if L[k] != Fraction(math.comb(m * k, k), k):
-            return SeriesCheck(f"gm-log m={m} K={K}", False, k)
-    return SeriesCheck(f"gm-log m={m} K={K}", True)
+    expected = TruncSeries([0] + [Fraction(math.comb(m * k, k), k) for k in range(1, K + 1)])
+    return _first_nonzero(m * gm_series(m, K).log() - expected)
 
 
-def check_f_log(K: int) -> SeriesCheck:
+def check_f_log(K: int) -> CheckOutcome:
     """Coefficient k of 4 log(4f/(3f+1)) must equal C(4k,k)/k."""
     if K < 1:
         raise ValueError("K must be >= 1")
     f = coeffs_f(K)
-    L = 4 * ((4 * f) / (3 * f + 1)).log()
-    for k in range(1, K + 1):
-        if L[k] != Fraction(math.comb(4 * k, k), k):
-            return SeriesCheck(f"f-log K={K}", False, k)
-    return SeriesCheck(f"f-log K={K}", True)
+    expected = TruncSeries([0] + [Fraction(math.comb(4 * k, k), k) for k in range(1, K + 1)])
+    return _first_nonzero(4 * ((4 * f) / (3 * f + 1)).log() - expected)
 
 
 def f_prime(f):
@@ -267,33 +233,26 @@ def f_second(f):
     return 4096 * f**9 * (9 * f + 5) / (3 * f + 1) ** 5
 
 
-def check_derivatives_f(K: int) -> SeriesCheck:
-    """Termwise f' vs f_prime(f) (order K-1) and f'' vs f_second(f) (order K-2)."""
+def check_derivatives_f(K: int) -> CheckOutcome:
+    """Termwise f' vs f_prime(f) (order K-1), then f'' vs f_second(f) (order K-2)."""
     if K < 2:
         raise ValueError("K must be >= 2")
     f = coeffs_f(K)
     d1 = f.derivative()
     r1 = d1 - f_prime(f).truncate(K - 1)
     if not r1.is_zero():
-        return SeriesCheck(f"f-derivatives K={K}", False, r1.first_nonzero(), "first derivative")
-    d2 = d1.derivative()
-    r2 = d2 - f_second(f).truncate(K - 2)
-    if not r2.is_zero():
-        return SeriesCheck(f"f-derivatives K={K}", False, r2.first_nonzero(), "second derivative")
-    return SeriesCheck(f"f-derivatives K={K}", True)
+        return _first_nonzero(r1)
+    return _first_nonzero(d1.derivative() - f_second(f).truncate(K - 2))
 
 
-def check_lagrange(m: int, n: int, K: int) -> SeriesCheck:
-    """Coefficient k of G_m^n must equal (n/k) C(mk+n-1, k-1) for 1 <= k <= K."""
+def check_lagrange(m: int, n: int, K: int) -> CheckOutcome:
+    """Coefficient k of G_m^n must equal (n/k) C(mk+n-1, k-1) for 1 <= k <= K,
+    and coefficient 0 must be 1."""
     if m < 1 or n < 1:
         raise ValueError("need m >= 1 and n >= 1")
-    P = gm_series(m, K) ** n
-    if P[0] != 1:
-        return SeriesCheck(f"lagrange m={m} n={n} K={K}", False, 0)
-    for k in range(1, K + 1):
-        if P[k] != Fraction(n, k) * math.comb(m * k + n - 1, k - 1):
-            return SeriesCheck(f"lagrange m={m} n={n} K={K}", False, k)
-    return SeriesCheck(f"lagrange m={m} n={n} K={K}", True)
+    expected = TruncSeries([1] + [Fraction(n, k) * math.comb(m * k + n - 1, k - 1)
+                                  for k in range(1, K + 1)])
+    return _first_nonzero(gm_series(m, K) ** n - expected)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .catalog import LEMMA51_CASES
+from .catalog import CUBIC_31, CUBIC_32, LEMMA51_CASES, P_COEFFS, Q_COEFFS
 from .exact import (
     Ival,
     NFElem,
@@ -39,7 +39,8 @@ from .exact import (
     count_roots,
     sqrt_in_field,
 )
-from .genfunc import ALPHA_CUBIC, AlphaContext, BetaContext, make_alpha, make_beta, eval_f, f_prime
+from .genfunc import (ALPHA_CUBIC, AlphaContext, BetaContext, CheckOutcome, eval_f, f_prime,
+                      make_alpha, make_beta, zero_check)
 from .series import harmonic
 
 F = Fraction
@@ -80,28 +81,19 @@ def diff_log_rational(e: LogRationalExpr) -> RatFunc:
     return total
 
 
-@dataclass(frozen=True)
-class CheckOutcome:
-    ok: bool
-    witness: Optional[str] = None
-
-
 def check_antiderivative(g: LogRationalExpr, integrand: RatFunc) -> CheckOutcome:
     """Pass iff g' - integrand is the zero rational function (cross-multiplied)."""
-    diff = diff_log_rational(g) - integrand
-    if diff.is_zero():
-        return CheckOutcome(True)
-    return CheckOutcome(False, witness=repr(diff))
+    return zero_check(diff_log_rational(g) - integrand)
 
 
 def check_poly_identity(lhs: Poly, rhs: Poly) -> CheckOutcome:
-    d = lhs - rhs
-    if d.is_zero():
-        return CheckOutcome(True)
-    return CheckOutcome(False, witness=d.pretty())
+    return zero_check(lhs - rhs, Poly.pretty)
 
 
 # -- the four antiderivative instances --------------------------------------
+
+# The quadratic 27y^2 - 3y - 40 of the g integrand and the bracket target.
+_G_QUADRATIC = Poly([-40, -3, 27])
 
 # Integrand factors of g2, g3 and g4.  `substituted_integrands` reuses these
 # Polys as they are, so the cross-checks integrate the verified coefficients.
@@ -123,7 +115,7 @@ def antiderivative_g() -> tuple[LogRationalExpr, RatFunc]:
         log_terms=((F(-20), RatFunc(Poly([0, 2]), Poly([1, 1]))),),
     )
     integrand = RatFunc(
-        Poly([-40, -3, 27]) * Poly([1, 3]) ** 2,
+        _G_QUADRATIC * Poly([1, 3]) ** 2,
         2 * (Poly([0, 1]) * Poly([1, 1])),
     )
     return g, integrand
@@ -261,7 +253,7 @@ def standard_decomposition() -> DecompositionResult:
     """The decomposition used by every sigma chain: target is the series-level
     scaling (1/8)(27y^2-3y-40)(cubic), for which the solved weights are
     (11/128, -35/8, 11)."""
-    target = (Poly([-40, -3, 27]) * ALPHA_CUBIC).scale(F(1, 8))
+    target = (_G_QUADRATIC * ALPHA_CUBIC).scale(F(1, 8))
     return solve_decomposition(DecompositionProblem(target=target, basis=standard_basis()))
 
 
@@ -287,6 +279,7 @@ P5 = Poly([1, 24, 245, 1356, 4177, 5660, -5139, -30728, -30309, 41488,
 _Y = Poly([0, 1])
 _U = RatFunc(Poly([0, 2]), Poly([1, 3]))        # 2y/(3y+1)
 _DERIV_NUM = f_prime(RatFunc(_Y))               # f' in terms of y = f
+_Y5_64 = 64 * _Y ** 5                           # the numerator of f' = 64y^5/(3y+1)^2
 
 # The rational part of sigma_j is that of g_j at the substituted point (y for
 # j=1, then u^2, cbrt2*u and u with u = 2y/(3y+1)) plus the printed
@@ -334,8 +327,7 @@ def sigma_rational_closure(idx: int, quartic: Poly = Q33) -> CheckOutcome:
         rhs = RatFunc(-(ALPHA_CUBIC * P4), 2 * Poly([1, 3]) ** 2 * quartic ** 3)
     else:
         raise ValueError("idx must be 1..4")
-    diff = lhs - rhs
-    return CheckOutcome(diff.is_zero(), None if diff.is_zero() else repr(diff))
+    return zero_check(lhs - rhs)
 
 
 def sigma_log_ident(idx: int, quartic: Poly = Q97) -> CheckOutcome:
@@ -344,9 +336,9 @@ def sigma_log_ident(idx: int, quartic: Poly = Q97) -> CheckOutcome:
     does not."""
     if idx in (1, 3):
         lhs = Poly([1, 1]) ** 3 * Poly([1, 3]) ** 2 + Poly([1, 2, 5]) * ALPHA_CUBIC
-        return check_poly_identity(lhs, Poly([0, 0, 0, 0, 0, 64]))
+        return check_poly_identity(lhs, _Y5_64)
     if idx == 2:
-        lhs = (Poly([0, 0, 0, 0, 0, 64]) * quartic ** 3
+        lhs = (_Y5_64 * quartic ** 3
                - Poly([1, 1]) ** 6 * Poly([1, 3]) ** 5 * Poly([1, 5]) ** 6)
         return check_poly_identity(lhs, ALPHA_CUBIC * P2)
     if idx == 4:
@@ -404,10 +396,7 @@ def sigma_value_closure(idx: int) -> CheckOutcome:
 def alpha_power_identity() -> CheckOutcome:
     """(3a+1)^15 (a-1)^5 = 16^5 a^20 in Q(alpha)."""
     a = alpha_context().elem
-    lhs = (3 * a + 1) ** 15 * (a - 1) ** 5
-    rhs = (16 ** 5) * a ** 20
-    d = lhs - rhs
-    return CheckOutcome(d.is_zero(), None if d.is_zero() else repr(d))
+    return zero_check((3 * a + 1) ** 15 * (a - 1) ** 5 - (16 ** 5) * a ** 20)
 
 
 # ---------------------------------------------------------------------------
@@ -416,8 +405,17 @@ def alpha_power_identity() -> CheckOutcome:
 # The printed kernel numerators K0(k) + m K1(k), as (K0, K1) in ascending powers
 # of k: A is (256 - 27m)k^3 + 384k^2 + (176 + 3m)k + 24 over 3k+1, B is
 # (256 - 27m)k^3 + 3(128 - 9m)k^2 + 2(88 - 3m)k + 24 over (3k+1)(3k+2).
-_ABEL_KERNELS = {"A": ([24, 176, 384, 256], [0, 3, 0, -27]),
-                 "B": ([24, 176, 384, 256], [0, -6, -27, -27])}
+_ABEL_K0 = (24, 176, 384, 256)
+_ABEL_KERNELS = {"A": (_ABEL_K0, (0, 3, 0, -27)), "B": (_ABEL_K0, (0, -6, -27, -27))}
+
+
+def _abel_weight(variant: str) -> tuple[RatFunc, Poly]:
+    """(w, den) of a variant: w(k) = 8(2k+1)(4k+1)(4k+3)/den(k), den(k) the
+    kernel denominator 3k+1 (A) or (3k+1)(3k+2) (B)."""
+    if variant not in ("A", "B"):
+        raise ValueError("variant must be 'A' or 'B'")
+    den = Poly([1, 3]) if variant == "A" else Poly([1, 3]) * Poly([2, 3])
+    return RatFunc(8 * Poly([1, 2]) * Poly([1, 4]) * Poly([3, 4]), den), den
 
 
 def check_abel_step(variant: str) -> CheckOutcome:
@@ -426,11 +424,8 @@ def check_abel_step(variant: str) -> CheckOutcome:
     m is free, so the identity holds iff w = K0 and -w(k-1)/rho = K1: two
     identities of rational functions over Q in k.  The witness names the m^0
     or m^1 part that fails."""
-    if variant not in ("A", "B"):
-        raise ValueError("variant must be 'A' or 'B'")
+    w, den = _abel_weight(variant)
     k = Poly([0, 1])
-    den = Poly([1, 3]) if variant == "A" else Poly([1, 3]) * Poly([2, 3])
-    w = RatFunc(8 * Poly([1, 2]) * Poly([1, 4]) * Poly([3, 4]), den)
     rho = RatFunc(Poly([-3, 4]) * Poly([-2, 4]) * Poly([-1, 4]) * Poly([0, 4]),
                   k * Poly([-2, 3]) * Poly([-1, 3]) * Poly([0, 3]))
     shift = Poly([-1, 1])  # k -> k-1
@@ -447,22 +442,14 @@ def abel_telescoped_sum(variant: str, m: Fraction, psi, n: int) -> tuple[Fractio
     """Both sides of the finite summation-by-parts identity with the corrected
     boundary term w(0)*psi(0); returns (lhs, rhs) as exact rationals."""
     m = Fraction(m)
+    weight, den = _abel_weight(variant)
+    k0, k1 = (Poly(c) for c in _ABEL_KERNELS[variant])
     lhs = Fraction(0)
     for k in range(1, n + 1):
-        C = math.comb(4 * k, k)
-        if variant == "A":
-            num = (256 - 27 * m) * k**3 + 384 * k**2 + (176 + 3 * m) * k + 24
-            den = Fraction(3 * k + 1)
-        else:
-            num = (256 - 27 * m) * k**3 + 3 * (128 - 9 * m) * k**2 + 2 * (88 - 3 * m) * k + 24
-            den = Fraction((3 * k + 1) * (3 * k + 2))
-        lhs += C * psi(k) * num / (den * m**k)
+        lhs += math.comb(4 * k, k) * psi(k) * (k0(k) + m * k1(k)) / (den(k) * m**k)
 
     def w(k: int) -> Fraction:
-        t = Fraction(8 * (2 * k + 1) * (4 * k + 1) * (4 * k + 3), 3 * k + 1)
-        if variant == "B":
-            t /= 3 * k + 2
-        return t * math.comb(4 * k, k)
+        return weight(k) * math.comb(4 * k, k)
 
     rhs = w(n) * psi(n) / m**n - w(0) * psi(0)
     for k in range(0, n):
@@ -475,8 +462,7 @@ def abel_boundary_discrepancy(variant: str = "A") -> Fraction:
     m = 16: equals -w(0)*psi(0), i.e. -24 (variant A) / -12 (variant B)."""
     psi = lambda k: Fraction(1)
     lhs, rhs_corrected = abel_telescoped_sum(variant, Fraction(16), psi, 1)
-    w0 = Fraction(24) if variant == "A" else Fraction(12)
-    rhs_printed = rhs_corrected + w0 * psi(0)
+    rhs_printed = rhs_corrected + _abel_weight(variant)[0](0) * psi(0)
     return lhs - rhs_printed
 
 
@@ -488,17 +474,14 @@ def partial_fraction_decomposition(corrected: bool = True) -> CheckOutcome:
     """(11k^2+8k+1)/((3k+1)(3k+2)) as the four-term combination.  The printed
     display transposes the two cubic numerators; `corrected=False` probes the
     display as printed (it fails at k=1)."""
-    k = Poly([0, 1])
-    lhs = RatFunc(Poly([1, 8, 11]), Poly([1, 3]) * Poly([2, 3]))
-    cubic_a = Poly([24, 224, 384, -176])   # -176k^3 + 384k^2 + 224k + 24
-    cubic_b = Poly([24, 80, -48, -176])    # -176k^3 - 48k^2 + 80k + 24
+    lhs = RatFunc(Poly(Q_COEFFS), Poly([1, 3]) * Poly([2, 3]))
+    cubic_a, cubic_b = Poly(CUBIC_31), Poly(CUBIC_32)
     if not corrected:
         cubic_a, cubic_b = cubic_b, cubic_a
-    rhs = (RatFunc(Poly([-11, 92, -22]).scale(F(1, 5)))
+    rhs = (RatFunc(Poly(P_COEFFS).scale(F(-1, 5)))
            - F(3, 40) * RatFunc(cubic_a, Poly([1, 3]))
            + F(3, 8) * RatFunc(cubic_b, Poly([1, 3]) * Poly([2, 3])))
-    diff = lhs - rhs
-    return CheckOutcome(diff.is_zero(), None if diff.is_zero() else repr(diff))
+    return zero_check(lhs - rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -541,10 +524,7 @@ def theorem3_combination(case: str, gamma: NFElem, sqrt_d: NFElem) -> NFElem:
 
 def check_theorem3_reduction(case: str) -> CheckOutcome:
     ctx = case_context(case)
-    residual = theorem3_combination(case, ctx.gamma, ctx.sqrt_d)
-    if residual.is_zero():
-        return CheckOutcome(True)
-    return CheckOutcome(False, witness=repr(residual))
+    return zero_check(theorem3_combination(case, ctx.gamma, ctx.sqrt_d))
 
 
 # ---------------------------------------------------------------------------
@@ -631,94 +611,79 @@ class ExactCheck:
     note: Optional[str] = None
 
 
-def _outcome(name: str, oc: CheckOutcome, note: Optional[str] = None) -> ExactCheck:
-    return ExactCheck(name, oc.ok, oc.witness, note)
-
-
 def run_exact_checks(only: Optional[str] = None) -> list[ExactCheck]:
     """Run the whole exact suite (optionally filtered by substring)."""
     from . import genfunc
 
     checks: list[ExactCheck] = []
 
-    def add(name, fn):
+    def add(name, fn, *args):
         if only and only not in name:
             return
         try:
-            checks.append(fn(name))
+            oc = fn(*args)
         except Exception as exc:  # a crash is a failure with the message as witness
-            checks.append(ExactCheck(name, False, witness=f"{type(exc).__name__}: {exc}"))
+            oc = CheckOutcome(False, f"{type(exc).__name__}: {exc}")
+        checks.append(ExactCheck(name, oc.ok, oc.witness, oc.note))
 
-    def series_check(fn):
-        def run(name):
-            r = fn()
-            return ExactCheck(name, r.ok,
-                              None if r.ok else f"first nonzero order {r.first_bad_order}")
-        return run
-
-    add("quartic-f", series_check(lambda: genfunc.check_quartic_f(64)))
+    add("quartic-f", genfunc.check_quartic_f, 64)
     for m in range(1, 6):
-        add(f"gm-equation-m{m}", series_check(lambda m=m: genfunc.check_gm(m, 64)))
-        add(f"gm-log-m{m}", series_check(lambda m=m: genfunc.check_log_gm(m, 64)))
-    add("f-log", series_check(lambda: genfunc.check_f_log(64)))
-    add("f-derivatives", series_check(lambda: genfunc.check_derivatives_f(64)))
+        add(f"gm-equation-m{m}", genfunc.check_gm, m, 64)
+        add(f"gm-log-m{m}", genfunc.check_log_gm, m, 64)
+    add("f-log", genfunc.check_f_log, 64)
+    add("f-derivatives", genfunc.check_derivatives_f, 64)
 
-    def lagrange(name):
+    def lagrange():
         for m in range(1, 6):
             for n in range(1, 5):
                 r = genfunc.check_lagrange(m, n, 32)
                 if not r.ok:
-                    return ExactCheck(name, False,
-                                      f"m={m} n={n} first bad order {r.first_bad_order}")
-        return ExactCheck(name, True, note="m in 1..5, n in 1..4, orders through 32")
+                    return CheckOutcome(False, f"m={m} n={n} {r.witness}")
+        return CheckOutcome(True, note="m in 1..5, n in 1..4, orders through 32")
     add("lagrange", lagrange)
 
-    def alpha_ctx(name):
+    def alpha_ctx():
         alpha_context()  # raises on any invariant failure
-        return ExactCheck(name, True,
-                          note="(11/128)a'' - (35/8)a' + 11a + 5 reduced to exact 0")
+        return CheckOutcome(True, note="(11/128)a'' - (35/8)a' + 11a + 5 reduced to exact 0")
     add("alpha-context", alpha_ctx)
 
-    def beta_ctx(name):
+    def beta_ctx():
         beta_context()
-        return ExactCheck(name, True,
-                          note="quadratic in sqrt(2) reduced to exact 0; embedding in (0.9, 1)")
+        return CheckOutcome(True, note="quadratic in sqrt(2) reduced to exact 0; "
+                                       "embedding in (0.9, 1)")
     add("beta-context", beta_ctx)
 
-    add("alpha-power-identity", lambda name: _outcome(name, alpha_power_identity()))
+    add("alpha-power-identity", alpha_power_identity)
 
-    def decomposition(name):
+    def decomposition():
         r = standard_decomposition()
         expected = (F(11, 128), F(-35, 8), F(11))
         ok = r.ok and r.coefficients == expected
         wit = None if ok else (f"coefficients {r.coefficients}, residual {r.residual.pretty()}, "
                                f"constant {r.constant!r}")
-        return ExactCheck(name, ok, wit,
-                          note="weights solved, not assumed: the printed display scaling "
-                               "does not balance, the series-level scaling does")
+        return CheckOutcome(ok, wit, note="weights solved, not assumed: the printed display "
+                                          "scaling does not balance, the series-level scaling does")
     add("decomposition", decomposition)
 
     for tag, builder in (("g", antiderivative_g), ("g2", antiderivative_g2),
                          ("g3", antiderivative_g3), ("g4", antiderivative_g4)):
-        def anti(name, builder=builder, tag=tag):
-            g, integrand = builder()
-            note = "over Q(cbrt(2))" if tag == "g3" else None
-            return _outcome(name, check_antiderivative(g, integrand), note)
+        def anti(builder=builder, tag=tag):
+            oc = check_antiderivative(*builder())
+            return CheckOutcome(oc.ok, oc.witness, "over Q(cbrt(2))" if tag == "g3" else None)
         add(f"antiderivative-{tag}", anti)
 
-    add("sigma1-rational-closure", lambda name: _outcome(name, sigma_rational_closure(1)))
-    add("sigma1-log-closure", lambda name: _outcome(name, sigma_log_ident(1)))
+    add("sigma1-rational-closure", sigma_rational_closure, 1)
+    add("sigma1-log-closure", sigma_log_ident, 1)
     for idx in (1, 2, 3, 4):
-        add(f"sigma{idx}-value-closure",
-            lambda name, idx=idx: _outcome(name, sigma_value_closure(idx)))
+        add(f"sigma{idx}-value-closure", sigma_value_closure, idx)
 
     def closes_only(true, wrong, both_closed: str, note: str):
         """A check that passes when the true variant closes and the wrong
         (printed or adjacent) variant does not."""
-        def run(name):
+        def run():
             good, bad = true(), wrong()
             ok = good.ok and not bad.ok
-            return ExactCheck(name, ok, None if ok else (good.witness or both_closed), note)
+            return CheckOutcome(ok, None if ok else (good.witness or both_closed), note)
         return run
 
     add("p1-identity", closes_only(
@@ -730,36 +695,35 @@ def run_exact_checks(only: Optional[str] = None) -> list[ExactCheck]:
         lambda: p_identity(2, Q97), lambda: p_identity(2, Q33),
         "both quartic candidates closed",
         "closes with the 97-quartic; the 33-quartic does not"))
-    add("p3-identity", lambda name: _outcome(name, p_identity(3)))
+    add("p3-identity", p_identity, 3)
     add("p4-identity", closes_only(
         lambda: p_identity(4, Q33), lambda: sigma_rational_closure(4, C3),
         "printed denominator also closed",
         "denominator is the 33-quartic cube; the printed "
         "(11y^3+27y^2+9y+1)^3 does not close (degree mismatch)"))
 
-    add("p5-identity", lambda name: _outcome(name, p_identity(5)))
+    add("p5-identity", p_identity, 5)
 
     for variant in ("A", "B"):
-        add(f"abel-step-{variant}",
-            lambda name, v=variant: _outcome(name, check_abel_step(v)))
+        add(f"abel-step-{variant}", check_abel_step, variant)
 
-    def abel_numeric(name):
+    def abel_numeric():
         psi = lambda k: harmonic(k)
         for variant in ("A", "B"):
             lhs, rhs = abel_telescoped_sum(variant, F(16), psi, 2)
             if lhs != rhs:
-                return ExactCheck(name, False, f"variant {variant}: {lhs} != {rhs}")
-        return ExactCheck(name, True, note="n=2, m=16, psi=H_k, exact rationals")
+                return CheckOutcome(False, f"variant {variant}: {lhs} != {rhs}")
+        return CheckOutcome(True, note="n=2, m=16, psi=H_k, exact rationals")
     add("abel-telescoping-numeric", abel_numeric)
 
-    def abel_boundary(name):
+    def abel_boundary():
         dA = abel_boundary_discrepancy("A")
         dB = abel_boundary_discrepancy("B")
         ok = (dA == -24) and (dB == -12)
-        return ExactCheck(name, ok, None if ok else f"A: {dA}, B: {dB}",
-                          note="printed lemma omits the k=0 boundary term w(0)psi(0); "
-                               "discrepancy -24 psi(0) (A) / -12 psi(0) (B); every use "
-                               "has psi(0) = 0")
+        return CheckOutcome(ok, None if ok else f"A: {dA}, B: {dB}",
+                            note="printed lemma omits the k=0 boundary term w(0)psi(0); "
+                                 "discrepancy -24 psi(0) (A) / -12 psi(0) (B); every use "
+                                 "has psi(0) = 0")
     add("abel-boundary-convention", abel_boundary)
 
     add("partial-fractions", closes_only(
@@ -770,16 +734,14 @@ def run_exact_checks(only: Optional[str] = None) -> list[ExactCheck]:
         "the corrected pairing closes, the printed one fails"))
 
     for case in LEMMA51_CASES:
-        add(f"theorem3-reduction-{case}",
-            lambda name, c=case: _outcome(name, check_theorem3_reduction(c)))
+        add(f"theorem3-reduction-{case}", check_theorem3_reduction, case)
 
     for j in (2, 3, 4):
-        def domain(name, j=j):
+        def domain(j=j):
             si = substituted_integrands(j)
             ok = si.denominator_root_free()
-            return ExactCheck(name, ok,
-                              None if ok else "denominator zero inside [0, upper]",
-                              note=f"upper limit {si.upper_desc}")
+            return CheckOutcome(ok, None if ok else "denominator zero inside [0, upper]",
+                                note=f"upper limit {si.upper_desc}")
         add(f"integrand-domain-j{j}", domain)
 
     return checks

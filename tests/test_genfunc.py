@@ -200,21 +200,21 @@ class TestPerturbed:
 
     def test_quartic(self):
         r = check_quartic_f(64, f=self._bump(coeffs_f(64)))
-        assert not r.ok and r.first_bad_order == 37
+        assert not r.ok and r.witness == "first nonzero order 37"
 
     def test_f_log(self, monkeypatch):
         monkeypatch.setattr(genfunc, "coeffs_f", lambda K: self._bump(coeffs_f(K)))
         r = check_f_log(64)
-        assert not r.ok and r.first_bad_order == 37
+        assert not r.ok and r.witness == "first nonzero order 37"
 
     def test_gm_and_lagrange(self, monkeypatch):
         monkeypatch.setattr(genfunc, "gm_series", lambda m, K: self._bump(gm_series(m, K)))
         for m in range(1, 6):
             r = check_gm(m, 64)
-            assert not r.ok and r.first_bad_order == 37, m
+            assert not r.ok and r.witness == "first nonzero order 37", m
             for n in range(1, 5):
                 r = check_lagrange(m, n, 64)
-                assert not r.ok and r.first_bad_order == 37, (m, n)
+                assert not r.ok and r.witness == "first nonzero order 37", (m, n)
 
 
 class TestCoefficients:
@@ -247,7 +247,7 @@ class TestFunctionalEquations:
 
     def test_quartic_perturbed_fails(self):
         r = check_quartic_f(1, f=TruncSeries([1, 5]))
-        assert not r.ok and r.first_bad_order == 1
+        assert not r.ok and r.witness == "first nonzero order 1"
 
     def test_g1_is_geometric(self):
         assert gm_series(1, 8).coeffs == tuple(F(1) for _ in range(9))
