@@ -17,6 +17,7 @@ Two encodings deviate from the printed text, both confirmed numerically to
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
@@ -27,6 +28,15 @@ from .series import DENOM_FACTORS, SeriesSpec, SpecError
 
 class CatalogError(ValueError):
     """A malformed component spec or an entry violating a spec invariant."""
+
+
+# The digit budget.  It bounds --digits and BINOM4K_DIGITS: the entries at
+# x = 1/16 need about 4.4 D terms, so past about 22,000 digits they exceed
+# series.MAX_TERMS.  It bounds a rational string of a spec before `Fraction`
+# parses it (length and decimal exponent: 10^e costs superlinear time to
+# build and reduce), and `eval` bounds the numerator and denominator of x
+# and of the coefficients by it, since the work grows with their size.
+MAX_DIGITS = 20_000
 
 
 # ---------------------------------------------------------------------------
@@ -370,9 +380,23 @@ def catalog_by_id() -> dict[str, IdentityEntry]:
 # component specs, the JSON objects that `eval --spec` reads
 
 
+# the exponent of a decimal string as `Fraction` reads it ("1.5e-7", "2E+1_0")
+_EXPONENT = re.compile(r"e([-+]?[\d_]+)\s*\Z", re.IGNORECASE)
+
+
 def _parse_frac(s, where: str) -> Fraction:
     if not isinstance(s, str):
         raise CatalogError(f"{where}: rational must be a 'p/q' string, got {s!r}")
+    if len(s) > 2 * MAX_DIGITS + 4:
+        raise CatalogError(f"{where}: rational string longer than {2 * MAX_DIGITS + 4} "
+                           "characters")
+    m = _EXPONENT.search(s)
+    try:
+        too_large = m is not None and abs(int(m.group(1))) > MAX_DIGITS
+    except ValueError:  # not an exponent that Fraction reads either
+        too_large = False
+    if too_large:
+        raise CatalogError(f"{where}: decimal exponent beyond {MAX_DIGITS} in {s[:40]!r}")
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
@@ -409,9 +433,10 @@ def parse_component(obj: dict, where: str) -> tuple[Fraction, SeriesSpec]:
     for d in dens:
         if d not in DENOM_FACTORS:
             raise CatalogError(f"{where}.denominator_factors: unknown factor {d!r}")
+    x = _parse_frac(obj["x"], where + ".x")
     try:
         spec = SeriesSpec(
-            x=_parse_frac(obj["x"], where + ".x"),
+            x=x,
             binomial_power=obj["binomial_power"],
             start=obj["start"],
             channels=chans,
@@ -419,4 +444,6 @@ def parse_component(obj: dict, where: str) -> tuple[Fraction, SeriesSpec]:
         )
     except SpecError as exc:
         raise CatalogError(f"{where}: {exc}") from None
+    except ValueError:  # a radius message, whose x is past the int-to-str digit limit
+        raise CatalogError(f"{where}.x: outside the radius of convergence") from None
     return weight, spec

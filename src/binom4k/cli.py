@@ -28,6 +28,7 @@ from typing import Optional
 
 from .balls import Ball, QuadratureError, quad_integrate
 from .catalog import (
+    MAX_DIGITS,
     P_COEFFS,
     CatalogError,
     IdentityEntry,
@@ -42,11 +43,6 @@ from .series import PrecisionError, SeriesSpec, SpecError, sum_many, sum_series
 
 DEFAULT_DIGITS_ENV = "BINOM4K_DIGITS"
 
-# the budget for --digits and BINOM4K_DIGITS: the entries at x = 1/16 need
-# about 4.4 D terms, so past about 22,000 digits they exceed series.MAX_TERMS;
-# it also bounds the numerator and denominator of an `eval` x by 10^MAX_DIGITS,
-# since the exact tail bounds compute with x at its full size
-MAX_DIGITS = 20_000
 DIGITS_HELP = (f"absolute accuracy D: enclosures of radius about 10^-D, not D significant "
                f"digits; at most {MAX_DIGITS} (default: {DEFAULT_DIGITS_ENV}, else 50)")
 
@@ -389,7 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("crosscheck", help="quadrature vs series cross-check")
     p.add_argument("--j", type=int, required=True, choices=(1, 2, 3, 4))
-    p.add_argument("--x", default="1/16", help="rational x as P/Q (j=1 only)")
+    p.add_argument("--x", default="1/16",
+                   help="rational x as P/Q (j=1 only); write a negative x as --x=-1/50")
     p.add_argument("--tol", type=float, default=1e-20)
 
     p = sub.add_parser("catalog", help="inspect the identity catalog")
@@ -506,6 +503,13 @@ def _dispatch(args) -> int:
         _, spec = parse_component({**obj, "weight": obj.get("weight", "1/1")}, "spec")
         if max(abs(spec.x.numerator), spec.x.denominator) > 10 ** MAX_DIGITS:
             raise SystemExit2(f"spec.x: numerator and denominator must be at most 10^{MAX_DIGITS}")
+        # D is absolute, so a coefficient of size 10^s needs D + s digits of the sum
+        bound = 10 ** (MAX_DIGITS - digits)
+        if any(max(abs(c.numerator), c.denominator) > bound
+               for cs in spec.channels.values() for c in cs):
+            raise SystemExit2(f"spec.channels: numerators and denominators must be at most "
+                              f"10^{MAX_DIGITS - digits}, so that --digits plus the decimal "
+                              f"size of the largest coefficient stays within {MAX_DIGITS}")
         try:
             b = sum_series(spec, digits)
         except PrecisionError as exc:

@@ -23,7 +23,7 @@ from binom4k.cli import (
     run_verify_all,
     verify_entry,
 )
-from binom4k import series, workers
+from binom4k import cli, series, workers
 from binom4k.catalog import builtin_catalog, catalog_by_id, pi, rat
 from binom4k.series import MAX_TERMS, SeriesSpec, sum_series
 
@@ -178,15 +178,55 @@ class TestEvalCommand:
         assert captured.out == ""
         assert f"bad channel key {key!r}" in captured.err
 
-    @pytest.mark.parametrize("x", [f"1e-{MAX_DIGITS + 1}", f"-3e-{5 * MAX_DIGITS}", "1e-2000000"])
+    @pytest.mark.parametrize("x", [f"1e-{MAX_DIGITS + 1}", f"-3e-{5 * MAX_DIGITS}", "1e-2000000",
+                                   f"1.5e-{MAX_DIGITS}"])
     def test_eval_x_budget(self, tmp_path, capsys, x):
         # the exact tail bound computes with x at its full size: "1e-2000000"
-        # used to run for minutes in its gcds
+        # used to run for minutes in its gcds.  An exponent past MAX_DIGITS is
+        # refused before Fraction builds 10^e; 1.5e-20000 = 3/(2 10^20000) by
+        # the size of x
         path = tmp_path / "spec.json"
         path.write_text(json.dumps({**EQ11_SPEC, "x": x}))
         assert main(["eval", "--spec", str(path), "--digits", "10"]) == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and "spec.x: numerator and denominator" in captured.err
+        reason = "numerator and denominator" if x.startswith("1.5") else "decimal exponent beyond"
+        assert captured.out == "" and f"spec.x: {reason}" in captured.err
+
+    @pytest.mark.parametrize("field, where", [("x", "spec.x"), ("weight", "spec.weight"),
+                                              ("coefficient", "spec.channels.0")])
+    @pytest.mark.parametrize("text", ["1e-20000000", "1" * (2 * MAX_DIGITS + 5)],
+                             ids=["exponent", "length"])
+    def test_eval_rational_string_budget(self, tmp_path, capsys, field, where, text):
+        # Fraction("1e-20000000") alone took 41 s: the string is refused first
+        spec = {**EQ11_SPEC, "weight": "1/1"}
+        if field == "coefficient":
+            spec["channels"] = {"0": [text]}
+        else:
+            spec[field] = text
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        t0 = time.perf_counter()
+        assert main(["eval", "--spec", str(path), "--digits", "10"]) == 2
+        assert time.perf_counter() - t0 < 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: {where}: ")
+
+    def test_eval_coefficient_budget(self, tmp_path, capsys, monkeypatch):
+        # D is absolute, so a coefficient 10^20000 at 10 digits would ask for
+        # 20010 digits of the sum (it ran for minutes)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({**EQ11_SPEC, "channels": {"0": ["1e20000"]}}))
+        t0 = time.perf_counter()
+        assert main(["eval", "--spec", str(path), "--digits", "10"]) == 2
+        assert time.perf_counter() - t0 < 1
+        assert "error: spec.channels: " in capsys.readouterr().err
+        # the edge, D plus the size of the numerator or denominator at most
+        # MAX_DIGITS, on a budget small enough to run
+        monkeypatch.setattr(cli, "MAX_DIGITS", 30)
+        for coeff, code in (("1e20", 0), (f"{10**20 + 1}", 2), (f"1/{10**20 + 1}", 2)):
+            path.write_text(json.dumps({**EQ11_SPEC, "channels": {"0": [coeff]}}))
+            assert main(["eval", "--spec", str(path), "--digits", "10"]) == code, coeff
+        assert "error: spec.channels: " in capsys.readouterr().err
 
     def test_eval_missing_file(self):
         assert main(["eval", "--spec", "/nonexistent.json"]) == 2
@@ -256,6 +296,11 @@ class TestCrosscheckCommand:
 
     def test_bad_rational(self):
         assert main(["crosscheck", "--j", "1", "--x", "abc"]) == 2
+
+    def test_negative_x(self, capsys):
+        # argparse takes "--x -1/50" for a missing value; the help names "--x=-1/50"
+        assert main(["crosscheck", "--j", "1", "--x=-1/50"]) == 0
+        assert capsys.readouterr().out.startswith("PASS  crosscheck-j1  series -0.0659154906")
 
 
 def test_default_digits_env(monkeypatch, capsys):

@@ -1,7 +1,8 @@
 """Fuzzed command lines, run in process through `cli.main`: every input ends
-in exit 0, 1 or 2, and no traceback is printed."""
+in exit 0, 1 or 2 within BUDGET_MS, and no traceback is printed."""
 
 import json
+import operator
 from fractions import Fraction as F
 
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -10,8 +11,12 @@ from binom4k.cli import DEFAULT_DIGITS_ENV, MAX_DIGITS, main
 from binom4k.series import DENOM_FACTORS, RADIUS
 
 
+# the time every example must end in, about 20 times the slowest one here
+BUDGET_MS = 2000
+
+
 def _fuzz(examples: int):
-    return settings(max_examples=examples, deadline=None, derandomize=True,
+    return settings(max_examples=examples, deadline=BUDGET_MS, derandomize=True,
                     suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
@@ -26,9 +31,23 @@ def _run(argv, capsys) -> None:
         assert out == "" and err
 
 
+# rational strings that the parse bounds refuse before Fraction reads them:
+# an exponent past MAX_DIGITS, in the spellings Fraction accepts ("1e-20000000"
+# alone took Fraction 41 s), or a string past the length bound
+_HOSTILE = st.one_of(
+    st.builds("{}e{}{}".format, st.sampled_from(["1", "-9", "2.5", " 4.", "0"]),
+              st.sampled_from(["", "+", "-"]),
+              st.integers(MAX_DIGITS + 1, 10**12).map(str) | st.just("2_000_000")),
+    st.builds(operator.mul, st.sampled_from(["1", "0", "-9", "1/3", " "]),
+              st.integers(2 * MAX_DIGITS + 5, 3 * MAX_DIGITS)),
+)
+# tiny rationals within the bounds, cheap however long their denominators
+_TINY = st.builds("{}e-{}".format, st.sampled_from(["1", "-9", "2.5"]),
+                  st.integers(300, MAX_DIGITS))
 _COEFF = st.one_of(
     st.builds(lambda p, q: f"{p}/{q}", st.integers(-50, 50), st.integers(1, 50)),
-    st.sampled_from(["0", "1e200", "-1e-200", f"{10**300}/7"]),
+    st.sampled_from(["0", "1e200", "-1e-200", f"{10**300}/7", f"1e{MAX_DIGITS}"]),
+    _TINY,
 )
 
 
@@ -38,7 +57,8 @@ def _valid_spec(draw) -> dict:
     power (27/256 or 256/27), 10^-9 inside needing a cutoff past the work
     budget; channels of degree up to 39 with huge and tiny coefficients;
     denominator factors, among them k, which vanishes at k = 0; or x
-    written with an exponent, its denominator beyond the budget."""
+    written with an exponent: past the radius, its digits past the
+    int-to-str limit, beyond the bounds or tiny; and an optional weight."""
     power = draw(st.sampled_from([1, -1]))
     radius = RADIUS if power == 1 else 1 / RADIUS
     x = draw(st.one_of(
@@ -47,15 +67,21 @@ def _valid_spec(draw) -> dict:
         st.builds(F, st.integers(0, 30), st.integers(1, 300)),
         st.sampled_from([F(1, 10**300), F(10**200 + 1, 10**202)])))
     x = str(-x if draw(st.booleans()) else x)
-    # or written with an exponent, beyond the 10^MAX_DIGITS bound on its size
-    x = draw(st.just(x) | st.sampled_from([f"1e-{MAX_DIGITS + 1}", f"-9e-{3 * MAX_DIGITS}",
-                                           "1e-100000"]))
-    return {"x": x, "binomial_power": power,
+    # or written with an exponent
+    x = draw(st.just(x) | st.one_of(
+        st.sampled_from([f"1e-{MAX_DIGITS + 1}", f"-9e-{3 * MAX_DIGITS}", "1e-100000",
+                         f"1.5e-{MAX_DIGITS}"]),
+        st.builds("{}e{}".format, st.sampled_from(["1", "-9"]), st.integers(1, MAX_DIGITS)),
+        _TINY))
+    spec = {"x": x, "binomial_power": power,
             "start": draw(st.sampled_from([0, 1])),
             "channels": draw(st.dictionaries(st.sampled_from("01234"),
                                              st.lists(_COEFF, max_size=40), max_size=3)),
             "denominator_factors": draw(st.lists(st.sampled_from(sorted(DENOM_FACTORS)),
                                                  max_size=3))}
+    if draw(st.booleans()):
+        spec["weight"] = draw(_COEFF)
+    return spec
 
 
 @_fuzz(60)
@@ -63,10 +89,34 @@ def _valid_spec(draw) -> dict:
 @example(spec={"x": str(-RADIUS * (1 - F(1, 10**9))), "binomial_power": 1, "start": 1,
                "channels": {"4": ["1e200"] * 40}, "denominator_factors": ["k"]},
          digits=12).via("past the work budget: exit 1")
+@example(spec={"x": "1e5000", "binomial_power": 1, "start": 0, "channels": {},
+               "denominator_factors": []},
+         digits=10).via("past the radius, x past the int-to-str limit: exit 2")
+@example(spec={"x": "1/16", "binomial_power": 1, "start": 0, "channels": {"0": ["1e20000"]},
+               "denominator_factors": []},
+         digits=10).via("D plus the coefficient size past MAX_DIGITS: exit 2")
 def test_eval_valid_specs(tmp_path, capsys, spec, digits):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     _run(["eval", "--spec", str(path), "--digits", str(digits)], capsys)
+
+
+@_fuzz(30)
+@given(spec=_valid_spec(), field=st.sampled_from(["x", "weight", "channels.0"]),
+       text=_HOSTILE, digits=st.integers(1, 12))
+def test_eval_hostile_rationals(tmp_path, capsys, spec, field, text, digits):
+    """A rational string past a parse bound is a usage error naming its
+    field, whatever the rest of the spec holds (the weight and the channels
+    are read before x)."""
+    if field == "channels.0":
+        spec = {**spec, "channels": {**spec["channels"], "0": [text]}}
+    else:
+        spec = {**spec, field: text}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["eval", "--spec", str(path), "--digits", str(digits)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: spec.{field}: "), err[:200]
 
 
 # a valid spec with one field replaced by a wrong value or type, cut short,
