@@ -18,6 +18,7 @@ Two encodings deviate from the printed text, both confirmed numerically to
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
@@ -399,8 +400,11 @@ def _parse_frac(s, where: str) -> Fraction:
         raise CatalogError(f"{where}: decimal exponent beyond {MAX_DIGITS} in {s[:40]!r}")
     try:
         return Fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise CatalogError(f"{where}: bad rational {s!r}: {exc}") from None
+    except (ValueError, ZeroDivisionError):
+        limit = sys.get_int_max_str_digits()
+        digits = f", with at most {limit} digits in each integer" if limit else ""
+        raise CatalogError(f"{where}: bad rational {s[:40]!r}: write it as p/q, q nonzero, "
+                           f"or as a decimal{digits}") from None
 
 
 def parse_component(obj: dict, where: str) -> tuple[Fraction, SeriesSpec]:

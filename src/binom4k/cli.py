@@ -37,7 +37,7 @@ from .catalog import (
     eval_closed_form,
     parse_component,
 )
-from .genfunc import eval_f
+from .genfunc import eval_f, relation_at
 from .proofs import alpha_context, run_exact_checks, substituted_integrands
 from .series import PrecisionError, SeriesSpec, SpecError, sum_many, sum_series
 
@@ -53,35 +53,6 @@ QUAD_WIDTH = Fraction(1, 10**55)
 # weight slack: the lhs and the rhs are enclosed 3 digits past the request,
 # so the combined difference stays well under the 10^(1-D) pass threshold
 COMPONENT_PAD = 3
-
-REPORT_SCHEMA = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "type": "object",
-    "required": ["version", "records"],
-    "properties": {
-        "version": {"const": 1},
-        "records": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["id", "status", "lhs", "rhs", "difference",
-                             "digits", "elapsed_ms", "provenance"],
-                "properties": {
-                    "id": {"type": "string"},
-                    "status": {"enum": ["PASS", "FAIL", "ERROR"]},
-                    "lhs": {"type": "string"},
-                    "rhs": {"type": "string"},
-                    "difference": {"type": "string"},
-                    "digits": {"type": "integer"},
-                    "elapsed_ms": {"type": "number"},
-                    "provenance": {"type": "string"},
-                    "message": {"type": "string"},
-                },
-            },
-        },
-    },
-}
-
 
 @dataclass
 class VerificationRecord:
@@ -251,17 +222,13 @@ def crosscheck_j1(x: Fraction, tol: float) -> CrosscheckRecord:
     dps = 60
     with mpmath.workdps(dps):
         gamma = _mpf_of_fraction(eval_f(x, 50).midpoint())
-        xv = _mpf_of_fraction(x)
-        # (27-256x) y^4 - 18y^2 - 8y - 1 = (y - gamma) * (b3 y^3 + b2 y^2 + b1 y + b0)
-        a4 = 27 - 256 * xv
-        b3 = a4
-        b2 = gamma * b3
-        b1 = -18 + gamma * b2
-        b0 = -8 + gamma * b1
+        # f's relation at x is (y - gamma) q3(y), gamma = f(x): q3 by synthetic division
+        q3 = []
+        for c in reversed(relation_at(x).coeffs[1:]):
+            q3.insert(0, _mpf_of_fraction(c) + (gamma * q3[0] if q3 else 0))
 
         def integrand(y):
-            q3 = ((b3 * y + b2) * y + b1) * y + b0
-            return 4 * (1 + 3 * y) ** 2 / (y * q3)
+            return 4 * (1 + 3 * y) ** 2 / (y * _horner(q3, y))
 
         try:
             qr = quad_integrate(integrand, Fraction(1), gamma, tol=tol, dps=dps)
@@ -297,7 +264,7 @@ def crosscheck_substituted(j: int, tol: float) -> CrosscheckRecord:
     dps = 60
     with mpmath.workdps(dps):
         alpha = _mpf_of_fraction((lambda iv: (iv[0] + iv[1]) / 2)(
-            alpha_context().alpha.refine(QUAD_WIDTH)))
+            alpha_context().field.embedding.refine(QUAD_WIDTH)))
         si = substituted_integrands(j, QUAD_WIDTH)
         upper = _mpf_of_fraction(sum(si.upper_interval) / 2)
 

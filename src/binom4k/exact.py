@@ -559,7 +559,6 @@ class NumberField:
         if not is_irreducible(modulus):
             raise ValueError("modulus is reducible over Q")
         self.modulus = modulus.monic()
-        self.raw_modulus = modulus
         self.degree = modulus.degree
         self.embedding = AlgebraicReal(modulus, interval)
 
@@ -573,7 +572,7 @@ class NumberField:
         return NFElem(self, Poly([0, 1]))
 
     def __repr__(self):
-        return f"NumberField({self.raw_modulus.pretty('t')})"
+        return f"NumberField({self.modulus.pretty('t')})"
 
 
 class NFElem:
@@ -709,17 +708,16 @@ class NFElem:
 
 def sqrt_in_field(field: NumberField, d: int) -> NFElem:
     """Express sqrt(d) inside a quartic field Q(g), g a root of a depressed
-    quartic A t^4 + p2 t^2 + p1 t + p0.
+    quartic t^4 + p t^2 + q t + r.
 
     Works through the resolvent cubic: a rational root U = v^2 d of
     U^3 + 2p U^2 + (p^2 - 4r) U - q^2 recovers the conjugate quadratic
     factorization over Q(sqrt(d)), from which sqrt(d) = -(g^2 + w)/(v g + s).
     The returned element squares to d and has positive real embedding.
     """
-    mod = field.raw_modulus
-    if mod.degree != 4 or mod[3] != 0:
+    if field.degree != 4 or field.modulus[3] != 0:
         raise ValueError("sqrt_in_field requires a depressed quartic modulus")
-    res, p, q, r = _resolvent_cubic(mod)
+    res, p, q, r = _resolvent_cubic(field.modulus)
     g = field.gen()
     for U in _rational_roots(res):
         if U <= 0:

@@ -5,8 +5,8 @@
 
 verified coefficient-by-coefficient: the quartic functional equation of f,
 the G_m equation G = 1 + x G^m, the log formulas, the closed forms of f' and
-f'', Lagrange inversion for powers of G_m, and the construction of the
-algebraic constants attached to x = 1/16 and x = -1/256.
+f'', Lagrange inversion for powers of G_m; and the number fields Q(f(x0)),
+each cut out by the same quartic relation of f.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .balls import Ball
-from .exact import (AlgebraicReal, IntCoeffs, NFElem, NumberField, Poly, _mul_nums,
+from .exact import (IntCoeffs, NFElem, NumberField, Poly, _mul_nums, _rational_roots,
                     pow_by_squaring, sqrt_in_field)
 from .series import RADIUS, SeriesSpec, sum_series
 
@@ -186,15 +186,28 @@ def _first_nonzero(residual: TruncSeries) -> CheckOutcome:
     return zero_check(residual, lambda r: f"first nonzero order {r.first_nonzero()}")
 
 
+# f's relation (27 - 256x) f^4 - 18 f^2 - 8 f - 1 = 0: the coefficient of f^i
+# is the affine function a + b x of x, F_RELATION[i] = (a, b)
+F_RELATION = ((-1, 0), (-8, 0), (-18, 0), (0, 0), (27, -256))
+
+
+def relation_at(x0) -> Poly:
+    """f's relation at x = x0, a polynomial in y with f(x0) among its roots."""
+    x0 = Fraction(x0)
+    return Poly([a + b * x0 for a, b in F_RELATION])
+
+
 def check_quartic_f(K: int, f: Optional[TruncSeries] = None) -> CheckOutcome:
-    """Residual of 27 f^4 - 18 f^2 - 8 f - 1 - 256 x f^4 through order K."""
+    """Residual of f's relation, sum_i (a_i + b_i x) f^i, through order K."""
     if K < 1:
         raise ValueError("K must be >= 1")
     if f is None:
         f = coeffs_f(K)
-    f2 = f * f
-    f4 = f2 * f2
-    return _first_nonzero(27 * f4 - 18 * f2 - 8 * f - 1 - 256 * f4.shift_x())
+    powers = [TruncSeries.constant(1, f.order), f]
+    while len(powers) < len(F_RELATION):
+        powers.append(powers[-1] * f)
+    return _first_nonzero(sum((a * p + b * p.shift_x() for (a, b), p in zip(F_RELATION, powers)),
+                              0 * f))
 
 
 def check_gm(m: int, K: int) -> CheckOutcome:
@@ -256,71 +269,46 @@ def check_lagrange(m: int, n: int, K: int) -> CheckOutcome:
 
 
 # ---------------------------------------------------------------------------
-# algebraic contexts at the special points
+# f's quartic relation and the fields Q(f(x0))
 
 
 class ContextError(ArithmeticError):
     """An exact invariant of an algebraic context failed to reduce to zero."""
 
 
-# minimal polynomial of f(1/16): 11 t^3 - 11 t^2 - 7 t - 1
-ALPHA_CUBIC = Poly([-1, -7, -11, 11])
-# minimal polynomial of f(-1/256): 28 t^4 - 18 t^2 - 8 t - 1
-BETA_QUARTIC = Poly([-1, -8, -18, 0, 28])
+def _divide_root(p: Poly, r: Fraction) -> Poly:
+    """p / (y - r), checked to leave no remainder."""
+    q, rem = p.divrem(Poly([-r, 1]))
+    if not rem.is_zero():
+        raise ContextError(f"{r} is not a root of {p.pretty()}")
+    return q
+
+
+# minimal polynomial of f(1/16): the relation at 1/16 is (y + 1)(11y^3 - 11y^2 - 7y - 1)
+ALPHA_CUBIC = _divide_root(relation_at(Fraction(1, 16)), Fraction(-1))
 
 
 @dataclass(frozen=True)
-class AlphaContext:
-    """The value a = f(1/16) with the exact closed forms of f'(1/16), f''(1/16).
+class PointContext:
+    """The number field Q(gamma), gamma = f(x0), with the positive square root
+    of d in it when one was asked for (`point_context`)."""
 
-    Invariant (checked at construction): (11/128) a'' - (35/8) a' + 11 a + 5 = 0.
-    """
-
+    x0: Fraction
     field: NumberField
-    alpha: AlgebraicReal
-    elem: NFElem       # a as a field element
-    alpha_p: NFElem    # f_prime(a)
-    alpha_pp: NFElem   # f_second(a)
+    gamma: NFElem
+    sqrt_d: Optional[NFElem]
 
 
-@dataclass(frozen=True)
-class BetaContext:
-    """The value b = f(-1/256) inside the quartic field that also contains
-    sqrt(2).
-
-    Invariant (checked at construction): 14 b^2 - 7 sqrt2 b - 1 - 2 sqrt2 = 0
-    with sqrt2 the positive square root of 2 expressed in the field, and the
-    real embedding of b lies in (0.9, 1).
-    """
-
-    field: NumberField
-    beta: NFElem
-    sqrt2: NFElem
-
-
-def make_alpha() -> AlphaContext:
-    field = NumberField(ALPHA_CUBIC, (Fraction(1), Fraction(2)))
-    a = field.gen()
-    ap, app = f_prime(a), f_second(a)
-    relation = Fraction(11, 128) * app - Fraction(35, 8) * ap + 11 * a + 5
-    if not relation.is_zero():
-        raise ContextError(f"closed-form relation residual is nonzero: {relation!r}")
-    return AlphaContext(field=field, alpha=field.embedding, elem=a, alpha_p=ap, alpha_pp=app)
-
-
-def make_beta() -> BetaContext:
-    field = NumberField(BETA_QUARTIC, (Fraction(1, 2), Fraction(1)))
-    b = field.gen()
-    s2 = sqrt_in_field(field, 2)
-    if not (s2 * s2 == 2 and s2.sign() > 0):
-        raise ContextError("sqrt(2) construction failed")
-    quad = 14 * b * b - 7 * s2 * b - 1 - 2 * s2
-    if not quad.is_zero():
-        raise ContextError(f"quadratic residual is nonzero: {quad!r}")
-    lo, hi = field.embedding.refine(Fraction(1, 100))
-    if not (Fraction(9, 10) < lo and hi < 1):
-        raise ContextError("embedding escaped (0.9, 1)")
-    return BetaContext(field=field, beta=b, sqrt2=s2)
+def point_context(x0, d: Optional[int] = None) -> PointContext:
+    """The field cut out by f's relation at x0 with its rational roots divided
+    out, its embedding the root that an enclosure of f(x0) isolates."""
+    x0 = Fraction(x0)
+    modulus = relation_at(x0)
+    for r in _rational_roots(modulus):
+        modulus = _divide_root(modulus, r)
+    ball = eval_f(x0, digits=12)
+    field = NumberField(modulus, (ball.lo, ball.hi))
+    return PointContext(x0, field, field.gen(), None if d is None else sqrt_in_field(field, d))
 
 
 def eval_f(x, digits: int = 30) -> Ball:

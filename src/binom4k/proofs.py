@@ -29,31 +29,47 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .catalog import CUBIC_31, CUBIC_32, LEMMA51_CASES, P_COEFFS, Q_COEFFS
-from .exact import (
-    Ival,
-    NFElem,
-    NumberField,
-    Poly,
-    RatFunc,
-    count_roots,
-    sqrt_in_field,
-)
-from .genfunc import (ALPHA_CUBIC, AlphaContext, BetaContext, CheckOutcome, eval_f, f_prime,
-                      make_alpha, make_beta, zero_check)
+from .catalog import CUBIC_31, CUBIC_32, LEMMA51_CASES, P_COEFFS, Q_COEFFS, catalog_by_id
+from .exact import Ival, NFElem, NumberField, Poly, RatFunc, count_roots
+from .genfunc import (ALPHA_CUBIC, CheckOutcome, ContextError, PointContext, f_prime, f_second,
+                      point_context, zero_check)
 from .series import harmonic
 
 F = Fraction
 
 
 @lru_cache(maxsize=1)
-def alpha_context() -> AlphaContext:
-    return make_alpha()
+def alpha_context() -> PointContext:
+    """Q(a), a = f(1/16), checked: (11/128) a'' - (35/8) a' + 11 a + 5 = 0 with
+    a' = f_prime(a) and a'' = f_second(a)."""
+    ctx = point_context(F(1, 16))
+    a = ctx.gamma
+    relation = F(11, 128) * f_second(a) - F(35, 8) * f_prime(a) + 11 * a + 5
+    if not relation.is_zero():
+        raise ContextError(f"closed-form relation residual is nonzero: {relation!r}")
+    return ctx
 
 
 @lru_cache(maxsize=1)
-def beta_context() -> BetaContext:
-    return make_beta()
+def beta_context() -> PointContext:
+    """Q(b, sqrt 2), b = f(-1/256), the lemma 5.1 case m256, checked:
+    14 b^2 - 7 sqrt2 b - 1 - 2 sqrt2 = 0 and b in (0.9, 1)."""
+    ctx = case_context("m256")
+    b, s2 = ctx.gamma, ctx.sqrt_d
+    quad = 14 * b * b - 7 * s2 * b - 1 - 2 * s2
+    if not quad.is_zero():
+        raise ContextError(f"quadratic residual is nonzero: {quad!r}")
+    lo, hi = ctx.field.embedding.refine(F(1, 100))
+    if not (F(9, 10) < lo and hi < 1):
+        raise ContextError("embedding escaped (0.9, 1)")
+    return ctx
+
+
+@lru_cache(maxsize=None)
+def case_context(case: str) -> PointContext:
+    """Q(f(x0), sqrt d) for a lemma 5.1 case."""
+    x0, d, *_ = LEMMA51_CASES[case]
+    return point_context(x0, d)
 
 
 # ---------------------------------------------------------------------------
@@ -214,11 +230,11 @@ class DecompositionProblem:
     basis: tuple  # three (part over Q, constant in Q(alpha)) pairs
 
 
-def standard_basis(ctx: Optional[AlphaContext] = None) -> tuple:
+def standard_basis(ctx: Optional[PointContext] = None) -> tuple:
     """The basis elements 16 S5 - a'', 4 S3 - a' and y - a, each as its part
     over Q and its constant in Q(alpha)."""
-    ctx = ctx or alpha_context()
-    return ((S5.scale(16), -ctx.alpha_pp), (S3.scale(4), -ctx.alpha_p), (Poly([0, 1]), -ctx.elem))
+    a = (ctx or alpha_context()).gamma
+    return ((S5.scale(16), -f_second(a)), (S3.scale(4), -f_prime(a)), (Poly([0, 1]), -a))
 
 
 @dataclass(frozen=True)
@@ -281,53 +297,41 @@ _U = RatFunc(Poly([0, 2]), Poly([1, 3]))        # 2y/(3y+1)
 _DERIV_NUM = f_prime(RatFunc(_Y))               # f' in terms of y = f
 _Y5_64 = 64 * _Y ** 5                           # the numerator of f' = 64y^5/(3y+1)^2
 
-# The rational part of sigma_j is that of g_j at the substituted point (y for
-# j=1, then u^2, cbrt2*u and u with u = 2y/(3y+1)) plus the printed
-# polynomial corrections.  g3 is held in w = z/cbrt2, so its point is u.
+# r_j, the rational constant of the right-hand side of thm1.1-H_jk
+_SIGMA_R = (0, 214, -196, -151)
 
 
-@lru_cache(maxsize=1)
-def sigma1_rational() -> RatFunc:
-    g = antiderivative_g()[0].rational_part
-    return g - F(54, 16) * _DERIV_NUM + 108 * RatFunc(Poly([-1, 1]))
-
-
-@lru_cache(maxsize=1)
-def sigma2_rational() -> RatFunc:
-    g2 = antiderivative_g2()[0].rational_part
-    return g2(_U * _U) + F(287, 16) * _DERIV_NUM - 115 * RatFunc(Poly([-1, 1])) - 214
-
-
-@lru_cache(maxsize=1)
-def sigma3_rational() -> RatFunc:
-    g3 = antiderivative_g3()[0].rational_part
-    return g3(_U) - F(296, 16) * _DERIV_NUM + 178 * RatFunc(Poly([-1, 1])) + 196
-
-
-@lru_cache(maxsize=1)
-def sigma4_rational() -> RatFunc:
-    g4 = antiderivative_g4()[0].rational_part
-    return g4(_U) - F(449, 32) * _DERIV_NUM + F(275, 2) * RatFunc(Poly([-1, 1])) + 151
+@lru_cache(maxsize=None)
+def sigma_rational(idx: int) -> RatFunc:
+    """The rational part of sigma_idx: that of g_idx at its substituted point
+    (y for idx=1, then u^2, cbrt2*u and u with u = 2y/(3y+1); g3 is held in
+    w = z/cbrt2, so its point is u), plus (c2/16) f' + c1 (y - 1) - r_idx, with
+    c1 and c2 the k and k^2 coefficients of channel 0 of thm1.1-H_jk, j = idx."""
+    if idx not in (1, 2, 3, 4):
+        raise ValueError("idx must be 1..4")
+    builder = (antiderivative_g, antiderivative_g2, antiderivative_g3, antiderivative_g4)[idx - 1]
+    g = builder()[0].rational_part
+    if idx > 1:
+        g = g(_U * _U if idx == 2 else _U)
+    spec = catalog_by_id()["thm1.1-Hk" if idx == 1 else f"thm1.1-H{idx}k"].components[0][1]
+    _, c1, c2 = spec.channels[0]
+    return g + c2 / 16 * _DERIV_NUM + c1 * RatFunc(Poly([-1, 1])) - _SIGMA_R[idx - 1]
 
 
 def sigma_rational_closure(idx: int, quartic: Poly = Q33) -> CheckOutcome:
     """The printed closed form of each sigma rational part, as an identity of
     rational functions in y.  idx=2 and idx=4 take the disambiguation quartic."""
     if idx == 1:
-        lhs = sigma1_rational()
         rhs = RatFunc(27 * _Y * Poly([1, 1]) * ALPHA_CUBIC, 2 * Poly([1, 3]) ** 2)
     elif idx == 2:
-        lhs = sigma2_rational()
         rhs = RatFunc(ALPHA_CUBIC * P1, Poly([1, 3]) ** 2 * quartic ** 3)
     elif idx == 3:
-        lhs = sigma3_rational()
         rhs = RatFunc(-2 * ALPHA_CUBIC * P3, Poly([1, 3]) ** 2 * C3 ** 3)
     elif idx == 4:
-        lhs = sigma4_rational()
         rhs = RatFunc(-(ALPHA_CUBIC * P4), 2 * Poly([1, 3]) ** 2 * quartic ** 3)
     else:
         raise ValueError("idx must be 1..4")
-    return zero_check(lhs - rhs)
+    return zero_check(sigma_rational(idx) - rhs)
 
 
 def sigma_log_ident(idx: int, quartic: Poly = Q97) -> CheckOutcome:
@@ -368,24 +372,21 @@ def sigma_value_closure(idx: int) -> CheckOutcome:
     reduces to 0 in Q(alpha) and the merged log argument reduces to exactly 1,
     which together close sigma = stated constant."""
     ctx = alpha_context()
-    a = ctx.elem
+    a = ctx.gamma
     one = ctx.field.one()
     u = _U(a)                           # 2a/(3a+1); the j=2 point is u^2
     if idx == 1:
-        r = sigma1_rational()(a)
         M = (2 * a / (a + 1)) ** 3 * (2 * u) ** 2 / 2
     elif idx == 2:
-        r = sigma2_rational()(a)
         w = u * u
         M = ((w - 1) ** 2 / (w * w + 1)) ** 3 / (2 * u) ** 5 * 16
     elif idx == 3:
-        r = sigma3_rational()(a)
         M = ((3 * a + 1) / (a + 1)) ** 3 * (2 * u) ** 5 / 16
     elif idx == 4:
-        r = sigma4_rational()(a)
         M = ((u - 1) ** 4 / (u ** 4 + 1)) ** 3 / (2 * u) ** 17 * (2 ** 16)
     else:
         raise ValueError("idx must be 1..4")
+    r = sigma_rational(idx)(a)
     if not r.is_zero():
         return CheckOutcome(False, witness=f"rational part {r!r}")
     if not (M - one).is_zero():
@@ -395,7 +396,7 @@ def sigma_value_closure(idx: int) -> CheckOutcome:
 
 def alpha_power_identity() -> CheckOutcome:
     """(3a+1)^15 (a-1)^5 = 16^5 a^20 in Q(alpha)."""
-    a = alpha_context().elem
+    a = alpha_context().gamma
     return zero_check((3 * a + 1) ** 15 * (a - 1) ** 5 - (16 ** 5) * a ** 20)
 
 
@@ -488,29 +489,6 @@ def partial_fraction_decomposition(corrected: bool = True) -> CheckOutcome:
 # the five x-specializations of section 5
 
 
-@dataclass(frozen=True)
-class CaseContext:
-    """Quartic field containing gamma = f(x0) together with sqrt(d)."""
-
-    x0: Fraction
-    d: int
-    field: NumberField
-    gamma: NFElem
-    sqrt_d: NFElem
-
-
-@lru_cache(maxsize=None)
-def case_context(case: str) -> CaseContext:
-    x0, d, _, _, _ = LEMMA51_CASES[case]
-    A = 27 - 256 * x0
-    den = A.denominator
-    quartic = Poly([-den, -8 * den, -18 * den, 0, A.numerator])
-    ball = eval_f(x0, digits=12)
-    field = NumberField(quartic, (ball.lo, ball.hi))
-    return CaseContext(x0=x0, d=d, field=field, gamma=field.gen(),
-                       sqrt_d=sqrt_in_field(field, d))
-
-
 def theorem3_combination(case: str, gamma: NFElem, sqrt_d: NFElem) -> NFElem:
     """The closed form of the lemma 5.1 combination minus its stated constant."""
     x0, _, (wa, wb, wc), (q0, q1), r = LEMMA51_CASES[case]
@@ -563,7 +541,7 @@ def substituted_integrands(j: int, width: Fraction = F(1, 10**9)) -> Substituted
     z^9 - 10z^6 + 28z^3 - 8 = 8(w^9 - 5w^6 + 7w^3 - 1) exactly.  Both
     divisions are checked (a nonzero remainder raises).
     """
-    u = _U(alpha_context().elem)        # 2a/(3a+1)
+    u = _U(alpha_context().gamma)       # 2a/(3a+1)
     if j == 2:
         return SubstitutedIntegrand(
             j=2,

@@ -30,12 +30,15 @@ from binom4k.genfunc import (
     check_lagrange,
     check_log_gm,
     check_quartic_f,
-    make_alpha,
-    make_beta,
+    f_prime,
+    f_second,
 )
 from binom4k.proofs import (
     Q33,
     Q97,
+    alpha_context,
+    beta_context,
+    case_context,
     check_abel_step,
     check_antiderivative,
     antiderivative_g,
@@ -86,12 +89,13 @@ def test_criterion_3_lagrange_inversion():
 
 
 def test_criterion_4_algebraic_contexts():
-    a = make_alpha()
-    relation = F(11, 128) * a.alpha_pp - F(35, 8) * a.alpha_p + 11 * a.elem + 5
-    b = make_beta()
-    quad = 14 * b.beta * b.beta - 7 * b.sqrt2 * b.beta - 1 - 2 * b.sqrt2
-    power = (3 * a.elem + 1) ** 15 * (a.elem - 1) ** 5 - 16 ** 5 * a.elem ** 20
-    ok = relation.is_zero() and quad.is_zero() and power.is_zero()
+    a = alpha_context().gamma
+    relation = F(11, 128) * f_second(a) - F(35, 8) * f_prime(a) + 11 * a + 5
+    b, s2 = beta_context().gamma, beta_context().sqrt_d
+    quad = 14 * b * b - 7 * s2 * b - 1 - 2 * s2
+    power = (3 * a + 1) ** 15 * (a - 1) ** 5 - 16 ** 5 * a ** 20
+    one_field = beta_context().field is case_context("m256").field
+    ok = relation.is_zero() and quad.is_zero() and power.is_zero() and one_field
     _report("4 (algebraic contexts exact)", ok)
 
 

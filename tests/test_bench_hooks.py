@@ -1,0 +1,45 @@
+"""The benchmark's hooks: every name that bench/tracing.py wraps and every
+binom4k name that bench/worker.py calls must exist, so that a rename shows up
+in the tier-1 suite and not only in the slower `pytest bench` run."""
+
+import ast
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", BENCH / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module   # its dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_targets_resolve_and_contexts_are_called():
+    from binom4k import proofs
+
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        assert tracer.missing == set()
+        proofs.run_exact_checks("context")          # alpha- and beta-context
+        proofs.run_exact_checks("reduction-m256")   # case_context, cached or not
+    finally:
+        tracer.uninstall()
+    called = {span.name for span in tracer.spans}
+    assert {"proofs.alpha_context", "proofs.beta_context", "proofs.case_context"} <= called
+
+
+def test_worker_names_exist():
+    tree = ast.parse((BENCH / "worker.py").read_text())
+    modules = ("catalog", "cli", "proofs", "series")
+    used = {(node.value.id, node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in modules}
+    assert ("cli", "run_verify_all") in used and ("proofs", "run_exact_checks") in used
+    for module, name in sorted(used):
+        assert hasattr(importlib.import_module(f"binom4k.{module}"), name), f"{module}.{name}"

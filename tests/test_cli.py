@@ -12,7 +12,6 @@ import pytest
 from binom4k.balls import Ball
 from binom4k.cli import (
     MAX_DIGITS,
-    REPORT_SCHEMA,
     SystemExit2,
     _lhs,
     build_parser,
@@ -26,6 +25,35 @@ from binom4k.cli import (
 from binom4k import cli, series, workers
 from binom4k.catalog import builtin_catalog, catalog_by_id, pi, rat
 from binom4k.series import MAX_TERMS, SeriesSpec, sum_series
+
+
+REPORT_SCHEMA = {
+    "$schema": "http://json-schema.org/draft-07/schema#",
+    "type": "object",
+    "required": ["version", "records"],
+    "properties": {
+        "version": {"const": 1},
+        "records": {
+            "type": "array",
+            "items": {
+                "type": "object",
+                "required": ["id", "status", "lhs", "rhs", "difference",
+                             "digits", "elapsed_ms", "provenance"],
+                "properties": {
+                    "id": {"type": "string"},
+                    "status": {"enum": ["PASS", "FAIL", "ERROR"]},
+                    "lhs": {"type": "string"},
+                    "rhs": {"type": "string"},
+                    "difference": {"type": "string"},
+                    "digits": {"type": "integer"},
+                    "elapsed_ms": {"type": "number"},
+                    "provenance": {"type": "string"},
+                    "message": {"type": "string"},
+                },
+            },
+        },
+    },
+}
 
 
 def _strip_timing(text: str) -> str:
@@ -210,6 +238,16 @@ class TestEvalCommand:
         assert time.perf_counter() - t0 < 1
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith(f"error: {where}: ")
+
+    def test_eval_bad_rational_echo_is_bounded(self, tmp_path, capsys):
+        # 5000 digits pass the length bound but not Python's int-string limit,
+        # whose message (and the string) used to be echoed in full
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({**EQ11_SPEC, "channels": {"0": ["7" * 5000 + "/3"]}}))
+        assert main(["eval", "--spec", str(path), "--digits", "10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert len(captured.err) < 200 and "spec.channels.0: bad rational" in captured.err
 
     def test_eval_coefficient_budget(self, tmp_path, capsys, monkeypatch):
         # D is absolute, so a coefficient 10^20000 at 10 digits would ask for

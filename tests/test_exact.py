@@ -213,7 +213,7 @@ class TestAlgebraicReal:
         from binom4k.proofs import alpha_context, beta_context, cbrt2_field
 
         roots = {
-            "alpha": alpha_context().alpha,
+            "alpha": alpha_context().field.embedding,
             "beta": beta_context().field.embedding,
             "cbrt2": cbrt2_field().embedding,
             "sqrt2": AlgebraicReal(Poly([-2, 0, 1]), (F(1), F(2))),

@@ -19,9 +19,11 @@ from binom4k.genfunc import (
     check_quartic_f,
     coeffs_f,
     eval_f,
+    f_prime,
+    f_second,
     gm_series,
-    make_alpha,
-    make_beta,
+    point_context,
+    relation_at,
 )
 
 
@@ -290,25 +292,40 @@ class TestLagrange:
 
 class TestContexts:
     def test_alpha_interval(self):
-        ctx = make_alpha()
-        lo, hi = ctx.alpha.refine(F(1, 1000))
+        ctx = point_context(F(1, 16))
+        lo, hi = ctx.field.embedding.refine(F(1, 1000))
         assert F(1473, 1000) < lo < hi < F(1475, 1000)
 
     def test_alpha_relation_is_exact_zero(self):
-        ctx = make_alpha()
-        rel = F(11, 128) * ctx.alpha_pp - F(35, 8) * ctx.alpha_p + 11 * ctx.elem + 5
+        a = point_context(F(1, 16)).gamma
+        rel = F(11, 128) * f_second(a) - F(35, 8) * f_prime(a) + 11 * a + 5
         assert rel.is_zero()
 
     def test_beta_embedding(self):
-        ctx = make_beta()
+        ctx = point_context(F(-1, 256), 2)
         lo, hi = ctx.field.embedding.refine(F(1, 10**6))
         assert F(984, 1000) < lo < hi < F(986, 1000)
 
     def test_beta_quadratic(self):
-        ctx = make_beta()
-        b, s2 = ctx.beta, ctx.sqrt2
+        ctx = point_context(F(-1, 256), 2)
+        b, s2 = ctx.gamma, ctx.sqrt_d
         assert (14 * b * b - 7 * s2 * b - 1 - 2 * s2).is_zero()
         assert s2 * s2 == 2
+
+    def test_alpha_cubic_is_the_relation_without_its_root(self):
+        assert genfunc.ALPHA_CUBIC == Poly([-1, -7, -11, 11])
+        assert genfunc.ALPHA_CUBIC * Poly([1, 1]) == relation_at(F(1, 16))
+        assert relation_at(F(-1, 256)) == Poly([-1, -8, -18, 0, 28])
+
+    def test_rational_roots_are_divided_out(self):
+        ctx = point_context(F(1, 16))
+        assert ctx.field.modulus == genfunc.ALPHA_CUBIC.monic() and ctx.sqrt_d is None
+        assert point_context(F(-1, 256)).field.degree == 4
+
+    def test_quartic_check_reads_the_relation(self, monkeypatch):
+        assert check_quartic_f(20).ok
+        monkeypatch.setattr(genfunc, "F_RELATION", ((-1, 0), (-8, 0), (-18, 0), (0, 0), (27, -255)))
+        assert check_quartic_f(20).witness == "first nonzero order 1"
 
 
 class TestEvalF:
@@ -318,7 +335,7 @@ class TestEvalF:
 
     def test_matches_cubic_root(self):
         ball = eval_f(F(1, 16), 33)
-        lo, hi = make_alpha().alpha.refine(F(1, 10**30))
+        lo, hi = point_context(F(1, 16)).field.embedding.refine(F(1, 10**30))
         assert lo <= ball.lo_fraction() and ball.hi_fraction() <= hi
 
     def test_beta_range(self):

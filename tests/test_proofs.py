@@ -2,13 +2,14 @@
 summation by parts, partial fractions, the five quartic-field reductions,
 and the substituted integrands."""
 
+import dataclasses
 import random
 from fractions import Fraction as F
 
 import pytest
 
 from binom4k import proofs
-from binom4k.catalog import LEMMA51_CASES
+from binom4k.catalog import LEMMA51_CASES, catalog_by_id
 from binom4k.exact import Poly, RatFunc
 from binom4k.genfunc import ALPHA_CUBIC
 from binom4k.proofs import (
@@ -215,6 +216,25 @@ class TestPolyIdentities:
         for idx in (1, 2, 3, 4):
             assert sigma_value_closure(idx).ok
 
+    def test_sigma_rational_reads_the_catalog(self, monkeypatch):
+        """The corrections of sigma_2 are the k and k^2 coefficients of channel
+        0 of thm1.1-H2k: one changed coefficient there breaks its closure."""
+        with pytest.raises(ValueError):
+            proofs.sigma_rational(5)
+        entries = catalog_by_id()
+        entry = entries["thm1.1-H2k"]
+        (weight, spec), = entry.components
+        c0, c1, c2 = spec.channels[0]
+        spec = dataclasses.replace(spec, channels={**spec.channels, 0: (c0, c1 + 1, c2)})
+        entries[entry.id] = dataclasses.replace(entry, components=((weight, spec),))
+        monkeypatch.setattr(proofs, "catalog_by_id", lambda: entries)
+        proofs.sigma_rational.cache_clear()
+        try:
+            assert not sigma_rational_closure(2).ok
+            assert sigma_rational_closure(3).ok
+        finally:
+            proofs.sigma_rational.cache_clear()
+
     def test_alpha_power(self):
         assert alpha_power_identity().ok
 
@@ -281,9 +301,9 @@ class TestTheorem3:
             assert check_theorem3_reduction(case).ok, case
 
     def test_sqrt_d_is_exact(self):
-        for case in LEMMA51_CASES:
+        for case, (_, d, *_) in LEMMA51_CASES.items():
             ctx = case_context(case)
-            assert ctx.sqrt_d * ctx.sqrt_d == ctx.d
+            assert ctx.sqrt_d * ctx.sqrt_d == d
             assert ctx.sqrt_d.sign() == 1
 
     def test_random_rational_substitution_fails(self):
