@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional
 
-from .exact import ival_add, ival_mul
+from .exact import Value
 
 
 def _round(x: Fraction, prec: int, up: bool) -> Fraction:
@@ -54,7 +54,7 @@ class BallDomainError(ArithmeticError):
     """Division by an enclosure of 0, log or sqrt of a non-positive number."""
 
 
-class Ball:
+class Ball(Value):
     """Real enclosure: the `exact.Ival` (lo, hi) with dyadic Fraction endpoints.
 
     `prec` is the working precision in bits; the constructor rounds each
@@ -68,12 +68,7 @@ class Ball:
         lo, hi = _round(Fraction(lo), prec, False), _round(Fraction(hi), prec, True)
         if lo > hi:
             raise ValueError("inverted enclosure")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "prec", prec)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Ball is immutable")
+        self._set(lo=lo, hi=hi, prec=prec)
 
     @staticmethod
     def exact(x, prec: int = 64) -> "Ball":
@@ -103,51 +98,33 @@ class Ball:
 
     # -- arithmetic ----------------------------------------------------------
 
-    @staticmethod
-    def _coerce(x, prec: int) -> "Ball":
+    def _coerce(self, x) -> "Ball":
         if isinstance(x, Ball):
             return x
         if isinstance(x, (int, Fraction)):
-            return Ball.exact(x, prec)
+            return Ball.exact(x, self.prec)
         return NotImplemented
 
     def __add__(self, other):
-        o = Ball._coerce(other, self.prec)
+        o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return Ball(*ival_add((self.lo, self.hi), (o.lo, o.hi)), max(self.prec, o.prec))
-
-    __radd__ = __add__
+        return Ball(self.lo + o.lo, self.hi + o.hi, max(self.prec, o.prec))
 
     def __neg__(self):
         return Ball(-self.hi, -self.lo, self.prec)
 
-    def __sub__(self, other):
-        o = Ball._coerce(other, self.prec)
-        return o if o is NotImplemented else self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
-        o = Ball._coerce(other, self.prec)
+        o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return Ball(*ival_mul((self.lo, self.hi), (o.lo, o.hi)), max(self.prec, o.prec))
+        ps = (self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi)
+        return Ball(min(ps), max(ps), max(self.prec, o.prec))
 
-    __rmul__ = __mul__
-
-    def reciprocal(self) -> "Ball":
+    def inverse(self) -> "Ball":
         if self.contains_zero():
             raise BallDomainError("division by an enclosure containing 0")
         return Ball(1 / self.hi, 1 / self.lo, self.prec)
-
-    def __truediv__(self, other):
-        o = Ball._coerce(other, self.prec)
-        return o if o is NotImplemented else self * o.reciprocal()
-
-    def __rtruediv__(self, other):
-        return Ball._coerce(other, self.prec) * self.reciprocal()
 
     # -- display -------------------------------------------------------------
 

@@ -32,6 +32,7 @@ from .catalog import (
     P_COEFFS,
     CatalogError,
     IdentityEntry,
+    _parse_frac,
     builtin_catalog,
     catalog_by_id,
     eval_closed_form,
@@ -422,11 +423,7 @@ def _dispatch(args) -> int:
         return 0 if all(c.passed for c in checks) else 1
 
     if args.command == "crosscheck":
-        try:
-            x = Fraction(args.x)
-        except (ValueError, ZeroDivisionError):
-            raise SystemExit2(f"bad rational {args.x!r}") from None
-        rec = run_crosscheck(args.j, x, args.tol)
+        rec = run_crosscheck(args.j, _parse_frac(args.x, "--x"), args.tol)
         print(f"{rec.status:5s} {rec.name}  series {rec.series_value}")
         print(f"      quadrature {rec.quad_value}  delta {rec.delta}  "
               f"tol {rec.tol:g}  evaluations {rec.evaluations}")

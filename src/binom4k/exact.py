@@ -17,6 +17,9 @@ rewrite it over Q first (see `proofs`).
 Everything in this module is exact: no floating point, no tolerances.
 All values are immutable after construction and all operations are pure,
 so the module is safe to use from concurrent workers without coordination.
+`Value` is their common base (and that of `balls.Ball`): it derives the
+reflected operators, `-`, `/` and `**` from each type's own `+`, `-x`,
+`*`, `inverse()` and `_coerce()`.
 """
 
 from __future__ import annotations
@@ -41,30 +44,61 @@ def _sqrt_fraction(q: Fraction) -> Optional[Fraction]:
     return None
 
 
+Ival = tuple[Fraction, Fraction]  # a rational interval (lo, hi)
+
+
 # ---------------------------------------------------------------------------
-# rational interval helpers (exact endpoint arithmetic)
-
-Ival = tuple[Fraction, Fraction]
+# the operator protocol of the algebraic values
 
 
-def ival_add(a: Ival, b: Ival) -> Ival:
-    return (a[0] + b[0], a[1] + b[1])
+class Value:
+    """Base of the immutable algebraic values: `Poly`, `genfunc.TruncSeries`,
+    `NFElem`, `RatFunc` and `balls.Ball`.  A subclass defines `+`, unary `-`,
+    `*`, `inverse()` and `_coerce(x)`, which returns x lifted to the
+    subclass when x is one already or an int or Fraction, else NotImplemented;
+    the reflected operators, `-`, `/` and `**` follow here from those."""
 
+    __slots__ = ()
 
-def ival_mul(a: Ival, b: Ival) -> Ival:
-    ps = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
-    return (min(ps), max(ps))
+    def __setattr__(self, *a):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def _set(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
 
-def pow_by_squaring(base, n: int, one):
-    """base**n for an integer n >= 0 by square-and-multiply, starting at `one`."""
-    result = one
-    while n:
-        if n & 1:
-            result = result * base
-        base = base * base if n > 1 else base
-        n >>= 1
-    return result
+    def __radd__(self, other):
+        return self + other
+
+    def __rmul__(self, other):
+        return self * other
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        return o if o is NotImplemented else self + (-o)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        return o if o is NotImplemented else o + (-self)
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        return o if o is NotImplemented else self * o.inverse()
+
+    def __rtruediv__(self, other):
+        o = self._coerce(other)
+        return o if o is NotImplemented else o * self.inverse()
+
+    def __pow__(self, n: int):
+        """self**n by square-and-multiply; a negative n through `inverse()`."""
+        base, n = (self, n) if n >= 0 else (self.inverse(), -n)
+        result = self._coerce(1)
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base if n > 1 else base
+            n >>= 1
+        return result
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +186,7 @@ def _horner(ints: Sequence[int], n: int, d: int) -> int:
 # polynomials
 
 
-class IntCoeffs:
+class IntCoeffs(Value):
     """A finite sequence of rationals stored as integer numerators `nums` over
     one positive denominator `den`, reduced so that gcd(den, *nums) = 1: equal
     sequences have equal (nums, den), and arithmetic runs on integers.  The
@@ -174,8 +208,7 @@ class IntCoeffs:
         g = math.gcd(den, *nums)
         if g != 1:
             nums, den = [c // g for c in nums], den // g
-        object.__setattr__(self, "nums", tuple(nums))
-        object.__setattr__(self, "den", den)
+        self._set(nums=tuple(nums), den=den)
 
     @classmethod
     def _make(cls, nums, den: int):
@@ -183,9 +216,6 @@ class IntCoeffs:
         p = object.__new__(cls)
         p._store(nums, den)
         return p
-
-    def __setattr__(self, *a):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def coeffs(self) -> tuple:
@@ -236,7 +266,18 @@ class Poly(IntCoeffs):
 
     # -- ring operations ----------------------------------------------------
 
-    def __add__(self, other: "Poly") -> "Poly":
+    @staticmethod
+    def _coerce(x):
+        if isinstance(x, Poly):
+            return x
+        if isinstance(x, (int, Fraction)):
+            return Poly._make([x.numerator], x.denominator)
+        return NotImplemented
+
+    def __add__(self, other) -> "Poly":
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return other
         den = math.lcm(self.den, other.den)
         a, b = self.nums, other.nums
         sa, sb = den // self.den, den // other.den
@@ -246,9 +287,6 @@ class Poly(IntCoeffs):
         for i, c in enumerate(b):
             out[i] += c * sb
         return Poly._make(out, den)
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
 
     def __neg__(self) -> "Poly":
         return Poly._make([-c for c in self.nums], self.den)
@@ -263,15 +301,13 @@ class Poly(IntCoeffs):
         a, b = self.nums, other.nums
         return Poly._make(_mul_nums(a, b, len(a) + len(b) - 1), self.den * other.den)
 
-    __rmul__ = __mul__
-
     def scale(self, c) -> "Poly":
         return Poly._make([x * c.numerator for x in self.nums], self.den * c.denominator)
 
-    def __pow__(self, n: int) -> "Poly":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        return pow_by_squaring(self, n, Poly([1]))
+    def inverse(self) -> "Poly":
+        if self.degree != 0:
+            raise ValueError("only a nonzero constant polynomial has an inverse")
+        return Poly._make([self.den], self.nums[0])
 
     def divrem(self, other: "Poly") -> tuple["Poly", "Poly"]:
         """Euclidean division: self = q*other + r with deg r < deg other, by
@@ -575,7 +611,7 @@ class NumberField:
         return f"NumberField({self.modulus.pretty('t')})"
 
 
-class NFElem:
+class NFElem(Value):
     """Element of a NumberField, represented by its reduced polynomial."""
 
     __slots__ = ("field", "rep")
@@ -583,20 +619,15 @@ class NFElem:
     def __init__(self, field: NumberField, rep: Poly):
         if rep.degree >= field.degree:
             rep = rep % field.modulus
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "rep", rep)
+        self._set(field=field, rep=rep)
 
-    def __setattr__(self, *a):
-        raise AttributeError("NFElem is immutable")
-
-    @staticmethod
-    def _coerce(field: NumberField, x) -> "NFElem":
+    def _coerce(self, x) -> "NFElem":
         if isinstance(x, NFElem):
-            if x.field is not field:
+            if x.field is not self.field:
                 raise ValueError("elements of different number fields")
             return x
         if isinstance(x, (int, Fraction)):
-            return field.const(Fraction(x))
+            return self.field.const(Fraction(x))
         return NotImplemented
 
     def is_zero(self) -> bool:
@@ -611,7 +642,7 @@ class NFElem:
         return self.rep[0] if not self.rep.is_zero() else Fraction(0)
 
     def __eq__(self, other) -> bool:
-        o = NFElem._coerce(self.field, other)
+        o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
         return self.rep == o.rep
@@ -620,29 +651,19 @@ class NFElem:
         return hash(self.to_fraction() if self.is_rational() else (id(self.field), self.rep))
 
     def __add__(self, other):
-        o = NFElem._coerce(self.field, other)
+        o = self._coerce(other)
         if o is NotImplemented:
             return o
         return NFElem(self.field, self.rep + o.rep)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return NFElem(self.field, -self.rep)
 
-    def __sub__(self, other):
-        return self + (-NFElem._coerce(self.field, other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
-        o = NFElem._coerce(self.field, other)
+        o = self._coerce(other)
         if o is NotImplemented:
             return o
         return NFElem(self.field, (self.rep * o.rep) % self.field.modulus)
-
-    __rmul__ = __mul__
 
     def inverse(self) -> "NFElem":
         """Inverse via the extended Euclidean algorithm mod the modulus."""
@@ -657,20 +678,6 @@ class NFElem:
         if r0.degree != 0:
             raise ZeroDivisorError("zero divisor (non-invertible element)")
         return NFElem(self.field, s0.scale(1 / r0[0]))
-
-    def __truediv__(self, other):
-        o = NFElem._coerce(self.field, other)
-        if o is NotImplemented:
-            return o
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        return NFElem._coerce(self.field, other) * self.inverse()
-
-    def __pow__(self, n: int) -> "NFElem":
-        if n < 0:
-            return self.inverse() ** (-n)
-        return pow_by_squaring(self, n, self.field.one())
 
     def embedding_interval(self, width: Fraction = Fraction(1, 10**12)) -> Ival:
         """Rational enclosure of the element under the field's real embedding.
@@ -740,7 +747,7 @@ def sqrt_in_field(field: NumberField, d: int) -> NFElem:
 # rational functions
 
 
-class RatFunc:
+class RatFunc(Value):
     """Rational function num/den over Q in one variable.
 
     num and den are Polys over Q, den monic and the pair gcd-reduced: the
@@ -765,11 +772,7 @@ class RatFunc:
             num, den = num.scale(1 / lead), den.scale(1 / lead)
         if num.is_zero():
             den = Poly([1])
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, *a):
-        raise AttributeError("RatFunc is immutable")
+        self._set(num=num, den=den)
 
     @staticmethod
     def _coerce(x) -> "RatFunc":
@@ -785,7 +788,7 @@ class RatFunc:
         return self.num.is_zero()
 
     def __eq__(self, other) -> bool:
-        o = RatFunc._coerce(other)
+        o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
         return self.num == o.num and self.den == o.den
@@ -796,48 +799,24 @@ class RatFunc:
         return hash((self.num, self.den))
 
     def __add__(self, other):
-        o = RatFunc._coerce(other)
+        o = self._coerce(other)
         if o is NotImplemented:
             return o
         return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return RatFunc(-self.num, self.den, reduce=False)
 
-    def __sub__(self, other):
-        o = RatFunc._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
-        o = RatFunc._coerce(other)
+        o = self._coerce(other)
         if o is NotImplemented:
             return o
         return RatFunc(self.num * o.num, self.den * o.den)
 
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = RatFunc._coerce(other)
-        if o is NotImplemented:
-            return o
-        if o.is_zero():
+    def inverse(self) -> "RatFunc":
+        if self.is_zero():
             raise ZeroDivisorError("zero divisor")
-        return RatFunc(self.num * o.den, self.den * o.num)
-
-    def __rtruediv__(self, other):
-        return RatFunc._coerce(other) / self
-
-    def __pow__(self, n: int) -> "RatFunc":
-        if n < 0:
-            return (RatFunc(Poly([1])) / self) ** (-n)
-        return pow_by_squaring(self, n, RatFunc(Poly([1])))
+        return RatFunc(self.den, self.num, reduce=False)
 
     def derivative(self) -> "RatFunc":
         return RatFunc(

@@ -17,8 +17,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .balls import Ball
-from .exact import (IntCoeffs, NFElem, NumberField, Poly, _mul_nums, _rational_roots,
-                    pow_by_squaring, sqrt_in_field)
+from .exact import (AlgebraicReal, IntCoeffs, NFElem, NumberField, Poly, _mul_nums,
+                    _rational_roots, sqrt_in_field)
 from .series import RADIUS, SeriesSpec, sum_series
 
 
@@ -56,25 +56,23 @@ class TruncSeries(IntCoeffs):
 
     # -- ring operations (exact through the common order) --------------------
 
+    def _coerce(self, x):
+        if isinstance(x, TruncSeries):
+            return x
+        if isinstance(x, (int, Fraction)):
+            return TruncSeries.constant(x, self.order)
+        return NotImplemented
+
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = TruncSeries.constant(other, self.order)
-        elif not isinstance(other, TruncSeries):
-            return NotImplemented
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return other
         den = math.lcm(self.den, other.den)
         sa, sb = den // self.den, den // other.den
         return TruncSeries._make([a * sa + b * sb for a, b in zip(self.nums, other.nums)], den)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return TruncSeries._make([-c for c in self.nums], self.den)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -85,20 +83,11 @@ class TruncSeries(IntCoeffs):
         n = min(len(self.nums), len(other.nums))
         return TruncSeries._make(_mul_nums(self.nums, other.nums, n), self.den * other.den)
 
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * (1 / Fraction(other))
-        if not isinstance(other, TruncSeries):
-            return NotImplemented
-        if other.nums[0] == 0:
-            raise ZeroDivisionError("division by a series with zero constant term")
-        return self * other.truncate(self.order)._inverse()
-
-    def _inverse(self) -> "TruncSeries":
+    def inverse(self) -> "TruncSeries":
         """1/self through self.order by Newton's iteration g <- g (2 - self g),
         which doubles the number of correct coefficients of g at each step."""
+        if self.nums[0] == 0:
+            raise ZeroDivisionError("inverse of a series with zero constant term")
         g = TruncSeries([Fraction(self.den, self.nums[0])])
         n = 1
         while n <= self.order:
@@ -106,11 +95,6 @@ class TruncSeries(IntCoeffs):
             g = TruncSeries._make(g.nums + (0,) * (n - len(g.nums)), g.den)
             g = g * (2 - self.truncate(n - 1) * g)
         return g
-
-    def __pow__(self, n: int) -> "TruncSeries":
-        if n < 0:
-            raise ValueError("negative series power")
-        return pow_by_squaring(self, n, TruncSeries.constant(1, self.order))
 
     def shift_x(self) -> "TruncSeries":
         """Multiply by x, keeping the order."""
@@ -300,14 +284,25 @@ class PointContext:
 
 
 def point_context(x0, d: Optional[int] = None) -> PointContext:
-    """The field cut out by f's relation at x0 with its rational roots divided
-    out, its embedding the root that an enclosure of f(x0) isolates."""
+    """The field Q(f(x0)), its embedding the root of f's relation at x0 that
+    an enclosure of f(x0) isolates: Q itself when that root is a rational r
+    (modulus y - r), else the field cut out by the relation with each
+    rational root divided out as often as it divides."""
     x0 = Fraction(x0)
-    modulus = relation_at(x0)
-    for r in _rational_roots(modulus):
-        modulus = _divide_root(modulus, r)
+    relation = relation_at(x0)
     ball = eval_f(x0, digits=12)
-    field = NumberField(modulus, (ball.lo, ball.hi))
+    interval = (ball.lo, ball.hi)
+    AlgebraicReal(relation, interval)  # raises unless it isolates one root
+    roots = _rational_roots(relation)
+    inside = [r for r in roots if ball.lo <= r <= ball.hi]
+    if inside:
+        modulus = Poly([-inside[0], 1])
+    else:
+        modulus = relation
+        for r in roots:
+            while modulus(r) == 0:
+                modulus = _divide_root(modulus, r)
+    field = NumberField(modulus, interval)
     return PointContext(x0, field, field.gen(), None if d is None else sqrt_in_field(field, d))
 
 

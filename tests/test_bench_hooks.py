@@ -1,6 +1,7 @@
-"""The benchmark's hooks: every name that bench/tracing.py wraps and every
-binom4k name that bench/worker.py calls must exist, so that a rename shows up
-in the tier-1 suite and not only in the slower `pytest bench` run."""
+"""The benchmark's hooks: every name that bench/tracing.py wraps, every
+binom4k name that bench/worker.py calls and every Ball method that the bench
+scripts call must exist, so that a rename shows up in the tier-1 suite and
+not only in the slower `pytest bench` run."""
 
 import ast
 import importlib
@@ -43,3 +44,25 @@ def test_worker_names_exist():
     assert ("cli", "run_verify_all") in used and ("proofs", "run_exact_checks") in used
     for module, name in sorted(used):
         assert hasattr(importlib.import_module(f"binom4k.{module}"), name), f"{module}.{name}"
+
+
+def test_ball_methods_exist():
+    """The `ball.<name>(` and `balls[i].<name>(` calls in bench/*.py, such as
+    the endpoint reads of the near-radius check in bench/oracles.py."""
+    from binom4k.balls import Ball
+
+    called = set()
+    for path in BENCH.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                owner = node.func.value
+                if isinstance(owner, ast.Subscript):
+                    owner = owner.value
+                    is_ball = isinstance(owner, ast.Name) and owner.id == "balls"
+                else:
+                    is_ball = isinstance(owner, ast.Name) and owner.id == "ball"
+                if is_ball:
+                    called.add(node.func.attr)
+    assert {"lo_fraction", "hi_fraction", "radius", "decimal"} <= called
+    for name in sorted(called):
+        assert hasattr(Ball, name), f"Ball.{name}"

@@ -119,6 +119,24 @@ def test_eval_hostile_rationals(tmp_path, capsys, spec, field, text, digits):
     assert out == "" and err.startswith(f"error: spec.{field}: "), err[:200]
 
 
+@_fuzz(20)
+@given(text=_HOSTILE)
+def test_crosscheck_hostile_x(capsys, text):
+    """`crosscheck --x` is parsed under the bounds of a spec's rationals."""
+    assert main(["crosscheck", "--j", "1", f"--x={text}"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: --x: "), err[:200]
+
+
+def test_crosscheck_negative_x_lines(capsys):
+    assert main(["crosscheck", "--j", "1", "--x=-1/50"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "PASS  crosscheck-j1  series -0.06591549066719576587873243 +/- 2.15e-31",
+        "      quadrature -0.06591549066719576587873244  delta 1.21e-31  tol 1e-20  "
+        "evaluations 291",
+    ]
+
+
 # a valid spec with one field replaced by a wrong value or type, cut short,
 # or bytes that are not a spec at all
 _BROKEN = st.builds(

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from binom4k.balls import Ball
 from binom4k.exact import (
     AlgebraicReal,
     NFElem,
@@ -18,6 +19,7 @@ from binom4k.exact import (
     is_irreducible,
     sqrt_in_field,
 )
+from binom4k.genfunc import TruncSeries
 
 ALPHA_CUBIC = Poly([-1, -7, -11, 11])
 
@@ -364,6 +366,41 @@ class TestRatFunc:
             assert (a + b) - b == a
             if not b.is_zero():
                 assert (a / b) * b == a
+
+
+def _ball_or_value(v):
+    return (v.lo, v.hi) if isinstance(v, Ball) else v
+
+
+_K = NumberField(ALPHA_CUBIC, (F(1), F(2)))
+
+
+@pytest.mark.parametrize("a, b, field", [
+    (Poly([1, 2, F(1, 3)]), Poly([F(-3, 2)]), False),
+    (TruncSeries([1, 2, F(1, 3), -4]), TruncSeries([2, -1, 5, F(1, 7)]), True),
+    (3 * _K.gen() ** 2 - _K.gen() + 7, _K.gen() + 2, True),
+    (RatFunc(Poly([1, 0, 1]), Poly([-3, 1])), RatFunc(Poly([2, 1]), Poly([1, 0, 1])), True),
+    (Ball(F(1, 2), 2, 64), Ball(-4, F(-1, 4), 64), True),
+], ids=["Poly", "TruncSeries", "NFElem", "RatFunc", "Ball"])
+def test_derived_operators(a, b, field):
+    """-, /, ** and the reflected operators that `exact.Value` derives agree
+    with +, unary -, * and inverse() (a Ball compared by its endpoints, its
+    samples dyadic so that no rounding intervenes)."""
+    def eq(x, y):
+        return _ball_or_value(x) == _ball_or_value(y)
+
+    assert eq(a - b, a + (-b)) and eq(a - 1, a + (-1))
+    assert eq(3 - a, -a + 3) and eq(F(1, 2) + a, a + F(1, 2)) and eq(2 * a, a * 2)
+    assert eq(a / b, a * b.inverse()) and eq(1 / b, b.inverse())
+    assert eq(a ** 3, a * a * a) and eq(a ** 0, a._coerce(1))
+    if field:
+        assert eq(a ** -2, (a ** 2).inverse())
+    else:
+        with pytest.raises(ValueError):
+            a ** -2
+    for bad in (lambda: a - 0.5, lambda: 0.5 - a, lambda: a / "x", lambda: "x" / a):
+        with pytest.raises(TypeError):
+            bad()
 
 
 def test_count_roots_open_interval():

@@ -322,6 +322,14 @@ class TestContexts:
         assert ctx.field.modulus == genfunc.ALPHA_CUBIC.monic() and ctx.sqrt_d is None
         assert point_context(F(-1, 256)).field.degree == 4
 
+    def test_rational_value_gives_the_rational_field(self):
+        """Where f(x0) is rational the field is Q: f(12167/331776) = 6/5 is a
+        simple root, f(0) = 1 a simple root beside the triple root -1/3."""
+        ctx = point_context(F(12167, 331776))
+        assert ctx.gamma == F(6, 5) and ctx.field.modulus == Poly([F(-6, 5), 1])
+        assert relation_at(0) == Poly([-1, 1]) * Poly([1, 3]) ** 3
+        assert point_context(0).gamma == 1
+
     def test_quartic_check_reads_the_relation(self, monkeypatch):
         assert check_quartic_f(20).ok
         monkeypatch.setattr(genfunc, "F_RELATION", ((-1, 0), (-8, 0), (-18, 0), (0, 0), (27, -255)))
