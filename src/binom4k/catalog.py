@@ -38,6 +38,10 @@ class CatalogError(ValueError):
 # build and reduce), and `eval` bounds the numerator and denominator of x
 # and of the coefficients by it, since the work grows with their size.
 MAX_DIGITS = 20_000
+# The most coefficients a channel of a spec may have: D is absolute, so a
+# channel of degree d costs about d K bignum products, and the cutoff K grows
+# with d too.  The catalog's channels have at most 5.
+MAX_COEFFS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -430,6 +434,9 @@ def parse_component(obj: dict, where: str) -> tuple[Fraction, SeriesSpec]:
                                "write a channel as a plain decimal integer like '0' or '2'") from None
         if not isinstance(coeffs, list):
             raise CatalogError(f"{where}.channels.{js}: must be a list")
+        if len(coeffs) > MAX_COEFFS:
+            raise CatalogError(f"{where}.channels.{js}: {len(coeffs)} coefficients, "
+                               f"more than {MAX_COEFFS}")
         chans[j] = tuple(_parse_frac(c, f"{where}.channels.{js}") for c in coeffs)
     dens = obj["denominator_factors"]
     if not isinstance(dens, list) or not all(isinstance(d, str) for d in dens):

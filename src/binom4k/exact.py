@@ -9,10 +9,12 @@ A polynomial over Q is integer numerators over one denominator
 (`IntCoeffs`, which `genfunc.TruncSeries` shares), and its arithmetic runs
 on integer kernels: one Kronecker big-integer product (`_mul_nums`, which
 also multiplies truncated series), pseudo-division, a primitive remainder
-sequence for the gcd and homogeneous Horner for evaluation.  Number-field elements and the rational functions over Q reach
-the same kernels through their polynomials over Q.  A polynomial with
-coefficients in a number field is never formed: the callers that meet one
-rewrite it over Q first (see `proofs`).
+sequence for the gcd and homogeneous Horner for evaluation.
+
+Number-field elements and the rational functions over Q reach the same
+kernels through their polynomials over Q.  A polynomial with coefficients
+in a number field is never formed: the callers that meet one rewrite it
+over Q first (see `proofs`).
 
 Everything in this module is exact: no floating point, no tolerances.
 All values are immutable after construction and all operations are pure,
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 
 class ZeroDivisorError(ZeroDivisionError):
@@ -90,14 +92,16 @@ class Value:
         return o if o is NotImplemented else o * self.inverse()
 
     def __pow__(self, n: int):
-        """self**n by square-and-multiply; a negative n through `inverse()`."""
-        base, n = (self, n) if n >= 0 else (self.inverse(), -n)
-        result = self._coerce(1)
+        """self**n by square-and-multiply, the product starting at the lowest
+        set bit of n; a negative n through `inverse()`."""
+        if n == 0:
+            return self._coerce(1)
+        base, n = (self, n) if n > 0 else (self.inverse(), -n)
+        result = None
         while n:
             if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
+                result = base if result is None else result * base
+            base, n = base * base if n > 1 else base, n >> 1
         return result
 
 
@@ -190,7 +194,8 @@ class IntCoeffs(Value):
     """A finite sequence of rationals stored as integer numerators `nums` over
     one positive denominator `den`, reduced so that gcd(den, *nums) = 1: equal
     sequences have equal (nums, den), and arithmetic runs on integers.  The
-    common representation of `Poly` and `genfunc.TruncSeries`."""
+    common representation of `Poly` and `genfunc.TruncSeries`, and their shared
+    zero test, negation, scalar product and derivative."""
 
     __slots__ = ("nums", "den")
 
@@ -229,6 +234,18 @@ class IntCoeffs(Value):
     def __hash__(self):
         return hash((self.nums, self.den))
 
+    def is_zero(self) -> bool:
+        return not any(self.nums)
+
+    def __neg__(self):
+        return self._make([-c for c in self.nums], self.den)
+
+    def scale(self, c):  # by an int or Fraction
+        return self._make([x * c.numerator for x in self.nums], self.den * c.denominator)
+
+    def derivative(self):
+        return self._make([i * c for i, c in enumerate(self.nums)][1:] or [0], self.den)
+
 
 class Poly(IntCoeffs):
     """Dense univariate polynomial over Q, coefficients in ascending degree order.
@@ -250,9 +267,6 @@ class Poly(IntCoeffs):
     @property
     def degree(self) -> int:
         return len(self.nums) - 1
-
-    def is_zero(self) -> bool:
-        return self.nums == ()
 
     def leading(self) -> Fraction:
         if self.is_zero():
@@ -288,9 +302,6 @@ class Poly(IntCoeffs):
             out[i] += c * sb
         return Poly._make(out, den)
 
-    def __neg__(self) -> "Poly":
-        return Poly._make([-c for c in self.nums], self.den)
-
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
@@ -300,9 +311,6 @@ class Poly(IntCoeffs):
             return Poly()
         a, b = self.nums, other.nums
         return Poly._make(_mul_nums(a, b, len(a) + len(b) - 1), self.den * other.den)
-
-    def scale(self, c) -> "Poly":
-        return Poly._make([x * c.numerator for x in self.nums], self.den * c.denominator)
 
     def inverse(self) -> "Poly":
         if self.degree != 0:
@@ -334,9 +342,6 @@ class Poly(IntCoeffs):
         primitive remainder sequence on the numerators."""
         g = _primitive_gcd(self.nums, other.nums)
         return Poly._make(g, g[-1]) if g else Poly()
-
-    def derivative(self) -> "Poly":
-        return Poly._make([i * c for i, c in enumerate(self.nums)][1:], self.den)
 
     def compose(self, other: "Poly") -> "Poly":
         """self(other(x)) by Horner."""
@@ -455,8 +460,6 @@ class AlgebraicReal:
             raise ValueError("interval endpoints do not bracket a root")
         sf = defining.squarefree_part()
         n = count_roots(sf, lo, hi) + (1 if sf(lo) == 0 else 0) + (1 if sf(hi) == 0 else 0)
-        if lo == hi:
-            n = 1 if defining(lo) == 0 else 0
         if n != 1:
             raise ValueError(f"interval contains {n} roots, expected exactly 1")
         object.__setattr__(self, "defining", defining)
@@ -466,43 +469,37 @@ class AlgebraicReal:
     def __setattr__(self, *a):
         raise AttributeError("AlgebraicReal is immutable")
 
-    def refine(self, width: Fraction, start: Optional[Ival] = None) -> Ival:
-        """Shrink the isolating interval to the requested width by bisection.
-
-        Returns a sub-interval of the stored one; an exact rational root
-        collapses to a point interval.  `start` resumes the bisection from a
-        bracket that an earlier call returned for a width >= `width`:
-        bisection is deterministic, so the result is the one a fresh call
-        gives.  A `start` outside the isolating interval, or one whose
-        endpoint signs do not bracket the root, raises ValueError.
-        """
-        if width <= 0:
-            raise ValueError("width must be positive")
+    def brackets(self) -> Iterator[Ival]:
+        """The isolating interval, then the bracket after each bisection step,
+        each half the one before.  A rational root that a step lands on ends
+        the sequence on its point interval; a root at an endpoint of the
+        isolating interval is that point interval alone."""
         ints = self.defining.nums  # den > 0: the same signs as the defining polynomial
-        lo, hi = (self.lo, self.hi) if start is None else start
-        if not self.lo <= lo <= hi <= self.hi:
-            raise ValueError("start bracket outside the isolating interval")
+        lo, hi = self.lo, self.hi
         slo = _sign(_horner(ints, lo.numerator, lo.denominator))
-        shi = _sign(_horner(ints, hi.numerator, hi.denominator))
-        if slo == 0:
-            return (lo, lo)
-        if shi == 0:
-            return (hi, hi)
-        if slo == shi:
-            raise ValueError("start bracket does not bracket the root")
+        if slo == 0 or _horner(ints, hi.numerator, hi.denominator) == 0:
+            yield (lo, lo) if slo == 0 else (hi, hi)
+            return
         # on integers: the bracket is (a/den, b/den), and each halving doubles den
         den = math.lcm(lo.denominator, hi.denominator)
         a, b = lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator)
-        while (b - a) * width.denominator > width.numerator * den:
+        while True:
+            yield (Fraction(a, den), Fraction(b, den))
             mid, a, b, den = a + b, 2 * a, 2 * b, 2 * den
             v = _sign(_horner(ints, mid, den))
             if v == 0:
-                return (Fraction(mid, den), Fraction(mid, den))
+                yield (Fraction(mid, den), Fraction(mid, den))
+                return
             if v == slo:
                 a = mid
             else:
                 b = mid
-        return (Fraction(a, den), Fraction(b, den))
+
+    def refine(self, width: Fraction) -> Ival:
+        """The first of `brackets()` no wider than `width`."""
+        if width <= 0:
+            raise ValueError("width must be positive")
+        return next(iv for iv in self.brackets() if iv[1] - iv[0] <= width)
 
     def __repr__(self):
         return f"AlgebraicReal({self.defining.pretty()}, ({self.lo}, {self.hi}))"
@@ -633,14 +630,6 @@ class NFElem(Value):
     def is_zero(self) -> bool:
         return self.rep.is_zero()
 
-    def is_rational(self) -> bool:
-        return self.rep.degree <= 0
-
-    def to_fraction(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError("element is not rational")
-        return self.rep[0] if not self.rep.is_zero() else Fraction(0)
-
     def __eq__(self, other) -> bool:
         o = self._coerce(other)
         if o is NotImplemented:
@@ -648,7 +637,7 @@ class NFElem(Value):
         return self.rep == o.rep
 
     def __hash__(self):  # a rational element equals its Fraction, so hashes as it
-        return hash(self.to_fraction() if self.is_rational() else (id(self.field), self.rep))
+        return hash(self.rep[0] if self.rep.degree <= 0 else (id(self.field), self.rep))
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -680,34 +669,28 @@ class NFElem(Value):
         return NFElem(self.field, s0.scale(1 / r0[0]))
 
     def embedding_interval(self, width: Fraction = Fraction(1, 10**12)) -> Ival:
-        """Rational enclosure of the element under the field's real embedding.
-
-        The root is refined to widths w0, w0/16, w0/16^2, ... until the
-        element's interval is narrow enough, each refinement resuming from
-        the bracket of the one before (w only shrinks)."""
+        """Rational enclosure, no wider than `width`, of the element under the
+        field's real embedding: the element evaluated on the root's
+        `brackets()` at root widths w0, w0/16, w0/16^2, ... until narrow enough."""
+        if width <= 0:
+            raise ValueError("width must be positive")
         root = self.field.embedding
         w = (root.hi - root.lo) or Fraction(1, 2)
-        bracket = None
-        for _ in range(20000):
-            bracket = root.refine(w, bracket)
-            iv = self.rep.eval_interval(bracket)
-            if iv[1] - iv[0] <= width:
-                return iv
-            w /= 16
-        raise RuntimeError("embedding refinement did not converge")
+        for lo, hi in root.brackets():
+            while hi - lo <= w:
+                iv = self.rep.eval_interval((lo, hi))
+                if iv[1] - iv[0] <= width:
+                    return iv
+                w /= 16
 
     def sign(self) -> int:
-        """Sign of the real embedding (exact)."""
+        """Sign of the real embedding: at the first of `brackets()` that excludes 0."""
         if self.is_zero():
             return 0
-        width = Fraction(1, 16)
-        while True:
-            lo, hi = self.embedding_interval(width)
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
-            width /= 256
+        for bracket in self.field.embedding.brackets():
+            lo, hi = self.rep.eval_interval(bracket)
+            if lo > 0 or hi < 0:
+                return _sign(lo)
 
     def __repr__(self):
         return f"NFElem({self.rep.pretty('t')})"

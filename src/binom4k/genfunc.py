@@ -71,13 +71,9 @@ class TruncSeries(IntCoeffs):
         sa, sb = den // self.den, den // other.den
         return TruncSeries._make([a * sa + b * sb for a, b in zip(self.nums, other.nums)], den)
 
-    def __neg__(self):
-        return TruncSeries._make([-c for c in self.nums], self.den)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return TruncSeries._make([c * other.numerator for c in self.nums],
-                                     self.den * other.denominator)
+            return self.scale(other)
         if not isinstance(other, TruncSeries):
             return NotImplemented
         n = min(len(self.nums), len(other.nums))
@@ -100,11 +96,6 @@ class TruncSeries(IntCoeffs):
         """Multiply by x, keeping the order."""
         return TruncSeries._make((0,) + self.nums[:-1], self.den)
 
-    def derivative(self) -> "TruncSeries":
-        if self.order == 0:
-            return TruncSeries([0])
-        return TruncSeries._make([i * self.nums[i] for i in range(1, len(self.nums))], self.den)
-
     def integrate(self) -> "TruncSeries":
         L = math.lcm(*range(1, len(self.nums) + 1))
         return TruncSeries._make([0] + [c * (L // (i + 1)) for i, c in enumerate(self.nums)],
@@ -118,9 +109,6 @@ class TruncSeries(IntCoeffs):
             return TruncSeries([0])
         q = self.derivative() / self.truncate(self.order - 1)
         return q.integrate()
-
-    def is_zero(self) -> bool:
-        return not any(self.nums)
 
     def first_nonzero(self) -> Optional[int]:
         return next((i for i, c in enumerate(self.nums) if c), None)

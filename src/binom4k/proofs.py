@@ -230,10 +230,10 @@ class DecompositionProblem:
     basis: tuple  # three (part over Q, constant in Q(alpha)) pairs
 
 
-def standard_basis(ctx: Optional[PointContext] = None) -> tuple:
+def standard_basis() -> tuple:
     """The basis elements 16 S5 - a'', 4 S3 - a' and y - a, each as its part
     over Q and its constant in Q(alpha)."""
-    a = (ctx or alpha_context()).gamma
+    a = alpha_context().gamma
     return ((S5.scale(16), -f_second(a)), (S3.scale(4), -f_prime(a)), (Poly([0, 1]), -a))
 
 

@@ -352,21 +352,15 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-@dataclass(slots=True)
 class TermState:
-    """Fixed-point state at k = 0, where every value is exact: B = 2^prec m_0
-    with error bound eB = 0 and, for each harmonic channel j in `channels`,
-    C_j = 2^prec m_0 H_0 = 0 with error bound 0."""
-
-    B: int
-    eB: int
-    channels: list[int]
-    C: list[int]
-    eC: list[int]
+    """The start of a pass, called once per pass (a tracer counts passes by it)."""
 
     @staticmethod
-    def initial(channels: list[int], prec: int) -> "TermState":
-        return TermState(1 << prec, 0, channels, [0] * len(channels), [0] * len(channels))
+    def initial(channels: list[int], prec: int) -> tuple[list[int], list[int]]:
+        """The fixed-point values at k = 0, where every value is exact, and
+        their error bounds, all 0: slot 0 holds B = 2^prec m_0 and slot n the
+        C_j = 2^prec m_0 H_0 = 0 of the n-th harmonic channel in `channels`."""
+        return [1 << prec] + [0] * len(channels), [0] * (len(channels) + 1)
 
 
 def fixed_point_terms(specs: list[SeriesSpec], cutoffs: list[int],
@@ -375,9 +369,8 @@ def fixed_point_terms(specs: list[SeriesSpec], cutoffs: list[int],
     |T - L 2^prec t_k| <= err for the exact term t_k of spec i, L = channel_scale(specs[i]).
     The specs share x and the binomial power, so one B stream and one C_j stream
     per harmonic channel serve them all (the recurrences of the module docstring)."""
-    state = TermState.initial(sorted({j for s in specs for j in s.channels if j}), prec)
-    # slot 0 holds B and its error bound, slot n the C_j of j = js[n - 1]
-    js, values, errors = state.channels, [state.B, *state.C], [state.eB, *state.eC]
+    js = sorted({j for s in specs for j in s.channels if j})
+    values, errors = TermState.initial(js, prec)  # slot n > 0 holds C_j, j = js[n - 1]
     slot = {j: n for n, j in enumerate([0] + js)}
     plans = []
     for i, (spec, K) in enumerate(zip(specs, cutoffs)):

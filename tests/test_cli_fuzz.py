@@ -3,10 +3,13 @@ in exit 0, 1 or 2 within BUDGET_MS, and no traceback is printed."""
 
 import json
 import operator
+import time
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from binom4k.catalog import MAX_COEFFS
 from binom4k.cli import DEFAULT_DIGITS_ENV, MAX_DIGITS, main
 from binom4k.series import DENOM_FACTORS, RADIUS
 
@@ -117,6 +120,37 @@ def test_eval_hostile_rationals(tmp_path, capsys, spec, field, text, digits):
     assert main(["eval", "--spec", str(path), "--digits", str(digits)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith(f"error: spec.{field}: "), err[:200]
+
+
+@_fuzz(20)
+@given(spec=_valid_spec(), j=st.sampled_from("01234"), n=st.sampled_from([MAX_COEFFS + 1, 2000]),
+       digits=st.integers(1, 12))
+def test_eval_long_channels(tmp_path, capsys, spec, j, n, digits):
+    """A channel of more than MAX_COEFFS coefficients is a usage error naming
+    it, whatever the rest of the spec holds."""
+    spec = {**spec, "channels": {**spec["channels"], j: ["1/3"] * n}}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["eval", "--spec", str(path), "--digits", str(digits)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: spec.channels.{j}: "), err[:200]
+
+
+@pytest.mark.parametrize("n, code", [(MAX_COEFFS, 0), (MAX_COEFFS + 1, 2), (2000, 2)])
+def test_eval_channel_length_bound(tmp_path, capsys, n, code):
+    """At x = 1/16 a channel of MAX_COEFFS coefficients still evaluates, and
+    a longer one is refused, each within BUDGET_MS."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"x": "1/16", "binomial_power": 1, "start": 0,
+                                "channels": {"0": ["1/3"] * n}, "denominator_factors": []}))
+    start = time.perf_counter()
+    assert main(["eval", "--spec", str(path), "--digits", "10"]) == code
+    assert time.perf_counter() - start < BUDGET_MS / 1000
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert " +/- " in out
+    else:
+        assert out == "" and err.startswith("error: spec.channels.0: "), err[:200]
 
 
 @_fuzz(20)

@@ -209,9 +209,10 @@ class TestAlgebraicReal:
         inner = AlgebraicReal(a.defining, outer).refine(F(1, 10**6))
         assert outer[0] <= inner[0] <= inner[1] <= outer[1]
 
-    def test_resumed_refine_matches_fresh(self):
-        """Resuming each bisection from the bracket of the previous width
-        returns exactly what a fresh refine gives, down to 1e-60."""
+    def test_refine_is_the_first_narrow_bracket(self):
+        """Down to 1e-60, refine(w) is the first of brackets() no wider than
+        w; each bracket nests in the one before and halves it, and a root at
+        a bisection point or at an endpoint ends the sequence on that point."""
         from binom4k.proofs import alpha_context, beta_context, cbrt2_field
 
         roots = {
@@ -226,23 +227,28 @@ class TestAlgebraicReal:
         widths = sorted({F(1, 16**i) for i in range(51)} | {F(1, 10**i) for i in range(61)}
                         | {F(3, 7 * 10**i) for i in range(0, 60, 7)}, reverse=True)
         for name, root in roots.items():
-            bracket = (root.lo, root.hi)
+            seq = []
+            for lo, hi in root.brackets():
+                seq.append((lo, hi))
+                if hi - lo < widths[-1]:
+                    break
+            for (lo0, hi0), (lo1, hi1) in zip(seq, seq[1:]):
+                assert lo0 <= lo1 <= hi1 <= hi0, name
+                assert hi1 - lo1 in (0, (hi0 - lo0) / 2), name
             for w in widths:
-                bracket = root.refine(w, bracket)
-                assert bracket == root.refine(w), (name, w)
-                assert root.lo <= bracket[0] <= bracket[1] <= root.hi
-                assert bracket[1] - bracket[0] <= w
+                assert root.refine(w) == next(b for b in seq if b[1] - b[0] <= w), (name, w)
             if name == "rational":
-                assert bracket == (F(3, 8), F(3, 8))
+                assert seq[-1] == (F(3, 8), F(3, 8))
             if name.startswith("endpoint"):
-                assert bracket[0] == bracket[1] in (root.lo, root.hi)
+                assert len(seq) == 1 and seq[0][0] == seq[0][1] in (root.lo, root.hi)
+            else:
+                assert seq[0] == (root.lo, root.hi)
 
-    def test_resume_rejects_a_bracket_that_misses_the_root(self):
+    def test_refine_rejects_a_width_that_is_not_positive(self):
         a = AlgebraicReal(Poly([-2, 0, 1]), (F(1), F(2)))
-        with pytest.raises(ValueError, match="bracket"):
-            a.refine(F(1, 100), (F(3, 2), F(2)))     # sqrt(2) < 3/2
-        with pytest.raises(ValueError, match="outside"):
-            a.refine(F(1, 100), (F(1, 2), F(3, 2)))
+        for w in (F(0), F(-1, 100)):
+            with pytest.raises(ValueError, match="positive"):
+                a.refine(w)
 
     def test_rejects_multi_root_interval(self):
         with pytest.raises(ValueError):
@@ -298,6 +304,25 @@ class TestNumberField:
         lo, hi = (a * a - 2).embedding_interval(F(1, 10**9))
         assert lo > 0  # alpha^2 > 2 since alpha > 1.47
         assert (a - 2).sign() == -1
+
+    def test_sign_of_an_element_smaller_than_any_checkpoint(self):
+        """gamma - m, m the midpoint of a 1e-40 bracket of gamma = f(1/16), is
+        below 1e-40 in size; its sign is read off a 1e-60 bracket."""
+        from binom4k.proofs import alpha_context
+
+        gamma = alpha_context().gamma
+        root = gamma.field.embedding
+        lo, hi = root.refine(F(1, 10**40))
+        m = (lo + hi) / 2
+        lo, hi = root.refine(F(1, 10**60))
+        assert not lo <= m <= hi
+        assert (gamma - m).sign() == (1 if m < lo else -1)
+        assert (m - gamma).sign() == (-1 if m < lo else 1)
+
+    def test_embedding_interval_rejects_a_width_that_is_not_positive(self):
+        a = NumberField(ALPHA_CUBIC, (F(1), F(2))).gen()
+        with pytest.raises(ValueError, match="positive"):
+            a.embedding_interval(F(0))
 
     def test_sqrt_in_quartic_field(self):
         K = NumberField(Poly([-1, -8, -18, 0, 28]), (F(1, 2), F(1)))
@@ -401,6 +426,43 @@ def test_derived_operators(a, b, field):
     for bad in (lambda: a - 0.5, lambda: 0.5 - a, lambda: a / "x", lambda: "x" / a):
         with pytest.raises(TypeError):
             bad()
+
+
+def test_power_starts_at_the_lowest_set_bit(monkeypatch):
+    """x ** 4 is two squarings, with no product by one."""
+    import binom4k.genfunc as genfunc
+
+    calls, kernel = [], genfunc._mul_nums
+    monkeypatch.setattr(genfunc, "_mul_nums", lambda *a: calls.append(a) or kernel(*a))
+    x = TruncSeries([1, 2, F(1, 3), -4])
+    assert x ** 4 == x * x * x * x
+    calls.clear()
+    x ** 4
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("x, one", [
+    (Poly([1, 2, F(1, 3)]), Poly([1])),
+    (Poly([]), Poly([1])),
+    (TruncSeries([1, 2, F(1, 3), -4]), TruncSeries.constant(1, 3)),
+    (3 * _K.gen() ** 2 - _K.gen() + 7, _K.one()),
+    (RatFunc(Poly([1, 0, 1]), Poly([-3, 1])), RatFunc(Poly([1]))),
+], ids=["Poly", "zero-Poly", "TruncSeries", "NFElem", "RatFunc"])
+def test_zeroth_power_is_one(x, one):
+    assert x ** 0 == one
+
+
+def test_shared_ring_operations_of_poly_and_truncseries():
+    """Zero test, negation, scalar product and derivative come from
+    `IntCoeffs`: a series keeps its order, a polynomial drops trailing zeros."""
+    cs = [F(1, 2), 3, 0, F(-5, 7)]
+    p, s = Poly(cs), TruncSeries(cs)
+    assert (-p).coeffs == (-s).coeffs == tuple(-c for c in cs)
+    assert p.scale(F(2, 3)).coeffs == s.scale(F(2, 3)).coeffs == (s * F(2, 3)).coeffs
+    assert p.derivative().coeffs == s.derivative().coeffs == (3, 0, F(-15, 7))
+    assert Poly([4]).derivative() == Poly() and TruncSeries([4]).derivative() == TruncSeries([0])
+    assert p.scale(0).is_zero() and s.scale(0).is_zero() and s.scale(0).order == 3
+    assert not p.is_zero() and not s.is_zero()
 
 
 def test_count_roots_open_interval():

@@ -20,7 +20,6 @@ from binom4k.proofs import (
     LogRationalExpr,
     abel_boundary_discrepancy,
     abel_telescoped_sum,
-    alpha_context,
     alpha_power_identity,
     antiderivative_g,
     antiderivative_g2,
@@ -161,7 +160,7 @@ class TestDecomposition:
         """The part over Q of each basis element solves to that element alone,
         and leaves exactly minus its constant in Q(alpha) on the constant
         row; twice the standard target solves to twice its weights."""
-        basis = standard_basis(alpha_context())
+        basis = standard_basis()
         for i, (part, k) in enumerate(basis):
             r = solve_decomposition(DecompositionProblem(target=part, basis=basis))
             assert r.coefficients == tuple(int(n == i) for n in range(3))
@@ -171,7 +170,7 @@ class TestDecomposition:
         assert r.ok and r.coefficients == (F(11, 64), F(-35, 4), F(22))
 
     def test_inconsistent_target_reports_residual(self):
-        basis = standard_basis(alpha_context())
+        basis = standard_basis()
         bad = Poly([1, 2, 3])  # 3y^2+2y+1 is not in the span
         r = solve_decomposition(DecompositionProblem(target=bad, basis=basis))
         assert not r.ok
