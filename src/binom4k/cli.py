@@ -24,7 +24,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from .balls import Ball, QuadratureError, quad_integrate
 from .catalog import (
@@ -38,6 +38,7 @@ from .catalog import (
     eval_closed_form,
     parse_component,
 )
+from .exact import Poly
 from .genfunc import eval_f, relation_at
 from .proofs import alpha_context, run_exact_checks, substituted_integrands
 from .series import PrecisionError, SeriesSpec, SpecError, sum_many, sum_series
@@ -185,16 +186,37 @@ def records_text(records: list[VerificationRecord]) -> str:
 # cross-checks: quadrature of the integral representations vs the series
 
 
-def _mpf_of_fraction(q: Fraction):
+def _fixed_quotient(num: Poly, den: Poly, bits: int) -> Callable:
+    """t -> num(t) / den(t) for an mpf t, in integer fixed point with `bits`
+    fractional bits: coefficients rounded down once, Horner steps
+    acc = (acc t >> bits) + c, one integer division and one mpf per call."""
     import mpmath
-    return mpmath.mpf(q.numerator) / q.denominator
+
+    ns, ds = ([(c << bits) // p.den for c in reversed(p.nums)] for p in (num, den))
+
+    def integrand(t):
+        sign, man, exp, _ = t._mpf_
+        shift = exp + bits
+        x = man << shift if shift >= 0 else man >> -shift
+        x = -x if sign else x
+        n = d = 0
+        for c in ns:
+            n = (n * x >> bits) + c
+        for c in ds:
+            d = (d * x >> bits) + c
+        return mpmath.mpf(((n << bits) // d, -bits))
+
+    return integrand
 
 
-def _horner(coeffs, z):
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * z + c
-    return acc
+# The plain z-substituted integrands of sum C(4k,k) H_{jk}/16^k reduced to
+# (A(z) + alpha B(z)) / D(z), as (A, B, D) in ascending powers; j=3 is in
+# w = z/cbrt2, where it is cbrt2 times the z-form at z = cbrt2 w
+_PLAIN_FORMS = {
+    2: ((-4, 0, -4), (4, 0, -12), (1, -4, 3, -4, 3, 0, 1)),
+    3: ((-2,), (2, 0, 0, -4), (1, -2, 0, 0, 1)),
+    4: ((-2, 0, 0, 0, -2), (2, 0, 0, 0, -6), (1, -2, 0, 0, 2, -2, 0, 0, 1)),
+}
 
 
 @dataclass
@@ -209,46 +231,61 @@ class CrosscheckRecord:
     message: str = ""
 
 
-def crosscheck_j1(x: Fraction, tol: float) -> CrosscheckRecord:
-    """Integral representation of sum C(4k,k) H_k x^k against the series.
-
-    The upper endpoint 0/0 is removed by synthetic division of the quartic
-    denominator by (y - f(x)) at working precision before integrating."""
+def _quadratures(name: str, tol: float, lower: Fraction, upper: Fraction,
+                 forms: list, message: str = "") -> CrosscheckRecord:
+    """Integrate each (label, num, den, series ball) of `forms` over
+    [lower, upper] at 60 digits and compare it with its series: PASS when
+    every delta is within `tol`.  The record shows the first form's values."""
     import mpmath
 
-    spec = SeriesSpec(x=x, start=1, channels={1: (Fraction(1),)})
-    series = sum_series(spec, 30)
-    if x == 0:
-        return CrosscheckRecord("crosscheck-j1", "PASS", "0", "0", "0", tol, 0)
     dps = 60
     with mpmath.workdps(dps):
-        gamma = _mpf_of_fraction(eval_f(x, 50).midpoint())
-        # f's relation at x is (y - gamma) q3(y), gamma = f(x): q3 by synthetic division
-        q3 = []
-        for c in reversed(relation_at(x).coeffs[1:]):
-            q3.insert(0, _mpf_of_fraction(c) + (gamma * q3[0] if q3 else 0))
-
-        def integrand(y):
-            return 4 * (1 + 3 * y) ** 2 / (y * _horner(q3, y))
-
-        try:
-            qr = quad_integrate(integrand, Fraction(1), gamma, tol=tol, dps=dps)
-        except QuadratureError as exc:
-            return CrosscheckRecord("crosscheck-j1", "ERROR", series.decimal(25), "",
-                                    "", tol, exc.best.evaluations if exc.best else 0,
-                                    message=str(exc))
-        delta = abs(qr.value - _mpf_of_fraction(series.midpoint()))
-        ok = delta <= tol
+        # mpmath.quad evaluates at prec + 20 bits; 20 guard bits more absorb
+        # the Horner floors and denominators down to 2^-10 (the weighted
+        # forms' stay above 0.15, the plain forms' vanish at the upper limit)
+        bits = mpmath.mp.prec + 40
+        results, deltas = [], []
+        for label, num, den, series in forms:
+            try:
+                qr = quad_integrate(_fixed_quotient(num, den, bits), lower, upper,
+                                    tol=tol, dps=dps)
+            except QuadratureError as exc:
+                return CrosscheckRecord(name, "ERROR", forms[0][3].decimal(25), "", "", tol,
+                                        exc.best.evaluations if exc.best else 0,
+                                        message=str(exc))
+            mid = series.midpoint()
+            results.append(qr)
+            deltas.append(abs(qr.value - mpmath.mpf(mid.numerator) / mid.denominator))
         return CrosscheckRecord(
-            "crosscheck-j1", "PASS" if ok else "FAIL",
-            series.decimal(25), mpmath.nstr(qr.value, 25), mpmath.nstr(delta, 3),
-            tol, qr.evaluations)
+            name, "PASS" if all(d <= tol for d in deltas) else "FAIL",
+            forms[0][3].decimal(25), mpmath.nstr(results[0].value, 25),
+            ", ".join(label + mpmath.nstr(d, 3) for (label, *_), d in zip(forms, deltas)),
+            tol, sum(qr.evaluations for qr in results), message)
+
+
+def crosscheck_j1(x: Fraction, tol: float) -> CrosscheckRecord:
+    """Integral representation of sum C(4k,k) H_k x^k against the series:
+    4(1+3y)^2 / (y q3(y)) over [1, gamma], gamma the midpoint of an enclosure
+    of f(x).  The upper endpoint 0/0 is removed beforehand: q3 is the quotient
+    of f's quartic relation at x by (y - gamma), by exact synthetic division."""
+    name = "crosscheck-j1"
+    if x == 0:
+        return CrosscheckRecord(name, "PASS", "0", "0", "0", tol, 0)
+    try:
+        series = sum_series(SeriesSpec(x=x, start=1, channels={1: (Fraction(1),)}), 30)
+        gamma = eval_f(x, 50).midpoint()
+    except PrecisionError as exc:
+        return CrosscheckRecord(name, "ERROR", "", "", "", tol, 0, message=str(exc))
+    q3 = relation_at(x) // Poly([-gamma, 1])
+    return _quadratures(name, tol, Fraction(1), gamma,
+                        [("", Poly([4, 24, 36]), Poly([0, 1]) * q3, series)])
 
 
 def crosscheck_substituted(j: int, tol: float) -> CrosscheckRecord:
     """Two comparisons at x = 1/16:
 
-    (a) the plain z-substituted representation of sum C(4k,k) H_{jk}/16^k,
+    (a) the plain z-substituted representation of sum C(4k,k) H_{jk}/16^k
+        (`_PLAIN_FORMS`),
     (b) the weighted substituted integrand (the I_j form returned by
         substituted_integrands) against sum C(4k,k) P(k) H_{jk}/16^k with
         P(k) = 22k^2 - 92k + 11.
@@ -256,63 +293,20 @@ def crosscheck_substituted(j: int, tol: float) -> CrosscheckRecord:
     For j=3 both are integrated in w = z/cbrt2 over [0, u], as
     substituted_integrands returns that case.
     """
-    import mpmath
-
     name = f"crosscheck-j{j}"
     x16 = Fraction(1, 16)
-    series_plain = sum_series(SeriesSpec(x=x16, start=1, channels={j: (Fraction(1),)}), 30)
-    series_weighted = sum_series(SeriesSpec(x=x16, start=1, channels={j: P_COEFFS}), 30)
-    dps = 60
-    with mpmath.workdps(dps):
-        alpha = _mpf_of_fraction((lambda iv: (iv[0] + iv[1]) / 2)(
-            alpha_context().field.embedding.refine(QUAD_WIDTH)))
-        si = substituted_integrands(j, QUAD_WIDTH)
-        upper = _mpf_of_fraction(sum(si.upper_interval) / 2)
-
-        if j == 2:
-            def plain(z):
-                z2 = z * z
-                y = -(z2 + 1) / (3 * z2 - 1)
-                ym1 = -4 * z2 / (3 * z2 - 1)
-                core = 2 * (y - alpha) / (y * ((3 * y + 1) * ym1 - 4 * y * y * z))
-                return core * 8 * z / (3 * z2 - 1) ** 2
-        elif j == 3:
-            def plain(w):  # cbrt2 times the z-form at z = cbrt2 w: z^3 = 2w^3, cbrt2/z = 1/w
-                z3 = 2 * w ** 3
-                y = 1 / (1 - z3)
-                ym1 = z3 / (1 - z3)
-                core = 4 * (y - alpha) / (3 * y * ym1 * (3 * y + 1 - 2 * y / w))
-                return core * 6 * w * w / (z3 - 1) ** 2
-        else:
-            def plain(z):
-                z4 = z ** 4
-                y = -(z4 + 1) / (3 * z4 - 1)
-                ym1 = -4 * z4 / (3 * z4 - 1)
-                core = (y - alpha) / (y * ym1 * (3 * y + 1 - 2 * y / z))
-                return core * 16 * z ** 3 / (3 * z4 - 1) ** 2
-
-        ncoef = [_mpf_of_fraction(c) for c in si.num.coeffs]
-        dcoef = [_mpf_of_fraction(c) for c in si.den.coeffs]
-
-        def weighted(z):
-            return _horner(ncoef, z) / _horner(dcoef, z)
-
-        try:
-            qa = quad_integrate(plain, Fraction(0), upper, tol=tol, dps=dps)
-            qb = quad_integrate(weighted, Fraction(0), upper, tol=tol, dps=dps)
-        except QuadratureError as exc:
-            return CrosscheckRecord(name, "ERROR", series_plain.decimal(25), "", "",
-                                    tol, exc.best.evaluations if exc.best else 0,
-                                    message=str(exc))
-        da = abs(qa.value - _mpf_of_fraction(series_plain.midpoint()))
-        db = abs(qb.value - _mpf_of_fraction(series_weighted.midpoint()))
-        ok = da <= tol and db <= tol
-        return CrosscheckRecord(
-            name, "PASS" if ok else "FAIL",
-            series_plain.decimal(25), mpmath.nstr(qa.value, 25),
-            f"plain {mpmath.nstr(da, 3)}, weighted {mpmath.nstr(db, 3)}",
-            tol, qa.evaluations + qb.evaluations,
-            message="weighted form checked against the P(k)-weighted series")
+    try:
+        series_plain = sum_series(SeriesSpec(x=x16, start=1, channels={j: (Fraction(1),)}), 30)
+        series_weighted = sum_series(SeriesSpec(x=x16, start=1, channels={j: P_COEFFS}), 30)
+    except PrecisionError as exc:
+        return CrosscheckRecord(name, "ERROR", "", "", "", tol, 0, message=str(exc))
+    alpha = sum(alpha_context().field.embedding.refine(QUAD_WIDTH)) / 2
+    si = substituted_integrands(j, QUAD_WIDTH)
+    a, b, d = _PLAIN_FORMS[j]
+    return _quadratures(name, tol, Fraction(0), sum(si.upper_interval) / 2,
+                        [("plain ", Poly(a) + Poly(b).scale(alpha), Poly(d), series_plain),
+                         ("weighted ", si.num, si.den, series_weighted)],
+                        message="weighted form checked against the P(k)-weighted series")
 
 
 def run_crosscheck(j: int, x: Fraction, tol: float) -> CrosscheckRecord:

@@ -532,11 +532,14 @@ def _rational_roots(p: Poly) -> list[Fraction]:
             i += 1
         return out
 
+    # a pair with a common factor repeats the root of the reduced pair
+    dens = divisors(an)
     for r in divisors(a0):
-        for s in divisors(an):
-            for n in (r, -r):
-                if _horner(ints, n, s) == 0:
-                    roots.add(Fraction(n, s))
+        for s in dens:
+            if math.gcd(r, s) == 1:
+                for n in (r, -r):
+                    if _horner(ints, n, s) == 0:
+                        roots.add(Fraction(n, s))
     return sorted(roots)
 
 

@@ -223,6 +223,14 @@ class TestConstants:
         b = const_log(2, 128)
         assert abs(b.midpoint() - LOG2_DIGITS) < F(1, 10**34)
 
+    def test_sqrt_contains_at_every_precision(self):
+        # sqrt of a small n has prec + 1 or prec + 2 bits, so the outward
+        # rounding to prec bits cannot make up for an upper endpoint one unit low
+        for n in (2, 3, 5):
+            for prec in range(10, 200):
+                s = const_sqrt(n, prec)
+                assert s.lo ** 2 <= n <= s.hi ** 2, (n, prec)
+
     def test_sqrt_examples(self):
         s = const_sqrt(2, 128)
         lo, hi = _isqrt_oracle(2, 35)

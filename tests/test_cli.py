@@ -340,6 +340,23 @@ class TestCrosscheckCommand:
         assert main(["crosscheck", "--j", "1", "--x=-1/50"]) == 0
         assert capsys.readouterr().out.startswith("PASS  crosscheck-j1  series -0.0659154906")
 
+    @pytest.mark.parametrize("x", ["26999/256000", "-2699/25600"])
+    def test_series_over_the_term_budget_is_an_error_record(self, capsys, x):
+        # near the radius the series needs more than MAX_TERMS terms
+        assert main(["crosscheck", "--j", "1", f"--x={x}"]) == 1
+        out, err = capsys.readouterr()
+        assert out.startswith("ERROR crosscheck-j1  series \n")
+        assert f"work budget is {MAX_TERMS} terms" in out
+        assert err == ""
+
+    def test_substituted_precision_error_is_an_error_record(self, monkeypatch):
+        def over_budget(spec, digits):
+            raise series.PrecisionError("over budget")
+
+        monkeypatch.setattr(cli, "sum_series", over_budget)
+        rec = cli.crosscheck_substituted(2, 1e-20)
+        assert (rec.status, rec.message, rec.evaluations) == ("ERROR", "over budget", 0)
+
 
 def test_default_digits_env(monkeypatch, capsys):
     monkeypatch.delenv("BINOM4K_DIGITS", raising=False)
@@ -392,6 +409,29 @@ def test_verify_entry_negative_paths(entry_id, sub_resolution):
     assert status(entry.rhs + rat(F(1, 10**20))) == "FAIL"
     assert status(entry.rhs + rat(F(1, 10**60))) == sub_resolution
     assert status(rat(1) / (pi() - pi())) == "ERROR"
+
+
+@pytest.mark.parametrize("digits", [12, 50])
+def test_record_decides_on_the_width_of_a_difference_that_contains_0(digits):
+    """A difference enclosure around 0 is ERROR at every width from just over
+    10^(1-D) to just under 10^(3-D), and PASS just under 10^(1-D)."""
+    base = catalog_by_id()["eq-1.1"]
+    entry = dataclasses.replace(base, components=((F(1), base.components[0][1]),),
+                                rhs=rat(F(1, 3)))
+    rhs = cli.eval_closed_form(entry.rhs, digits + cli.COMPONENT_PAD)
+    threshold = F(1, 10 ** (digits - 1))
+
+    def decide(width):
+        lhs = Ball(F(1, 3) - width / 3, F(1, 3) + 2 * width / 3, 4 * digits + 64)
+        diff = lhs - rhs
+        assert diff.contains_zero()
+        return cli._record(entry, digits, [(lhs, 0.0)]).status, diff.width()
+
+    for scale in (F(1001, 1000), 2, 10, F(999, 10)):
+        status, width = decide(scale * threshold)
+        assert threshold < width < 100 * threshold and status == "ERROR", scale
+    status, width = decide(threshold * F(999, 1000))
+    assert width < threshold and status == "PASS"
 
 
 @pytest.mark.parametrize("digits", [12, 50])

@@ -15,6 +15,7 @@ from binom4k.exact import (
     Poly,
     RatFunc,
     ZeroDivisorError,
+    _rational_roots,
     count_roots,
     is_irreducible,
     sqrt_in_field,
@@ -463,6 +464,19 @@ def test_shared_ring_operations_of_poly_and_truncseries():
     assert Poly([4]).derivative() == Poly() and TruncSeries([4]).derivative() == TruncSeries([0])
     assert p.scale(0).is_zero() and s.scale(0).is_zero() and s.scale(0).order == 3
     assert not p.is_zero() and not s.is_zero()
+
+
+def test_rational_roots_of_products_of_linear_factors():
+    """The rational roots of (s x - r) products times a content and a factor
+    without rational roots, repeated and zero roots among them, are exactly
+    the r/s in ascending order."""
+    rng = random.Random(17)
+    for _ in range(60):
+        roots = [F(rng.randint(-12, 12), rng.randint(1, 12)) for _ in range(rng.randint(1, 4))]
+        p = Poly([rng.choice((1, -6, 35))]) * Poly([1, 1, 1])
+        for r in roots + roots[:1]:
+            p = p * Poly([-r.numerator, r.denominator])
+        assert _rational_roots(p) == sorted(set(roots)), roots
 
 
 def test_count_roots_open_interval():
