@@ -21,8 +21,9 @@ log 2 = 2 atanh(1/3), add the (S, E) pairs as integers at the least P that
 keeps [S - E, S + E] / 2^P within 2^-(prec+8), so the guard bits P - prec grow
 with the term count.  sqrt(n) comes from one integer square root.
 
-`quad_integrate` at the bottom is the one *non-rigorous* piece (mpmath's
-tanh-sinh with an error estimate): cross-checks only, never in a verdict.
+`quad_integrate` at the bottom is the one *non-rigorous* piece (tanh-sinh
+with an error estimate, in integer fixed point): cross-checks only, never in
+a verdict.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable
 
 from .exact import Value
 
@@ -184,6 +185,21 @@ def _fraction_sci(x: Fraction) -> str:
     return f"{lead/100:.2f}e{e:+d}"
 
 
+def _fraction_rounded(x: Fraction, digits: int) -> str:
+    """x rounded half up to `digits` significant digits in mpmath.nstr's shapes:
+    positional for a decimal exponent strictly between min(-(digits // 3), -5)
+    and `digits`, else d.ddde-X; trailing zeros stripped to one after the point."""
+    if x == 0:
+        return "0.0"
+    y, e = _decimal_normalise(x)
+    mant = str(int(y * 10 ** (digits - 1) + Fraction(1, 2)))
+    mant, e = (mant[:digits], e + 1) if len(mant) > digits else (mant, e)   # 10^digits
+    fixed = min(-(digits // 3), -5) < e < digits
+    mant, point = ("0" * -e + mant, 1) if fixed and e < 0 else (mant, e + 1 if fixed else 1)
+    text = (mant[:point] + "." + mant[point:]).rstrip("0")
+    return ("-" if x < 0 else "") + text + "0" * text.endswith(".") + ("" if fixed else f"e{e:+d}")
+
+
 # ---------------------------------------------------------------------------
 # constants in integer fixed point (see the module docstring)
 
@@ -260,9 +276,51 @@ def const_sqrt(n: int, prec: int) -> Ball:
 # cross-check quadrature (non-rigorous, error-estimating)
 
 
+def _exp_fixed(x: int, P: int) -> int:
+    """2^P exp(x / 2^P) to a relative 2^-(P+20) or a unit (not rigorous): the
+    2^s-th power of the Taylor sum of exp(x / 2^(P+s)), x / 2^(P+s) < 2^-12,
+    at 30 + s guard bits; exp(-x) = 1 / exp(x)."""
+    if x < 0:
+        return (1 << 2 * P) // _exp_fixed(-x, P)
+    s = max(x.bit_length() - P + 12, 0)
+    Q, n = P + 30 + s, 1
+    total = term = 1 << Q
+    while term:
+        term = term * x // (n << P + s)
+        total, n = total + term, n + 1
+    for _ in range(s):
+        total = total * total >> Q
+    return total >> Q - P
+
+
+def quad_bits(dps: int) -> int:
+    """The bits of `quad_integrate` at `dps` digits: mpmath's prec + 40."""
+    return round((dps + 1) * math.log2(10)) + 40
+
+
+@lru_cache(maxsize=None)
+def _tanh_sinh_nodes(degree: int, prec: int) -> tuple:
+    """The nodes (x, w) with x >= 0 that level `degree` adds on [-1, 1], at
+    prec + 40 bits; x = 0 first, at degree 1 only."""
+    P = prec + 40
+    one, pi = 1 << P, round(const_pi(P + 4).midpoint() * (1 << P))
+    nodes, h = ([(0, pi >> 1)], one >> 1) if degree == 1 else ([], one >> degree - 1)
+    e0, up = _exp_fixed(one >> degree, P), _exp_fixed(h, P)     # e^t0, t0 = 2^-degree
+    a, b = pi * e0 >> P + 2, (pi << P - 2) // e0            # pi/4 e^t, pi/4 e^-t
+    for _ in range(20 * 2**degree + 1):
+        c2 = _exp_fixed(a - b, P) ** 2                      # 2^2P exp(pi sinh t)
+        s = c2 + (one << P)
+        x = ((c2 - (one << P)) << P) // s
+        if one - x <= one >> prec + 10:
+            break
+        nodes.append((x, ((a + b) * c2 << 2 * P + 2) // (s * s)))
+        a, b = a * up >> P, (b << P) // up
+    return tuple(nodes)
+
+
 @dataclass(frozen=True)
 class QuadResult:
-    value: object          # mpmath mpf
+    value: Fraction
     error_estimate: float
     evaluations: int
 
@@ -270,35 +328,44 @@ class QuadResult:
 class QuadratureError(ArithmeticError):
     """The integrator missed the tolerance; `best` is its best estimate."""
 
-    def __init__(self, msg: str, best: Optional[QuadResult] = None):
+    def __init__(self, msg: str, best: QuadResult):
         super().__init__(msg)
         self.best = best
 
 
-def quad_integrate(integrand: Callable, a, b, tol: float = 1e-20,
-                   dps: Optional[int] = None) -> QuadResult:
-    """Adaptive tanh-sinh quadrature of a smooth integrand on [a, b].
-
-    Non-rigorous: the returned error is an estimate, not a bound.  Backed by
-    mpmath; the working precision defaults to comfortably past `tol`.
-    """
-    import mpmath
-
-    if dps is None:
-        dps = max(30, int(-math.log10(tol)) + 18)
-    count = 0
-
-    def f(t):
-        nonlocal count
-        count += 1
-        return integrand(t)
-
-    with mpmath.workdps(dps):
-        aa = mpmath.mpf(a.numerator) / a.denominator if isinstance(a, Fraction) else mpmath.mpf(a)
-        bb = mpmath.mpf(b.numerator) / b.denominator if isinstance(b, Fraction) else mpmath.mpf(b)
-        val, err = mpmath.quad(f, [aa, bb], error=True)
-        res = QuadResult(value=val, error_estimate=float(err), evaluations=count)
-        if not (float(err) <= tol):
-            raise QuadratureError(
-                f"quadrature error estimate {float(err):.3g} exceeds tol {tol:.3g}", best=res)
+def quad_integrate(integrand: Callable[[int], int], a: Fraction, b: Fraction, tol: float,
+                   dps: int) -> QuadResult:
+    """Tanh-sinh quadrature (Takahasi & Mori) of a smooth integrand on [a, b],
+    step for step as mpmath's `TanhSinh` at `dps` digits, so it stops at the
+    same level after the same evaluations; `integrand` maps 2^B t to 2^B f(t)
+    as ints, B = quad_bits(dps).  Level m adds the nodes x = tanh(pi/2 sinh t),
+    weights pi/2 cosh t / cosh^2(pi/2 sinh t), at the odd multiples t of 2^-m
+    (and t = 0 at m = 1), sums h (S_{m-1} / 2h + sum w f), h = 2^-m, and
+    estimates the error from the last three sums (Borwein, Bailey & Girgensohn).
+    Non-rigorous: QuadratureError reports an estimate above `tol`."""
+    B, prec = quad_bits(dps), quad_bits(dps) - 40
+    half, mid = round((b - a) * (1 << B - 1)), round((a + b) * (1 << B - 1))
+    results, total, err, count = [], 0, 0, 0
+    for degree in range(1, int(4 + max(0, math.log2(prec / 30))) + 3):
+        for x, w in _tanh_sinh_nodes(degree, prec):
+            dx = half * x >> B
+            total += w * (integrand(mid + dx) + integrand(mid - dx) if x else integrand(mid))
+            count += 2 if x else 1
+        # the level sum, in units of 2^-(3B + degree): total gains each
+        # level's sum of w f, and the previous sum's 2^-(degree-1) halves
+        results.append(Fraction(half * total, 1 << 3 * B + degree))
+        diffs = [abs(results[-1] - r) for r in results[-2:-4:-1]]
+        if degree > 2 and any(diffs):
+            # 10^int(D), D from the log10 of the last two differences, in [-prec, 0]
+            d1, d2 = (math.log10(q.numerator) - math.log10(q.denominator) if q else -math.inf
+                      for q in diffs)
+            err = Fraction(10) ** int(min(0, max(d1 * d1 / d2, 2 * d1, -prec)))
+        elif degree > 1:
+            err = diffs[0] if degree == 2 else 0
+        if degree > 1 and err <= Fraction(1, 1 << prec + 2):     # mpmath's eps / 8
+            break
+    res = QuadResult(results[-1], float(err), count)
+    if not float(err) <= tol:
+        raise QuadratureError(
+            f"quadrature error estimate {float(err):.3g} exceeds tol {tol:.3g}", best=res)
     return res

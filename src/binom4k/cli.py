@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .balls import Ball, QuadratureError, quad_integrate
+from .balls import Ball, QuadratureError, _fraction_rounded, quad_bits, quad_integrate
 from .catalog import (
     MAX_DIGITS,
     P_COEFFS,
@@ -186,25 +186,18 @@ def records_text(records: list[VerificationRecord]) -> str:
 # cross-checks: quadrature of the integral representations vs the series
 
 
-def _fixed_quotient(num: Poly, den: Poly, bits: int) -> Callable:
-    """t -> num(t) / den(t) for an mpf t, in integer fixed point with `bits`
-    fractional bits: coefficients rounded down once, Horner steps
-    acc = (acc t >> bits) + c, one integer division and one mpf per call."""
-    import mpmath
-
+def _fixed_quotient(num: Poly, den: Poly, bits: int) -> Callable[[int], int]:
+    """2^bits t -> 2^bits num(t) / den(t): coefficients rounded down once,
+    Horner steps acc = (acc t >> bits) + c, one integer division per call."""
     ns, ds = ([(c << bits) // p.den for c in reversed(p.nums)] for p in (num, den))
 
-    def integrand(t):
-        sign, man, exp, _ = t._mpf_
-        shift = exp + bits
-        x = man << shift if shift >= 0 else man >> -shift
-        x = -x if sign else x
+    def integrand(t: int) -> int:
         n = d = 0
         for c in ns:
-            n = (n * x >> bits) + c
+            n = (n * t >> bits) + c
         for c in ds:
-            d = (d * x >> bits) + c
-        return mpmath.mpf(((n << bits) // d, -bits))
+            d = (d * t >> bits) + c
+        return (n << bits) // d
 
     return integrand
 
@@ -235,32 +228,29 @@ def _quadratures(name: str, tol: float, lower: Fraction, upper: Fraction,
                  forms: list, message: str = "") -> CrosscheckRecord:
     """Integrate each (label, num, den, series ball) of `forms` over
     [lower, upper] at 60 digits and compare it with its series: PASS when
-    every delta is within `tol`.  The record shows the first form's values."""
-    import mpmath
-
-    dps = 60
-    with mpmath.workdps(dps):
-        # mpmath.quad evaluates at prec + 20 bits; 20 guard bits more absorb
-        # the Horner floors and denominators down to 2^-10 (the weighted
-        # forms' stay above 0.15, the plain forms' vanish at the upper limit)
-        bits = mpmath.mp.prec + 40
-        results, deltas = [], []
-        for label, num, den, series in forms:
-            try:
-                qr = quad_integrate(_fixed_quotient(num, den, bits), lower, upper,
-                                    tol=tol, dps=dps)
-            except QuadratureError as exc:
-                return CrosscheckRecord(name, "ERROR", forms[0][3].decimal(25), "", "", tol,
-                                        exc.best.evaluations if exc.best else 0,
-                                        message=str(exc))
-            mid = series.midpoint()
-            results.append(qr)
-            deltas.append(abs(qr.value - mpmath.mpf(mid.numerator) / mid.denominator))
-        return CrosscheckRecord(
-            name, "PASS" if all(d <= tol for d in deltas) else "FAIL",
-            forms[0][3].decimal(25), mpmath.nstr(results[0].value, 25),
-            ", ".join(label + mpmath.nstr(d, 3) for (label, *_), d in zip(forms, deltas)),
-            tol, sum(qr.evaluations for qr in results), message)
+    every delta is within `tol`, ERROR when `tol` is below a series' radius,
+    which no delta can decide.  The record shows the first form's values."""
+    series_value = forms[0][3].decimal(25)
+    if tol < max(series.radius() for *_, series in forms):
+        return CrosscheckRecord(name, "ERROR", series_value, "", "", tol, 0,
+                                f"tol {tol:g} is below the radius of a series enclosure")
+    # 40 bits past the quadrature's precision absorb the Horner floors and the
+    # denominators down to 2^-10 (weighted forms: above 0.15; plain: 0 at the upper limit)
+    results, deltas = [], []
+    for label, num, den, series in forms:
+        try:
+            qr = quad_integrate(_fixed_quotient(num, den, quad_bits(60)), lower, upper,
+                                tol=tol, dps=60)
+        except QuadratureError as exc:
+            return CrosscheckRecord(name, "ERROR", series_value, "", "", tol,
+                                    exc.best.evaluations, message=str(exc))
+        results.append(qr)
+        deltas.append(abs(qr.value - series.midpoint()))
+    return CrosscheckRecord(
+        name, "PASS" if all(d <= tol for d in deltas) else "FAIL",
+        series_value, _fraction_rounded(results[0].value, 25),
+        ", ".join(label + _fraction_rounded(d, 3) for (label, *_), d in zip(forms, deltas)),
+        tol, sum(qr.evaluations for qr in results), message)
 
 
 def crosscheck_j1(x: Fraction, tol: float) -> CrosscheckRecord:
@@ -417,6 +407,9 @@ def _dispatch(args) -> int:
         return 0 if all(c.passed for c in checks) else 1
 
     if args.command == "crosscheck":
+        # the series are summed to 30 digits: a finer tol cannot be decided
+        if not 1e-30 <= args.tol <= 1:
+            raise SystemExit2(f"tol must be a number from 1e-30 to 1, got {args.tol:g}")
         rec = run_crosscheck(args.j, _parse_frac(args.x, "--x"), args.tol)
         print(f"{rec.status:5s} {rec.name}  series {rec.series_value}")
         print(f"      quadrature {rec.quad_value}  delta {rec.delta}  "

@@ -313,35 +313,147 @@ class TestFixedPointKernel:
             self.check(p, q, rng.randint(8, 40), rng.random() < 0.5)
 
 
+def _iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) by integer Newton steps from above."""
+    if n == 0:
+        return 0
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
 class TestQuadrature:
+    """Integrands map 2^B t to 2^B f(t) as ints, B = quad_bits(dps); mpmath
+    serves as an oracle only."""
+
     def test_linear(self):
-        q = quad_integrate(lambda t: t, F(0), F(1), tol=1e-20)
-        assert abs(q.value - 0.5) < 1e-20
+        q = quad_integrate(lambda t: t, F(0), F(1), tol=1e-20, dps=38)
+        assert abs(q.value - F(1, 2)) < F(1, 10**20)
         assert q.error_estimate <= 1e-20
         assert q.evaluations > 0
 
     def test_log2_crosscheck(self):
-        import mpmath
-        q = quad_integrate(lambda t: 1 / (1 + t), F(0), F(1), tol=1e-22)
-        mid = const_log(2, 160).midpoint()
-        with mpmath.workdps(40):
-            assert abs(q.value - mpmath.mpf(mid.numerator) / mid.denominator) < 1e-22
+        B = balls.quad_bits(40)
+        q = quad_integrate(lambda t: (1 << 2 * B) // ((1 << B) + t), F(0), F(1),
+                           tol=1e-22, dps=40)
+        assert abs(q.value - const_log(2, 160).midpoint()) < F(1, 10**22)
 
     def test_pi_crosscheck(self):
-        import mpmath
-        q = quad_integrate(lambda t: 4 / (1 + t * t), F(0), F(1), tol=1e-22)
-        mid = const_pi(160).midpoint()
-        with mpmath.workdps(40):
-            assert abs(q.value - mpmath.mpf(mid.numerator) / mid.denominator) < 1e-22
+        B = balls.quad_bits(40)
+        q = quad_integrate(lambda t: (4 << 2 * B) // ((1 << B) + (t * t >> B)), F(0), F(1),
+                           tol=1e-22, dps=40)
+        assert abs(q.value - const_pi(160).midpoint()) < F(1, 10**22)
 
     def test_budget_error_carries_best(self):
-        import mpmath
-        # |x|^(1/9) has an interior kink; a tiny budget cannot meet 1e-30
+        # |t - 1/3|^(1/9) has an interior kink; 15 digits cannot meet 1e-30
+        B = balls.quad_bits(15)
+        third = (1 << B) // 3
         with pytest.raises(QuadratureError) as exc:
-            quad_integrate(lambda t: abs(t - mpmath.mpf(1) / 3) ** (mpmath.mpf(1) / 9),
-                           F(0), F(1), tol=1e-30, dps=15)
+            quad_integrate(lambda t: _iroot(abs(t - third) << 8 * B, 9), F(0), F(1),
+                           tol=1e-30, dps=15)
         assert exc.value.best is not None
         assert exc.value.best.evaluations > 0
+
+    def test_quad_bits_are_mpmath_precision_plus_40(self):
+        import mpmath
+        for dps in (15, 38, 40, 60, 100):
+            assert balls.quad_bits(dps) == mpmath.libmp.dps_to_prec(dps) + 40
+
+    @pytest.mark.parametrize("P", [64, 243])
+    def test_exp_kernel_against_mpmath(self, P):
+        import mpmath
+        points = [F(-200), F(-50), F(-3, 7), F(-1, 10**30), F(0), F(1, 10**30), F(1, 3),
+                  F(5, 2), F(75), F(300)]
+        rng = random.Random(31)
+        points += [F(rng.randint(-300 * 10**12, 300 * 10**12), 10**rng.randint(12, 40))
+                   for _ in range(40)]
+        with mpmath.workprec(2 * P + 500):
+            for point in points:
+                x = math.floor(point * (1 << P))
+                ref = mpmath.exp(mpmath.mpf(x) / 2**P) * 2**P
+                got = balls._exp_fixed(x, P)
+                assert abs(got - ref) <= 4 + ref / 2**P, (P, point)
+
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5, 6])
+    def test_nodes_match_mpmath_calc_nodes(self, degree):
+        """The nodes and weights of each level at 60 digits (prec 203) are
+        mpmath's own, as many and within 2^-235; mpmath computes them at
+        prec + 40 bits, with the context at prec + 20 as `quad` sets it."""
+        import mpmath
+        P = 243
+        with mpmath.workprec(223):
+            ref = mpmath.mp._tanh_sinh.calc_nodes(degree, 203)
+        ours = balls._tanh_sinh_nodes(degree, 203)
+        assert len(ref) == sum(2 if x else 1 for x, _ in ours)
+        ref = sorted((F(*mpmath.libmp.to_rational(x._mpf_)), F(*mpmath.libmp.to_rational(w._mpf_)))
+                     for x, w in ref if x >= 0)
+        for (x, w), (rx, rw) in zip(sorted(ours), ref):
+            assert abs(F(x, 1 << P) - rx) <= F(1, 1 << 235)
+            assert abs(F(w, 1 << P) - rw) <= F(1, 1 << 235)
+
+    @pytest.mark.parametrize("dps", [15, 30, 60])
+    @pytest.mark.parametrize("name", ["log2", "sqrt", "kink"])
+    def test_levels_and_estimate_match_mpmath_quad(self, dps, name):
+        """Smooth, endpoint-singular and kinked integrands stop after as many
+        evaluations as mpmath.quad takes, with its error estimate to within
+        a factor 10 (one step of 10^int(D) between floats and mpf logs), when
+        they converge and when they miss the tolerance."""
+        import mpmath
+        B = balls.quad_bits(dps)
+        third = (1 << B) // 3
+        integrand = {"log2": lambda t: (1 << 2 * B) // ((1 << B) + t),
+                     "sqrt": lambda t: math.isqrt(t << B),
+                     "kink": lambda t: _iroot(abs(t - third) << 8 * B, 9)}[name]
+        try:
+            ours = quad_integrate(integrand, F(0), F(1), tol=1.0, dps=dps)
+        except QuadratureError as exc:
+            ours = exc.best
+        count = 0
+
+        def f(t):
+            nonlocal count
+            count += 1
+            return mpmath.ldexp(integrand(int(mpmath.floor(mpmath.ldexp(t, B)))), -B)
+
+        with mpmath.workdps(dps):
+            value, err = mpmath.quad(f, [0, 1], error=True)
+        err = F(*mpmath.libmp.to_rational(err._mpf_))
+        assert ours.evaluations == count
+        assert abs(ours.value - F(*mpmath.libmp.to_rational(value._mpf_))) <= \
+            10 * err + F(1, 10**dps)
+        assert err / 10 <= F(ours.error_estimate) <= 10 * err
+
+
+def test_rounded_rendering_matches_mpmath_nstr():
+    """mpmath.nstr at 3 and 25 significant digits on the same dyadic values,
+    from 1e-45 to 1e3 and of either sign.  The denominators avoid 2 and 5, so
+    no value is an exact decimal tie, which mpmath rounds from a truncated
+    binary expansion."""
+    import mpmath
+    from binom4k.balls import _fraction_rounded
+    rng = random.Random(17)
+    values = []
+    for _ in range(3000):
+        den = rng.randrange(3, 10 ** rng.randint(1, 40), 2)
+        x = F(rng.randint(1, 10 ** rng.randint(1, 40)), den + 2 * (den % 5 == 0))
+        if x.denominator == 1:
+            continue
+        x *= F(10) ** (rng.randint(-45, 3) - _decimal_normalise(x)[1])
+        values.append(-x if rng.random() < 0.3 else x)
+    with mpmath.workprec(300):
+        for x in values:
+            m = mpmath.mpf(x.numerator) / x.denominator
+            for digits in (3, 25):
+                got = _fraction_rounded(F(*mpmath.libmp.to_rational(m._mpf_)), digits)
+                assert got == mpmath.nstr(m, digits), (x, digits)
+    # the shapes the cross-checks print: a kept zero, a stripped trailing zero
+    assert _fraction_rounded(F(4, 10**31), 3) == "4.0e-31"
+    assert _fraction_rounded(F(912166315085864023104315, 10**24), 25) == \
+        "0.912166315085864023104315"
+    assert _fraction_rounded(F(0), 3) == "0.0"
 
 
 @settings(max_examples=25, deadline=None)

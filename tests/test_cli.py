@@ -3,9 +3,13 @@
 import dataclasses
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -349,6 +353,46 @@ class TestCrosscheckCommand:
         assert f"work budget is {MAX_TERMS} terms" in out
         assert err == ""
 
+    @pytest.mark.parametrize("x, line", [
+        ("1/16", "0.6511953363752348454059045  delta 3.19e-31  tol 1e-20  evaluations 291"),
+        ("-1/50", "-0.06591549066719576587873244  delta 1.21e-31  tol 1e-20  evaluations 291"),
+        ("1/50", "0.1007725496549680456556645  delta 1.78e-31  tol 1e-20  evaluations 291"),
+        ("1/20", "0.3998197976771103091078667  delta 3.3e-31  tol 1e-20  evaluations 291"),
+        ("-1/10", "-0.1874034123088711379833974  delta 1.16e-32  tol 1e-20  evaluations 291"),
+        ("1/10", "7.154990931426655889585579  delta 4.33e-31  tol 1e-20  evaluations 291"),
+        ("26/256", "9.642663442861450910477106  delta 4.46e-31  tol 1e-20  evaluations 291"),
+        ("-26/256", "-0.1886577736656469953057043  delta 8.47e-33  tol 1e-20  evaluations 291"),
+        ("1/1000", "0.004042407160733659102642714  delta 1.78e-31  tol 1e-20  evaluations 145"),
+        ("1/11", "2.722916830391909369751466  delta 4.22e-31  tol 1e-20  evaluations 291"),
+        ("0", "0  delta 0  tol 1e-20  evaluations 0"),
+        ("-1/16", "-0.1478867702478442929530342  delta 8.21e-32  tol 1e-20  evaluations 291"),
+        ("1/12", "1.679125034544033788961872  delta 4.16e-31  tol 1e-20  evaluations 291"),
+    ])
+    def test_j1_quadrature_lines_pinned(self, capsys, x, line):
+        """The quadrature value to 25 digits, the delta to 3 and the evaluation
+        count of the j=1 cross-check over x inside the radius."""
+        assert main(["crosscheck", "--j", "1", f"--x={x}"]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == "      quadrature " + line
+
+    @pytest.mark.parametrize("tol", ["inf", "1e400", "nan", "0", "-1", "1e-400", "1e-70",
+                                     "1e-31", "1.5"])
+    def test_tol_outside_1e_30_to_1_is_a_usage_error(self, capsys, tol):
+        assert main(["crosscheck", "--j", "1", f"--tol={tol}"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: tol must be a number from 1e-30 to 1")
+
+    @pytest.mark.parametrize("tol", ["1e-30", "1"])
+    def test_tol_range_ends_pass(self, capsys, tol):
+        assert main(["crosscheck", "--j", "1", f"--tol={tol}"]) == 0
+
+    @pytest.mark.parametrize("j", [1, 2])
+    def test_tol_below_the_series_radius_is_an_error_not_a_fail(self, j):
+        """The series are summed to 30 digits: a delta against a tol of 1e-70
+        decides nothing, so the record is an ERROR without any quadrature."""
+        rec = cli.run_crosscheck(j, F(1, 16), 1e-70)
+        assert (rec.status, rec.evaluations, rec.quad_value) == ("ERROR", 0, "")
+        assert rec.message == "tol 1e-70 is below the radius of a series enclosure"
+
     def test_substituted_precision_error_is_an_error_record(self, monkeypatch):
         def over_budget(spec, digits):
             raise series.PrecisionError("over budget")
@@ -356,6 +400,27 @@ class TestCrosscheckCommand:
         monkeypatch.setattr(cli, "sum_series", over_budget)
         rec = cli.crosscheck_substituted(2, 1e-20)
         assert (rec.status, rec.message, rec.evaluations) == ("ERROR", "over budget", 0)
+
+
+def test_commands_do_not_import_mpmath(tmp_path):
+    """mpmath is a test oracle only: the cross-checks, a verify-all, the exact
+    suite and an eval run in a fresh interpreter without loading it."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(EQ11_SPEC))
+    script = (
+        "import contextlib, io, sys\n"
+        "from binom4k.cli import main\n"
+        "runs = [['crosscheck', '--j', str(j)] for j in (1, 2, 3, 4)]\n"
+        "runs += [['verify-all', '--digits', '20'], ['exact-checks'],\n"
+        f"         ['eval', '--spec', {str(spec)!r}, '--digits', '20']]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(run) for run in runs]\n"
+        "print(codes, 'mpmath' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
+    assert out.split() == ["[0,", "0,", "0,", "0,", "0,", "0,", "0]", "False"]
 
 
 def test_default_digits_env(monkeypatch, capsys):

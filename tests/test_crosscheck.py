@@ -1,13 +1,16 @@
-"""The cross-check integrands: the reduced plain forms against the composite
-expressions in y(z) they stand for, and the fixed-point quotients that the
-quadratures call against exact evaluations of those expressions."""
+"""The cross-check integrands and their quadratures: the reduced plain forms
+against the composite expressions in y(z) they stand for, the fixed-point
+quotients that the quadratures call against exact evaluations of those
+expressions, and each quadrature against mpmath.quad (an oracle only)."""
 
+import math
 from fractions import Fraction as F
 
 import mpmath
 import pytest
 
 from binom4k import cli
+from binom4k.balls import quad_bits
 from binom4k.exact import Poly
 from binom4k.genfunc import eval_f, relation_at
 from binom4k.proofs import alpha_context, substituted_integrands
@@ -54,18 +57,18 @@ def test_reduced_plain_forms_equal_the_composites(j):
             assert composite(j, z, alpha) == reduced(j, z, alpha), (j, alpha, z)
 
 
-def _frac(t) -> F:
-    return F(*mpmath.libmp.to_rational(t._mpf_))
+BITS = quad_bits(60)
 
 
 def _captured_integrals(monkeypatch, j, x):
-    """(integrand, lower, upper) of each quadrature of one cross-check."""
+    """(integrand, lower, upper, result) of each quadrature of one cross-check."""
     seen = []
     real = cli.quad_integrate
 
     def recording(integrand, a, b, **kw):
-        seen.append((integrand, a, b))
-        return real(integrand, a, b, **kw)
+        result = real(integrand, a, b, **kw)
+        seen.append((integrand, a, b, result))
+        return result
 
     monkeypatch.setattr(cli, "quad_integrate", recording)
     assert cli.run_crosscheck(j, x, 1e-20).status == "PASS"
@@ -91,30 +94,52 @@ def _references(j, x):
 @pytest.mark.parametrize("j, x", [(1, F(1, 16)), (1, F(-1, 50)), (1, F(26, 256)),
                                   (2, F(1, 16)), (3, F(1, 16)), (4, F(1, 16))])
 def test_fixed_point_integrands_match_the_exact_expressions(monkeypatch, j, x):
-    """At the working precision of mpmath.quad, in the interior and 1e-41 from
-    both endpoints, every integrand is within 1e-58 of the exact value of its
+    """At the quadrature's fixed point, in the interior and 1e-41 from both
+    endpoints, every integrand is within 1e-58 of the exact value of its
     expression at the same point; within 1e-58 / |D(t)| where the plain forms'
     denominator D nears its zero at the upper limit, since the 0/0 there is
     removable only for the exact alpha and limit, not for their midpoints."""
     integrals = _captured_integrals(monkeypatch, j, x)
     references = _references(j, x)
     assert len(integrals) == len(references)
-    for (integrand, a, b), (exact, den) in zip(integrals, references):
-        with mpmath.workprec(mpmath.libmp.dps_to_prec(60) + 20):
-            near = F(1, 10**41) * (1 if b > a else -1)
-            points = [a + near, b - near] + [a + (b - a) * F(k, 7) for k in range(1, 7)]
-            for point in points:
-                t = mpmath.mpf(point.numerator) / point.denominator
-                value, tq = integrand(t), _frac(t)
-                tol = F(1, 10**58) * max(1, 1 / abs(den(tq)))
-                assert abs(_frac(value) - exact(tq)) <= tol, (j, x, point)
+    for (integrand, a, b, _), (exact, den) in zip(integrals, references):
+        near = F(1, 10**41) * (1 if b > a else -1)
+        points = [a + near, b - near] + [a + (b - a) * F(k, 7) for k in range(1, 7)]
+        for point in points:
+            t = math.floor(point * (1 << BITS))
+            tq = F(t, 1 << BITS)
+            tol = F(1, 10**58) * max(1, 1 / abs(den(tq)))
+            assert abs(F(integrand(t), 1 << BITS) - exact(tq)) <= tol, (j, x, point)
 
 
 def test_fixed_quotient_at_negative_and_tiny_points():
     num, den = Poly([F(1, 3), 2, -5]), Poly([7, 0, F(1, 2), 1])
     integrand = cli._fixed_quotient(num, den, 240)
-    with mpmath.workprec(223):
-        for point in (F(-3, 4), F(-1, 10**41), F(0), F(1, 10**41), F(5, 2)):
-            t = mpmath.mpf(point.numerator) / point.denominator
-            tq = _frac(t)
-            assert abs(_frac(integrand(t)) - num(tq) / den(tq)) <= F(1, 10**60), point
+    for point in (F(-3, 4), F(-1, 10**41), F(0), F(1, 10**41), F(5, 2)):
+        t = math.floor(point * (1 << 240))
+        tq = F(t, 1 << 240)
+        assert abs(F(integrand(t), 1 << 240) - num(tq) / den(tq)) <= F(1, 10**60), point
+
+
+@pytest.mark.parametrize("j, x", [(1, F(1, 16)), (1, F(-1, 50)), (1, F(26, 256)),
+                                  (1, F(-26, 256)), (1, F(1, 1000)), (1, F(1, 11)),
+                                  (2, F(1, 16)), (3, F(1, 16)), (4, F(1, 16))])
+def test_quadratures_match_mpmath_quad(monkeypatch, j, x):
+    """Each of the cross-check integrals takes as many evaluations as
+    mpmath.quad at 60 digits takes of the same integrand, read through mpf
+    nodes, and its value is within 1e-58 of mpmath's."""
+    for integrand, a, b, result in _captured_integrals(monkeypatch, j, x):
+        count = 0
+
+        def f(t):
+            nonlocal count
+            count += 1
+            fixed = integrand(int(mpmath.floor(mpmath.ldexp(t, BITS))))
+            return mpmath.ldexp(fixed, -BITS)
+
+        with mpmath.workdps(60):
+            value = mpmath.quad(f, [mpmath.mpf(a.numerator) / a.denominator,
+                                    mpmath.mpf(b.numerator) / b.denominator])
+            assert count == result.evaluations, (j, x)
+            assert abs(result.value - F(*mpmath.libmp.to_rational(value._mpf_))) <= \
+                F(1, 10**58), (j, x)
