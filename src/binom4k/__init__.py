@@ -16,7 +16,7 @@ from .exact import (
 )
 from .balls import Ball, QuadResult, const_log, const_pi, const_sqrt, quad_integrate
 from .series import SeriesSpec, harmonic, sum_series
-from .genfunc import PointContext, TruncSeries, coeffs_f, eval_f, point_context
+from .genfunc import PointContext, eval_f, point_context
 from .catalog import (
     ClosedForm,
     IdentityEntry,

@@ -3,13 +3,13 @@
 Univariate polynomials over the rationals, Sturm-sequence real-root
 counting, algebraic reals given by a defining polynomial plus an isolating
 interval, single-generator number fields Q[t]/(p(t)) with a distinguished
-real embedding, and rational functions over Q.
+real embedding, rational functions over Q, and `ZFrac`: rational functions
+of z over (1 - z)^a (1 - mz)^b, with theta = x d/dx for x = z (1 - z)^(m-1).
 
-A polynomial over Q is integer numerators over one denominator
-(`IntCoeffs`, which `genfunc.TruncSeries` shares), and its arithmetic runs
-on integer kernels: one Kronecker big-integer product (`_mul_nums`, which
-also multiplies truncated series), pseudo-division, a primitive remainder
-sequence for the gcd and homogeneous Horner for evaluation.
+A polynomial over Q is integer numerators over one denominator, and its
+arithmetic runs on integer kernels: one Kronecker big-integer product
+(`_mul_nums`), pseudo-division, a primitive remainder sequence for the gcd
+and homogeneous Horner for evaluation.
 
 Number-field elements and the rational functions over Q reach the same
 kernels through their polynomials over Q.  A polynomial with coefficients
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
 from typing import Iterable, Iterator, Optional, Sequence
 
 
@@ -54,8 +55,8 @@ Ival = tuple[Fraction, Fraction]  # a rational interval (lo, hi)
 
 
 class Value:
-    """Base of the immutable algebraic values: `Poly`, `genfunc.TruncSeries`,
-    `NFElem`, `RatFunc` and `balls.Ball`.  A subclass defines `+`, unary `-`,
+    """Base of the immutable algebraic values: `Poly`, `NFElem`, `RatFunc`,
+    `ZFrac` and `balls.Ball`.  A subclass defines `+`, unary `-`,
     `*`, `inverse()` and `_coerce(x)`, which returns x lifted to the
     subclass when x is one already or an int or Fraction, else NotImplemented;
     the reflected operators, `-`, `/` and `**` follow here from those."""
@@ -109,13 +110,13 @@ class Value:
 # integer polynomial kernels (ascending coefficient sequences)
 
 
-def _mul_nums(a, b, n: int) -> list:
-    """Coefficients 0..n-1 of the product of two nonempty integer polynomials,
+def _mul_nums(a, b) -> list:
+    """The coefficients of the product of two nonempty integer polynomials,
     from one big-integer product.
 
     Kronecker substitution: an operand becomes sum_i a_i 2^(w i).  Each
-    coefficient c_k (k < n) of the product is a sum of at most
-    m = min(len a, len b, n) terms, so |c_k| <= m max|a| max|b| < 2^(w-1) for
+    coefficient c_k of the product is a sum of at most m = min(len a, len b)
+    terms, so |c_k| <= m max|a| max|b| < 2^(w-1) for
     w = bits(max|a|) + bits(max|b|) + bits(m) + 1, and slot k of the product
     holds c_k in w-bit two's complement, less the borrow of the slots below.
     A constant operand scales the other one instead.
@@ -123,19 +124,17 @@ def _mul_nums(a, b, n: int) -> list:
     if len(a) > len(b):
         a, b = b, a
     if len(a) == 1:
-        return [a[0] * c for c in b[:n]]
-    a, b = a[:n], b[:n]
-    m = len(a)
-    w = max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length() + m.bit_length() + 1
+        return [a[0] * c for c in b]
+    w = max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length() + len(a).bit_length() + 1
     A = B = 0
     for c in reversed(a):
         A = (A << w) + c
     for c in reversed(b):
         B = (B << w) + c
-    C = (A * B) & ((1 << (w * n)) - 1)
+    C = A * B
     mask, half = (1 << w) - 1, 1 << (w - 1)
     out = []
-    for _ in range(n):
+    for _ in range(len(a) + len(b) - 1):
         c = C & mask
         if c >= half:
             c -= 1 << w
@@ -190,12 +189,15 @@ def _horner(ints: Sequence[int], n: int, d: int) -> int:
 # polynomials
 
 
-class IntCoeffs(Value):
-    """A finite sequence of rationals stored as integer numerators `nums` over
-    one positive denominator `den`, reduced so that gcd(den, *nums) = 1: equal
-    sequences have equal (nums, den), and arithmetic runs on integers.  The
-    common representation of `Poly` and `genfunc.TruncSeries`, and their shared
-    zero test, negation, scalar product and derivative."""
+class Poly(Value):
+    """Dense univariate polynomial over Q, coefficients in ascending degree order.
+
+    Stored as integer numerators `nums` over one positive denominator `den`,
+    reduced so that gcd(den, *nums) = 1 and with no trailing zero: equal
+    polynomials have equal (nums, den), and arithmetic runs on integers.  The
+    zero polynomial has no coefficients; its degree is -1, standing in for
+    "minus infinity" in divrem logic.
+    """
 
     __slots__ = ("nums", "den")
 
@@ -208,6 +210,8 @@ class IntCoeffs(Value):
         self._store([c.numerator * (den // c.denominator) for c in cs], den)
 
     def _store(self, nums, den: int) -> None:
+        while nums and not nums[-1]:
+            nums = nums[:-1]
         if den < 0:
             nums, den = [-c for c in nums], -den
         g = math.gcd(den, *nums)
@@ -215,52 +219,12 @@ class IntCoeffs(Value):
             nums, den = [c // g for c in nums], den // g
         self._set(nums=tuple(nums), den=den)
 
-    @classmethod
-    def _make(cls, nums, den: int):
-        """The value with coefficients nums/den, for integers nums, den != 0."""
-        p = object.__new__(cls)
+    @staticmethod
+    def _make(nums, den: int) -> "Poly":
+        """The polynomial with coefficients nums/den, for integers nums, den != 0."""
+        p = object.__new__(Poly)
         p._store(nums, den)
         return p
-
-    @property
-    def coeffs(self) -> tuple:
-        return tuple(Fraction(c, self.den) for c in self.nums)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return self.nums == other.nums and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.nums, self.den))
-
-    def is_zero(self) -> bool:
-        return not any(self.nums)
-
-    def __neg__(self):
-        return self._make([-c for c in self.nums], self.den)
-
-    def scale(self, c):  # by an int or Fraction
-        return self._make([x * c.numerator for x in self.nums], self.den * c.denominator)
-
-    def derivative(self):
-        return self._make([i * c for i, c in enumerate(self.nums)][1:] or [0], self.den)
-
-
-class Poly(IntCoeffs):
-    """Dense univariate polynomial over Q, coefficients in ascending degree order.
-
-    Stored as `IntCoeffs` with no trailing zero, so equal polynomials have
-    equal (nums, den).  The zero polynomial has no coefficients; its degree
-    is -1, standing in for "minus infinity" in divrem logic.
-    """
-
-    __slots__ = ()
-
-    def _store(self, nums, den: int) -> None:
-        while nums and not nums[-1]:
-            nums = nums[:-1]
-        IntCoeffs._store(self, nums, den)
 
     # -- basic structure ----------------------------------------------------
 
@@ -277,6 +241,21 @@ class Poly(IntCoeffs):
         if not 0 <= i <= self.degree:
             return Fraction(0)
         return Fraction(self.nums[i], self.den)
+
+    @property
+    def coeffs(self) -> tuple:
+        return tuple(Fraction(c, self.den) for c in self.nums)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Poly):
+            return NotImplemented
+        return self.nums == other.nums and self.den == other.den
+
+    def __hash__(self):
+        return hash((self.nums, self.den))
+
+    def is_zero(self) -> bool:
+        return not self.nums
 
     # -- ring operations ----------------------------------------------------
 
@@ -302,6 +281,9 @@ class Poly(IntCoeffs):
             out[i] += c * sb
         return Poly._make(out, den)
 
+    def __neg__(self) -> "Poly":
+        return Poly._make([-c for c in self.nums], self.den)
+
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
@@ -309,8 +291,10 @@ class Poly(IntCoeffs):
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return Poly()
-        a, b = self.nums, other.nums
-        return Poly._make(_mul_nums(a, b, len(a) + len(b) - 1), self.den * other.den)
+        return Poly._make(_mul_nums(self.nums, other.nums), self.den * other.den)
+
+    def scale(self, c) -> "Poly":  # by an int or Fraction
+        return Poly._make([x * c.numerator for x in self.nums], self.den * c.denominator)
 
     def inverse(self) -> "Poly":
         if self.degree != 0:
@@ -333,6 +317,9 @@ class Poly(IntCoeffs):
 
     def __mod__(self, other: "Poly") -> "Poly":
         return self.divrem(other)[1]
+
+    def derivative(self) -> "Poly":
+        return Poly._make([i * c for i, c in enumerate(self.nums)][1:], self.den)
 
     def monic(self) -> "Poly":
         return self if self.is_zero() else Poly._make(self.nums, self.nums[-1])
@@ -818,3 +805,86 @@ class RatFunc(Value):
         if self.den == Poly([1]):
             return f"RatFunc({self.num.pretty()})"
         return f"RatFunc(({self.num.pretty()}) / ({self.den.pretty()}))"
+
+
+# ---------------------------------------------------------------------------
+# rational functions of z over (1 - z)^a (1 - mz)^b
+
+
+@cache
+def _power(c: int, e: int) -> Poly:
+    """(1 - cz)^e; the checks of `genfunc` ask for 26 (c <= 5, e <= 10)."""
+    return Poly([1, -c]) ** e
+
+
+class ZFrac(Value):
+    """N(z) / ((1 - z)^a (1 - mz)^b) in Q(z), a, b >= 0: a generating function
+    of x under x = z (1 - z)^(m-1).
+
+    The denominator is 1 at z = 0 and z(x) = x + O(x^2) is a power series,
+    so an identity between these values is one between power series in x,
+    and the lowest power of z in N is the order of the value in x.  Not
+    reduced: a value is zero iff N is.
+    """
+
+    __slots__ = ("m", "num", "a", "b")
+
+    def __init__(self, m: int, num: Poly, a: int = 0, b: int = 0):
+        if a < 0 or b < 0:  # a negative exponent is a factor of the numerator
+            num, a, b = num * _power(1, max(-a, 0)) * _power(m, max(-b, 0)), max(a, 0), max(b, 0)
+        self._set(m=m, num=num, a=a, b=b)
+
+    def _coerce(self, x):
+        if isinstance(x, ZFrac):
+            return x
+        if isinstance(x, (int, Fraction)):
+            return ZFrac(self.m, Poly._coerce(x))
+        return NotImplemented
+
+    def __eq__(self, other) -> bool:
+        o = self._coerce(other)
+        return o if o is NotImplemented else (self - o).num.is_zero()
+
+    def _over(self, a: int, b: int) -> Poly:  # the numerator over (1-z)^a (1-mz)^b
+        return self.num * _power(1, a - self.a) * _power(self.m, b - self.b)
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return o
+        a, b = max(self.a, o.a), max(self.b, o.b)
+        return ZFrac(self.m, self._over(a, b) + o._over(a, b), a, b)
+
+    def __neg__(self):
+        return ZFrac(self.m, -self.num, self.a, self.b)
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return o
+        return ZFrac(self.m, self.num * o.num, self.a + o.a, self.b + o.b)
+
+    def inverse(self) -> "ZFrac":
+        """Defined when N is c (1 - z)^i (1 - mz)^j with c != 0."""
+        n, exps = self.num, [0, 0]
+        for i, c in enumerate((1, self.m)):
+            while not n.is_zero() and n(Fraction(1, c)) == 0:
+                n, exps[i] = n // _power(c, 1), exps[i] + 1
+        if n.degree != 0:
+            raise ZeroDivisionError(f"{self.num.pretty('z')} is not c (1-z)^i (1-{self.m}z)^j")
+        return ZFrac(self.m, n.inverse(), exps[0] - self.a, exps[1] - self.b)
+
+    def _dz(self) -> Poly:
+        """N'(1 - z)(1 - mz) + a N (1 - mz) + b m N (1 - z), the numerator of
+        d/dz over (1 - z)^(a+1) (1 - mz)^(b+1)."""
+        m, a, b = self.m, self.a, self.b
+        return (self.num.derivative() * Poly([1, -m - 1, m])
+                + self.num * Poly([a + b * m, -m * (a + b)]))
+
+    def theta(self) -> "ZFrac":
+        """x d/dx = z (1 - z)/(1 - mz) d/dz."""
+        return ZFrac(self.m, Poly([0, 1]) * self._dz(), self.a, self.b + 2)
+
+    def d_dx(self) -> "ZFrac":
+        """d/dx = theta/x, dx/dz being (1 - z)^(m-2) (1 - mz)."""
+        return ZFrac(self.m, self._dz(), self.a + self.m - 1, self.b + 2)

@@ -1,12 +1,17 @@
-"""Truncated formal power series over Q and the exact algebraic facts about
+"""The exact algebraic facts about
 
     f(x)   = sum_k C(4k,k) x^k            (|x| < 27/256)
     G_m(x) = sum_k C(mk,k)/((m-1)k+1) x^k (the generalized binomial series)
 
-verified coefficient-by-coefficient: the quartic functional equation of f,
+each checked as an identity in Q(z): the quartic functional equation of f,
 the G_m equation G = 1 + x G^m, the log formulas, the closed forms of f' and
-f'', Lagrange inversion for powers of G_m; and the number fields Q(f(x0)),
-each cut out by the same quartic relation of f.
+f'', Lagrange inversion for powers of G_m.  Under x = z (1 - z)^(m-1),
+G_m = 1/(1 - z) and sum_k C(mk,k) x^k = 1/(1 - mz), so f = 1/(1 - 4z)
+(Graham, Knuth & Patashnik, Concrete Mathematics, 2nd ed., 5.4).  A closed
+form y is tied to its coefficients by their recurrence p(k) c_{k+1} =
+q(k) c_k, as the identity p(theta)[(y - c_0)/x] = q(theta) y with
+theta = x d/dx.  Also the number fields Q(f(x0)), each cut out by the same
+quartic relation of f.
 """
 
 from __future__ import annotations
@@ -16,125 +21,46 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from . import series
 from .balls import Ball
-from .exact import (AlgebraicReal, IntCoeffs, NFElem, NumberField, Poly, _mul_nums,
-                    _rational_roots, sqrt_in_field)
+from .exact import AlgebraicReal, NFElem, NumberField, Poly, ZFrac, _rational_roots, sqrt_in_field
 from .series import RADIUS, SeriesSpec, sum_series
 
 
-class TruncSeries(IntCoeffs):
-    """Formal power series truncated at a fixed order, exact coefficients.
-
-    Stored as `exact.IntCoeffs`, integer numerators over one reduced
-    denominator: equal series have equal representations, and a product is
-    one big-integer product of the numerators (`exact._mul_nums`).
-    """
-
-    __slots__ = ()
-
-    def __init__(self, coeffs):
-        cs = list(coeffs)
-        if not cs:
-            raise ValueError("a truncated series needs at least order 0")
-        super().__init__(cs)
-
-    @property
-    def order(self) -> int:
-        return len(self.nums) - 1
-
-    def __getitem__(self, k: int) -> Fraction:
-        return Fraction(self.nums[k], self.den)
-
-    def truncate(self, K: int) -> "TruncSeries":
-        if K >= self.order:
-            return self
-        return TruncSeries._make(self.nums[: K + 1], self.den)
-
-    @staticmethod
-    def constant(c, K: int) -> "TruncSeries":
-        return TruncSeries((c,) + (0,) * K)
-
-    # -- ring operations (exact through the common order) --------------------
-
-    def _coerce(self, x):
-        if isinstance(x, TruncSeries):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return TruncSeries.constant(x, self.order)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return other
-        den = math.lcm(self.den, other.den)
-        sa, sb = den // self.den, den // other.den
-        return TruncSeries._make([a * sa + b * sb for a, b in zip(self.nums, other.nums)], den)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if not isinstance(other, TruncSeries):
-            return NotImplemented
-        n = min(len(self.nums), len(other.nums))
-        return TruncSeries._make(_mul_nums(self.nums, other.nums, n), self.den * other.den)
-
-    def inverse(self) -> "TruncSeries":
-        """1/self through self.order by Newton's iteration g <- g (2 - self g),
-        which doubles the number of correct coefficients of g at each step."""
-        if self.nums[0] == 0:
-            raise ZeroDivisionError("inverse of a series with zero constant term")
-        g = TruncSeries([Fraction(self.den, self.nums[0])])
-        n = 1
-        while n <= self.order:
-            n = min(2 * n, self.order + 1)
-            g = TruncSeries._make(g.nums + (0,) * (n - len(g.nums)), g.den)
-            g = g * (2 - self.truncate(n - 1) * g)
-        return g
-
-    def shift_x(self) -> "TruncSeries":
-        """Multiply by x, keeping the order."""
-        return TruncSeries._make((0,) + self.nums[:-1], self.den)
-
-    def integrate(self) -> "TruncSeries":
-        L = math.lcm(*range(1, len(self.nums) + 1))
-        return TruncSeries._make([0] + [c * (L // (i + 1)) for i, c in enumerate(self.nums)],
-                                 self.den * L)
-
-    def log(self) -> "TruncSeries":
-        """log of a series with constant term 1, via integrating f'/f."""
-        if self[0] != 1:
-            raise ValueError("log needs constant term 1")
-        if self.order == 0:
-            return TruncSeries([0])
-        q = self.derivative() / self.truncate(self.order - 1)
-        return q.integrate()
-
-    def first_nonzero(self) -> Optional[int]:
-        return next((i for i, c in enumerate(self.nums) if c), None)
-
-    def __repr__(self):
-        head = ", ".join(str(self[i]) for i in range(min(len(self.nums), 6)))
-        tail = ", ..." if self.order > 5 else ""
-        return f"TruncSeries([{head}{tail}], order={self.order})"
+def _param(m: int) -> tuple[ZFrac, ZFrac, ZFrac]:
+    """x = z (1 - z)^(m-1), G_m = 1/(1 - z) and sum_k C(mk,k) x^k = 1/(1 - mz)."""
+    return ZFrac(m, Poly([0, 1]), 1 - m), ZFrac(m, Poly([1]), 1), ZFrac(m, Poly([1]), 0, 1)
 
 
-# ---------------------------------------------------------------------------
-# the concrete series
+def _apply(p: Poly, y: ZFrac) -> ZFrac:
+    """p(theta) y, by Horner's rule in theta."""
+    *rest, lead = p.coeffs
+    acc = y * lead
+    for c in reversed(rest):
+        acc = acc.theta() + y * c if c else acc.theta()
+    return acc
 
 
-def coeffs_f(K: int) -> TruncSeries:
-    """Truncation of sum_k C(4k,k) x^k."""
-    if K < 0:
-        raise ValueError("order must be >= 0")
-    return TruncSeries([math.comb(4 * k, k) for k in range(K + 1)])
+def _recurrence(y: ZFrac, c0, step) -> tuple:
+    """The identity p(theta)[(y - c0)/x] = q(theta) y for (q, p) = step(k), the
+    ratio c_{k+1}/c_k in k: it says p(k) c_{k+1} = q(k) c_k for the
+    coefficients c_k of y, and with y(0) = c0 and p(k) > 0 for k >= 0 it
+    fixes every c_k (Petkovsek, Wilf & Zeilberger, A = B, 1996)."""
+    q, p = step(Poly([0, 1]))
+    if not all(c > 0 for c in p.nums):  # positive coefficients: p(k) > 0 for k >= 0
+        raise ValueError(f"recurrence: p(k) = {p.pretty('k')} may vanish at some k >= 0")
+    u = y - c0
+    if u.num[0]:
+        raise ValueError(f"recurrence: y(0) - c_0 = {u.num[0]} does not vanish")
+    u_over_x = ZFrac(y.m, Poly._make(u.num.nums[1:], u.num.den), u.a + y.m - 1, u.b)
+    return "recurrence", _apply(p, u_over_x), _apply(q, y)
 
 
-def gm_series(m: int, K: int) -> TruncSeries:
-    """Truncation of G_m(x) = sum_k C(mk,k)/((m-1)k+1) x^k."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    return TruncSeries([Fraction(math.comb(m * k, k), (m - 1) * k + 1) for k in range(K + 1)])
+def _lagrange_step(m: int, n: int, k):
+    """c_{k+1}/c_k for c_k = [x^k] G_m^n = n/(mk+n) C(mk+n, k), as
+    (numerator, denominator)."""
+    return (math.prod(m * k + n + i for i in range(m)),
+            (k + 1) * math.prod((m - 1) * k + n + i for i in range(1, m)))
 
 
 @dataclass(frozen=True)
@@ -154,8 +80,16 @@ def zero_check(residual, witness=repr) -> CheckOutcome:
     return CheckOutcome(False, witness(residual))
 
 
-def _first_nonzero(residual: TruncSeries) -> CheckOutcome:
-    return zero_check(residual, lambda r: f"first nonzero order {r.first_nonzero()}")
+def _verdict(m: int, *identities) -> CheckOutcome:
+    """Pass iff each (name, lhs, rhs) is an identity in Q(z), else fail with
+    the name of the first that is not and the order in x of its residual."""
+    for name, lhs, rhs in identities:
+        r = (lhs - rhs).num
+        if not r.is_zero():
+            order = next(i for i, c in enumerate(r.nums) if c)
+            return CheckOutcome(False, f"{name} residual nonzero from order {order}")
+    power = {1: "", 2: "(1-z)"}.get(m, f"(1-z)^{m - 1}")
+    return CheckOutcome(True, note=f"in Q(z), x = z{power}")
 
 
 # f's relation (27 - 256x) f^4 - 18 f^2 - 8 f - 1 = 0: the coefficient of f^i
@@ -169,47 +103,47 @@ def relation_at(x0) -> Poly:
     return Poly([a + b * x0 for a, b in F_RELATION])
 
 
-def check_quartic_f(K: int, f: Optional[TruncSeries] = None) -> CheckOutcome:
-    """Residual of f's relation, sum_i (a_i + b_i x) f^i, through order K."""
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    if f is None:
-        f = coeffs_f(K)
-    powers = [TruncSeries.constant(1, f.order), f]
-    while len(powers) < len(F_RELATION):
-        powers.append(powers[-1] * f)
-    return _first_nonzero(sum((a * p + b * p.shift_x() for (a, b), p in zip(F_RELATION, powers)),
-                              0 * f))
+def check_quartic_f() -> CheckOutcome:
+    """f's relation sum_i (a_i + b_i x) f^i = 0, and f's recurrence, whose
+    ratio `series._rho` is the one the series engine steps by."""
+    x, _, f = _param(4)
+    relation = sum((a + b * x) * f**i for i, (a, b) in enumerate(F_RELATION))
+    return _verdict(4, ("relation", relation, 0), _recurrence(f, 1, series._rho))
 
 
-def check_gm(m: int, K: int) -> CheckOutcome:
-    """Residual of G_m - 1 - x G_m^m through order K."""
-    if m < 1 or K < 1:
-        raise ValueError("need m >= 1 and K >= 1")
-    G = gm_series(m, K)
-    return _first_nonzero(G - 1 - (G**m).shift_x())
+def check_gm(m: int) -> CheckOutcome:
+    """G_m = 1 + x G_m^m, and G_m's recurrence."""
+    if m < 1:
+        raise ValueError("need m >= 1")
+    x, G, _ = _param(m)
+    return _verdict(m, ("equation", G, 1 + x * G**m),
+                    _recurrence(G, 1, lambda k: _lagrange_step(m, 1, k)))
 
 
-def check_log_gm(m: int, K: int) -> CheckOutcome:
-    """Coefficient k of m log G_m must equal C(mk,k)/k."""
-    if m < 1 or K < 1:
-        raise ValueError("need m >= 1 and K >= 1")
-    expected = TruncSeries([0] + [Fraction(math.comb(m * k, k), k) for k in range(1, K + 1)])
-    return _first_nonzero(m * gm_series(m, K).log() - expected)
+def check_log_gm(m: int) -> CheckOutcome:
+    """Coefficient k of m log G_m is C(mk,k)/k = ((m-1)k+1) c_k/k, c_k that of
+    G_m: theta of both sides, m theta(G)/G = ((m-1) theta + 1) G - 1, both
+    vanishing at x = 0; and G_m's recurrence."""
+    if m < 1:
+        raise ValueError("need m >= 1")
+    G = _param(m)[1]
+    dG = G.theta()
+    return _verdict(m, ("log", m * dG / G, (m - 1) * dG + G - 1),
+                    _recurrence(G, 1, lambda k: _lagrange_step(m, 1, k)))
 
 
-def check_f_log(K: int) -> CheckOutcome:
-    """Coefficient k of 4 log(4f/(3f+1)) must equal C(4k,k)/k."""
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    f = coeffs_f(K)
-    expected = TruncSeries([0] + [Fraction(math.comb(4 * k, k), k) for k in range(1, K + 1)])
-    return _first_nonzero(4 * ((4 * f) / (3 * f + 1)).log() - expected)
+def check_f_log() -> CheckOutcome:
+    """Coefficient k of 4 log(4f/(3f+1)) is C(4k,k)/k: theta of both sides,
+    4 theta(w)/w = f - 1 with w = 4f/(3f+1), both vanishing at x = 0; and
+    f's recurrence."""
+    f = _param(4)[2]
+    w = 4 * f / (3 * f + 1)
+    return _verdict(4, ("log", 4 * w.theta() / w, f - 1), _recurrence(f, 1, series._rho))
 
 
 def f_prime(f):
     """f' as a function of f: 64 f^5/(3f+1)^2, for f in any ring with division
-    (a series, a number-field element, a rational function)."""
+    (a number-field element, a rational function, an `exact.ZFrac`)."""
     return 64 * f**5 / (3 * f + 1) ** 2
 
 
@@ -218,26 +152,21 @@ def f_second(f):
     return 4096 * f**9 * (9 * f + 5) / (3 * f + 1) ** 5
 
 
-def check_derivatives_f(K: int) -> CheckOutcome:
-    """Termwise f' vs f_prime(f) (order K-1), then f'' vs f_second(f) (order K-2)."""
-    if K < 2:
-        raise ValueError("K must be >= 2")
-    f = coeffs_f(K)
-    d1 = f.derivative()
-    r1 = d1 - f_prime(f).truncate(K - 1)
-    if not r1.is_zero():
-        return _first_nonzero(r1)
-    return _first_nonzero(d1.derivative() - f_second(f).truncate(K - 2))
+def check_derivatives_f() -> CheckOutcome:
+    """f' = f_prime(f) and f'' = f_second(f), and f's recurrence."""
+    f = _param(4)[2]
+    d1 = f.d_dx()
+    return _verdict(4, ("f'", d1, f_prime(f)), ("f''", d1.d_dx(), f_second(f)),
+                    _recurrence(f, 1, series._rho))
 
 
-def check_lagrange(m: int, n: int, K: int) -> CheckOutcome:
-    """Coefficient k of G_m^n must equal (n/k) C(mk+n-1, k-1) for 1 <= k <= K,
-    and coefficient 0 must be 1."""
+def check_lagrange(m: int, n: int) -> CheckOutcome:
+    """Coefficient k of G_m^n is (n/k) C(mk+n-1, k-1) = n/(mk+n) C(mk+n, k)
+    for k >= 1, and coefficient 0 is 1: the recurrence of G^n, G = 1/(1 - z)
+    (that G is G_m is `check_gm`)."""
     if m < 1 or n < 1:
         raise ValueError("need m >= 1 and n >= 1")
-    expected = TruncSeries([1] + [Fraction(n, k) * math.comb(m * k + n - 1, k - 1)
-                                  for k in range(1, K + 1)])
-    return _first_nonzero(gm_series(m, K) ** n - expected)
+    return _verdict(m, _recurrence(_param(m)[1] ** n, 1, lambda k: _lagrange_step(m, n, k)))
 
 
 # ---------------------------------------------------------------------------

@@ -66,3 +66,26 @@ def test_ball_methods_exist():
     assert {"lo_fraction", "hi_fraction", "radius", "decimal"} <= called
     for name in sorted(called):
         assert hasattr(Ball, name), f"Ball.{name}"
+
+
+def test_genfunc_checks_are_called_once_per_check(monkeypatch):
+    """The tracer's `genfunc.checks_s` is the self time of the six
+    `genfunc.check_*` names it wraps, so the exact suite must call them, one
+    call per check and 20 `check_lagrange` calls inside `lagrange`; a check
+    inlined into `proofs` would drop out of that metric."""
+    from binom4k import genfunc, proofs
+
+    names = _load_tracing().GENFUNC_CHECKS
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        leaf = name.split(".", 1)[1]
+
+        def counted(*args, _name=name, _original=getattr(genfunc, leaf)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(genfunc, leaf, counted)
+    checks = proofs.run_exact_checks()
+    assert len(checks) == 46 and all(c.passed for c in checks)
+    assert calls == {"genfunc.check_quartic_f": 1, "genfunc.check_gm": 5,
+                     "genfunc.check_log_gm": 5, "genfunc.check_f_log": 1,
+                     "genfunc.check_derivatives_f": 1, "genfunc.check_lagrange": 20}

@@ -601,7 +601,7 @@ def test_data_derived_outputs_pinned(capsys):
         "589b8fd32477ea40928d0dd8ca1b75645e673125b1bd2adbb709bf8bceff1667"
     assert main(["exact-checks", "--format", "json"]) == 0
     assert sha(capsys.readouterr().out) == \
-        "d65366f2b8f7921c64fe85cb272a21d7b8c63ed621cf2c8721561a93db26615e"
+        "4f151fefa034b64c6586dc312a477ea4c17c8b532e36030c879fb9d15332ccfc"
     assert main(["catalog", "list"]) == 0
     assert sha(capsys.readouterr().out) == \
         "3ace5728a45573357bd616bb756029cd9b950f5a25cd2e5d3e9e8562de96d65e"

@@ -18,9 +18,9 @@ from binom4k.exact import (
     _rational_roots,
     count_roots,
     is_irreducible,
+    ZFrac,
     sqrt_in_field,
 )
-from binom4k.genfunc import TruncSeries
 
 ALPHA_CUBIC = Poly([-1, -7, -11, 11])
 
@@ -403,11 +403,11 @@ _K = NumberField(ALPHA_CUBIC, (F(1), F(2)))
 
 @pytest.mark.parametrize("a, b, field", [
     (Poly([1, 2, F(1, 3)]), Poly([F(-3, 2)]), False),
-    (TruncSeries([1, 2, F(1, 3), -4]), TruncSeries([2, -1, 5, F(1, 7)]), True),
     (3 * _K.gen() ** 2 - _K.gen() + 7, _K.gen() + 2, True),
     (RatFunc(Poly([1, 0, 1]), Poly([-3, 1])), RatFunc(Poly([2, 1]), Poly([1, 0, 1])), True),
+    (ZFrac(4, Poly([3, -12]), 2), ZFrac(4, Poly([2, -2]), 0, 1), True),
     (Ball(F(1, 2), 2, 64), Ball(-4, F(-1, 4), 64), True),
-], ids=["Poly", "TruncSeries", "NFElem", "RatFunc", "Ball"])
+], ids=["Poly", "NFElem", "RatFunc", "ZFrac", "Ball"])
 def test_derived_operators(a, b, field):
     """-, /, ** and the reflected operators that `exact.Value` derives agree
     with +, unary -, * and inverse() (a Ball compared by its endpoints, its
@@ -431,11 +431,11 @@ def test_derived_operators(a, b, field):
 
 def test_power_starts_at_the_lowest_set_bit(monkeypatch):
     """x ** 4 is two squarings, with no product by one."""
-    import binom4k.genfunc as genfunc
+    import binom4k.exact as exact
 
-    calls, kernel = [], genfunc._mul_nums
-    monkeypatch.setattr(genfunc, "_mul_nums", lambda *a: calls.append(a) or kernel(*a))
-    x = TruncSeries([1, 2, F(1, 3), -4])
+    calls, kernel = [], exact._mul_nums
+    monkeypatch.setattr(exact, "_mul_nums", lambda *a: calls.append(a) or kernel(*a))
+    x = Poly([1, 2, F(1, 3), -4])
     assert x ** 4 == x * x * x * x
     calls.clear()
     x ** 4
@@ -445,25 +445,24 @@ def test_power_starts_at_the_lowest_set_bit(monkeypatch):
 @pytest.mark.parametrize("x, one", [
     (Poly([1, 2, F(1, 3)]), Poly([1])),
     (Poly([]), Poly([1])),
-    (TruncSeries([1, 2, F(1, 3), -4]), TruncSeries.constant(1, 3)),
     (3 * _K.gen() ** 2 - _K.gen() + 7, _K.one()),
     (RatFunc(Poly([1, 0, 1]), Poly([-3, 1])), RatFunc(Poly([1]))),
-], ids=["Poly", "zero-Poly", "TruncSeries", "NFElem", "RatFunc"])
+    (ZFrac(4, Poly([1, 2, F(1, 3), -4]), 1, 2), ZFrac(4, Poly([1]))),
+], ids=["Poly", "zero-Poly", "NFElem", "RatFunc", "ZFrac"])
 def test_zeroth_power_is_one(x, one):
     assert x ** 0 == one
 
 
-def test_shared_ring_operations_of_poly_and_truncseries():
-    """Zero test, negation, scalar product and derivative come from
-    `IntCoeffs`: a series keeps its order, a polynomial drops trailing zeros."""
+def test_scalar_ring_operations_of_poly():
+    """Zero test, negation, scalar product and derivative; a polynomial drops
+    trailing zeros."""
     cs = [F(1, 2), 3, 0, F(-5, 7)]
-    p, s = Poly(cs), TruncSeries(cs)
-    assert (-p).coeffs == (-s).coeffs == tuple(-c for c in cs)
-    assert p.scale(F(2, 3)).coeffs == s.scale(F(2, 3)).coeffs == (s * F(2, 3)).coeffs
-    assert p.derivative().coeffs == s.derivative().coeffs == (3, 0, F(-15, 7))
-    assert Poly([4]).derivative() == Poly() and TruncSeries([4]).derivative() == TruncSeries([0])
-    assert p.scale(0).is_zero() and s.scale(0).is_zero() and s.scale(0).order == 3
-    assert not p.is_zero() and not s.is_zero()
+    p = Poly(cs)
+    assert (-p).coeffs == tuple(-c for c in cs)
+    assert p.scale(F(2, 3)).coeffs == (p * F(2, 3)).coeffs == tuple(F(2, 3) * c for c in cs)
+    assert p.derivative().coeffs == (3, 0, F(-15, 7))
+    assert Poly([4]).derivative() == Poly() and Poly(cs + [0, 0]) == p
+    assert p.scale(0).is_zero() and p.scale(0).degree == -1 and not p.is_zero()
 
 
 def test_rational_roots_of_products_of_linear_factors():

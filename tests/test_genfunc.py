@@ -1,5 +1,7 @@
-"""Generating-function facts: truncated series, functional equations,
-Lagrange inversion, the algebraic contexts, rigorous evaluation of f."""
+"""Generating-function facts: the identities in Q(z), the recurrences that
+tie closed forms to coefficients, Lagrange inversion, the algebraic
+contexts, rigorous evaluation of f; and the Kronecker product kernel of
+`Poly`."""
 
 import math
 import random
@@ -7,71 +9,47 @@ from fractions import Fraction as F
 
 import pytest
 
-from binom4k import genfunc
-from binom4k.exact import Poly, RatFunc, _mul_nums
+from binom4k import genfunc, series
+from binom4k.exact import Poly, RatFunc, ZFrac, _mul_nums
 from binom4k.genfunc import (
-    TruncSeries,
     check_derivatives_f,
     check_f_log,
     check_gm,
     check_lagrange,
     check_log_gm,
     check_quartic_f,
-    coeffs_f,
     eval_f,
     f_prime,
     f_second,
-    gm_series,
     point_context,
     relation_at,
 )
 
 
-class TestTruncSeries:
-    def test_mul_div_roundtrip(self):
-        rng = random.Random(3)
-        for _ in range(10):
-            a = TruncSeries([F(rng.randint(-9, 9)) for _ in range(12)])
-            b = TruncSeries([F(rng.randint(1, 9))] + [F(rng.randint(-9, 9)) for _ in range(11)])
-            assert (a * b) / b == a
-
-    def test_log_of_product(self):
-        rng = random.Random(5)
-        mk = lambda: TruncSeries([F(1)] + [F(rng.randint(-4, 4), rng.randint(1, 3))
-                                           for _ in range(10)])
-        a, b = mk(), mk()
-        lhs = (a * b).log()
-        rhs = a.log() + b.log()
-        assert lhs == rhs
-
-    def test_pow_binary_matches_repeated(self):
-        s = TruncSeries([1, 2, 3, 4, 5, 6])
-        assert s ** 5 == s * s * s * s * s
-
-    def test_derivative_integrate(self):
-        s = TruncSeries([3, 1, 4, 1, 5])
-        assert s.derivative().integrate() == TruncSeries([0, 1, 4, 1, 5])
-
-
 def _school_mul(a, b):
-    """Schoolbook Fraction product of two coefficient lists, through the
-    common order."""
-    n = min(len(a), len(b))
-    out = [F(0)] * n
-    for i in range(n):
-        for j in range(n - i):
-            out[i + j] += F(a[i]) * F(b[j])
+    """Schoolbook Fraction product of two coefficient lists."""
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += F(x) * F(y)
     return out
+
+
+def _trimmed(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
 
 
 def _school_div(a, b):
-    """a/b through the common order by the recurrence
-    q_n = (a_n - sum_{i<n} q_i b_{n-i}) / b_0."""
-    n = min(len(a), len(b))
-    out = []
-    for k in range(n):
-        out.append((F(a[k]) - sum(out[i] * b[k - i] for i in range(k))) / b[0])
-    return out
+    """Quotient of a by b, len(a) >= len(b), b[-1] != 0, by the long-division
+    recurrence q_k = (a_{k+d} - sum_{i<d} q_{k+d-i} b_i) / b_d, k from the top."""
+    d, q = len(b) - 1, [F(0)] * (len(a) - len(b) + 1)
+    for k in range(len(q) - 1, -1, -1):
+        top = sum(q[k + d - i] * b[i] for i in range(d) if k + d - i < len(q))
+        q[k] = (F(a[k + d]) - top) / b[d]
+    return q
 
 
 def _random_coeffs(rng, n, rational=False):
@@ -85,7 +63,7 @@ def _random_coeffs(rng, n, rational=False):
 
 
 class TestKernel:
-    """The integer kernel of TruncSeries against Fraction references."""
+    """The integer product kernel of Poly against Fraction references."""
 
     def test_random_products_match_schoolbook(self):
         rng = random.Random(8)
@@ -93,37 +71,22 @@ class TestKernel:
             n, m = rng.randint(1, 40), rng.randint(1, 40)
             a = _random_coeffs(rng, n, rational=rng.random() < 0.5)
             b = _random_coeffs(rng, m, rational=rng.random() < 0.5)
-            prod = TruncSeries(a) * TruncSeries(b)
-            assert prod.order == min(n, m) - 1
-            assert list(prod.coeffs) == _school_mul(a, b)
+            assert (Poly(a) * Poly(b)).coeffs == _trimmed(_school_mul(a, b))
 
     def test_zero_runs(self):
         a = [F(3, 7)] + [0] * 30 + [-(2**250)] + [0] * 20 + [F(1, 9)]
-        b = [0] * 25 + [2**200 + 1] + [0] * 27
-        for x, y in ((a, b), (b, a), (a, a), (b, b), (a, [0] * 53), ([0], [0])):
-            assert list((TruncSeries(x) * TruncSeries(y)).coeffs) == _school_mul(x, y)
-        zero = TruncSeries([0] * 12)
-        assert zero.is_zero() and zero.first_nonzero() is None
-        assert (zero * TruncSeries(a)).is_zero() and zero.den == 1
-        assert TruncSeries(b).first_nonzero() == 25
+        b = [0] * 25 + [2**200 + 1] + [0] * 27 + [5]
+        for x, y in ((a, b), (b, a), (a, a), (b, b)):
+            assert (Poly(x) * Poly(y)).coeffs == _trimmed(_school_mul(x, y))
+        zero = Poly([0] * 12)
+        assert zero.is_zero() and zero.nums == () and zero.den == 1
+        assert (zero * Poly(a)).is_zero() and (Poly(a) * zero).is_zero()
 
     def test_order_zero(self):
-        a, b = TruncSeries([F(-3, 4)]), TruncSeries([F(5, 6)])
+        a, b = Poly([F(-3, 4)]), Poly([F(5, 6)])
         assert (a * b).coeffs == (F(-5, 8),)
         assert (a / b).coeffs == (F(-9, 10),)
-        assert a.derivative() == TruncSeries([0])
-        assert a.integrate() == TruncSeries([0, F(-3, 4)])
-        assert TruncSeries([1]).log() == TruncSeries([0])
-
-    def test_common_order_truncates(self):
-        rng = random.Random(9)
-        long = _random_coeffs(rng, 30, rational=True)
-        short = [F(7, 3)] + _random_coeffs(rng, 5, rational=True)
-        for x, y in ((long, short), (short, long)):
-            assert list((TruncSeries(x) * TruncSeries(y)).coeffs) == _school_mul(x, y)
-            assert list((TruncSeries(x) + TruncSeries(y)).coeffs) == [
-                F(u) + F(v) for u, v in zip(x, y)]
-        assert list((TruncSeries(long) / TruncSeries(short)).coeffs) == _school_div(long, short)
+        assert a.derivative() == Poly() and _mul_nums([3], [1, -2, 0]) == [3, -6, 0]
 
     def test_products_at_the_slot_edge(self):
         """Coefficients of the largest magnitude of their bit length, whose
@@ -136,51 +99,51 @@ class TestKernel:
                 for a, b in (([sa * M] * n, [sb * N] * n),
                              ([sa * (-1)**i * M for i in range(n)], [sb * (-1)**i * N for i in range(n)]),
                              ([sa * 2**p] * n, [sb * 2**q] * n)):
-                    got = _mul_nums(a, b, n)
+                    got = _mul_nums(a, b)
                     assert got == _school_mul(a, b), (p, q, r, sa, sb)
                     assert all(isinstance(c, int) for c in got)
-                    assert (TruncSeries(a) * TruncSeries(b)).coeffs == tuple(_school_mul(a, b))
+                    assert (Poly(a) * Poly(b)).coeffs == _trimmed(_school_mul(a, b))
 
     def test_division_matches_recurrence_and_roundtrips(self):
         rng = random.Random(10)
         for _ in range(25):
             n = rng.randint(1, 34)
             a = _random_coeffs(rng, n, rational=True)
-            b = [F(rng.choice([-1, 1]) * rng.randint(1, 2**rng.randint(0, 80)), rng.randint(1, 99))]
-            b += _random_coeffs(rng, n - 1, rational=True)
-            q = TruncSeries(a) / TruncSeries(b)
-            assert list(q.coeffs) == _school_div(a, b)
-            assert q * TruncSeries(b) == TruncSeries(a)
-        with pytest.raises(ZeroDivisionError):
-            TruncSeries([1, 2]) / TruncSeries([0, 1])
+            b = _random_coeffs(rng, rng.randint(0, n - 1), rational=True)
+            lead = rng.choice([-1, 1]) * rng.randint(1, 2**rng.randint(0, 80))
+            b.append(F(lead, rng.randint(1, 99)))
+            q, r = Poly(a).divrem(Poly(b))
+            if len(a) >= len(b):
+                assert q.coeffs == _trimmed(_school_div(a, b))
+            assert q * Poly(b) + r == Poly(a) and r.degree < len(b) - 1
+            assert (Poly(a) * Poly(b)).divrem(Poly(b)) == (Poly(a), Poly())
 
     def test_canonical_form(self):
-        a, b = TruncSeries([F(1, 2), F(1, 3)]), TruncSeries([F(3, 6), F(2, 6)])
+        a, b = Poly([F(1, 2), F(1, 3)]), Poly([F(3, 6), F(2, 6), 0])
         assert a == b and hash(a) == hash(b)
         rng = random.Random(11)
-        s = TruncSeries(_random_coeffs(rng, 20, rational=True))
-        t = TruncSeries([F(5, 3)] + _random_coeffs(rng, 19, rational=True))
-        for u in (s * t / t, s * 12 / 12, (s + t) - t, -(-s), s * F(1, 3) * 3,
-                  s.integrate().derivative()):
+        s = Poly(_random_coeffs(rng, 20, rational=True))
+        t = Poly([F(5, 3)] + _random_coeffs(rng, 19, rational=True) + [1])
+        for u in ((s * t) // t, s * 12 / 12, (s + t) - t, -(-s), s * F(1, 3) * 3):
             assert u == s and hash(u) == hash(s)
             assert u.den > 0 and math.gcd(u.den, *u.nums) == 1
-        assert TruncSeries([4, 6]).nums == (4, 6) and (TruncSeries([4, 6]) / 2).nums == (2, 3)
-        assert s != s.truncate(18) and TruncSeries([1, 0]) != TruncSeries([1])
+        assert Poly([4, 6]).nums == (4, 6) and (Poly([4, 6]) / 2).nums == (2, 3)
+        assert Poly([1, 0]) == Poly([1]) and Poly([1, 1]) != Poly([1])
 
 
 class TestExactTypes:
-    """Poly coefficients are ints or Fractions, TruncSeries
-    coefficients ints or Fractions, and a RatFunc is a pair of Polys over Q."""
+    """Poly coefficients are ints or Fractions, a RatFunc is a pair of Polys
+    over Q, and a ZFrac combines only with its own kind, ints and Fractions."""
 
     def test_poly_rejects_float(self):
         with pytest.raises(TypeError):
             Poly([0.5, 1])
 
-    def test_truncseries_rejects_float(self):
+    def test_zfrac_rejects_float(self):
         with pytest.raises(TypeError):
-            TruncSeries([0.1])
+            ZFrac(4, Poly([1]), 1) * 0.5
         with pytest.raises(TypeError):
-            TruncSeries([1, 2]) * 0.5
+            0.1 + ZFrac(4, Poly([1]), 1)
 
     def test_ratfunc_rejects_float(self):
         with pytest.raises(TypeError):
@@ -189,105 +152,205 @@ class TestExactTypes:
             RatFunc(0.5)
 
 
+def _wrong_rho(k):
+    """series._rho with (3k+2) in the denominator replaced by (3k+4)."""
+    return 4 * (4 * k + 1) * (4 * k + 2) * (4 * k + 3), (3 * k + 1) * (3 * k + 4) * (3 * k + 3)
+
+
 class TestPerturbed:
-    """A coefficient of f or G_m changed at order 37 of 64 by a tiny
-    rational shows as the first bad order of every check that reads it."""
+    """A planted error FAILs, and the witness names the identity that broke."""
 
-    TINY = F(1, 10**40)
-
-    def _bump(self, s):
-        cs = list(s.coeffs)
-        cs[37] += self.TINY
-        return TruncSeries(cs)
-
-    def test_quartic(self):
-        r = check_quartic_f(64, f=self._bump(coeffs_f(64)))
-        assert not r.ok and r.witness == "first nonzero order 37"
+    def test_quartic(self, monkeypatch):
+        monkeypatch.setattr(series, "_rho", _wrong_rho)
+        assert check_quartic_f().witness == "recurrence residual nonzero from order 0"
 
     def test_f_log(self, monkeypatch):
-        monkeypatch.setattr(genfunc, "coeffs_f", lambda K: self._bump(coeffs_f(K)))
-        r = check_f_log(64)
-        assert not r.ok and r.witness == "first nonzero order 37"
+        monkeypatch.setattr(series, "_rho", _wrong_rho)
+        assert check_f_log().witness == "recurrence residual nonzero from order 0"
+        assert check_derivatives_f().witness == "recurrence residual nonzero from order 0"
+
+    def test_f_prime_numerator(self, monkeypatch):
+        monkeypatch.setattr(genfunc, "f_prime", lambda f: 63 * f**5 / (3 * f + 1) ** 2)
+        assert check_derivatives_f().witness == "f' residual nonzero from order 0"
+
+    def test_f_second_numerator(self, monkeypatch):
+        monkeypatch.setattr(genfunc, "f_second",
+                            lambda f: 4096 * f**9 * (9 * f + 4) / (3 * f + 1) ** 5)
+        assert check_derivatives_f().witness == "f'' residual nonzero from order 0"
 
     def test_gm_and_lagrange(self, monkeypatch):
-        monkeypatch.setattr(genfunc, "gm_series", lambda m, K: self._bump(gm_series(m, K)))
+        """(mk+n+i) for i = m-1 replaced by (mk+n+m), a factor of the ratio of
+        n/(mk+n) C(mk+n, k) off by (mk+n+m)/(mk+n+m-1)."""
+        step = genfunc._lagrange_step
+
+        def wrong(m, n, k):
+            q, p = step(m, n, k)
+            return q // (m * k + n + m - 1) * (m * k + n + m), p
+        monkeypatch.setattr(genfunc, "_lagrange_step", wrong)
         for m in range(1, 6):
-            r = check_gm(m, 64)
-            assert not r.ok and r.witness == "first nonzero order 37", m
+            assert check_gm(m).witness == "recurrence residual nonzero from order 0", m
+            assert check_log_gm(m).witness == "recurrence residual nonzero from order 0", m
             for n in range(1, 5):
-                r = check_lagrange(m, n, 64)
-                assert not r.ok and r.witness == "first nonzero order 37", (m, n)
+                r = check_lagrange(m, n)
+                assert r.witness == "recurrence residual nonzero from order 0", (m, n)
+
+    def test_closed_form_off_the_recurrence(self, monkeypatch):
+        """y(0) = c_0 fails before any theta is applied."""
+        monkeypatch.setattr(genfunc, "_param", lambda m: (
+            ZFrac(m, Poly([0, 1]), 1 - m), ZFrac(m, Poly([2]), 1), ZFrac(m, Poly([1]), 0, 1)))
+        with pytest.raises(ValueError, match="does not vanish"):
+            check_lagrange(3, 2)
+
+
+def _identities(monkeypatch):
+    """Every (name, lhs, rhs) that the six checks hand to `_verdict`."""
+    seen, verdict = [], genfunc._verdict
+    monkeypatch.setattr(genfunc, "_verdict", lambda m, *ids: seen.extend(ids) or verdict(m, *ids))
+    assert check_quartic_f().ok and check_f_log().ok and check_derivatives_f().ok
+    for m in range(1, 6):
+        assert check_gm(m).ok and check_log_gm(m).ok
+        assert all(check_lagrange(m, n).ok for n in range(1, 5))
+    return seen
+
+
+class TestQz:
+    """The values in Q(z) and the operators on them."""
+
+    def test_denominators_are_nonzero_at_zero(self, monkeypatch):
+        """What lets the series z(x) = x + O(x^2) be substituted into every
+        identity: each side is N/((1-z)^a (1-mz)^b), a, b >= 0."""
+        seen = _identities(monkeypatch)
+        assert {name for name, _, _ in seen} == {
+            "relation", "equation", "log", "f'", "f''", "recurrence"}
+        assert len(seen) == 2 + 2 + 3 + 5 * 2 + 5 * 2 + 20
+        for name, *sides in seen:
+            for v in sides:
+                v = ZFrac(4, Poly._coerce(v)) if isinstance(v, int) else v
+                assert v.a >= 0 and v.b >= 0, name
+                den = Poly([1, -1]) ** v.a * Poly([1, -v.m]) ** v.b
+                assert den(0) != 0 and not den.is_zero(), name
+
+    def test_theta_of_powers_of_x(self):
+        """theta x^j = j x^j and d/dx x^j = j x^(j-1) at every m."""
+        for m in range(1, 6):
+            x = genfunc._param(m)[0]
+            for j in range(4):
+                assert (x**j).theta() == j * x**j, (m, j)
+                if j:
+                    assert (x**j).d_dx() == j * x**(j - 1), (m, j)
+
+    def test_units_and_the_rest(self):
+        m = 3
+        u = ZFrac(m, Poly([5]) * Poly([1, -1]) ** 2 * Poly([1, -3]), 1, 4)
+        assert u * u.inverse() == 1 and ((1 / u).a, (1 / u).b) == (1, 0)
+        with pytest.raises(ZeroDivisionError):
+            ZFrac(m, Poly([1, 1])).inverse()
+        with pytest.raises(ZeroDivisionError):
+            ZFrac(m, Poly()).inverse()
+        x, G, B = genfunc._param(m)
+        # G = 1 + x G^m, and sum_k C(mk,k) x^k = 1/(1 - m + m/G) (Concrete Math (5.61))
+        assert G == 1 + x * G**m and B == 1 / (1 - m + m / G) and B != G
+
+    def test_residual_order_is_the_order_in_x(self):
+        x = genfunc._param(4)[0]
+        r = genfunc._verdict(4, ("relation", x**3 * 7 + x**5, 0))
+        assert not r.ok and r.witness == "relation residual nonzero from order 3"
+
+
+def _coefficients(step, K):
+    """c_0 = 1, ..., c_K from the ratio step(k) = (q(k), p(k))."""
+    cs = [F(1)]
+    for k in range(K):
+        q, p = step(k)
+        cs.append(cs[-1] * F(q, p))
+    return cs
 
 
 class TestCoefficients:
+    """The recurrences of the checks against factorial oracles."""
+
     def test_f_order0(self):
-        assert coeffs_f(0).coeffs == (F(1),)
+        f = genfunc._param(4)[2]
+        assert f.num(0) == 1 and f.a == 0 and f.b == 1
 
     def test_f_first_orders(self):
-        # factorial oracle
         expected = [math.factorial(4 * k) // (math.factorial(k) * math.factorial(3 * k))
                     for k in range(5)]
-        assert list(coeffs_f(4).coeffs) == expected == [1, 4, 28, 220, 1820]
+        assert _coefficients(series._rho, 4) == expected == [1, 4, 28, 220, 1820]
+        assert _coefficients(series._rho, 40) == [math.comb(4 * k, k) for k in range(41)]
 
     def test_ratio_oracle(self):
         # product-form ratio at k=2: (4k+1)(4k+2)(4k+3)(4k+4)/((k+1)(3k+1)(3k+2)(3k+3))
-        f = coeffs_f(4)
         k = 2
         ratio = F((4 * k + 1) * (4 * k + 2) * (4 * k + 3) * (4 * k + 4),
                   (k + 1) * (3 * k + 1) * (3 * k + 2) * (3 * k + 3))
-        assert f[3] / f[2] == ratio == F(55, 7)
+        assert F(*series._rho(k)) == ratio == F(55, 7)
+
+    def test_lagrange_coefficients(self):
+        """(n/k) C(mk+n-1, k-1) for k >= 1 and 1 at k = 0."""
+        for m in range(1, 6):
+            for n in range(1, 5):
+                got = _coefficients(lambda k: genfunc._lagrange_step(m, n, k), 30)
+                assert got == [1] + [F(n, k) * math.comb(m * k + n - 1, k - 1)
+                                     for k in range(1, 31)], (m, n)
 
 
 class TestFunctionalEquations:
     def test_quartic_order1_by_hand(self):
         # 27*16 - 18*8 - 8*4 - 256 = 0 at order x
         assert 27 * 16 - 18 * 8 - 8 * 4 - 256 == 0
-        assert check_quartic_f(1).ok
+        assert check_quartic_f().ok
 
     def test_quartic_deep(self):
-        assert check_quartic_f(64).ok
+        """The relation holds in Q(z), so at every order."""
+        r = check_quartic_f()
+        assert r.ok and r.witness is None and r.note == "in Q(z), x = z(1-z)^3"
 
-    def test_quartic_perturbed_fails(self):
-        r = check_quartic_f(1, f=TruncSeries([1, 5]))
-        assert not r.ok and r.witness == "first nonzero order 1"
+    def test_quartic_perturbed_fails(self, monkeypatch):
+        """f = (1 + z)/(1 - 4z) keeps f(0) = 1 but breaks the relation."""
+        param = genfunc._param
+        monkeypatch.setattr(genfunc, "_param", lambda m: param(m)[:2] + (
+            ZFrac(m, Poly([1, 1]), 0, 1),))
+        assert check_quartic_f().witness == "relation residual nonzero from order 1"
 
     def test_g1_is_geometric(self):
-        assert gm_series(1, 8).coeffs == tuple(F(1) for _ in range(9))
-        assert check_gm(1, 8).ok
+        assert _coefficients(lambda k: genfunc._lagrange_step(1, 1, k), 8) == [1] * 9
+        assert check_gm(1).ok and check_gm(1).note == "in Q(z), x = z"
 
     def test_g2_catalan(self):
         # Catalan recurrence oracle: c_{n+1} = sum c_i c_{n-i}
         cat = [F(1)]
         for n in range(11):
             cat.append(sum(cat[i] * cat[n - i] for i in range(n + 1)))
-        assert gm_series(2, 11).coeffs == tuple(cat)
-        assert check_gm(2, 12).ok
+        assert _coefficients(lambda k: genfunc._lagrange_step(2, 1, k), 11) == cat
+        assert check_gm(2).ok
 
     def test_gm_log_suite(self):
         for m in range(1, 6):
-            assert check_gm(m, 64).ok
-            assert check_log_gm(m, 64).ok
+            assert check_gm(m).ok
+            assert check_log_gm(m).ok
 
     def test_f_log(self):
-        assert check_f_log(12).ok
-        assert check_f_log(64).ok
+        assert check_f_log().ok
 
     def test_derivative_order0_by_hand(self):
-        f = coeffs_f(3)
-        assert f.derivative()[0] == 4        # f'(0) = 4 = 64/16
-        assert f.derivative().derivative()[0] == 56  # 2*28 = 4096*14/1024
-        assert check_derivatives_f(48).ok
+        f = genfunc._param(4)[2]
+        assert f.d_dx().num(0) == 4        # f'(0) = 4 = 64/16
+        assert f.d_dx().d_dx().num(0) == 56  # 2*28 = 4096*14/1024
+        assert check_derivatives_f().ok
 
 
 class TestLagrange:
     def test_k1_cases(self):
-        assert check_lagrange(4, 1, 1).ok
-        assert check_lagrange(4, 2, 1).ok
+        assert check_lagrange(4, 1).ok
+        assert check_lagrange(4, 2).ok
 
     def test_full_grid(self):
         for m in range(1, 6):
             for n in range(1, 5):
-                assert check_lagrange(m, n, 32).ok, (m, n)
+                assert check_lagrange(m, n).ok, (m, n)
+        with pytest.raises(ValueError):
+            check_lagrange(0, 1)
 
 
 class TestContexts:
@@ -331,9 +394,9 @@ class TestContexts:
         assert point_context(0).gamma == 1
 
     def test_quartic_check_reads_the_relation(self, monkeypatch):
-        assert check_quartic_f(20).ok
+        assert check_quartic_f().ok
         monkeypatch.setattr(genfunc, "F_RELATION", ((-1, 0), (-8, 0), (-18, 0), (0, 0), (27, -255)))
-        assert check_quartic_f(20).witness == "first nonzero order 1"
+        assert check_quartic_f().witness == "relation residual nonzero from order 1"
 
 
 class TestEvalF:
