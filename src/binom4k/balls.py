@@ -29,10 +29,9 @@ a verdict.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .exact import Value
 
@@ -318,8 +317,7 @@ def _tanh_sinh_nodes(degree: int, prec: int) -> tuple:
     return tuple(nodes)
 
 
-@dataclass(frozen=True)
-class QuadResult:
+class QuadResult(NamedTuple):
     value: Fraction
     error_estimate: float
     evaluations: int

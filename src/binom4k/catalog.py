@@ -62,30 +62,18 @@ class ClosedForm:
         if self.node == "div" and _is_zero_tree(self.args[1]):
             raise CatalogError("division by an identically-zero subtree")
 
-    # operator sugar; ints/Fractions lift to rat leaves
+    # operator sugar with the ClosedForm on the left; ints/Fractions lift to rat leaves
     def __add__(self, other):
         return ClosedForm("add", args=(self, _lift(other)))
-
-    def __radd__(self, other):
-        return ClosedForm("add", args=(_lift(other), self))
 
     def __sub__(self, other):
         return ClosedForm("sub", args=(self, _lift(other)))
 
-    def __rsub__(self, other):
-        return ClosedForm("sub", args=(_lift(other), self))
-
     def __mul__(self, other):
         return ClosedForm("mul", args=(self, _lift(other)))
 
-    def __rmul__(self, other):
-        return ClosedForm("mul", args=(_lift(other), self))
-
     def __truediv__(self, other):
         return ClosedForm("div", args=(self, _lift(other)))
-
-    def __rtruediv__(self, other):
-        return ClosedForm("div", args=(_lift(other), self))
 
     def __neg__(self):
         return ClosedForm("sub", args=(_lift(0), self))

@@ -22,9 +22,8 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .balls import Ball, QuadratureError, _fraction_rounded, quad_bits, quad_integrate
 from .catalog import (
@@ -56,8 +55,7 @@ QUAD_WIDTH = Fraction(1, 10**55)
 # so the combined difference stays well under the 10^(1-D) pass threshold
 COMPONENT_PAD = 3
 
-@dataclass
-class VerificationRecord:
+class VerificationRecord(NamedTuple):
     id: str
     status: str          # PASS | FAIL | ERROR
     lhs: str
@@ -155,7 +153,7 @@ def run_verify_all(digits: int, jobs: int) -> list[VerificationRecord]:
 
 
 def records_json(records: list[VerificationRecord]) -> str:
-    return json.dumps({"version": 1, "records": [asdict(r) for r in records]}, indent=1)
+    return json.dumps({"version": 1, "records": [r._asdict() for r in records]}, indent=1)
 
 
 def records_csv(records: list[VerificationRecord]) -> str:
@@ -212,8 +210,7 @@ _PLAIN_FORMS = {
 }
 
 
-@dataclass
-class CrosscheckRecord:
+class CrosscheckRecord(NamedTuple):
     name: str
     status: str
     series_value: str

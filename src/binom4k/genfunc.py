@@ -17,9 +17,8 @@ quartic relation of f.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import series
 from .balls import Ball
@@ -63,8 +62,7 @@ def _lagrange_step(m: int, n: int, k):
             (k + 1) * math.prod((m - 1) * k + n + i for i in range(1, m)))
 
 
-@dataclass(frozen=True)
-class CheckOutcome:
+class CheckOutcome(NamedTuple):
     """The result of an exact check: a pass, or a failure with its witness;
     `note` says what was checked where that is not plain from its name."""
 
@@ -189,8 +187,7 @@ def _divide_root(p: Poly, r: Fraction) -> Poly:
 ALPHA_CUBIC = _divide_root(relation_at(Fraction(1, 16)), Fraction(-1))
 
 
-@dataclass(frozen=True)
-class PointContext:
+class PointContext(NamedTuple):
     """The number field Q(gamma), gamma = f(x0), with the positive square root
     of d in it when one was asked for (`point_context`)."""
 

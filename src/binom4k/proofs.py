@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .catalog import CUBIC_31, CUBIC_32, LEMMA51_CASES, P_COEFFS, Q_COEFFS, catalog_by_id
 from .exact import Ival, NFElem, NumberField, Poly, RatFunc, count_roots
@@ -222,8 +222,7 @@ S5 = Poly([0, 5, 14, -16, -30, 27])   # 27y^5 - 30y^4 - 16y^3 + 14y^2 + 5y
 S3 = Poly([0, -1, -2, 3])             # 3y^3 - 2y^2 - y
 
 
-@dataclass(frozen=True)
-class DecompositionProblem:
+class DecompositionProblem(NamedTuple):
     """target = c1 (16 S5 - a'') + c2 (4 S3 - a') + c3 (y - a), rationals ci."""
 
     target: Poly  # over Q
@@ -237,8 +236,7 @@ def standard_basis() -> tuple:
     return ((S5.scale(16), -f_second(a)), (S3.scale(4), -f_prime(a)), (Poly([0, 1]), -a))
 
 
-@dataclass(frozen=True)
-class DecompositionResult:
+class DecompositionResult(NamedTuple):
     coefficients: tuple  # (c1, c2, c3) Fractions
     residual: Poly       # rows y^1 and up, over Q; zero on success
     constant: NFElem     # the constant row, in Q(alpha); zero on success
@@ -509,8 +507,7 @@ def check_theorem3_reduction(case: str) -> CheckOutcome:
 # substituted integrands of section 3
 
 
-@dataclass(frozen=True)
-class SubstitutedIntegrand:
+class SubstitutedIntegrand(NamedTuple):
     j: int
     num: Poly
     den: Poly
@@ -581,8 +578,7 @@ def substituted_integrands(j: int, width: Fraction = F(1, 10**9)) -> Substituted
 # the composite exact-check suite
 
 
-@dataclass(frozen=True)
-class ExactCheck:
+class ExactCheck(NamedTuple):
     name: str
     passed: bool
     witness: Optional[str] = None

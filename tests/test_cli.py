@@ -423,6 +423,49 @@ def test_commands_do_not_import_mpmath(tmp_path):
     assert out.split() == ["[0,", "0,", "0,", "0,", "0,", "0,", "0]", "False"]
 
 
+def test_only_four_dataclasses_after_import():
+    """Records that only carry fields are NamedTuples, so `@dataclass` builds
+    no methods by `exec` at start-up: in a fresh interpreter, after the
+    command and proof modules are imported, the dataclasses in binom4k are
+    exactly the four that validate, normalise or are copied with `replace`."""
+    script = (
+        "import sys\n"
+        "import binom4k.cli, binom4k.proofs\n"
+        "found = {c.__qualname__ for name, mod in list(sys.modules.items())\n"
+        "         if name.split('.')[0] == 'binom4k'\n"
+        "         for c in vars(mod).values()\n"
+        "         if isinstance(c, type) and hasattr(c, '__dataclass_fields__')\n"
+        "         and c.__module__.split('.')[0] == 'binom4k'}\n"
+        "print(' '.join(sorted(found)))\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=60, check=True).stdout
+    assert out.split() == ["ClosedForm", "IdentityEntry", "LogRationalExpr", "SeriesSpec"]
+
+
+def test_returned_records_are_immutable():
+    """A record handed back by a command's work cannot be edited after the
+    fact: assigning any of its fields raises AttributeError."""
+    from binom4k.balls import quad_bits, quad_integrate
+    from binom4k.genfunc import check_quartic_f
+    from binom4k.proofs import run_exact_checks
+
+    one = 1 << quad_bits(15)
+    records = [
+        verify_entry(catalog_by_id()["eq-1.1"], 20),
+        cli.run_crosscheck(1, F(1, 16), 1e-20),
+        *run_exact_checks("quartic"),
+        check_quartic_f(),
+        quad_integrate(lambda t: one, F(0), F(1), tol=1e-10, dps=15),
+    ]
+    assert len(records) == 5
+    for rec in records:
+        for name in rec._fields:
+            with pytest.raises(AttributeError):
+                setattr(rec, name, None)
+
+
 def test_default_digits_env(monkeypatch, capsys):
     monkeypatch.delenv("BINOM4K_DIGITS", raising=False)
     assert default_digits() == 50
