@@ -31,12 +31,14 @@ class CatalogError(ValueError):
     """A malformed component spec or an entry violating a spec invariant."""
 
 
-# The digit budget.  It bounds --digits and BINOM4K_DIGITS: the entries at
-# x = 1/16 need about 4.4 D terms, so past about 22,000 digits they exceed
-# series.MAX_TERMS.  It bounds a rational string of a spec before `Fraction`
-# parses it (length and decimal exponent: 10^e costs superlinear time to
-# build and reduce), and `eval` bounds the numerator and denominator of x
-# and of the coefficients by it, since the work grows with their size.
+# The digit budget.  It bounds --digits and BINOM4K_DIGITS, though not by
+# series.MAX_TERMS: `intro-recip-pi` (x = 8, reciprocal) needs about 13.6 D
+# terms, so past about 7,400 digits it exceeds that budget, as the entries
+# at x = 1/16 (about 4.4 D terms) do past about 22,000.  It bounds a
+# rational string of a spec before `Fraction` parses it (length and decimal
+# exponent: 10^e costs superlinear time to build and reduce), and `eval`
+# bounds the numerator and denominator of x and of the coefficients by it,
+# since the work grows with their size.
 MAX_DIGITS = 20_000
 # The most coefficients a channel of a spec may have: D is absolute, so a
 # channel of degree d costs about d K bignum products, and the cutoff K grows
@@ -178,13 +180,7 @@ class IdentityEntry:
 
 
 def _spec(x, channels, den=(), start=0, bp=1) -> SeriesSpec:
-    return SeriesSpec(
-        x=Fraction(x),
-        binomial_power=bp,
-        start=start,
-        channels={j: tuple(Fraction(c) for c in cs) for j, cs in channels.items()},
-        denominator_factors=tuple(den),
-    )
+    return SeriesSpec(x, bp, start, channels, den)
 
 
 def _hk(q: list, r0: list) -> dict:

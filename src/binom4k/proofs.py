@@ -222,13 +222,6 @@ S5 = Poly([0, 5, 14, -16, -30, 27])   # 27y^5 - 30y^4 - 16y^3 + 14y^2 + 5y
 S3 = Poly([0, -1, -2, 3])             # 3y^3 - 2y^2 - y
 
 
-class DecompositionProblem(NamedTuple):
-    """target = c1 (16 S5 - a'') + c2 (4 S3 - a') + c3 (y - a), rationals ci."""
-
-    target: Poly  # over Q
-    basis: tuple  # three (part over Q, constant in Q(alpha)) pairs
-
-
 def standard_basis() -> tuple:
     """The basis elements 16 S5 - a'', 4 S3 - a' and y - a, each as its part
     over Q and its constant in Q(alpha)."""
@@ -246,20 +239,24 @@ class DecompositionResult(NamedTuple):
         return self.residual.is_zero() and self.constant.is_zero()
 
 
-def solve_decomposition(problem: DecompositionProblem) -> DecompositionResult:
-    """Least-structured exact solve from the y^5, y^3, y^1 rows.  The ci are
+def solve_decomposition(target: Poly, basis: tuple) -> DecompositionResult:
+    """Rationals (c1, c2, c3) with target = c1 (16 S5 - a'') + c2 (4 S3 - a')
+    + c3 (y - a), for a target over Q and a basis of three (part over Q,
+    constant in Q(alpha)) pairs such as `standard_basis()`.
+
+    Least-structured exact solve from the y^5, y^3, y^1 rows.  The ci are
     rational and the target is over Q, so the rows y^1 and up of the residual
     are over Q and only its constant row lives in Q(alpha): each is computed
     in its own ring, and both are returned, never assumed."""
-    t5, t3, t1 = (problem.target[i] for i in (5, 3, 1))
+    t5, t3, t1 = (target[i] for i in (5, 3, 1))
     c1 = t5 / 432
     c2 = (t3 + 256 * c1) / 12
     c3 = t1 - 80 * c1 + 4 * c2
     coefficients = (c1, c2, c3)
-    rows = problem.target
-    for c, (part, _) in zip(coefficients, problem.basis):
+    rows = target
+    for c, (part, _) in zip(coefficients, basis):
         rows = rows - part.scale(c)
-    constant = rows[0] - sum(c * k for c, (_, k) in zip(coefficients, problem.basis))
+    constant = rows[0] - sum(c * k for c, (_, k) in zip(coefficients, basis))
     return DecompositionResult(coefficients, rows - Poly([rows[0]]), constant)
 
 
@@ -268,7 +265,7 @@ def standard_decomposition() -> DecompositionResult:
     scaling (1/8)(27y^2-3y-40)(cubic), for which the solved weights are
     (11/128, -35/8, 11)."""
     target = (_G_QUADRATIC * ALPHA_CUBIC).scale(F(1, 8))
-    return solve_decomposition(DecompositionProblem(target=target, basis=standard_basis()))
+    return solve_decomposition(target, standard_basis())
 
 
 # ---------------------------------------------------------------------------

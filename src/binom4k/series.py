@@ -212,15 +212,10 @@ def _ratio_bound(spec: SeriesSpec, K: int) -> Fraction:
 
 
 def min_tail_cutoff(spec: SeriesSpec) -> int:
-    """First K with a certified contraction ratio qbar(K) < 1 in steps of
-    about 1.5x from max(start, 1)."""
-    K = max(spec.start, 1)
-    while _ratio_bound(spec, K) >= 1:
-        K += max(1, K // 2)
-        if K > MAX_TERMS:
-            raise PrecisionError(f"no certified contraction ratio at cutoff K <= {MAX_TERMS}: "
-                                 f"the work budget is {MAX_TERMS} terms")
-    return K
+    """The least K >= max(start, 1) with a certified contraction ratio
+    qbar(K) < 1 (qbar decreases in K), by the same search as the cutoff."""
+    return _first_fit(max(spec.start, 1), lambda K: _ratio_bound(spec, K) < 1,
+                      "no certified contraction ratio at cutoff K <=")
 
 
 def _envelope_at(spec: SeriesSpec, k: int) -> Fraction:
@@ -302,14 +297,14 @@ def _tail_log2_estimator(spec: SeriesSpec):
 ESTIMATE_SLACK = 1e-6
 
 
-def _first_fit(lo: int, fits) -> int:
+def _first_fit(lo: int, fits, miss: str = "the tail bound needs a cutoff K >") -> int:
     """Least K >= lo with fits(K), for a predicate that stays true once true:
-    doubling steps capped at MAX_TERMS, then bisection."""
+    doubling steps capped at MAX_TERMS, then bisection.  PrecisionError,
+    its message opening with `miss` and MAX_TERMS, when MAX_TERMS misses."""
     hi = lo
     while not fits(hi):
         if hi == MAX_TERMS:
-            raise PrecisionError(f"the tail bound needs a cutoff K > {MAX_TERMS}: "
-                                 f"the work budget is {MAX_TERMS} terms")
+            raise PrecisionError(f"{miss} {MAX_TERMS}: the work budget is {MAX_TERMS} terms")
         lo, hi = hi + 1, min(2 * hi, MAX_TERMS)
     while lo < hi:  # hi fits, every K < lo checked missed
         mid = (lo + hi) // 2

@@ -444,6 +444,21 @@ def test_only_four_dataclasses_after_import():
     assert out.split() == ["ClosedForm", "IdentityEntry", "LogRationalExpr", "SeriesSpec"]
 
 
+def test_package_import_loads_no_module():
+    """`import binom4k` re-exports nothing, so in a fresh interpreter it
+    leaves no binom4k submodule in sys.modules: callers import the module
+    they need."""
+    script = (
+        "import sys\n"
+        "import binom4k\n"
+        "print(binom4k.__version__, *sorted(m for m in sys.modules if m.startswith('binom4k.')))\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=60, check=True).stdout
+    assert out.split() == ["0.1.0"]
+
+
 def test_returned_records_are_immutable():
     """A record handed back by a command's work cannot be edited after the
     fact: assigning any of its fields raises AttributeError."""

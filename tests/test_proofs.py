@@ -16,7 +16,6 @@ from binom4k.proofs import (
     C3,
     Q33,
     Q97,
-    DecompositionProblem,
     LogRationalExpr,
     abel_boundary_discrepancy,
     abel_telescoped_sum,
@@ -153,7 +152,7 @@ class TestDecomposition:
     def test_zero_target(self):
         basis = standard_basis()
         zero = Poly()
-        r = solve_decomposition(DecompositionProblem(target=zero, basis=basis))
+        r = solve_decomposition(zero, basis)
         assert r.ok and r.coefficients == (0, 0, 0)
 
     def test_basis_element_target(self):
@@ -162,23 +161,23 @@ class TestDecomposition:
         row; twice the standard target solves to twice its weights."""
         basis = standard_basis()
         for i, (part, k) in enumerate(basis):
-            r = solve_decomposition(DecompositionProblem(target=part, basis=basis))
+            r = solve_decomposition(part, basis)
             assert r.coefficients == tuple(int(n == i) for n in range(3))
             assert r.residual.is_zero() and r.constant == -k and not r.ok
         target = (Poly([-40, -3, 27]) * ALPHA_CUBIC).scale(F(1, 4))
-        r = solve_decomposition(DecompositionProblem(target=target, basis=basis))
+        r = solve_decomposition(target, basis)
         assert r.ok and r.coefficients == (F(11, 64), F(-35, 4), F(22))
 
     def test_inconsistent_target_reports_residual(self):
         basis = standard_basis()
         bad = Poly([1, 2, 3])  # 3y^2+2y+1 is not in the span
-        r = solve_decomposition(DecompositionProblem(target=bad, basis=basis))
+        r = solve_decomposition(bad, basis)
         assert not r.ok
         assert not r.residual.is_zero()
         # the standard target plus 1: every row y^1 and up closes, the
         # constant row alone is off, by exactly 1
         target = (Poly([-40, -3, 27]) * ALPHA_CUBIC).scale(F(1, 8)) + Poly([1])
-        r = solve_decomposition(DecompositionProblem(target=target, basis=basis))
+        r = solve_decomposition(target, basis)
         assert r.coefficients == (F(11, 128), F(-35, 8), F(11))
         assert r.residual.is_zero() and r.constant == 1 and not r.ok
 

@@ -427,6 +427,25 @@ def test_cutoff_is_the_least_certified():
     assert len(seen) == 20
 
 
+def test_low_budget_cutoff_is_the_least_certified():
+    """At budget 1/20 the least certified cutoff lies near the least K with
+    a contraction ratio below 1, so a search that overshoots that K misses
+    it: K = 5 for the component of eq-1.4 and K = 27 for intro-recip-pi."""
+    from binom4k.catalog import catalog_by_id
+    from binom4k.series import _cutoff, _ratio_bound
+
+    budget = F(1, 20)
+    entries = catalog_by_id()
+    for entry_id, least in (("eq-1.4", 5), ("intro-recip-pi", 27)):
+        ((_, spec),) = entries[entry_id].components
+        K0 = min_tail_cutoff(spec)
+        assert _ratio_bound(spec, K0) < 1
+        assert K0 == max(spec.start, 1) or _ratio_bound(spec, K0 - 1) >= 1
+        assert _cutoff(spec, budget) == (least, tail_bound_exact(spec, least))
+        assert tail_bound_exact(spec, least) <= budget
+        assert least == K0 or tail_bound_exact(spec, least - 1) > budget
+
+
 def test_one_tail_bound_per_sum_at_its_cutoff(monkeypatch):
     """Verifying the catalog at 50 digits computes exactly one exact tail
     bound per sum, at the K that sum then runs to: every spec of a pass had
