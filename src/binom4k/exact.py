@@ -14,7 +14,9 @@ and homogeneous Horner for evaluation.
 Number-field elements and the rational functions over Q reach the same
 kernels through their polynomials over Q.  A polynomial with coefficients
 in a number field is never formed: the callers that meet one rewrite it
-over Q first (see `proofs`).
+over Q first (see `proofs`).  Both kinds of rational function, `RatFunc`
+and `ZFrac`, are not reduced: a value is zero iff its numerator is, and two
+values are equal iff their cross products are; no gcd is taken.
 
 Everything in this module is exact: no floating point, no tolerances.
 All values are immutable after construction and all operations are pure,
@@ -231,11 +233,6 @@ class Poly(Value):
     @property
     def degree(self) -> int:
         return len(self.nums) - 1
-
-    def leading(self) -> Fraction:
-        if self.is_zero():
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self[self.degree]
 
     def __getitem__(self, i: int) -> Fraction:
         if not 0 <= i <= self.degree:
@@ -721,30 +718,25 @@ def sqrt_in_field(field: NumberField, d: int) -> NFElem:
 
 
 class RatFunc(Value):
-    """Rational function num/den over Q in one variable.
+    """Rational function num/den over Q in one variable: num and den are
+    Polys over Q, kept as given, den nonzero.
 
-    num and den are Polys over Q, den monic and the pair gcd-reduced: the
-    representation is canonical, so equal functions have equal parts.
+    Not reduced: a value is zero iff its numerator is, and two values are
+    equal iff their cross products are (num * o.den == o.num * den), so
+    equal values may have unequal parts and the class is unhashable.  A
+    common factor of num and den is not cancelled: evaluate only where den
+    does not vanish.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: Poly, den: Optional[Poly] = None, reduce: bool = True):
+    def __init__(self, num: Poly, den: Optional[Poly] = None):
         den = Poly([1]) if den is None else den
         for p in (num, den):
             if not isinstance(p, Poly):
                 raise TypeError(f"{p!r} is not a polynomial over Q")
         if den.is_zero():
             raise ZeroDivisorError("zero divisor")
-        if reduce and not num.is_zero():
-            g = num.gcd(den)
-            if g.degree > 0:
-                num, den = num // g, den // g
-        lead = den.leading()
-        if lead != 1:
-            num, den = num.scale(1 / lead), den.scale(1 / lead)
-        if num.is_zero():
-            den = Poly([1])
         self._set(num=num, den=den)
 
     @staticmethod
@@ -764,12 +756,7 @@ class RatFunc(Value):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return self.num == o.num and self.den == o.den
-
-    def __hash__(self):  # a constant equals its Fraction, so hashes as it
-        if self.den.degree == 0 and self.num.degree <= 0:
-            return hash(self.num[0])
-        return hash((self.num, self.den))
+        return self.num * o.den == o.num * self.den
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -778,7 +765,7 @@ class RatFunc(Value):
         return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
 
     def __neg__(self):
-        return RatFunc(-self.num, self.den, reduce=False)
+        return RatFunc(-self.num, self.den)
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -789,7 +776,7 @@ class RatFunc(Value):
     def inverse(self) -> "RatFunc":
         if self.is_zero():
             raise ZeroDivisorError("zero divisor")
-        return RatFunc(self.den, self.num, reduce=False)
+        return RatFunc(self.den, self.num)
 
     def derivative(self) -> "RatFunc":
         return RatFunc(
@@ -823,8 +810,11 @@ class ZFrac(Value):
 
     The denominator is 1 at z = 0 and z(x) = x + O(x^2) is a power series,
     so an identity between these values is one between power series in x,
-    and the lowest power of z in N is the order of the value in x.  Not
-    reduced: a value is zero iff N is.
+    and the lowest power of z in N is the order of the value in x.
+
+    Not reduced: a value is zero iff its numerator N is, and two values are
+    equal iff their cross products are (their difference over the common
+    denominator is zero), so the class is unhashable.
     """
 
     __slots__ = ("m", "num", "a", "b")

@@ -300,9 +300,10 @@ ESTIMATE_SLACK = 1e-6
 def _first_fit(lo: int, fits, miss: str = "the tail bound needs a cutoff K >") -> int:
     """Least K >= lo with fits(K), for a predicate that stays true once true:
     doubling steps capped at MAX_TERMS, then bisection.  PrecisionError,
-    its message opening with `miss` and MAX_TERMS, when MAX_TERMS misses."""
-    hi = lo
-    while not fits(hi):
+    its message opening with `miss` and MAX_TERMS, when MAX_TERMS misses or
+    lo is above it (then before any probe)."""
+    hi = min(lo, MAX_TERMS)
+    while lo > MAX_TERMS or not fits(hi):
         if hi == MAX_TERMS:
             raise PrecisionError(f"{miss} {MAX_TERMS}: the work budget is {MAX_TERMS} terms")
         lo, hi = hi + 1, min(2 * hi, MAX_TERMS)

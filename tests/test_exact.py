@@ -352,10 +352,19 @@ class TestRatFunc:
         y = RatFunc(Poly([0, 1]))
         assert (y ** 2 - 1) / (y - 1) == y + 1
 
-    def test_constant_hashes_as_its_fraction(self):
+    def test_constant_equals_its_fraction_and_is_unhashable(self):
         assert RatFunc(Poly([1])) == 1 and RatFunc(Poly([F(1, 2)])) == F(1, 2)
-        assert len({RatFunc(Poly([1])), 1}) == 1
-        assert len({RatFunc(Poly([F(1, 2)])), F(1, 2)}) == 1
+        pytest.raises(TypeError, hash, RatFunc(Poly([1])))
+        pytest.raises(TypeError, hash, RatFunc(Poly([F(1, 2)])))
+
+    def test_equality_is_cross_multiplication(self):
+        """A common factor is kept in both parts, yet the value equals the
+        one without it, and their difference is zero."""
+        p, q, g = Poly([F(1, 2), -3, 1]), Poly([2, 0, F(5, 7)]), Poly([-1, 4, 1])
+        a, b = RatFunc(p * g, q * g), RatFunc(p, q)
+        assert (a.num, a.den) == (p * g, q * g)
+        assert a == b and b == a and (a - b).is_zero()
+        assert a != RatFunc(p, q * g) and not (a - RatFunc(q, p)).is_zero()
 
     def test_derivative(self):
         y = RatFunc(Poly([0, 1]))
@@ -576,7 +585,7 @@ class TestIntegerPolyProperties:
             assert d.is_zero()
             return
         _canonical(d, d.coeffs)
-        assert d.leading() == 1
+        assert d[d.degree] == 1
         for x in (a, b):
             assert Poly(x).divrem(d)[1].is_zero()
         assert d.degree >= len(g) - 1        # g divides both

@@ -446,6 +446,24 @@ def test_low_budget_cutoff_is_the_least_certified():
         assert least == K0 or tail_bound_exact(spec, least - 1) > budget
 
 
+def test_cutoff_never_exceeds_the_work_budget(monkeypatch):
+    """When the estimate's K is MAX_TERMS and the exact bound there misses
+    the budget, the search upward has no room left: PrecisionError, and no
+    bound is probed past MAX_TERMS."""
+    import binom4k.series as series
+
+    monkeypatch.setattr(series, "MAX_TERMS", 50)
+    spec = SeriesSpec(x=F(1, 16), channels={0: (1,)})
+    budget = tail_bound_exact(spec, 50) * (1 - F(1, 10**12))
+    probed = []
+    exact = series.tail_bound_exact
+    monkeypatch.setattr(series, "tail_bound_exact", lambda s, K: probed.append(K) or exact(s, K))
+    with pytest.raises(series.PrecisionError, match="cutoff K > 50: the work budget is 50 terms"):
+        series._cutoff(spec, budget)
+    assert probed == [50]
+    assert series._cutoff(spec, exact(spec, 50))[0] == 50
+
+
 def test_one_tail_bound_per_sum_at_its_cutoff(monkeypatch):
     """Verifying the catalog at 50 digits computes exactly one exact tail
     bound per sum, at the K that sum then runs to: every spec of a pass had
