@@ -3,8 +3,7 @@
 Univariate polynomials over the rationals, Sturm-sequence real-root
 counting, algebraic reals given by a defining polynomial plus an isolating
 interval, single-generator number fields Q[t]/(p(t)) with a distinguished
-real embedding, rational functions over Q, and `ZFrac`: rational functions
-of z over (1 - z)^a (1 - mz)^b, with theta = x d/dx for x = z (1 - z)^(m-1).
+real embedding, and rational functions over Q.
 
 A polynomial over Q is integer numerators over one denominator, and its
 arithmetic runs on integer kernels: one Kronecker big-integer product
@@ -14,9 +13,9 @@ and homogeneous Horner for evaluation.
 Number-field elements and the rational functions over Q reach the same
 kernels through their polynomials over Q.  A polynomial with coefficients
 in a number field is never formed: the callers that meet one rewrite it
-over Q first (see `proofs`).  Both kinds of rational function, `RatFunc`
-and `ZFrac`, are not reduced: a value is zero iff its numerator is, and two
-values are equal iff their cross products are; no gcd is taken.
+over Q first (see `proofs`).  A rational function is a numerator over
+factors to nonzero integer exponents, not reduced: it is zero iff its
+numerator is, and two are equal iff their difference is; no gcd is taken.
 
 Everything in this module is exact: no floating point, no tolerances.
 All values are immutable after construction and all operations are pure,
@@ -30,7 +29,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cache
+from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
 
 
@@ -57,11 +56,12 @@ Ival = tuple[Fraction, Fraction]  # a rational interval (lo, hi)
 
 
 class Value:
-    """Base of the immutable algebraic values: `Poly`, `NFElem`, `RatFunc`,
-    `ZFrac` and `balls.Ball`.  A subclass defines `+`, unary `-`,
-    `*`, `inverse()` and `_coerce(x)`, which returns x lifted to the
-    subclass when x is one already or an int or Fraction, else NotImplemented;
-    the reflected operators, `-`, `/` and `**` follow here from those."""
+    """Base of the immutable algebraic values: `Poly`, `NFElem`, `RatFunc`
+    and `balls.Ball`.  A subclass defines `+`, unary `-`, `*`, `inverse()`
+    and `_coerce(x)`, which returns x lifted to the subclass when x is one
+    already or an int or Fraction, else NotImplemented; the reflected
+    operators, `-`, `/` and `**` follow here from those.  A `RatFunc` is
+    zero iff its numerator is, however its factors are held."""
 
     __slots__ = ()
 
@@ -219,7 +219,8 @@ class Poly(Value):
         g = math.gcd(den, *nums)
         if g != 1:
             nums, den = [c // g for c in nums], den // g
-        self._set(nums=tuple(nums), den=den)
+        object.__setattr__(self, "nums", tuple(nums))  # not `_set`: the hottest constructor
+        object.__setattr__(self, "den", den)
 
     @staticmethod
     def _make(nums, den: int) -> "Poly":
@@ -717,164 +718,119 @@ def sqrt_in_field(field: NumberField, d: int) -> NFElem:
 # rational functions
 
 
-class RatFunc(Value):
-    """Rational function num/den over Q in one variable: num and den are
-    Polys over Q, kept as given, den nonzero.
+def _rows(a: tuple, b: tuple) -> list:
+    """[f, e_a, e_b] for each factor f of the pairs a or b: its exponents there, or 0."""
+    rows = [[f, e, 0] for f, e in a]
+    for g, e in b:
+        for row in rows:
+            if row[0] is g or row[0] == g:
+                row[2] = e
+                break
+        else:
+            rows.append([g, 0, e])
+    return rows
 
-    Not reduced: a value is zero iff its numerator is, and two values are
-    equal iff their cross products are (num * o.den == o.num * den), so
-    equal values may have unequal parts and the class is unhashable.  A
-    common factor of num and den is not cancelled: evaluate only where den
-    does not vanish.
-    """
+
+def _times(num: Poly, pairs) -> Poly:
+    """num times prod f^e over the pairs (f, e) with e > 0."""
+    ups = [f**e for f, e in pairs if e > 0]
+    return num * math.prod(ups[1:], start=ups[0]) if ups else num
+
+
+@lru_cache(maxsize=64)
+def _log_derivative(factors: tuple) -> tuple[Poly, tuple]:
+    """(P, T) for factors f_i: P = prod f_i and T_i = f_i' P/f_i, so that
+    sum e_i T_i / P is the logarithmic derivative of prod f_i^e_i."""
+    return math.prod(factors, start=Poly([1])), tuple(
+        math.prod((g for g in factors if g is not f), start=f.derivative()) for f in factors)
+
+
+class RatFunc(Value):
+    """num / prod f^e over Q in one variable: `num` a Poly, `den` a tuple of
+    (factor, exponent) pairs, the factors distinct non-constant Polys and the
+    exponents nonzero ints; a negative exponent puts its factor in the
+    numerator.  Not reduced, so unhashable: a value is zero iff `num` is, and
+    two values are equal iff their difference is zero."""
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: Poly, den: Optional[Poly] = None):
-        den = Poly([1]) if den is None else den
-        for p in (num, den):
-            if not isinstance(p, Poly):
-                raise TypeError(f"{p!r} is not a polynomial over Q")
-        if den.is_zero():
-            raise ZeroDivisorError("zero divisor")
-        self._set(num=num, den=den)
+    def __init__(self, num: Poly, den=None):
+        """`den`: None, a Poly or pairs; equal factors merge, constant ones go into `num`."""
+        if not isinstance(num, Poly):
+            raise TypeError(f"{num!r} is not a polynomial over Q")
+        exps: dict = {}
+        for f, e in [(den, 1)] if isinstance(den, Poly) else den or ():
+            if not isinstance(f, Poly):
+                raise TypeError(f"{f!r} is not a polynomial over Q")
+            if f.is_zero():
+                raise ZeroDivisorError("zero divisor")
+            if f.degree == 0:
+                num = num * f[0] ** -e
+            else:
+                exps[f] = exps.get(f, 0) + e
+        self._set(num=num, den=tuple((f, e) for f, e in exps.items() if e))
+
+    @staticmethod
+    def _make(num: Poly, den: tuple) -> "RatFunc":
+        r = object.__new__(RatFunc)
+        r._set(num=num, den=den)
+        return r
 
     @staticmethod
     def _coerce(x) -> "RatFunc":
-        if isinstance(x, RatFunc):
-            return x
-        if isinstance(x, Poly):
-            return RatFunc(x)
-        if isinstance(x, (int, Fraction)):
-            return RatFunc(Poly([x]))
-        return NotImplemented
+        if isinstance(x, (int, Fraction, Poly)):
+            return RatFunc._make(Poly._coerce(x), ())
+        return x if isinstance(x, RatFunc) else NotImplemented
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
     def __eq__(self, other) -> bool:
         o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self.num * o.den == o.num * self.den
+        return o if o is NotImplemented else (self - o).is_zero()
 
     def __add__(self, other):
+        """Both values over each factor's larger exponent."""
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
+        rows = [(f, max(a, b), a, b) for f, a, b in _rows(self.den, o.den)]
+        num = (_times(self.num, [(f, t - a) for f, t, a, _ in rows])
+               + _times(o.num, [(f, t - b) for f, t, _, b in rows]))
+        return RatFunc._make(num, tuple((f, t) for f, t, _, _ in rows if t))
 
     def __neg__(self):
-        return RatFunc(-self.num, self.den)
+        return RatFunc._make(-self.num, self.den)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return RatFunc(self.num * o.num, self.den * o.den)
+        den = tuple((f, a + b) for f, a, b in _rows(self.den, o.den) if a + b)
+        return RatFunc._make(self.num * o.num, den)
 
     def inverse(self) -> "RatFunc":
-        if self.is_zero():
-            raise ZeroDivisorError("zero divisor")
-        return RatFunc(self.den, self.num)
+        """The exponents negated; a non-constant numerator becomes a factor."""
+        return RatFunc(Poly([1]), [(f, -e) for f, e in self.den] + [(self.num, 1)])
 
     def derivative(self) -> "RatFunc":
-        return RatFunc(
-            self.num.derivative() * self.den - self.num * self.den.derivative(),
-            self.den * self.den,
-        )
+        """(N'P - N S) / prod f^(e+1), with P = prod f and S = sum e f' P/f."""
+        P, T = _log_derivative(tuple(f for f, _ in self.den))
+        minus_S = sum((t.scale(-e) for t, (_, e) in zip(T, self.den)), Poly())
+        return RatFunc._make(self.num.derivative() * P + self.num * minus_S,
+                             tuple((f, e + 1) for f, e in self.den if e != -1))
+
+    def compose(self, p: Poly) -> "RatFunc":
+        """self(p(y)) for a polynomial p, factor by factor."""
+        return RatFunc(self.num.compose(p), [(f.compose(p), e) for f, e in self.den])
 
     def __call__(self, x):
-        den = self.den(x)
-        return self.num(x) / den
+        """The value at x (a Fraction, an NFElem, a RatFunc, ...)."""
+        bottom = math.prod((f(x) ** e for f, e in self.den if e > 0), start=1)
+        if bottom == 0:
+            raise ZeroDivisorError(f"a factor of {self!r} vanishes at {x!r}")
+        return math.prod((f(x) ** -e for f, e in self.den if e < 0), start=self.num(x)) / bottom
 
     def __repr__(self):
-        if self.den == Poly([1]):
-            return f"RatFunc({self.num.pretty()})"
-        return f"RatFunc(({self.num.pretty()}) / ({self.den.pretty()}))"
-
-
-# ---------------------------------------------------------------------------
-# rational functions of z over (1 - z)^a (1 - mz)^b
-
-
-@cache
-def _power(c: int, e: int) -> Poly:
-    """(1 - cz)^e; the checks of `genfunc` ask for 26 (c <= 5, e <= 10)."""
-    return Poly([1, -c]) ** e
-
-
-class ZFrac(Value):
-    """N(z) / ((1 - z)^a (1 - mz)^b) in Q(z), a, b >= 0: a generating function
-    of x under x = z (1 - z)^(m-1).
-
-    The denominator is 1 at z = 0 and z(x) = x + O(x^2) is a power series,
-    so an identity between these values is one between power series in x,
-    and the lowest power of z in N is the order of the value in x.
-
-    Not reduced: a value is zero iff its numerator N is, and two values are
-    equal iff their cross products are (their difference over the common
-    denominator is zero), so the class is unhashable.
-    """
-
-    __slots__ = ("m", "num", "a", "b")
-
-    def __init__(self, m: int, num: Poly, a: int = 0, b: int = 0):
-        if a < 0 or b < 0:  # a negative exponent is a factor of the numerator
-            num, a, b = num * _power(1, max(-a, 0)) * _power(m, max(-b, 0)), max(a, 0), max(b, 0)
-        self._set(m=m, num=num, a=a, b=b)
-
-    def _coerce(self, x):
-        if isinstance(x, ZFrac):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return ZFrac(self.m, Poly._coerce(x))
-        return NotImplemented
-
-    def __eq__(self, other) -> bool:
-        o = self._coerce(other)
-        return o if o is NotImplemented else (self - o).num.is_zero()
-
-    def _over(self, a: int, b: int) -> Poly:  # the numerator over (1-z)^a (1-mz)^b
-        return self.num * _power(1, a - self.a) * _power(self.m, b - self.b)
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        a, b = max(self.a, o.a), max(self.b, o.b)
-        return ZFrac(self.m, self._over(a, b) + o._over(a, b), a, b)
-
-    def __neg__(self):
-        return ZFrac(self.m, -self.num, self.a, self.b)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return ZFrac(self.m, self.num * o.num, self.a + o.a, self.b + o.b)
-
-    def inverse(self) -> "ZFrac":
-        """Defined when N is c (1 - z)^i (1 - mz)^j with c != 0."""
-        n, exps = self.num, [0, 0]
-        for i, c in enumerate((1, self.m)):
-            while not n.is_zero() and n(Fraction(1, c)) == 0:
-                n, exps[i] = n // _power(c, 1), exps[i] + 1
-        if n.degree != 0:
-            raise ZeroDivisionError(f"{self.num.pretty('z')} is not c (1-z)^i (1-{self.m}z)^j")
-        return ZFrac(self.m, n.inverse(), exps[0] - self.a, exps[1] - self.b)
-
-    def _dz(self) -> Poly:
-        """N'(1 - z)(1 - mz) + a N (1 - mz) + b m N (1 - z), the numerator of
-        d/dz over (1 - z)^(a+1) (1 - mz)^(b+1)."""
-        m, a, b = self.m, self.a, self.b
-        return (self.num.derivative() * Poly([1, -m - 1, m])
-                + self.num * Poly([a + b * m, -m * (a + b)]))
-
-    def theta(self) -> "ZFrac":
-        """x d/dx = z (1 - z)/(1 - mz) d/dz."""
-        return ZFrac(self.m, Poly([0, 1]) * self._dz(), self.a, self.b + 2)
-
-    def d_dx(self) -> "ZFrac":
-        """d/dx = theta/x, dx/dz being (1 - z)^(m-2) (1 - mz)."""
-        return ZFrac(self.m, self._dz(), self.a + self.m - 1, self.b + 2)
+        den = "".join(f" / ({f.pretty()})" + (f"^{e}" if e != 1 else "") for f, e in self.den)
+        return f"RatFunc(({self.num.pretty()}){den})"

@@ -18,29 +18,49 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
 from typing import NamedTuple, Optional
 
 from . import series
 from .balls import Ball
-from .exact import AlgebraicReal, NFElem, NumberField, Poly, ZFrac, _rational_roots, sqrt_in_field
+from .exact import AlgebraicReal, NFElem, NumberField, Poly, RatFunc, _rational_roots, sqrt_in_field
 from .series import RADIUS, SeriesSpec, sum_series
 
 
-def _param(m: int) -> tuple[ZFrac, ZFrac, ZFrac]:
+@cache
+def _param(m: int) -> tuple[RatFunc, RatFunc, RatFunc]:
     """x = z (1 - z)^(m-1), G_m = 1/(1 - z) and sum_k C(mk,k) x^k = 1/(1 - mz)."""
-    return ZFrac(m, Poly([0, 1]), 1 - m), ZFrac(m, Poly([1]), 1), ZFrac(m, Poly([1]), 0, 1)
+    return (RatFunc(Poly([0, 1]), [(Poly([1, -1]), 1 - m)]), RatFunc(Poly([1]), Poly([1, -1])),
+            RatFunc(Poly([1]), Poly([1, -m])))
 
 
-def _apply(p: Poly, y: ZFrac) -> ZFrac:
+@cache
+def _multipliers(m: int) -> tuple[RatFunc, RatFunc]:
+    """(x/x', 1/x'), x' = dx/dz: theta = x d/dx and d/dx are these times d/dz."""
+    x = _param(m)[0]
+    return x / x.derivative(), 1 / x.derivative()
+
+
+def theta(y: RatFunc, m: int) -> RatFunc:
+    """theta y = x dy/dx under x = z (1 - z)^(m-1): z (1 - z)/(1 - mz) dy/dz."""
+    return _multipliers(m)[0] * y.derivative()
+
+
+def d_dx(y: RatFunc, m: int) -> RatFunc:
+    """dy/dx under x = z (1 - z)^(m-1)."""
+    return _multipliers(m)[1] * y.derivative()
+
+
+def _apply(p: Poly, y: RatFunc, m: int) -> RatFunc:
     """p(theta) y, by Horner's rule in theta."""
     *rest, lead = p.coeffs
     acc = y * lead
     for c in reversed(rest):
-        acc = acc.theta() + y * c if c else acc.theta()
+        acc = theta(acc, m) + y * c if c else theta(acc, m)
     return acc
 
 
-def _recurrence(y: ZFrac, c0, step) -> tuple:
+def _recurrence(y: RatFunc, m: int, c0, step) -> tuple:
     """The identity p(theta)[(y - c0)/x] = q(theta) y for (q, p) = step(k), the
     ratio c_{k+1}/c_k in k: it says p(k) c_{k+1} = q(k) c_k for the
     coefficients c_k of y, and with y(0) = c0 and p(k) > 0 for k >= 0 it
@@ -51,8 +71,9 @@ def _recurrence(y: ZFrac, c0, step) -> tuple:
     u = y - c0
     if u.num[0]:
         raise ValueError(f"recurrence: y(0) - c_0 = {u.num[0]} does not vanish")
-    u_over_x = ZFrac(y.m, Poly._make(u.num.nums[1:], u.num.den), u.a + y.m - 1, u.b)
-    return "recurrence", _apply(p, u_over_x), _apply(q, y)
+    # (y - c0)/x: the numerator over z, times z/x = 1/(1 - z)^(m-1)
+    u_over_x = RatFunc(Poly._make(u.num.nums[1:], u.num.den), u.den + ((Poly([1, -1]), m - 1),))
+    return "recurrence", _apply(p, u_over_x, m), _apply(q, y, m)
 
 
 def _lagrange_step(m: int, n: int, k):
@@ -80,8 +101,12 @@ def zero_check(residual, witness=repr) -> CheckOutcome:
 
 def _verdict(m: int, *identities) -> CheckOutcome:
     """Pass iff each (name, lhs, rhs) is an identity in Q(z), else fail with
-    the name of the first that is not and the order in x of its residual."""
+    the name of the first that is not and the order in x of its residual,
+    read off its numerator: every factor must be nonzero at z = 0."""
     for name, lhs, rhs in identities:
+        for f, _ in RatFunc._coerce(lhs).den + RatFunc._coerce(rhs).den:
+            if f[0] == 0:
+                return CheckOutcome(False, f"{name}: factor {f.pretty('z')} vanishes at z = 0")
         r = (lhs - rhs).num
         if not r.is_zero():
             order = next(i for i, c in enumerate(r.nums) if c)
@@ -106,7 +131,7 @@ def check_quartic_f() -> CheckOutcome:
     ratio `series._rho` is the one the series engine steps by."""
     x, _, f = _param(4)
     relation = sum((a + b * x) * f**i for i, (a, b) in enumerate(F_RELATION))
-    return _verdict(4, ("relation", relation, 0), _recurrence(f, 1, series._rho))
+    return _verdict(4, ("relation", relation, 0), _recurrence(f, 4, 1, series._rho))
 
 
 def check_gm(m: int) -> CheckOutcome:
@@ -115,7 +140,7 @@ def check_gm(m: int) -> CheckOutcome:
         raise ValueError("need m >= 1")
     x, G, _ = _param(m)
     return _verdict(m, ("equation", G, 1 + x * G**m),
-                    _recurrence(G, 1, lambda k: _lagrange_step(m, 1, k)))
+                    _recurrence(G, m, 1, lambda k: _lagrange_step(m, 1, k)))
 
 
 def check_log_gm(m: int) -> CheckOutcome:
@@ -125,9 +150,9 @@ def check_log_gm(m: int) -> CheckOutcome:
     if m < 1:
         raise ValueError("need m >= 1")
     G = _param(m)[1]
-    dG = G.theta()
+    dG = theta(G, m)
     return _verdict(m, ("log", m * dG / G, (m - 1) * dG + G - 1),
-                    _recurrence(G, 1, lambda k: _lagrange_step(m, 1, k)))
+                    _recurrence(G, m, 1, lambda k: _lagrange_step(m, 1, k)))
 
 
 def check_f_log() -> CheckOutcome:
@@ -136,12 +161,12 @@ def check_f_log() -> CheckOutcome:
     f's recurrence."""
     f = _param(4)[2]
     w = 4 * f / (3 * f + 1)
-    return _verdict(4, ("log", 4 * w.theta() / w, f - 1), _recurrence(f, 1, series._rho))
+    return _verdict(4, ("log", 4 * theta(w, 4) / w, f - 1), _recurrence(f, 4, 1, series._rho))
 
 
 def f_prime(f):
     """f' as a function of f: 64 f^5/(3f+1)^2, for f in any ring with division
-    (a number-field element, a rational function, an `exact.ZFrac`)."""
+    (a number-field element, a rational function of y = f or of z)."""
     return 64 * f**5 / (3 * f + 1) ** 2
 
 
@@ -153,9 +178,9 @@ def f_second(f):
 def check_derivatives_f() -> CheckOutcome:
     """f' = f_prime(f) and f'' = f_second(f), and f's recurrence."""
     f = _param(4)[2]
-    d1 = f.d_dx()
-    return _verdict(4, ("f'", d1, f_prime(f)), ("f''", d1.d_dx(), f_second(f)),
-                    _recurrence(f, 1, series._rho))
+    d1 = d_dx(f, 4)
+    return _verdict(4, ("f'", d1, f_prime(f)), ("f''", d_dx(d1, 4), f_second(f)),
+                    _recurrence(f, 4, 1, series._rho))
 
 
 def check_lagrange(m: int, n: int) -> CheckOutcome:
@@ -164,7 +189,7 @@ def check_lagrange(m: int, n: int) -> CheckOutcome:
     (that G is G_m is `check_gm`)."""
     if m < 1 or n < 1:
         raise ValueError("need m >= 1 and n >= 1")
-    return _verdict(m, _recurrence(_param(m)[1] ** n, 1, lambda k: _lagrange_step(m, n, k)))
+    return _verdict(m, _recurrence(_param(m)[1] ** n, m, 1, lambda k: _lagrange_step(m, n, k)))
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
+from . import series
 from .catalog import CUBIC_31, CUBIC_32, LEMMA51_CASES, P_COEFFS, Q_COEFFS, catalog_by_id
 from .exact import Ival, NFElem, NumberField, Poly, RatFunc, count_roots
 from .genfunc import (ALPHA_CUBIC, CheckOutcome, ContextError, PointContext, f_prime, f_second,
@@ -419,15 +420,12 @@ def check_abel_step(variant: str) -> CheckOutcome:
     for every m.  Both sides have degree 1 in m with coefficients in Q(k), and
     m is free, so the identity holds iff w = K0 and -w(k-1)/rho = K1: two
     identities of rational functions over Q in k.  The witness names the m^0
-    or m^1 part that fails."""
+    or m^1 part that fails.  rho(k) = C(4k,k)/C(4k-4,k-1) is `series._rho` at k-1."""
     w, den = _abel_weight(variant)
-    k = Poly([0, 1])
-    rho = RatFunc(Poly([-3, 4]) * Poly([-2, 4]) * Poly([-1, 4]) * Poly([0, 4]),
-                  k * Poly([-2, 3]) * Poly([-1, 3]) * Poly([0, 3]))
     shift = Poly([-1, 1])  # k -> k-1
-    w_prev = RatFunc(w.num.compose(shift), w.den.compose(shift))
+    rho = RatFunc(*series._rho(Poly([0, 1]))).compose(shift)
     k0, k1 = _ABEL_KERNELS[variant]
-    for part, lhs, kernel in (("m^0", w, k0), ("m^1", -w_prev / rho, k1)):
+    for part, lhs, kernel in (("m^0", w, k0), ("m^1", -w.compose(shift) / rho, k1)):
         diff = lhs - RatFunc(Poly(kernel), den)
         if not diff.is_zero():
             return CheckOutcome(False, witness=f"{part} part: {diff!r}")

@@ -18,7 +18,6 @@ from binom4k.exact import (
     _rational_roots,
     count_roots,
     is_irreducible,
-    ZFrac,
     sqrt_in_field,
 )
 
@@ -362,7 +361,7 @@ class TestRatFunc:
         one without it, and their difference is zero."""
         p, q, g = Poly([F(1, 2), -3, 1]), Poly([2, 0, F(5, 7)]), Poly([-1, 4, 1])
         a, b = RatFunc(p * g, q * g), RatFunc(p, q)
-        assert (a.num, a.den) == (p * g, q * g)
+        assert (a.num, a.den) == (p * g, ((q * g, 1),))
         assert a == b and b == a and (a - b).is_zero()
         assert a != RatFunc(p, q * g) and not (a - RatFunc(q, p)).is_zero()
 
@@ -389,7 +388,7 @@ class TestRatFunc:
         got = Poly([1, 1]) * y
         assert isinstance(got, RatFunc)
         assert got == RatFunc(Poly([1, 1])) * y == y * Poly([1, 1])
-        assert got.num == Poly([0, 1, 1]) and got.den == Poly([1])
+        assert got.num == Poly([0, 1, 1]) and got.den == ()
 
     def test_field_ops_random(self):
         rng = random.Random(31)
@@ -401,6 +400,70 @@ class TestRatFunc:
             assert (a + b) - b == a
             if not b.is_zero():
                 assert (a / b) * b == a
+
+    def test_pairs_are_merged_and_constants_taken_into_the_numerator(self):
+        f, g = Poly([1, -1]), Poly([1, 2, 3])
+        v = RatFunc(Poly([3]), [(f, 2), (Poly([2]), 1), (g, -1), (Poly([1, -1]), -2)])
+        assert v.num == Poly([F(3, 2)]) and v.den == ((g, -1),)
+        assert RatFunc(Poly([1]), Poly([4])).num == Poly([F(1, 4)])
+        with pytest.raises(ZeroDivisorError):
+            RatFunc(Poly([1]), [(f, 1), (Poly(), 2)])
+        with pytest.raises(TypeError):
+            RatFunc(Poly([1]), [(1, 1)])
+
+    def test_a_factor_equals_its_expansion(self):
+        """(1 - z)^2 held as a factor and the same polynomial expanded, below
+        and above the fraction bar."""
+        f = Poly([1, -1])
+        for e in (2, -2):
+            held = RatFunc(Poly([1]), [(f, e)])
+            expanded = RatFunc(Poly([1]), [(f * f, e // 2)])
+            assert held == expanded and (held - expanded).is_zero()
+            assert held.den != expanded.den
+        assert RatFunc(Poly([1]), [(f, -2)]) == RatFunc(f * f)
+        assert RatFunc(Poly([3]), [(f, 2)]) != RatFunc(Poly([3]), f)
+
+    def test_derivative_is_the_quotient_rule(self):
+        """Over seeded random values with repeated factors and negative
+        exponents: the derivative equals (N'D - N D')/D^2 of the expanded
+        N/D, and each exponent e of the result's denominator is e + 1."""
+        rng = random.Random(41)
+        for _ in range(25):
+            pairs = [(Poly([rng.randint(-4, 4) or 1 for _ in range(rng.randint(2, 3))]),
+                      rng.choice([-3, -2, -1, 1, 2, 3])) for _ in range(rng.randint(1, 3))]
+            v = RatFunc(Poly([rng.randint(-5, 5) for _ in range(rng.randint(1, 5))]), pairs)
+            N = v.num * math.prod((f ** -e for f, e in v.den if e < 0), start=Poly([1]))
+            D = math.prod((f ** e for f, e in v.den if e > 0), start=Poly([1]))
+            d = v.derivative()
+            assert d == RatFunc(N.derivative() * D - N * D.derivative(), D * D)
+            assert d.den == tuple((f, e + 1) for f, e in v.den if e != -1)
+
+    def test_compose(self):
+        """v(p(y)) factor by factor: the value of v at p(t) for rational t,
+        and the same value as `__call__` on the polynomial as a RatFunc."""
+        f, g = Poly([1, -1]), Poly([2, 0, 1])
+        v = RatFunc(Poly([F(1, 3), 2, -1]), [(f, 2), (g, -1)])
+        p = Poly([-1, 1, F(1, 2)])
+        w = v.compose(p)
+        assert w.den == ((f.compose(p), 2), (g.compose(p), -1))
+        assert w == v(RatFunc(p))
+        for t in (F(0), F(3), F(-5, 7)):
+            assert w(t) == v(p(t))
+        assert v.compose(Poly([3])) == v(3) and v.compose(Poly([3])).den == ()
+        with pytest.raises(ZeroDivisorError):
+            v.compose(Poly([1]))
+
+    def test_evaluation_at_a_factor_zero_raises(self):
+        f = Poly([1, -1])
+        v = RatFunc(Poly([1, 1]), [(f, 2), (Poly([1, 1]), -1)])
+        assert v(F(1, 2)) == F(3, 2) * F(3, 2) / F(1, 4)
+        with pytest.raises(ZeroDivisorError):
+            v(1)
+        K = NumberField(ALPHA_CUBIC, (F(1), F(2)))
+        with pytest.raises(ZeroDivisorError):
+            RatFunc(Poly([1]), ALPHA_CUBIC)(K.gen())
+        assert RatFunc(Poly([1]), [(f, -1)])(1) == 0
+        assert v(-1) == 0
 
 
 def _ball_or_value(v):
@@ -414,9 +477,10 @@ _K = NumberField(ALPHA_CUBIC, (F(1), F(2)))
     (Poly([1, 2, F(1, 3)]), Poly([F(-3, 2)]), False),
     (3 * _K.gen() ** 2 - _K.gen() + 7, _K.gen() + 2, True),
     (RatFunc(Poly([1, 0, 1]), Poly([-3, 1])), RatFunc(Poly([2, 1]), Poly([1, 0, 1])), True),
-    (ZFrac(4, Poly([3, -12]), 2), ZFrac(4, Poly([2, -2]), 0, 1), True),
+    (RatFunc(Poly([3, -12]), [(Poly([1, -1]), 2), (Poly([1, -4]), -1)]),
+     RatFunc(Poly([2, -2]), [(Poly([1, -4]), 1), (Poly([1, -1]), 3)]), True),
     (Ball(F(1, 2), 2, 64), Ball(-4, F(-1, 4), 64), True),
-], ids=["Poly", "NFElem", "RatFunc", "ZFrac", "Ball"])
+], ids=["Poly", "NFElem", "RatFunc", "RatFunc-factored", "Ball"])
 def test_derived_operators(a, b, field):
     """-, /, ** and the reflected operators that `exact.Value` derives agree
     with +, unary -, * and inverse() (a Ball compared by its endpoints, its
@@ -456,8 +520,9 @@ def test_power_starts_at_the_lowest_set_bit(monkeypatch):
     (Poly([]), Poly([1])),
     (3 * _K.gen() ** 2 - _K.gen() + 7, _K.one()),
     (RatFunc(Poly([1, 0, 1]), Poly([-3, 1])), RatFunc(Poly([1]))),
-    (ZFrac(4, Poly([1, 2, F(1, 3), -4]), 1, 2), ZFrac(4, Poly([1]))),
-], ids=["Poly", "zero-Poly", "NFElem", "RatFunc", "ZFrac"])
+    (RatFunc(Poly([1, 2, F(1, 3), -4]), [(Poly([1, -1]), 3), (Poly([1, -4]), -2)]),
+     RatFunc(Poly([1]))),
+], ids=["Poly", "zero-Poly", "NFElem", "RatFunc", "RatFunc-factored"])
 def test_zeroth_power_is_one(x, one):
     assert x ** 0 == one
 

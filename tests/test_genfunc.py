@@ -10,7 +10,7 @@ from fractions import Fraction as F
 import pytest
 
 from binom4k import genfunc, series
-from binom4k.exact import Poly, RatFunc, ZFrac, _mul_nums
+from binom4k.exact import Poly, RatFunc, _mul_nums
 from binom4k.genfunc import (
     check_derivatives_f,
     check_f_log,
@@ -18,11 +18,13 @@ from binom4k.genfunc import (
     check_lagrange,
     check_log_gm,
     check_quartic_f,
+    d_dx,
     eval_f,
     f_prime,
     f_second,
     point_context,
     relation_at,
+    theta,
 )
 
 
@@ -132,24 +134,25 @@ class TestKernel:
 
 
 class TestExactTypes:
-    """Poly coefficients are ints or Fractions, a RatFunc is a pair of Polys
-    over Q, and a ZFrac combines only with its own kind, ints and Fractions."""
+    """Poly coefficients are ints or Fractions, a RatFunc is a Poly over
+    factors that are Polys over Q, and it combines only with its own kind,
+    Polys, ints and Fractions."""
 
     def test_poly_rejects_float(self):
         with pytest.raises(TypeError):
             Poly([0.5, 1])
-
-    def test_zfrac_rejects_float(self):
-        with pytest.raises(TypeError):
-            ZFrac(4, Poly([1]), 1) * 0.5
-        with pytest.raises(TypeError):
-            0.1 + ZFrac(4, Poly([1]), 1)
 
     def test_ratfunc_rejects_float(self):
         with pytest.raises(TypeError):
             RatFunc(Poly([1, 0.1]), Poly([0.1, 1]))
         with pytest.raises(TypeError):
             RatFunc(0.5)
+        with pytest.raises(TypeError):
+            RatFunc(Poly([1]), [(Poly([1, -1]), 1), (0.5, 1)])
+        with pytest.raises(TypeError):
+            RatFunc(Poly([1]), Poly([1, -4])) * 0.5
+        with pytest.raises(TypeError):
+            0.1 + RatFunc(Poly([1]), Poly([1, -4]))
 
 
 def _wrong_rho(k):
@@ -197,7 +200,8 @@ class TestPerturbed:
     def test_closed_form_off_the_recurrence(self, monkeypatch):
         """y(0) = c_0 fails before any theta is applied."""
         monkeypatch.setattr(genfunc, "_param", lambda m: (
-            ZFrac(m, Poly([0, 1]), 1 - m), ZFrac(m, Poly([2]), 1), ZFrac(m, Poly([1]), 0, 1)))
+            RatFunc(Poly([0, 1]), [(Poly([1, -1]), 1 - m)]), RatFunc(Poly([2]), Poly([1, -1])),
+            RatFunc(Poly([1]), Poly([1, -m]))))
         with pytest.raises(ValueError, match="does not vanish"):
             check_lagrange(3, 2)
 
@@ -218,35 +222,59 @@ class TestQz:
 
     def test_denominators_are_nonzero_at_zero(self, monkeypatch):
         """What lets the series z(x) = x + O(x^2) be substituted into every
-        identity: each side is N/((1-z)^a (1-mz)^b), a, b >= 0."""
+        identity: each side is N / prod f^e with every factor f nonzero at
+        z = 0."""
         seen = _identities(monkeypatch)
         assert {name for name, _, _ in seen} == {
             "relation", "equation", "log", "f'", "f''", "recurrence"}
         assert len(seen) == 2 + 2 + 3 + 5 * 2 + 5 * 2 + 20
         for name, *sides in seen:
             for v in sides:
-                v = ZFrac(4, Poly._coerce(v)) if isinstance(v, int) else v
-                assert v.a >= 0 and v.b >= 0, name
-                den = Poly([1, -1]) ** v.a * Poly([1, -v.m]) ** v.b
-                assert den(0) != 0 and not den.is_zero(), name
+                for f, e in RatFunc._coerce(v).den:
+                    assert f.degree > 0 and e != 0 and f(0) != 0, name
+
+    def test_a_factor_vanishing_at_zero_fails(self, monkeypatch):
+        """f = 1/(1 - 4z) held as z/(z (1 - 4z)) is the same function, and
+        every identity about it is still one in Q(z); but its series in x
+        is no longer read off the numerator, so the check must not pass."""
+        param = genfunc._param
+        planted = RatFunc(Poly([0, 1]), [(Poly([0, 1]), 1), (Poly([1, -4]), 1)])
+        assert planted == param(4)[2]
+        monkeypatch.setattr(genfunc, "_param", lambda m: param(m)[:2] + (planted,))
+        assert check_quartic_f().witness == "relation: factor z vanishes at z = 0"
+        for check in (check_f_log, check_derivatives_f):
+            r = check()
+            assert not r.ok and r.witness.endswith("vanishes at z = 0"), check
+
+    def test_values_of_different_m_stay_apart(self):
+        """1/(1 - 3z) and 1/(1 - 4z) differ, and a sum of values built for
+        m = 3 and m = 4 carries the factors of both."""
+        x3, G3, B3 = genfunc._param(3)
+        f = genfunc._param(4)[2]
+        assert B3 != f and not (B3 - f).is_zero()
+        one_z, one_4z = Poly([1, -1]), Poly([1, -4])
+        s = x3 + f  # x's (1 - z)^2 over the factor of f
+        assert s.num == Poly([0, 1]) * one_z**2 * one_4z + 1 and s.den == ((one_4z, 1),)
+        assert set((G3 + f).den) == {(one_z, 1), (one_4z, 1)}
 
     def test_theta_of_powers_of_x(self):
         """theta x^j = j x^j and d/dx x^j = j x^(j-1) at every m."""
         for m in range(1, 6):
             x = genfunc._param(m)[0]
             for j in range(4):
-                assert (x**j).theta() == j * x**j, (m, j)
+                assert theta(x**j, m) == j * x**j, (m, j)
                 if j:
-                    assert (x**j).d_dx() == j * x**(j - 1), (m, j)
+                    assert d_dx(x**j, m) == j * x**(j - 1), (m, j)
 
     def test_units_and_the_rest(self):
         m = 3
-        u = ZFrac(m, Poly([5]) * Poly([1, -1]) ** 2 * Poly([1, -3]), 1, 4)
-        assert u * u.inverse() == 1 and ((1 / u).a, (1 / u).b) == (1, 0)
+        num = Poly([5]) * Poly([1, -1]) ** 2 * Poly([1, -3])
+        u = RatFunc(num, [(Poly([1, -1]), 1), (Poly([1, -3]), 4)])
+        assert u * u.inverse() == 1
+        assert (1 / u).den == ((Poly([1, -1]), -1), (Poly([1, -3]), -4), (num, 1))
+        assert RatFunc(Poly([1, 1])).inverse().den == ((Poly([1, 1]), 1),)
         with pytest.raises(ZeroDivisionError):
-            ZFrac(m, Poly([1, 1])).inverse()
-        with pytest.raises(ZeroDivisionError):
-            ZFrac(m, Poly()).inverse()
+            RatFunc(Poly()).inverse()
         x, G, B = genfunc._param(m)
         # G = 1 + x G^m, and sum_k C(mk,k) x^k = 1/(1 - m + m/G) (Concrete Math (5.61))
         assert G == 1 + x * G**m and B == 1 / (1 - m + m / G) and B != G
@@ -271,7 +299,7 @@ class TestCoefficients:
 
     def test_f_order0(self):
         f = genfunc._param(4)[2]
-        assert f.num(0) == 1 and f.a == 0 and f.b == 1
+        assert f.num(0) == 1 and f.den == ((Poly([1, -4]), 1),)
 
     def test_f_first_orders(self):
         expected = [math.factorial(4 * k) // (math.factorial(k) * math.factorial(3 * k))
@@ -310,7 +338,7 @@ class TestFunctionalEquations:
         """f = (1 + z)/(1 - 4z) keeps f(0) = 1 but breaks the relation."""
         param = genfunc._param
         monkeypatch.setattr(genfunc, "_param", lambda m: param(m)[:2] + (
-            ZFrac(m, Poly([1, 1]), 0, 1),))
+            RatFunc(Poly([1, 1]), Poly([1, -m])),))
         assert check_quartic_f().witness == "relation residual nonzero from order 1"
 
     def test_g1_is_geometric(self):
@@ -335,8 +363,8 @@ class TestFunctionalEquations:
 
     def test_derivative_order0_by_hand(self):
         f = genfunc._param(4)[2]
-        assert f.d_dx().num(0) == 4        # f'(0) = 4 = 64/16
-        assert f.d_dx().d_dx().num(0) == 56  # 2*28 = 4096*14/1024
+        assert d_dx(f, 4)(0) == 4           # f'(0) = 4 = 64/16
+        assert d_dx(d_dx(f, 4), 4)(0) == 56  # 2*28 = 4096*14/1024
         assert check_derivatives_f().ok
 
 
