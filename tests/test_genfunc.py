@@ -154,6 +154,14 @@ class TestExactTypes:
         with pytest.raises(TypeError):
             0.1 + RatFunc(Poly([1]), Poly([1, -4]))
 
+    def test_zfrac_rejects_float(self):
+        """A value in the z-fraction form N/((1-z)^a (1-mz)^b) that genfunc
+        builds, here 1/(1-z), takes no float operand on either side."""
+        with pytest.raises(TypeError):
+            RatFunc(Poly([1]), [(Poly([1, -1]), 1)]) * 0.5
+        with pytest.raises(TypeError):
+            0.1 + RatFunc(Poly([1]), [(Poly([1, -1]), 1)])
+
 
 def _wrong_rho(k):
     """series._rho with (3k+2) in the denominator replaced by (3k+4)."""
