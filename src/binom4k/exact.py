@@ -684,36 +684,6 @@ class NFElem(Value):
         return f"NFElem({self.rep.pretty('t')})"
 
 
-def sqrt_in_field(field: NumberField, d: int) -> NFElem:
-    """Express sqrt(d) inside a quartic field Q(g), g a root of a depressed
-    quartic t^4 + p t^2 + q t + r.
-
-    Works through the resolvent cubic: a rational root U = v^2 d of
-    U^3 + 2p U^2 + (p^2 - 4r) U - q^2 recovers the conjugate quadratic
-    factorization over Q(sqrt(d)), from which sqrt(d) = -(g^2 + w)/(v g + s).
-    The returned element squares to d and has positive real embedding.
-    """
-    if field.degree != 4 or field.modulus[3] != 0:
-        raise ValueError("sqrt_in_field requires a depressed quartic modulus")
-    res, p, q, r = _resolvent_cubic(field.modulus)
-    g = field.gen()
-    for U in _rational_roots(res):
-        if U <= 0:
-            continue
-        v = _sqrt_fraction(U / d)
-        if v is None:
-            continue
-        w = (p + U) / 2
-        s = -q / (2 * v * d)
-        denom = v * g + s
-        if denom.is_zero():
-            continue
-        e = -(g * g + w) / denom
-        if e * e == d:
-            return e if e.sign() > 0 else -e
-    raise ValueError(f"sqrt({d}) is not expressible in {field!r}")
-
-
 # ---------------------------------------------------------------------------
 # rational functions
 

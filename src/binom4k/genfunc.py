@@ -23,7 +23,7 @@ from typing import NamedTuple, Optional
 
 from . import series
 from .balls import Ball
-from .exact import AlgebraicReal, NFElem, NumberField, Poly, RatFunc, _rational_roots, sqrt_in_field
+from .exact import AlgebraicReal, NFElem, NumberField, Poly, RatFunc, _rational_roots
 from .series import RADIUS, SeriesSpec, sum_series
 
 
@@ -97,6 +97,19 @@ def zero_check(residual, witness=repr) -> CheckOutcome:
     if residual.is_zero():
         return CheckOutcome(True)
     return CheckOutcome(False, witness(residual))
+
+
+def times_sqrt(X: NFElem, Y: NFElem, d: int) -> CheckOutcome:
+    """Pass iff X = Y sqrt(d), d > 0, under the real embedding: X^2 - d Y^2 is
+    exactly zero and X has the sign of Y, nonzero; else fail naming the part
+    that does not hold."""
+    square = X * X - d * Y * Y
+    if not square.is_zero():
+        return CheckOutcome(False, f"square: X^2 - {d} Y^2 = {square!r}")
+    sx, sy = X.sign(), Y.sign()
+    if sy == 0 or sx != sy:
+        return CheckOutcome(False, f"sign: X has sign {sx}, Y sign {sy}")
+    return CheckOutcome(True)
 
 
 def _verdict(m: int, *identities) -> CheckOutcome:
@@ -197,32 +210,31 @@ def check_lagrange(m: int, n: int) -> CheckOutcome:
 
 
 class ContextError(ArithmeticError):
-    """An exact invariant of an algebraic context failed to reduce to zero."""
+    """An exact invariant failed: a residual is not zero, a sign is wrong, or
+    a division leaves a remainder."""
 
 
-def _divide_root(p: Poly, r: Fraction) -> Poly:
-    """p / (y - r), checked to leave no remainder."""
-    q, rem = p.divrem(Poly([-r, 1]))
+def exact_quotient(p: Poly, q: Poly) -> Poly:
+    """p / q, checked to leave no remainder."""
+    quotient, rem = p.divrem(q)
     if not rem.is_zero():
-        raise ContextError(f"{r} is not a root of {p.pretty()}")
-    return q
+        raise ContextError(f"{q.pretty()} does not divide {p.pretty()}")
+    return quotient
 
 
 # minimal polynomial of f(1/16): the relation at 1/16 is (y + 1)(11y^3 - 11y^2 - 7y - 1)
-ALPHA_CUBIC = _divide_root(relation_at(Fraction(1, 16)), Fraction(-1))
+ALPHA_CUBIC = exact_quotient(relation_at(Fraction(1, 16)), Poly([1, 1]))
 
 
 class PointContext(NamedTuple):
-    """The number field Q(gamma), gamma = f(x0), with the positive square root
-    of d in it when one was asked for (`point_context`)."""
+    """The number field Q(gamma), gamma = f(x0) (`point_context`)."""
 
     x0: Fraction
     field: NumberField
     gamma: NFElem
-    sqrt_d: Optional[NFElem]
 
 
-def point_context(x0, d: Optional[int] = None) -> PointContext:
+def point_context(x0) -> PointContext:
     """The field Q(f(x0)), its embedding the root of f's relation at x0 that
     an enclosure of f(x0) isolates: Q itself when that root is a rational r
     (modulus y - r), else the field cut out by the relation with each
@@ -240,9 +252,9 @@ def point_context(x0, d: Optional[int] = None) -> PointContext:
         modulus = relation
         for r in roots:
             while modulus(r) == 0:
-                modulus = _divide_root(modulus, r)
+                modulus = exact_quotient(modulus, Poly([-r, 1]))
     field = NumberField(modulus, interval)
-    return PointContext(x0, field, field.gen(), None if d is None else sqrt_in_field(field, d))
+    return PointContext(x0, field, field.gen())
 
 
 def eval_f(x, digits: int = 30) -> Ball:

@@ -1,11 +1,12 @@
 """Exact verification of the proof-level identities behind the catalog.
 
 Everything here is a zero-test in an exact structure: the polynomial ring
-over Q, the rational functions over Q, or a number field.  A formula printed
-with coefficients in a number field is rewritten over Q before it is
-checked: the cube-root case by the change of variable z = cbrt2 w, the
-bracket decomposition row by row.  A check either passes or returns a
-nonzero witness; there are no tolerances anywhere in this module.
+over Q, the rational functions over Q, or a number field, where a claim
+X = r sqrt(d) is its square and the sign of X under the real embedding.  A
+formula printed with coefficients in a number field is rewritten over Q
+before it is checked: the cube-root case by the change of variable
+z = cbrt2 w, the bracket decomposition row by row.  A check either passes or
+returns a nonzero witness; there are no tolerances anywhere in this module.
 
 Several printed formulas in the source collection contain transcription
 slips.  Where that happens the checks compute the truth rather than assert
@@ -32,8 +33,8 @@ from typing import NamedTuple, Optional, Sequence
 from . import series
 from .catalog import CUBIC_31, CUBIC_32, LEMMA51_CASES, P_COEFFS, Q_COEFFS, catalog_by_id
 from .exact import Ival, NFElem, NumberField, Poly, RatFunc, count_roots
-from .genfunc import (ALPHA_CUBIC, CheckOutcome, ContextError, PointContext, f_prime, f_second,
-                      point_context, zero_check)
+from .genfunc import (ALPHA_CUBIC, CheckOutcome, ContextError, PointContext, exact_quotient,
+                      f_prime, f_second, point_context, times_sqrt, zero_check)
 from .series import harmonic
 
 F = Fraction
@@ -51,15 +52,19 @@ def alpha_context() -> PointContext:
     return ctx
 
 
+# 14 b^2 - 7 sqrt2 b - 1 - 2 sqrt2 = 0 as L(b) = sqrt2 R(b): (L, R)
+_BETA_SIDES = (Poly([-1, 0, 14]), Poly([2, 7]))
+
+
 @lru_cache(maxsize=1)
 def beta_context() -> PointContext:
-    """Q(b, sqrt 2), b = f(-1/256), the lemma 5.1 case m256, checked:
+    """Q(b), b = f(-1/256), the lemma 5.1 case m256, checked:
     14 b^2 - 7 sqrt2 b - 1 - 2 sqrt2 = 0 and b in (0.9, 1)."""
     ctx = case_context("m256")
-    b, s2 = ctx.gamma, ctx.sqrt_d
-    quad = 14 * b * b - 7 * s2 * b - 1 - 2 * s2
-    if not quad.is_zero():
-        raise ContextError(f"quadratic residual is nonzero: {quad!r}")
+    L, R = (p(ctx.gamma) for p in _BETA_SIDES)
+    outcome = times_sqrt(L, R, 2)
+    if not outcome.ok:
+        raise ContextError(f"quadratic: {outcome.witness}")
     lo, hi = ctx.field.embedding.refine(F(1, 100))
     if not (F(9, 10) < lo and hi < 1):
         raise ContextError("embedding escaped (0.9, 1)")
@@ -68,9 +73,8 @@ def beta_context() -> PointContext:
 
 @lru_cache(maxsize=None)
 def case_context(case: str) -> PointContext:
-    """Q(f(x0), sqrt d) for a lemma 5.1 case."""
-    x0, d, *_ = LEMMA51_CASES[case]
-    return point_context(x0, d)
+    """Q(f(x0)) for a lemma 5.1 case."""
+    return point_context(LEMMA51_CASES[case][0])
 
 
 # ---------------------------------------------------------------------------
@@ -482,20 +486,22 @@ def partial_fraction_decomposition(corrected: bool = True) -> CheckOutcome:
 # the five x-specializations of section 5
 
 
-def theorem3_combination(case: str, gamma: NFElem, sqrt_d: NFElem) -> NFElem:
-    """The closed form of the lemma 5.1 combination minus its stated constant."""
-    x0, _, (wa, wb, wc), (q0, q1), r = LEMMA51_CASES[case]
+def theorem3_combination(case: str, gamma: NFElem) -> NFElem:
+    """X, the closed form of the lemma 5.1 combination, which it states is r sqrt(d)."""
+    x0, _, (wa, wb, wc), (q0, q1), _ = LEMMA51_CASES[case]
     g = gamma
     xg = x0 * f_prime(g)                           # sum k C(4k,k) x^k = x f'(x)
     sa = q1 * xg + q0 * g                          # sum (q0 + q1 k) C x^k
     sb = 4 * g / (3 * g + 1)                       # sum C x^k/(3k+1)
     sc = sb * sb                                   # sum (8k+2) C x^k/((3k+1)(3k+2))
-    return wa * sa + wb * sb + wc * sc - r * sqrt_d
+    return wa * sa + wb * sb + wc * sc
 
 
 def check_theorem3_reduction(case: str) -> CheckOutcome:
+    """The combination X is r sqrt(d) in Q(f(x0))."""
+    _, d, _, _, r = LEMMA51_CASES[case]
     ctx = case_context(case)
-    return zero_check(theorem3_combination(case, ctx.gamma, ctx.sqrt_d))
+    return times_sqrt(theorem3_combination(case, ctx.gamma), ctx.field.const(r), d)
 
 
 # ---------------------------------------------------------------------------
@@ -552,13 +558,8 @@ def substituted_integrands(j: int, width: Fraction = F(1, 10**9)) -> Substituted
         )
     if j == 3:
         w_minus_1 = Poly([-1, 1])
-        m_w, rem = _in_w(_g3_quartic(), 1).divrem(w_minus_1)
-        if not rem.is_zero():
-            raise ArithmeticError("endpoint cofactor division left a remainder")
-        n6, rem = _in_w(_G3_NONIC.coeffs).divrem(m_w)
-        if not rem.is_zero():
-            raise ArithmeticError(
-                "endpoint cancellation division left a remainder (transcription fault)")
+        m_w = exact_quotient(_in_w(_g3_quartic(), 1), w_minus_1)
+        n6 = exact_quotient(_in_w(_G3_NONIC.coeffs), m_w)
         return SubstitutedIntegrand(
             j=3,
             num=_in_w(_G3_SEXTIC.coeffs) * n6,

@@ -375,13 +375,11 @@ def fixed_point_terms(specs: list[SeriesSpec], cutoffs: list[int],
         plans.append((i, spec.start, K, [(slot[j], [int(c * scale) for c in reversed(cs)])
                                          for j, cs in spec.channels.items()],
                       [DENOM_FACTORS[n] for n in spec.denominator_factors]))
-    x, reciprocal, last = specs[0].x, specs[0].binomial_power == -1, max(cutoffs)
-    xa, xb, negative = abs(x.numerator), x.denominator, x < 0
-    for k in range(last + 1):
+    negative = specs[0].x < 0
+    for k in range(max(cutoffs) + 1):
         flip = negative and k % 2 == 1   # the sign of x^k
         if k:
-            a, b = 4 * (4 * k - 3) * (4 * k - 2) * (4 * k - 1), (3 * k - 2) * (3 * k - 1) * (3 * k)
-            a, b = (xa * b, xb * a) if reciprocal else (xa * a, xb * b)
+            a, b = _magnitude_step(specs[0], k - 1)
             B, eB = values[0], errors[0]
             for n, j in enumerate(js, 1):
                 s, es = values[n], errors[n]

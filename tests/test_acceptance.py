@@ -91,11 +91,14 @@ def test_criterion_3_lagrange_inversion():
 def test_criterion_4_algebraic_contexts():
     a = alpha_context().gamma
     relation = F(11, 128) * f_second(a) - F(35, 8) * f_prime(a) + 11 * a + 5
-    b, s2 = beta_context().gamma, beta_context().sqrt_d
+    b = beta_context().gamma
+    L, R = 14 * b * b - 1, 7 * b + 2
+    square = (L * L - 2 * R * R).is_zero() and L.sign() == R.sign() == 1
+    s2 = L / R  # sqrt 2, by the square and the signs
     quad = 14 * b * b - 7 * s2 * b - 1 - 2 * s2
     power = (3 * a + 1) ** 15 * (a - 1) ** 5 - 16 ** 5 * a ** 20
     one_field = beta_context().field is case_context("m256").field
-    ok = relation.is_zero() and quad.is_zero() and power.is_zero() and one_field
+    ok = relation.is_zero() and square and quad.is_zero() and power.is_zero() and one_field
     _report("4 (algebraic contexts exact)", ok)
 
 

@@ -459,6 +459,24 @@ def test_package_import_loads_no_module():
     assert out.split() == ["0.1.0"]
 
 
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_a_reader_that_leaves_early_gets_no_traceback(unbuffered):
+    """`binom4k verify-all | head -1`: the reader closes its end before the
+    report is written, buffered or not, and the command exits 1 with nothing
+    on stderr.  `main` flushes stdout itself, so that the broken pipe raises
+    there and not at exit, and then points stdout at devnull, so that the
+    flush at exit cannot raise again."""
+    env = {**os.environ, "PYTHONUNBUFFERED": unbuffered, "PYTHONPATH": os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.Popen([sys.executable, "-m", "binom4k", "verify-all", "--digits", "10"],
+                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert "Traceback" not in err
+    assert (proc.wait(timeout=60), err) == (1, "")
+
+
 def test_returned_records_are_immutable():
     """A record handed back by a command's work cannot be edited after the
     fact: assigning any of its fields raises AttributeError."""

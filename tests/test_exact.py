@@ -18,7 +18,6 @@ from binom4k.exact import (
     _rational_roots,
     count_roots,
     is_irreducible,
-    sqrt_in_field,
 )
 
 ALPHA_CUBIC = Poly([-1, -7, -11, 11])
@@ -323,14 +322,6 @@ class TestNumberField:
         a = NumberField(ALPHA_CUBIC, (F(1), F(2))).gen()
         with pytest.raises(ValueError, match="positive"):
             a.embedding_interval(F(0))
-
-    def test_sqrt_in_quartic_field(self):
-        K = NumberField(Poly([-1, -8, -18, 0, 28]), (F(1, 2), F(1)))
-        s2 = sqrt_in_field(K, 2)
-        assert s2 * s2 == 2
-        assert s2.sign() == 1
-        lo, hi = s2.embedding_interval(F(1, 10**8))
-        assert F(14142, 10**4) < lo < hi < F(14143, 10**4)
 
     def test_reducible_modulus_rejected(self):
         with pytest.raises(ValueError, match="reducible"):

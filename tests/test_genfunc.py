@@ -401,13 +401,17 @@ class TestContexts:
         assert rel.is_zero()
 
     def test_beta_embedding(self):
-        ctx = point_context(F(-1, 256), 2)
+        ctx = point_context(F(-1, 256))
         lo, hi = ctx.field.embedding.refine(F(1, 10**6))
         assert F(984, 1000) < lo < hi < F(986, 1000)
 
     def test_beta_quadratic(self):
-        ctx = point_context(F(-1, 256), 2)
-        b, s2 = ctx.gamma, ctx.sqrt_d
+        """L = 14b^2 - 1 and R = 7b + 2 have L^2 = 2 R^2 and are both
+        positive, so L/R is sqrt 2 in Q(b)."""
+        b = point_context(F(-1, 256)).gamma
+        L, R = 14 * b * b - 1, 7 * b + 2
+        assert (L * L - 2 * R * R).is_zero() and L.sign() == R.sign() == 1
+        s2 = L / R
         assert (14 * b * b - 7 * s2 * b - 1 - 2 * s2).is_zero()
         assert s2 * s2 == 2
 
@@ -418,7 +422,8 @@ class TestContexts:
 
     def test_rational_roots_are_divided_out(self):
         ctx = point_context(F(1, 16))
-        assert ctx.field.modulus == genfunc.ALPHA_CUBIC.monic() and ctx.sqrt_d is None
+        assert ctx.field.modulus == genfunc.ALPHA_CUBIC.monic()
+        assert ctx._fields == ("x0", "field", "gamma")
         assert point_context(F(-1, 256)).field.degree == 4
 
     def test_rational_value_gives_the_rational_field(self):

@@ -298,17 +298,47 @@ class TestTheorem3:
         for case in LEMMA51_CASES:
             assert check_theorem3_reduction(case).ok, case
 
-    def test_sqrt_d_is_exact(self):
-        for case, (_, d, *_) in LEMMA51_CASES.items():
-            ctx = case_context(case)
-            assert ctx.sqrt_d * ctx.sqrt_d == d
-            assert ctx.sqrt_d.sign() == 1
+    def test_combination_square_and_sign_are_exact(self):
+        for case, (_, d, _, _, r) in LEMMA51_CASES.items():
+            X = theorem3_combination(case, case_context(case).gamma)
+            assert X * X == r * r * d
+            assert X.sign() == (1 if r > 0 else -1)
 
     def test_random_rational_substitution_fails(self):
-        ctx = case_context("m256")
-        fake = ctx.field.const(F(97, 100))
-        residual = theorem3_combination("m256", fake, ctx.sqrt_d)
-        assert not residual.is_zero()
+        _, d, _, _, r = LEMMA51_CASES["m256"]
+        fake = case_context("m256").field.const(F(97, 100))
+        X = theorem3_combination("m256", fake)
+        assert not (X * X - r * r * d).is_zero()
+
+    @pytest.mark.parametrize("case", list(LEMMA51_CASES))
+    def test_negated_r_fails_on_the_sign(self, monkeypatch, case):
+        x0, d, ws, q, r = LEMMA51_CASES[case]
+        monkeypatch.setitem(LEMMA51_CASES, case, (x0, d, ws, q, -r))
+        oc = check_theorem3_reduction(case)
+        assert not oc.ok and oc.witness.startswith("sign: X has sign")
+        name = f"theorem3-reduction-{case}"
+        check = next(c for c in run_exact_checks(name) if c.name == name)
+        assert not check.passed and check.witness == oc.witness
+
+    @pytest.mark.parametrize("case", list(LEMMA51_CASES))
+    def test_another_square_free_d_fails_on_the_square(self, monkeypatch, case):
+        x0, d, ws, q, r = LEMMA51_CASES[case]
+        monkeypatch.setitem(LEMMA51_CASES, case, (x0, {2: 3, 3: 5, 5: 2}[d], ws, q, r))
+        oc = check_theorem3_reduction(case)
+        assert not oc.ok and oc.witness.startswith("square: X^2 - ")
+
+    def test_conjugate_beta_quadratic_fails_on_the_sign(self, monkeypatch):
+        """14 b^2 + 7 sqrt2 b - 1 + 2 sqrt2 = 0, the conjugate quadratic, says
+        L = -sqrt2 R: its square holds in Q(b), its sign does not."""
+        L, R = proofs._BETA_SIDES
+        monkeypatch.setattr(proofs, "_BETA_SIDES", (L, -R))
+        proofs.beta_context.cache_clear()
+        try:
+            [check] = run_exact_checks("beta-context")
+        finally:
+            proofs.beta_context.cache_clear()
+        assert not check.passed
+        assert check.witness == "ContextError: quadratic: sign: X has sign 1, Y sign -1"
 
     def test_gamma_matches_eval_f(self):
         from binom4k.genfunc import eval_f

@@ -100,6 +100,16 @@ class TestTerms:
         # (22-92+11)*4/16, exact in binary
         assert _checked_terms(EQ11, 1)[1] == (1, -59 << 198, 0)
 
+    def test_terms_step_by_the_certified_ratio(self, monkeypatch):
+        """The magnitudes step by `series._rho`, the ratio that
+        `genfunc.check_quartic_f` certifies: doubling it doubles the k = 1
+        term, and the reciprocal series steps by its inverse."""
+        from binom4k import series
+        rho = series._rho
+        monkeypatch.setattr(series, "_rho", lambda k: (2 * rho(k)[0], rho(k)[1]))
+        assert list(fixed_point_terms([EQ11], [1], 200))[1] == (0, 1, -59 << 199, 0)
+        assert list(fixed_point_terms([RECIP_PI], [1], 200)) == [(0, 1, 1 << 200, 0)]
+
     def test_reciprocal_k1(self):
         # 2*8/(1*2*1*4), exact in binary
         assert _checked_terms(RECIP_PI, 1) == [(1, 2 << 200, 0)]

@@ -9,9 +9,10 @@ prints the headers alone).  Exit status 0 when every output agrees, else 1.
 
 The matrix:
 - `verify-all` at 10, 50, 300 and 1000 digits with `--jobs` 1 and 2, as
-  JSON, CSV and text, with the elapsed times masked;
+  JSON, CSV and text, and at 2000 digits as JSON, with the elapsed times
+  masked;
 - `exact-checks` as text and JSON;
-- `crosscheck --j 1..4`;
+- `crosscheck --j 1..4`, and `crosscheck --j 1` at each x of `J1_XS`;
 - `catalog list`, and `catalog show` for every id that OLD lists;
 - `eval` on the near-radius specs of seeds 1 and 2 at 20 and 5 digits,
   drawn once by OLD's `bench/workloads.py` so both sides read the same files;
@@ -38,6 +39,8 @@ import tempfile
 from pathlib import Path
 
 DIGITS = (10, 50, 300, 1000)
+JSON_DIGITS = (2000,)   # JSON alone: a run takes seconds
+J1_XS = ("0", "1/50", "-1/50", "1/10")
 EVAL_DIGITS = (20, 5)
 SEEDS = (1, 2)
 _TEXT_MS = re.compile(r" +\d+\.\d ms  \[")
@@ -75,15 +78,17 @@ def _near_radius_specs(root: Path, seed: int) -> list:
 def matrix(old: Path, scratch: Path) -> list:
     """(label, argv, mask) for every command; writes the eval spec files."""
     runs = []
-    for digits in DIGITS:
+    for digits in DIGITS + JSON_DIGITS:
         for jobs in (1, 2):
-            for fmt in ("json", "csv", "text"):
+            for fmt in ("json",) if digits in JSON_DIGITS else ("json", "csv", "text"):
                 argv = ["verify-all", "--digits", str(digits), "--jobs", str(jobs), "--format", fmt]
                 runs.append((" ".join(argv), argv, MASKS[fmt]))
     for fmt in ("text", "json"):
         runs.append((f"exact-checks --format {fmt}", ["exact-checks", "--format", fmt], None))
     for j in range(1, 5):
         runs.append((f"crosscheck --j {j}", ["crosscheck", "--j", str(j)], None))
+    for x in J1_XS:
+        runs.append((f"crosscheck --j 1 --x={x}", ["crosscheck", "--j", "1", f"--x={x}"], None))
     listing = _run(old, ["catalog", "list"], scratch)[0]
     runs.append(("catalog list", ["catalog", "list"], None))
     for eid in (line.split()[0] for line in listing.splitlines()):
