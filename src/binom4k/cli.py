@@ -329,7 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
 
     p = sub.add_parser("exact-checks", help="run the exact symbolic suite")
-    p.add_argument("--only", default=None, help="substring filter on check names")
+    p.add_argument("--only", default=None,
+                   help="the check of this name, or else every check whose name contains it")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("crosscheck", help="quadrature vs series cross-check")

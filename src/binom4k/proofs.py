@@ -582,19 +582,13 @@ class ExactCheck(NamedTuple):
 
 
 def run_exact_checks(only: Optional[str] = None) -> list[ExactCheck]:
-    """Run the whole exact suite (optionally filtered by substring)."""
+    """Run the exact suite, or the check named `only`, or else those whose names contain it."""
     from . import genfunc
 
-    checks: list[ExactCheck] = []
+    suite = []   # (name, fn, args), run once `only` is resolved
 
     def add(name, fn, *args):
-        if only and only not in name:
-            return
-        try:
-            oc = fn(*args)
-        except Exception as exc:  # a crash is a failure with the message as witness
-            oc = CheckOutcome(False, f"{type(exc).__name__}: {exc}")
-        checks.append(ExactCheck(name, oc.ok, oc.witness, oc.note))
+        suite.append((name, fn, args))
 
     add("quartic-f", genfunc.check_quartic_f)
     for m in range(1, 6):
@@ -714,4 +708,12 @@ def run_exact_checks(only: Optional[str] = None) -> list[ExactCheck]:
                                 note=f"upper limit {si.upper_desc}")
         add(f"integrand-domain-j{j}", domain)
 
+    chosen = [c for c in suite if c[0] == only] or [c for c in suite if (only or "") in c[0]]
+    checks: list[ExactCheck] = []
+    for name, fn, args in chosen:
+        try:
+            oc = fn(*args)
+        except Exception as exc:  # a crash is a failure with the message as witness
+            oc = CheckOutcome(False, f"{type(exc).__name__}: {exc}")
+        checks.append(ExactCheck(name, oc.ok, oc.witness, oc.note))
     return checks

@@ -37,6 +37,13 @@ to their largest K at their largest P (more bits only shrink the tracked
 error), each taking its terms up to its own K.  With jobs > 1 the passes
 run in forked processes (`workers`), with the same results.
 
+Every integer of a spec is derived once, at its first use, into its integer
+form `SeriesSpec.ints`: |x| = xn / xd and the sign of x, L, the coefficients
+of each L Rj from the highest degree and their absolute values, the (a, b)
+of each factor a k + b of D(k), and the largest degree.  The pass, the unit
+of `sum_many`, the ratio bound (an integer pair), the envelope (one integer
+Horner over 10 L), `_working_bits` and the cutoff estimate all read it.
+
 The tail after the cutoff K is bounded by a certified geometric envelope:
 
     |t_k| <= T(k) := |x|^k C(4k,k)^e (R0+(k) + sum_j Rj+(k) H_{jk}) / D(k)
@@ -65,8 +72,11 @@ anywhere.
 from __future__ import annotations
 
 import math
+import operator
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterator, Mapping
 
@@ -109,11 +119,6 @@ def harmonic(n: int) -> Fraction:
     if n < 0:
         raise ValueError("harmonic number of a negative index")
     return sum((Fraction(1, i) for i in range(1, n + 1)), Fraction(0))
-
-
-def _harmonic_upper(n: int) -> Fraction:
-    """Rational upper bound of H_n: H_n <= 1 + ln n and ln n < (7/10) bitlength(n)."""
-    return Fraction(0) if n == 0 else 1 + Fraction(7 * n.bit_length(), 10)
 
 
 @dataclass(frozen=True)
@@ -159,29 +164,32 @@ class SeriesSpec:
 
     # -- helpers -------------------------------------------------------------
 
+    @cached_property
+    def ints(self) -> IntForm:
+        """The integer form of the module docstring, derived at its first use."""
+        return _integer_form(self)
+
     def denominator_at(self, k: int) -> int:
-        d = 1
-        for name in self.denominator_factors:
-            a, b = DENOM_FACTORS[name]
-            d *= a * k + b
+        d = math.prod(a * k + b for a, b in self.ints.factors)
         if d == 0:
             raise SpecError(f"index excluded: denominator vanishes at k={k}")
         return d
 
-    def channel_abs_value(self, j: int, k: int) -> Fraction:
-        coeffs = self.channels.get(j)
-        if not coeffs:
-            return Fraction(0)
-        acc = Fraction(0)
-        for c in reversed(coeffs):
-            acc = acc * k + abs(c)
-        return acc
-
-    def max_degree(self) -> int:
-        return max((len(c) - 1 for c in self.channels.values()), default=0)
-
     def is_zero(self) -> bool:
         return not self.channels
+
+
+IntForm = namedtuple("IntForm", "xn xd negative scale channels abs_channels factors degree")
+
+
+def _integer_form(spec: SeriesSpec) -> IntForm:
+    L = math.lcm(*(c.denominator for cs in spec.channels.values() for c in cs))
+    chans = tuple((j, tuple(c.numerator * (L // c.denominator) for c in reversed(cs)))
+                  for j, cs in spec.channels.items())
+    return IntForm(abs(spec.x.numerator), spec.x.denominator, spec.x < 0, L, chans,
+                   tuple((j, tuple(map(abs, cs))) for j, cs in chans),
+                   tuple(DENOM_FACTORS[n] for n in spec.denominator_factors),
+                   max((len(cs) - 1 for cs in spec.channels.values()), default=0))
 
 
 def _rho(k: int) -> tuple[int, int]:
@@ -189,32 +197,24 @@ def _rho(k: int) -> tuple[int, int]:
     return 4 * (4 * k + 1) * (4 * k + 2) * (4 * k + 3), (3 * k + 1) * (3 * k + 2) * (3 * k + 3)
 
 
-def _magnitude_step(spec: SeriesSpec, k: int) -> tuple[int, int]:
-    """(a, b) with |x|^(k+1) C(4k+4,k+1)^e = |x|^k C(4k,k)^e * a / b."""
-    num, den = _rho(k)
-    if spec.binomial_power == -1:
-        num, den = den, num
-    return abs(spec.x.numerator) * num, spec.x.denominator * den
-
-
 # ---------------------------------------------------------------------------
 # certified tail bounds
 
 
-def _ratio_bound(spec: SeriesSpec, K: int) -> Fraction:
-    """qbar(K): upper bound for T(k+1)/T(k) valid for every k >= K+1."""
-    growth = (1 + Fraction(1, K + 1)) ** (spec.max_degree() + 1)
+def _ratio_bound(spec: SeriesSpec, K: int) -> tuple[int, int]:
+    """qbar(K) as (N, D), qbar = N / D: upper bound for T(k+1)/T(k) valid for every k >= K+1."""
+    f, g = spec.ints, spec.ints.degree + 1   # growth (1 + 1/(K+1))^g
     if spec.binomial_power == 1:
-        rho = Fraction(256, 27)  # rho(k) < 256/27 for all k
+        num, den = 256, 27  # rho(k) < 256/27 for all k
     else:
-        rho = Fraction(*reversed(_rho(K + 1)))  # rho increasing => 1/rho(k) <= 1/rho(K+1)
-    return abs(spec.x) * rho * growth
+        num, den = _rho(K + 1)[::-1]  # rho increasing => 1/rho(k) <= 1/rho(K+1)
+    return f.xn * num * (K + 2) ** g, f.xd * den * (K + 1) ** g
 
 
 def min_tail_cutoff(spec: SeriesSpec) -> int:
     """The least K >= max(start, 1) with a certified contraction ratio
     qbar(K) < 1 (qbar decreases in K), by the same search as the cutoff."""
-    return _first_fit(max(spec.start, 1), lambda K: _ratio_bound(spec, K) < 1,
+    return _first_fit(max(spec.start, 1), lambda K: operator.lt(*_ratio_bound(spec, K)),
                       "no certified contraction ratio at cutoff K <=")
 
 
@@ -223,10 +223,17 @@ def _envelope_at(spec: SeriesSpec, k: int) -> Fraction:
 
     Exact but for H_n, which is bounded above, and the final rounding, which
     spares a gcd of numbers with O(k) digits."""
-    num = sum((spec.channel_abs_value(j, k) * (_harmonic_upper(j * k) if j else 1)
-               for j in spec.channels), Fraction(0))
-    a = abs(spec.x.numerator) ** k * num.numerator
-    b = spec.x.denominator ** k * num.denominator * abs(spec.denominator_at(k))
+    # n = 10 L sum_j Rj+(k) h_j, with h_j = 1 + (7/10) bitlength(jk) >= H_{jk}
+    # for k >= 1 (H_n <= 1 + ln n) and h_0 = 1
+    f, n = spec.ints, 0
+    for j, cs in f.abs_channels:
+        r = 0
+        for c in cs:
+            r = r * k + c
+        n += r * (10 + 7 * (j * k).bit_length())
+    num = Fraction(n, 10 * f.scale)  # reduced: the rounding reads its bit lengths
+    a = f.xn ** k * num.numerator
+    b = f.xd ** k * num.denominator * abs(spec.denominator_at(k))
     if spec.binomial_power == 1:
         a *= math.comb(4 * k, k)
     else:
@@ -241,11 +248,10 @@ def tail_bound_exact(spec: SeriesSpec, K: int) -> Fraction:
     """Rigorous upper bound on |sum_{k>K} term_k| as an exact rational."""
     if spec.is_zero():
         return Fraction(0)
-    qbar = _ratio_bound(spec, K)
-    if qbar >= 1:
+    N, D = _ratio_bound(spec, K)
+    if N >= D:
         raise SpecError(f"cutoff {K} below the certified index K0={min_tail_cutoff(spec)}")
-    head = _envelope_at(spec, K + 1)
-    return head / (1 - qbar)
+    return _envelope_at(spec, K + 1) * D / (D - N)
 
 
 def _log2(q: Fraction) -> float:
@@ -260,10 +266,10 @@ def _tail_log2_estimator(spec: SeriesSpec):
     |x| and the coefficients, a log-sum of the envelope's monomials.  -inf
     when the bound is 0, +inf where the float ratio bound reaches 1.  It
     never raises: nothing that can leave the float range is exponentiated."""
-    monomials = [(j, i, _log2(abs(c))) for j, cs in spec.channels.items()
-                 for i, c in enumerate(cs) if c]
-    log2_x = _log2(abs(spec.x)) if spec.x else -math.inf
-    growth = spec.max_degree() + 1
+    f = spec.ints
+    monomials = [(j, i, math.log2(c) - math.log2(f.scale)) for j, cs in f.abs_channels
+                 for i, c in enumerate(reversed(cs)) if c]
+    log2_x = math.log2(f.xn) - math.log2(f.xd) if f.xn else -math.inf
     ln2 = math.log(2)
 
     def estimate(K: int) -> float:
@@ -276,12 +282,8 @@ def _tail_log2_estimator(spec: SeriesSpec):
         top = max(parts)
         log2_num = top + math.log2(sum(2.0 ** (p - top) for p in parts))
         log2_binom = (math.lgamma(4 * k + 1) - math.lgamma(k + 1) - math.lgamma(3 * k + 1)) / ln2
-        if spec.binomial_power == 1:
-            log2_rho = math.log2(256 / 27)
-        else:
-            num, den = _rho(K + 1)
-            log2_rho = math.log2(den) - math.log2(num)
-        log2_q = log2_x + log2_rho + growth * math.log1p(1 / k) / ln2
+        N, D = _ratio_bound(spec, K)
+        log2_q = math.log2(N) - math.log2(D)
         if log2_q >= 0:
             return math.inf
         return (k * log2_x + spec.binomial_power * log2_binom + log2_num
@@ -339,11 +341,6 @@ def _cutoff(spec: SeriesSpec, budget: Fraction) -> tuple[int, Fraction]:
 # fixed-point summation
 
 
-def channel_scale(spec: SeriesSpec) -> int:
-    """L: the least common denominator of every channel coefficient."""
-    return math.lcm(*(c.denominator for cs in spec.channels.values() for c in cs))
-
-
 def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
@@ -362,24 +359,20 @@ class TermState:
 def fixed_point_terms(specs: list[SeriesSpec], cutoffs: list[int],
                       prec: int) -> Iterator[tuple[int, int, int, int]]:
     """Yield (i, k, T, err) for each spec i and specs[i].start <= k <= cutoffs[i]:
-    |T - L 2^prec t_k| <= err for the exact term t_k of spec i, L = channel_scale(specs[i]).
+    |T - L 2^prec t_k| <= err for the exact term t_k of spec i, L = specs[i].ints.scale.
     The specs share x and the binomial power, so one B stream and one C_j stream
     per harmonic channel serve them all (the recurrences of the module docstring)."""
     js = sorted({j for s in specs for j in s.channels if j})
     values, errors = TermState.initial(js, prec)  # slot n > 0 holds C_j, j = js[n - 1]
     slot = {j: n for n, j in enumerate([0] + js)}
-    plans = []
-    for i, (spec, K) in enumerate(zip(specs, cutoffs)):
-        scale = channel_scale(spec)
-        # Horner coefficients, highest degree first, of L Rj for each channel
-        plans.append((i, spec.start, K, [(slot[j], [int(c * scale) for c in reversed(cs)])
-                                         for j, cs in spec.channels.items()],
-                      [DENOM_FACTORS[n] for n in spec.denominator_factors]))
-    negative = specs[0].x < 0
+    plans = [(i, spec.start, K, [(slot[j], cs) for j, cs in spec.ints.channels], spec.ints.factors)
+             for i, (spec, K) in enumerate(zip(specs, cutoffs))]
+    f, power = specs[0].ints, specs[0].binomial_power
     for k in range(max(cutoffs) + 1):
-        flip = negative and k % 2 == 1   # the sign of x^k
+        flip = f.negative and k % 2 == 1   # the sign of x^k
         if k:
-            a, b = _magnitude_step(specs[0], k - 1)
+            num, den = _rho(k - 1)[::power]   # m_k / m_{k-1} = |x| rho(k-1)^(+-1)
+            a, b = f.xn * num, f.xd * den
             B, eB = values[0], errors[0]
             for n, j in enumerate(js, 1):
                 s, es = values[n], errors[n]
@@ -419,18 +412,20 @@ def _working_bits(spec: SeriesSpec, K: int, digits: int) -> int:
     most e_k (H_{j(k+1)} - H_{jk}) + 2j + 1 units to e_C before scaling.
     Floats only estimate the logs.
     """
+    f = spec.ints
     peak = 0.0                      # log2 of max_{k<=K} m_k; m_0 = 1
     level, k = 0.0, 0
     while k < K:                    # m_k rises only while the ratio exceeds 1
-        a, b = _magnitude_step(spec, k)
+        num, den = _rho(k)[::spec.binomial_power]
+        a, b = f.xn * num, f.xd * den
         if a <= b:
             break
         level += math.log2(a / b)
         peak = max(peak, level)
         k += 1
-    coeff = max(sum(abs(c) for c in cs) for cs in spec.channels.values())
+    coeff = Fraction(max(sum(cs) for _, cs in f.abs_channels), f.scale)  # reduced, as below
     coeff_bits = coeff.numerator.bit_length() - coeff.denominator.bit_length() + 4
-    per_term = (peak + coeff_bits + spec.max_degree() * math.log2(K + 1)
+    per_term = (peak + coeff_bits + f.degree * math.log2(K + 1)
                 + math.log2(K * (11 + 2 * math.log(4 * K + 1)) + 1))
     bits = digits * math.log2(10) + 2 + math.log2(K + 1) + max(per_term, 0.0) + 2
     return math.ceil(bits) + GUARD_BITS
@@ -480,7 +475,7 @@ def sum_many(requests: list[tuple[SeriesSpec, int]],
         terms = sum(K - spec.start + 1 for _, spec, K, _, _ in members)
         for i, (n, spec, K, tail, cutoff_s) in enumerate(members):
             digits = requests[n][1]
-            unit = channel_scale(spec) << prec
+            unit = spec.ints.scale << prec
             # endpoints keep out_prec bits below the leading bit of the value
             magnitude = (abs(S[i]) + E[i]).bit_length() - unit.bit_length() + 1
             ball = Ball(Fraction(S[i] - E[i], unit) - tail, Fraction(S[i] + E[i], unit) + tail,

@@ -137,6 +137,24 @@ class TestExactChecksCommand:
         assert code == 0
         assert "partial-fractions" in out and "1/1 PASS" in out
 
+    def test_exact_name_selects_that_check_alone(self, capsys):
+        """theorem3-reduction-m25 is a prefix of theorem3-reduction-m256, and
+        its exact name runs it alone."""
+        code = main(["exact-checks", "--only", "theorem3-reduction-m25", "--format", "json"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert [r["name"] for r in doc["records"]] == ["theorem3-reduction-m25"]
+
+    def test_part_of_a_name_selects_every_match(self, capsys):
+        from binom4k.proofs import run_exact_checks
+
+        assert main(["exact-checks", "--only", "gm-log"]) == 0
+        assert "5/5 PASS" in capsys.readouterr().out
+        assert [c.name for c in run_exact_checks("gm-log")] == [f"gm-log-m{m}" for m in range(1, 6)]
+        # the filters of the benchmark's hook test
+        assert [c.name for c in run_exact_checks("context")] == ["alpha-context", "beta-context"]
+        assert [c.name for c in run_exact_checks("reduction-m256")] == ["theorem3-reduction-m256"]
+
     def test_no_match_exit2(self, capsys):
         assert main(["exact-checks", "--only", "zzz-none"]) == 2
 

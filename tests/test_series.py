@@ -11,7 +11,6 @@ from binom4k.series import (
     DENOM_FACTORS,
     SeriesSpec,
     SpecError,
-    channel_scale,
     fixed_point_terms,
     harmonic,
     min_tail_cutoff,
@@ -79,7 +78,7 @@ def _group_terms(specs, cutoffs, prec):
     for i, k, T, err in fixed_point_terms(specs, cutoffs, prec):
         got[i].append((k, T, err))
     for spec, K, terms in zip(specs, cutoffs, got):
-        scale = channel_scale(spec) << prec
+        scale = spec.ints.scale << prec
         exact = _exact_terms(spec, K)
         assert [k for k, _, _ in terms] == list(exact)
         for k, T, err in terms:
@@ -201,9 +200,9 @@ class TestTailBound:
         """Certified ratio is < 1 at K0 and decreases with K."""
         from binom4k.series import _ratio_bound
         K0 = min_tail_cutoff(RECIP_PI)
-        q0 = _ratio_bound(RECIP_PI, K0)
+        q0 = F(*_ratio_bound(RECIP_PI, K0))
         assert q0 < 1
-        assert _ratio_bound(RECIP_PI, K0 + 10) < q0
+        assert F(*_ratio_bound(RECIP_PI, K0 + 10)) < q0
 
 
 class TestSumSeries:
@@ -449,8 +448,8 @@ def test_low_budget_cutoff_is_the_least_certified():
     for entry_id, least in (("eq-1.4", 5), ("intro-recip-pi", 27)):
         ((_, spec),) = entries[entry_id].components
         K0 = min_tail_cutoff(spec)
-        assert _ratio_bound(spec, K0) < 1
-        assert K0 == max(spec.start, 1) or _ratio_bound(spec, K0 - 1) >= 1
+        assert F(*_ratio_bound(spec, K0)) < 1
+        assert K0 == max(spec.start, 1) or F(*_ratio_bound(spec, K0 - 1)) >= 1
         assert _cutoff(spec, budget) == (least, tail_bound_exact(spec, least))
         assert tail_bound_exact(spec, least) <= budget
         assert least == K0 or tail_bound_exact(spec, least - 1) > budget
@@ -554,6 +553,112 @@ def test_tail_estimate_never_raises():
         estimate = _tail_log2_estimator(spec)
         for K in (min_tail_cutoff(spec), 100, 2000):
             assert abs(estimate(K) - _log2(tail_bound_exact(spec, K))) < 1e-6, (spec, K)
+
+
+def _ref_denominator(spec, k):
+    return math.prod(a * k + b for a, b in (DENOM_FACTORS[n] for n in spec.denominator_factors))
+
+
+def _ref_ratio_bound(spec, K):
+    """qbar(K) by the Fraction formula of the module docstring."""
+    from binom4k.series import _rho
+
+    degree = max(len(cs) - 1 for cs in spec.channels.values())
+    rho = F(256, 27) if spec.binomial_power == 1 else F(*reversed(_rho(K + 1)))
+    return abs(spec.x) * rho * (1 + F(1, K + 1)) ** (degree + 1)
+
+
+def _ref_envelope_at(spec, k):
+    """T(k) from Fraction coefficients, H_n <= 1 + (7/10) bitlength(n) and
+    the rounding up to 64 significant bits, on the reduced numerator and
+    denominator of the channel sum."""
+    num = F(0)
+    for j, cs in spec.channels.items():
+        value = sum(abs(c) * k**i for i, c in enumerate(cs))
+        num += value * (1 + F(7 * (j * k).bit_length(), 10) if j else 1)
+    a = abs(spec.x.numerator) ** k * num.numerator
+    b = spec.x.denominator ** k * num.denominator * abs(_ref_denominator(spec, k))
+    if spec.binomial_power == 1:
+        a *= math.comb(4 * k, k)
+    else:
+        b *= math.comb(4 * k, k)
+    shift = 64 - a.bit_length() + b.bit_length()
+    if shift >= 0:
+        return F(-(-(a << shift) // b), 1 << shift)
+    return F(-(-a // (b << -shift)) << -shift)
+
+
+def _ref_working_bits(spec, K, digits):
+    """P from the peak of m_k, stepped by Fraction ratios, and the reduced
+    sum of the absolute coefficients of each channel."""
+    from binom4k.series import GUARD_BITS, _rho
+
+    peak = level = 0.0
+    for k in range(K):
+        ratio = abs(spec.x) * F(*_rho(k)) ** spec.binomial_power
+        if ratio <= 1:
+            break
+        level += math.log2(ratio.numerator / ratio.denominator)
+        peak = max(peak, level)
+    coeff = max(sum(abs(c) for c in cs) for cs in spec.channels.values())
+    coeff_bits = coeff.numerator.bit_length() - coeff.denominator.bit_length() + 4
+    degree = max(len(cs) - 1 for cs in spec.channels.values())
+    per_term = (peak + coeff_bits + degree * math.log2(K + 1)
+                + math.log2(K * (11 + 2 * math.log(4 * K + 1)) + 1))
+    bits = digits * math.log2(10) + 2 + math.log2(K + 1) + max(per_term, 0.0) + 2
+    return math.ceil(bits) + GUARD_BITS
+
+
+def test_integer_form_matches_the_fraction_formulas():
+    """The ratio bound, the envelope, the tail bound and P, read from the
+    integer form, equal the Fraction formulas exactly (P and the envelope's
+    rounding read bit lengths, so a pair of the same value is not enough):
+    every catalog component and seeded groups of both binomial powers and
+    both signs of x, at K0, K0 + 1, 2 K0 and the cutoffs at 20 and 300
+    digits."""
+    import binom4k.series as series
+    from binom4k.catalog import builtin_catalog
+
+    specs = [spec for entry in builtin_catalog() for _, spec in entry.components]
+    assert len(specs) == 46
+    rng = random.Random(4669)
+    seen = set()
+    while len(seen) < 4:
+        group = _random_group(rng, 3, [F(n, 256) for n in (1, 7, 16, 26)],
+                              [F(n, 2) for n in (1, 5, 11, 18)])
+        seen.add((group[0].binomial_power, group[0].x > 0))
+        specs += group
+    for spec in specs:
+        K0 = min_tail_cutoff(spec)
+        cutoffs = {20: series._cutoff(spec, F(1, 10**20) / 2)[0],
+                   300: series._cutoff(spec, F(1, 10**300) / 2)[0]}
+        for K in (K0, K0 + 1, 2 * K0, *cutoffs.values()):
+            ratio = _ref_ratio_bound(spec, K)
+            assert F(*series._ratio_bound(spec, K)) == ratio, (spec, K)
+            head = _ref_envelope_at(spec, K + 1)
+            assert series._envelope_at(spec, K + 1) == head, (spec, K)
+            assert tail_bound_exact(spec, K) == head / (1 - ratio), (spec, K)
+            for digits in cutoffs:
+                assert series._working_bits(spec, K, digits) == _ref_working_bits(spec, K, digits)
+        if K0 > max(spec.start, 1):
+            assert F(*series._ratio_bound(spec, K0 - 1)) == _ref_ratio_bound(spec, K0 - 1) >= 1
+
+
+def test_integer_form_is_derived_once_at_first_use(monkeypatch):
+    """Building the catalog derives no integer form; one sum_many over its
+    components derives each component's form exactly once."""
+    import binom4k.series as series
+    from binom4k import catalog
+
+    derived = []
+    derive = series._integer_form
+    monkeypatch.setattr(series, "_integer_form", lambda spec: derived.append(id(spec)) or derive(spec))
+    catalog._builtin_entries.cache_clear()
+    specs = [spec for entry in catalog.builtin_catalog() for _, spec in entry.components]
+    assert derived == [] and not any("ints" in vars(spec) for spec in specs)
+    results = series.sum_many([(spec, 20) for spec in specs])
+    assert all(isinstance(ball, series.Ball) for ball, _ in results)
+    assert sorted(derived) == sorted({id(spec) for spec in specs})
 
 
 def test_near_radius_cutoff_takes_few_envelopes(monkeypatch):
