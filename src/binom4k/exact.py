@@ -17,6 +17,14 @@ over Q first (see `proofs`).  A rational function is a numerator over
 factors to nonzero integer exponents, not reduced: it is zero iff its
 numerator is, and two are equal iff their difference is; no gcd is taken.
 
+A number field is Q[t]/(p) for any p with the embedded root gamma, reduced
+to its squarefree part: p need not be irreducible, and `degree`, p's degree,
+is an upper bound on [Q(gamma):Q].  An element is zero iff its rep is, or
+g = gcd(rep, p) has gamma as a root, which a Sturm count of g on gamma's
+isolating interval decides (dynamic evaluation: Della Dora, Dicrescenzo &
+Duval, EUROCAL 1985).  Elements are equal iff their difference is zero, so
+they are unhashable.
+
 Everything in this module is exact: no floating point, no tolerances.
 All values are immutable after construction and all operations are pure,
 so the module is safe to use from concurrent workers without coordination.
@@ -30,22 +38,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 class ZeroDivisorError(ZeroDivisionError):
     """Division by a zero polynomial / zero field element."""
-
-
-def _sqrt_fraction(q: Fraction) -> Optional[Fraction]:
-    """Exact square root of a nonnegative rational, or None if irrational."""
-    if q < 0:
-        return None
-    sn = math.isqrt(q.numerator)
-    sd = math.isqrt(q.denominator)
-    if sn * sn == q.numerator and sd * sd == q.denominator:
-        return Fraction(sn, sd)
-    return None
 
 
 Ival = tuple[Fraction, Fraction]  # a rational interval (lo, hi)
@@ -427,6 +424,11 @@ def count_roots(p: Poly, lo: Fraction, hi: Fraction) -> int:
     return n
 
 
+def _roots_on(p: Poly, lo: Fraction, hi: Fraction) -> int:
+    """Number of distinct real roots of squarefree p in the closed [lo, hi]."""
+    return count_roots(p, lo, hi) + (p(lo) == 0) + (p(hi) == 0)
+
+
 # ---------------------------------------------------------------------------
 # algebraic real numbers
 
@@ -443,8 +445,7 @@ class AlgebraicReal:
         plo, phi = defining(lo), defining(hi)
         if not (plo * phi < 0 or plo == 0 or phi == 0):
             raise ValueError("interval endpoints do not bracket a root")
-        sf = defining.squarefree_part()
-        n = count_roots(sf, lo, hi) + (1 if sf(lo) == 0 else 0) + (1 if sf(hi) == 0 else 0)
+        n = _roots_on(defining.squarefree_part(), lo, hi)
         if n != 1:
             raise ValueError(f"interval contains {n} roots, expected exactly 1")
         object.__setattr__(self, "defining", defining)
@@ -494,94 +495,22 @@ class AlgebraicReal:
 # number fields
 
 
-def _rational_roots(p: Poly) -> list[Fraction]:
-    """All rational roots, by the rational root theorem on the primitive part."""
-    if p.is_zero():
-        raise ValueError("zero polynomial")
-    content = math.gcd(*p.nums)
-    ints = [c // content for c in p.nums]
-    roots = set()
-    if ints[0] == 0:
-        roots.add(Fraction(0))
-    while ints[0] == 0:
-        ints = ints[1:]  # factor out x; zero is a root of the original iff constant term was 0
-    a0, an = abs(ints[0]), abs(ints[-1])
-
-    def divisors(n: int) -> list[int]:
-        out = []
-        i = 1
-        while i * i <= n:
-            if n % i == 0:
-                out.append(i)
-                out.append(n // i)
-            i += 1
-        return out
-
-    # a pair with a common factor repeats the root of the reduced pair
-    dens = divisors(an)
-    for r in divisors(a0):
-        for s in dens:
-            if math.gcd(r, s) == 1:
-                for n in (r, -r):
-                    if _horner(ints, n, s) == 0:
-                        roots.add(Fraction(n, s))
-    return sorted(roots)
-
-
-def _resolvent_cubic(quartic: Poly) -> tuple[Poly, Fraction, Fraction, Fraction]:
-    """For a quartic with no cubic term, monic t^4 + P t^2 + Q t + R after
-    division by its leading coefficient: (resolvent, P, Q, R), the resolvent
-    U^3 + 2P U^2 + (P^2 - 4R) U - Q^2 having the root U = u^2 for each
-    factorization (t^2 + u t + v)(t^2 - u t + w)."""
-    R, Q, P = (quartic.monic()[i] for i in range(3))
-    return Poly([-(Q * Q), P * P - 4 * R, 2 * P, 1]), P, Q, R
-
-
-def is_irreducible(p: Poly) -> bool:
-    """Irreducibility over Q for degree <= 4 (rational roots + quadratic-factor
-    search via the resolvent cubic).  Degrees above 4 are out of scope."""
-    d = p.degree
-    if d <= 0:
-        return False
-    if d == 1:
-        return True
-    if _rational_roots(p):
-        return False
-    if d in (2, 3):
-        return True
-    if d > 4:
-        raise NotImplementedError("irreducibility test implemented for degree <= 4")
-    # depress: x -> x - a3/(4 a4), which preserves reducibility
-    res, P, Qc, R = _resolvent_cubic(p.compose(Poly([-p[3] / (4 * p[4]), 1])))
-    for U in _rational_roots(res):
-        if U == 0:
-            # biquadratic-style splits: t^4 + P t^2 + R
-            if Qc == 0:
-                if _sqrt_fraction(P * P - 4 * R) is not None:
-                    return False
-                s = _sqrt_fraction(R)
-                if s is not None and (
-                    _sqrt_fraction(2 * s - P) is not None
-                    or _sqrt_fraction(-2 * s - P) is not None
-                ):
-                    return False
-            continue
-        if U > 0 and _sqrt_fraction(U) is not None:
-            return False  # u rational => v, w rational automatically
-    return True
-
-
 class NumberField:
-    """Q[t]/(modulus) with a distinguished real root of the modulus."""
+    """Q[t]/(modulus), the modulus reduced to its squarefree part, with a
+    distinguished real root gamma."""
 
     def __init__(self, modulus: Poly, interval: Ival):
         if modulus.degree < 1:
             raise ValueError("modulus must be nonconstant")
-        if not is_irreducible(modulus):
-            raise ValueError("modulus is reducible over Q")
-        self.modulus = modulus.monic()
-        self.degree = modulus.degree
-        self.embedding = AlgebraicReal(modulus, interval)
+        self.modulus = modulus.squarefree_part().monic()
+        self.degree = self.modulus.degree
+        self.embedding = AlgebraicReal(self.modulus, interval)
+
+    def _at_root(self, g: Poly) -> bool:
+        """Whether gamma is a root of g, a divisor of the modulus: the isolating
+        interval holds no other root of the modulus, so a Sturm count of g on
+        it, endpoints included, decides."""
+        return g.degree > 0 and _roots_on(g, self.embedding.lo, self.embedding.hi) > 0
 
     def const(self, c: Fraction) -> "NFElem":
         return NFElem(self, Poly._make([c.numerator], c.denominator))
@@ -596,8 +525,17 @@ class NumberField:
         return f"NumberField({self.modulus.pretty('t')})"
 
 
+def _bezout(a: Poly, b: Poly) -> tuple[Poly, Poly]:
+    """(g, s), g a gcd of a and b and s b = g mod a, by extended Euclid."""
+    r0, r1, s0, s1 = a, b, Poly(), Poly([1])
+    while not r1.is_zero():
+        q, r = r0.divrem(r1)
+        r0, r1, s0, s1 = r1, r, s1, s0 - q * s1
+    return r0, s0
+
+
 class NFElem(Value):
-    """Element of a NumberField, represented by its reduced polynomial."""
+    """Element of a NumberField: its reduced polynomial, compared at gamma."""
 
     __slots__ = ("field", "rep")
 
@@ -616,16 +554,13 @@ class NFElem(Value):
         return NotImplemented
 
     def is_zero(self) -> bool:
-        return self.rep.is_zero()
+        """Zero at gamma: the rep is zero, or its gcd with the modulus has gamma
+        as a root (dynamic evaluation)."""
+        return self.rep.is_zero() or self.field._at_root(self.rep.gcd(self.field.modulus))
 
     def __eq__(self, other) -> bool:
         o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self.rep == o.rep
-
-    def __hash__(self):  # a rational element equals its Fraction, so hashes as it
-        return hash(self.rep[0] if self.rep.degree <= 0 else (id(self.field), self.rep))
+        return o if o is NotImplemented else (self - o).is_zero()
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -643,18 +578,15 @@ class NFElem(Value):
         return NFElem(self.field, (self.rep * o.rep) % self.field.modulus)
 
     def inverse(self) -> "NFElem":
-        """Inverse via the extended Euclidean algorithm mod the modulus."""
-        if self.is_zero():
-            raise ZeroDivisorError("zero divisor")
-        r0, r1 = self.field.modulus, self.rep
-        s0, s1 = Poly(), Poly([1])
-        while not r1.is_zero():
-            q, r = r0.divrem(r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, s0 - q * s1
-        if r0.degree != 0:
-            raise ZeroDivisorError("zero divisor (non-invertible element)")
-        return NFElem(self.field, s0.scale(1 / r0[0]))
+        """The inverse at gamma by the extended Euclidean algorithm: modulo the
+        modulus, or, where the rep shares a factor g with it that is nonzero at
+        gamma, modulo the modulus / g, which holds gamma."""
+        g, s = _bezout(self.field.modulus, self.rep)
+        if g.degree > 0:
+            if self.field._at_root(g):
+                raise ZeroDivisorError("zero divisor: zero at the field's root")
+            g, s = _bezout(self.field.modulus // g, self.rep)
+        return NFElem(self.field, s.scale(1 / g[0]))
 
     def embedding_interval(self, width: Fraction = Fraction(1, 10**12)) -> Ival:
         """Rational enclosure, no wider than `width`, of the element under the

@@ -23,7 +23,7 @@ from typing import NamedTuple, Optional
 
 from . import series
 from .balls import Ball
-from .exact import AlgebraicReal, NFElem, NumberField, Poly, RatFunc, _rational_roots
+from .exact import AlgebraicReal, NFElem, NumberField, Poly, RatFunc
 from .series import RADIUS, SeriesSpec, sum_series
 
 
@@ -234,26 +234,18 @@ class PointContext(NamedTuple):
     gamma: NFElem
 
 
-def point_context(x0) -> PointContext:
-    """The field Q(f(x0)), its embedding the root of f's relation at x0 that
-    an enclosure of f(x0) isolates: Q itself when that root is a rational r
-    (modulus y - r), else the field cut out by the relation with each
-    rational root divided out as often as it divides."""
+def point_context(x0, modulus: Optional[Poly] = None) -> PointContext:
+    """The field Q(f(x0)) on f's relation at x0 as it stands, or on `modulus`,
+    a factor of it; its embedding is the root of the relation that an
+    enclosure of f(x0) isolates."""
     x0 = Fraction(x0)
     relation = relation_at(x0)
+    if modulus is not None:
+        exact_quotient(relation, modulus)  # raises unless modulus divides the relation
     ball = eval_f(x0, digits=12)
     interval = (ball.lo, ball.hi)
     AlgebraicReal(relation, interval)  # raises unless it isolates one root
-    roots = _rational_roots(relation)
-    inside = [r for r in roots if ball.lo <= r <= ball.hi]
-    if inside:
-        modulus = Poly([-inside[0], 1])
-    else:
-        modulus = relation
-        for r in roots:
-            while modulus(r) == 0:
-                modulus = exact_quotient(modulus, Poly([-r, 1]))
-    field = NumberField(modulus, interval)
+    field = NumberField(relation if modulus is None else modulus, interval)
     return PointContext(x0, field, field.gen())
 
 

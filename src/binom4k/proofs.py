@@ -42,9 +42,10 @@ F = Fraction
 
 @lru_cache(maxsize=1)
 def alpha_context() -> PointContext:
-    """Q(a), a = f(1/16), checked: (11/128) a'' - (35/8) a' + 11 a + 5 = 0 with
-    a' = f_prime(a) and a'' = f_second(a)."""
-    ctx = point_context(F(1, 16))
+    """Q(a), a = f(1/16), on its minimal polynomial ALPHA_CUBIC, checked:
+    (11/128) a'' - (35/8) a' + 11 a + 5 = 0 with a' = f_prime(a) and
+    a'' = f_second(a)."""
+    ctx = point_context(F(1, 16), ALPHA_CUBIC)
     a = ctx.gamma
     relation = F(11, 128) * f_second(a) - F(35, 8) * f_prime(a) + 11 * a + 5
     if not relation.is_zero():

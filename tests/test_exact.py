@@ -15,9 +15,7 @@ from binom4k.exact import (
     Poly,
     RatFunc,
     ZeroDivisorError,
-    _rational_roots,
     count_roots,
-    is_irreducible,
 )
 
 ALPHA_CUBIC = Poly([-1, -7, -11, 11])
@@ -255,14 +253,6 @@ class TestAlgebraicReal:
 
 
 class TestNumberField:
-    def test_irreducibility(self):
-        assert is_irreducible(ALPHA_CUBIC)
-        assert is_irreducible(Poly([-2, 0, 0, 1]))          # cbrt(2)
-        assert is_irreducible(Poly([-1, -8, -18, 0, 28]))   # f(-1/256) quartic
-        assert not is_irreducible(Poly([-1, 0, 1]))          # (y-1)(y+1)
-        assert not is_irreducible(Poly([1, 0, 2, 0, 1]))     # (y^2+1)^2
-        assert not is_irreducible(Poly([4, 0, 5, 0, 1]))     # (y^2+1)(y^2+4)
-
     def test_defining_relation(self):
         K = NumberField(Poly([-2, 0, 0, 1]), (F(1), F(2)))
         t = K.gen()
@@ -323,18 +313,88 @@ class TestNumberField:
         with pytest.raises(ValueError, match="positive"):
             a.embedding_interval(F(0))
 
-    def test_reducible_modulus_rejected(self):
-        with pytest.raises(ValueError, match="reducible"):
-            NumberField(Poly([-1, 0, 1]), (F(1, 2), F(2)))
+    def test_reducible_modulus_accepted(self):
+        """t^2 - 1 has the root 1 in (1/2, 2): the field is Q at that root."""
+        K = NumberField(Poly([-1, 0, 1]), (F(1, 2), F(2)))
+        assert K.degree == 2 and K.gen() == 1 and K.gen() != -1
 
-    def test_hash_agrees_with_eq_across_coefficient_kinds(self):
-        """A rational field element equals its Fraction and hashes alike, so
-        a set holds one of them; a Poly takes no field coefficients."""
+    def test_elements_are_unhashable(self):
+        """Equality is decided at the root, so no hash can agree with it; a
+        rational element still equals its Fraction, and a Poly takes no
+        field coefficients."""
         K = NumberField(ALPHA_CUBIC, (F(1), F(2)))
-        assert K.one() == 1
-        assert len({K.one(), 1}) == 1
+        assert K.one() == 1 and 1 == K.one()
+        pytest.raises(TypeError, hash, K.one())
+        pytest.raises(TypeError, hash, K.gen())
         with pytest.raises(TypeError):
             Poly([1, K.one()])
+
+
+# Q[t]/((t + 1) ALPHA_CUBIC) at alpha = f(1/16), the root of ALPHA_CUBIC in (1, 2)
+_T_PLUS_1 = Poly([1, 1])
+
+
+def _split_field():
+    return NumberField(_T_PLUS_1 * ALPHA_CUBIC, (F(1), F(2)))
+
+
+class TestReducibleModulus:
+    """Dynamic evaluation: a modulus with the root alpha and the root -1."""
+
+    def test_zero_at_the_root_though_not_at_another(self):
+        K = _split_field()
+        X = NFElem(K, ALPHA_CUBIC)
+        assert not X.rep.is_zero() and X.rep(-1) != 0
+        assert X.is_zero() and X == 0 and X.sign() == 0
+        assert X + K.gen() == K.gen()
+
+    def test_a_zero_divisor_at_the_root_raises(self):
+        K = _split_field()
+        for rep in (ALPHA_CUBIC, ALPHA_CUBIC * Poly([2, 0, 1]), Poly()):
+            with pytest.raises(ZeroDivisorError):
+                NFElem(K, rep).inverse()
+        with pytest.raises(ZeroDivisorError):
+            K.one() / NFElem(K, ALPHA_CUBIC)
+
+    def test_a_factor_shared_away_from_the_root_inverts(self):
+        """t + 1 and (t + 1)(t - 3) divide by the modulus's factor t + 1, zero
+        at -1 only: each inverts modulo ALPHA_CUBIC."""
+        K = _split_field()
+        a = K.gen()
+        for X in (a + 1, (a + 1) * (a - 3)):
+            inv = X.inverse()
+            assert X * inv == 1 and not (X * inv - 1).rep.is_zero()
+        c = NumberField(ALPHA_CUBIC, (F(1), F(2))).gen()
+        assert (a + 1).inverse() == NFElem(K, (c + 1).inverse().rep)
+
+    def test_a_check_on_an_element_nonzero_at_the_root_fails(self):
+        """zero_check on t + 1, which vanishes at -1 but not at alpha, fails
+        with the element as its witness."""
+        from binom4k.genfunc import zero_check
+
+        X = _split_field().gen() + 1
+        outcome = zero_check(X)
+        assert not outcome.ok and outcome.witness == "NFElem(t + 1)"
+        assert X.sign() == 1 and X != 0
+
+    def test_agrees_with_the_reference_modulo_alpha_cubic(self):
+        """Seeded small-integer reps, some multiples of t + 1 or of
+        ALPHA_CUBIC: equality is agreement modulo ALPHA_CUBIC, the sign is that
+        of the enclosure, and a quotient times its divisor is the dividend."""
+        K, rng = _split_field(), random.Random(32)
+
+        def draw():
+            rep = Poly([rng.randint(-4, 4) for _ in range(rng.randint(0, 4))])
+            return NFElem(K, rep * rng.choice((Poly([1]), _T_PLUS_1, ALPHA_CUBIC)))
+
+        for _ in range(40):
+            X, Y = draw(), draw()
+            assert (X == Y) == ((X.rep - Y.rep) % ALPHA_CUBIC).is_zero()
+            s = Y.sign()
+            lo, hi = Y.embedding_interval(F(1, 10**40))
+            assert (lo <= 0 <= hi) if s == 0 else (lo * s > 0 and hi * s > 0)
+            if s:
+                assert (X / Y) * Y == X
 
 
 class TestRatFunc:
@@ -528,19 +588,6 @@ def test_scalar_ring_operations_of_poly():
     assert p.derivative().coeffs == (3, 0, F(-15, 7))
     assert Poly([4]).derivative() == Poly() and Poly(cs + [0, 0]) == p
     assert p.scale(0).is_zero() and p.scale(0).degree == -1 and not p.is_zero()
-
-
-def test_rational_roots_of_products_of_linear_factors():
-    """The rational roots of (s x - r) products times a content and a factor
-    without rational roots, repeated and zero roots among them, are exactly
-    the r/s in ascending order."""
-    rng = random.Random(17)
-    for _ in range(60):
-        roots = [F(rng.randint(-12, 12), rng.randint(1, 12)) for _ in range(rng.randint(1, 4))]
-        p = Poly([rng.choice((1, -6, 35))]) * Poly([1, 1, 1])
-        for r in roots + roots[:1]:
-            p = p * Poly([-r.numerator, r.denominator])
-        assert _rational_roots(p) == sorted(set(roots)), roots
 
 
 def test_count_roots_open_interval():

@@ -420,19 +420,35 @@ class TestContexts:
         assert genfunc.ALPHA_CUBIC * Poly([1, 1]) == relation_at(F(1, 16))
         assert relation_at(F(-1, 256)) == Poly([-1, -8, -18, 0, 28])
 
-    def test_rational_roots_are_divided_out(self):
+    def test_the_modulus_is_the_relation_as_it_stands(self):
+        """point_context divides no root out; alpha_context builds Q(f(1/16))
+        on ALPHA_CUBIC, and a modulus that does not divide the relation raises."""
+        from binom4k.proofs import alpha_context
+
         ctx = point_context(F(1, 16))
-        assert ctx.field.modulus == genfunc.ALPHA_CUBIC.monic()
+        assert ctx.field.modulus == relation_at(F(1, 16)).monic() and ctx.field.degree == 4
         assert ctx._fields == ("x0", "field", "gamma")
+        assert alpha_context().field.modulus == genfunc.ALPHA_CUBIC.monic()
         assert point_context(F(-1, 256)).field.degree == 4
+        with pytest.raises(genfunc.ContextError):
+            point_context(F(1, 16), Poly([-2, 0, 1]))
 
     def test_rational_value_gives_the_rational_field(self):
-        """Where f(x0) is rational the field is Q: f(12167/331776) = 6/5 is a
-        simple root, f(0) = 1 a simple root beside the triple root -1/3."""
+        """Where f(x0) is rational the field is Q at its root: f(12167/331776)
+        = 6/5 is a simple root of the quartic modulus, and gamma equals 6/5."""
         ctx = point_context(F(12167, 331776))
-        assert ctx.gamma == F(6, 5) and ctx.field.modulus == Poly([F(-6, 5), 1])
+        g = ctx.gamma
+        assert ctx.field.degree == 4 and not (g - F(6, 5)).rep.is_zero()
+        assert g == F(6, 5) and (g - F(6, 5)).sign() == 0 and g * g + 1 == F(61, 25)
+
+    def test_a_repeated_factor_of_the_relation(self):
+        """f(0) = 1 is the simple root of (y - 1)(3y + 1)^3; the field takes its
+        squarefree part, so 3 gamma + 1, which shares the factor 3y + 1 with
+        it, inverts at gamma."""
         assert relation_at(0) == Poly([-1, 1]) * Poly([1, 3]) ** 3
-        assert point_context(0).gamma == 1
+        g = point_context(0).gamma
+        inv = (3 * g + 1).inverse()
+        assert g == 1 and inv == F(1, 4) and (3 * g + 1) * inv == 1
 
     def test_quartic_check_reads_the_relation(self, monkeypatch):
         assert check_quartic_f().ok

@@ -4,6 +4,7 @@ and the substituted integrands."""
 
 import dataclasses
 import random
+import types
 from fractions import Fraction as F
 
 import pytest
@@ -11,7 +12,7 @@ import pytest
 from binom4k import proofs
 from binom4k.catalog import LEMMA51_CASES, catalog_by_id
 from binom4k.exact import Poly, RatFunc
-from binom4k.genfunc import ALPHA_CUBIC
+from binom4k.genfunc import ALPHA_CUBIC, f_second
 from binom4k.proofs import (
     C3,
     Q33,
@@ -442,3 +443,45 @@ def test_suite_filter():
     subset = run_exact_checks("antiderivative")
     assert {c.name for c in subset} == {"antiderivative-g", "antiderivative-g2",
                                         "antiderivative-g3", "antiderivative-g4"}
+
+
+# ---------------------------------------------------------------------------
+# planted errors in the checks that Q(alpha)'s zero test decides
+
+
+def _seen_by(fn, **names):
+    """fn, unwrapped from its lru_cache, with `names` rebound in the globals
+    it reads: one function sees the planted error, the module does not."""
+    fn = getattr(fn, "__wrapped__", fn)
+    return types.FunctionType(fn.__code__, {**fn.__globals__, **names}, fn.__name__,
+                              fn.__defaults__, fn.__closure__)
+
+
+def _sigma_rational_plus_one(idx):
+    return lambda i: proofs.sigma_rational(i) + (1 if i == idx else 0)
+
+
+# check -> (the proofs function that run_exact_checks calls for it, the input
+# rebound where that function reads it)
+_PLANTED = {
+    "alpha-context": ("alpha_context", {"f_second": lambda y: f_second(y) + 1}),
+    "alpha-power-identity": ("alpha_power_identity",
+                             {"alpha_context": lambda: case_context("24")}),
+    **{f"sigma{i}-value-closure": ("sigma_value_closure",
+                                   {"sigma_rational": _sigma_rational_plus_one(i)})
+       for i in (1, 2, 3, 4)},
+}
+
+
+@pytest.mark.parametrize("name", list(_PLANTED))
+def test_a_planted_error_fails_its_check_alone(name):
+    """The suite, with one input of one check perturbed as that check reads
+    it, fails that check with a witness and passes the other 45."""
+    for value in vars(proofs).values():
+        getattr(value, "cache_clear", lambda: None)()
+    fn_name, names = _PLANTED[name]
+    run = _seen_by(run_exact_checks, **{fn_name: _seen_by(getattr(proofs, fn_name), **names)})
+    checks = run()
+    failed = [c for c in checks if not c.passed]
+    assert len(checks) == 46 and [c.name for c in failed] == [name]
+    assert failed[0].witness
