@@ -287,7 +287,7 @@ def crosscheck_substituted(j: int, tol: float) -> CrosscheckRecord:
         series_weighted = sum_series(SeriesSpec(x=x16, start=1, channels={j: P_COEFFS}), 30)
     except PrecisionError as exc:
         return CrosscheckRecord(name, "ERROR", "", "", "", tol, 0, message=str(exc))
-    alpha = sum(alpha_context().field.embedding.refine(QUAD_WIDTH)) / 2
+    alpha = sum(alpha_context().field.refine(QUAD_WIDTH)) / 2
     si = substituted_integrands(j, QUAD_WIDTH)
     a, b, d = _PLAIN_FORMS[j]
     return _quadratures(name, tol, Fraction(0), sum(si.upper_interval) / 2,

@@ -1,9 +1,9 @@
 """Exact arithmetic kernel.
 
 Univariate polynomials over the rationals, Sturm-sequence real-root
-counting, algebraic reals given by a defining polynomial plus an isolating
-interval, single-generator number fields Q[t]/(p(t)) with a distinguished
-real embedding, and rational functions over Q.
+counting, single-generator number fields Q[t]/(p(t)), each with its
+embedded real root and that root's isolating interval, and rational
+functions over Q.
 
 A polynomial over Q is integer numerators over one denominator, and its
 arithmetic runs on integer kernels: one Kronecker big-integer product
@@ -19,11 +19,14 @@ numerator is, and two are equal iff their difference is; no gcd is taken.
 
 A number field is Q[t]/(p) for any p with the embedded root gamma, reduced
 to its squarefree part: p need not be irreducible, and `degree`, p's degree,
-is an upper bound on [Q(gamma):Q].  An element is zero iff its rep is, or
-g = gcd(rep, p) has gamma as a root, which a Sturm count of g on gamma's
-isolating interval decides (dynamic evaluation: Della Dora, Dicrescenzo &
-Duval, EUROCAL 1985).  Elements are equal iff their difference is zero, so
-they are unhashable.
+is an upper bound on [Q(gamma):Q].  The field owns gamma: it checks once
+that its interval brackets exactly one root of that part (the endpoint signs
+and one Sturm count), and `brackets()` bisects the interval into the
+enclosures of gamma that `refine`, `NFElem.sign` and `embedding_interval`
+read.  An element is zero iff its rep is, or g = gcd(rep, p) has gamma as a
+root, which a Sturm count of g on the field's interval decides (dynamic
+evaluation: Della Dora, Dicrescenzo & Duval, EUROCAL 1985).  Elements are
+equal iff their difference is zero, so they are unhashable.
 
 Everything in this module is exact: no floating point, no tolerances.
 All values are immutable after construction and all operations are pure,
@@ -430,37 +433,34 @@ def _roots_on(p: Poly, lo: Fraction, hi: Fraction) -> int:
 
 
 # ---------------------------------------------------------------------------
-# algebraic real numbers
+# number fields
 
 
-class AlgebraicReal:
-    """A real algebraic number: defining polynomial + isolating interval."""
+class NumberField:
+    """Q[t]/(modulus), the modulus reduced to its squarefree monic part, with a
+    distinguished real root gamma: the one root of that part in the isolating
+    interval [lo, hi]."""
 
-    __slots__ = ("defining", "lo", "hi")
-
-    def __init__(self, defining: Poly, interval: Ival):
+    def __init__(self, modulus: Poly, interval: Ival):
+        if modulus.degree < 1:
+            raise ValueError("modulus must be nonconstant")
         lo, hi = Fraction(interval[0]), Fraction(interval[1])
         if lo > hi:
             raise ValueError("empty isolating interval")
-        plo, phi = defining(lo), defining(hi)
-        if not (plo * phi < 0 or plo == 0 or phi == 0):
+        p = modulus.squarefree_part().monic()
+        if p(lo) * p(hi) > 0:
             raise ValueError("interval endpoints do not bracket a root")
-        n = _roots_on(defining.squarefree_part(), lo, hi)
+        n = _roots_on(p, lo, hi)
         if n != 1:
             raise ValueError(f"interval contains {n} roots, expected exactly 1")
-        object.__setattr__(self, "defining", defining)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-
-    def __setattr__(self, *a):
-        raise AttributeError("AlgebraicReal is immutable")
+        self.modulus, self.degree, self.lo, self.hi = p, p.degree, lo, hi
 
     def brackets(self) -> Iterator[Ival]:
-        """The isolating interval, then the bracket after each bisection step,
-        each half the one before.  A rational root that a step lands on ends
-        the sequence on its point interval; a root at an endpoint of the
-        isolating interval is that point interval alone."""
-        ints = self.defining.nums  # den > 0: the same signs as the defining polynomial
+        """The isolating interval, then the bracket of gamma after each
+        bisection step, each half the one before.  A rational root that a step
+        lands on ends the sequence on its point interval; a root at an endpoint
+        of the isolating interval is that point interval alone."""
+        ints = self.modulus.nums  # den > 0: the same signs as the modulus
         lo, hi = self.lo, self.hi
         slo = _sign(_horner(ints, lo.numerator, lo.denominator))
         if slo == 0 or _horner(ints, hi.numerator, hi.denominator) == 0:
@@ -487,30 +487,11 @@ class AlgebraicReal:
             raise ValueError("width must be positive")
         return next(iv for iv in self.brackets() if iv[1] - iv[0] <= width)
 
-    def __repr__(self):
-        return f"AlgebraicReal({self.defining.pretty()}, ({self.lo}, {self.hi}))"
-
-
-# ---------------------------------------------------------------------------
-# number fields
-
-
-class NumberField:
-    """Q[t]/(modulus), the modulus reduced to its squarefree part, with a
-    distinguished real root gamma."""
-
-    def __init__(self, modulus: Poly, interval: Ival):
-        if modulus.degree < 1:
-            raise ValueError("modulus must be nonconstant")
-        self.modulus = modulus.squarefree_part().monic()
-        self.degree = self.modulus.degree
-        self.embedding = AlgebraicReal(self.modulus, interval)
-
     def _at_root(self, g: Poly) -> bool:
         """Whether gamma is a root of g, a divisor of the modulus: the isolating
         interval holds no other root of the modulus, so a Sturm count of g on
         it, endpoints included, decides."""
-        return g.degree > 0 and _roots_on(g, self.embedding.lo, self.embedding.hi) > 0
+        return g.degree > 0 and _roots_on(g, self.lo, self.hi) > 0
 
     def const(self, c: Fraction) -> "NFElem":
         return NFElem(self, Poly._make([c.numerator], c.denominator))
@@ -590,13 +571,13 @@ class NFElem(Value):
 
     def embedding_interval(self, width: Fraction = Fraction(1, 10**12)) -> Ival:
         """Rational enclosure, no wider than `width`, of the element under the
-        field's real embedding: the element evaluated on the root's
+        field's real embedding: the element evaluated on the field's
         `brackets()` at root widths w0, w0/16, w0/16^2, ... until narrow enough."""
         if width <= 0:
             raise ValueError("width must be positive")
-        root = self.field.embedding
-        w = (root.hi - root.lo) or Fraction(1, 2)
-        for lo, hi in root.brackets():
+        K = self.field
+        w = (K.hi - K.lo) or Fraction(1, 2)
+        for lo, hi in K.brackets():
             while hi - lo <= w:
                 iv = self.rep.eval_interval((lo, hi))
                 if iv[1] - iv[0] <= width:
@@ -607,7 +588,7 @@ class NFElem(Value):
         """Sign of the real embedding: at the first of `brackets()` that excludes 0."""
         if self.is_zero():
             return 0
-        for bracket in self.field.embedding.brackets():
+        for bracket in self.field.brackets():
             lo, hi = self.rep.eval_interval(bracket)
             if lo > 0 or hi < 0:
                 return _sign(lo)

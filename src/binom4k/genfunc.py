@@ -11,7 +11,8 @@ G_m = 1/(1 - z) and sum_k C(mk,k) x^k = 1/(1 - mz), so f = 1/(1 - 4z)
 form y is tied to its coefficients by their recurrence p(k) c_{k+1} =
 q(k) c_k, as the identity p(theta)[(y - c_0)/x] = q(theta) y with
 theta = x d/dx.  Also the number fields Q(f(x0)), each cut out by the same
-quartic relation of f.
+quartic relation of f: `point_context` returns the generator f(x0), an
+`NFElem` whose field carries the isolated root.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import NamedTuple, Optional
 
 from . import series
 from .balls import Ball
-from .exact import AlgebraicReal, NFElem, NumberField, Poly, RatFunc
+from .exact import NFElem, NumberField, Poly, RatFunc
 from .series import RADIUS, SeriesSpec, sum_series
 
 
@@ -226,27 +227,18 @@ def exact_quotient(p: Poly, q: Poly) -> Poly:
 ALPHA_CUBIC = exact_quotient(relation_at(Fraction(1, 16)), Poly([1, 1]))
 
 
-class PointContext(NamedTuple):
-    """The number field Q(gamma), gamma = f(x0) (`point_context`)."""
-
-    x0: Fraction
-    field: NumberField
-    gamma: NFElem
-
-
-def point_context(x0, modulus: Optional[Poly] = None) -> PointContext:
-    """The field Q(f(x0)) on f's relation at x0 as it stands, or on `modulus`,
-    a factor of it; its embedding is the root of the relation that an
-    enclosure of f(x0) isolates."""
+def point_context(x0, modulus: Optional[Poly] = None) -> NFElem:
+    """gamma = f(x0) as the generator of Q(f(x0)): the field on f's relation at
+    x0 as it stands, or on `modulus`, a factor of it.  gamma is the one root of
+    the relation in an enclosure of f(x0), and of the factor there too."""
     x0 = Fraction(x0)
     relation = relation_at(x0)
+    ball = eval_f(x0, digits=12)
+    field = NumberField(relation, (ball.lo, ball.hi))
     if modulus is not None:
         exact_quotient(relation, modulus)  # raises unless modulus divides the relation
-    ball = eval_f(x0, digits=12)
-    interval = (ball.lo, ball.hi)
-    AlgebraicReal(relation, interval)  # raises unless it isolates one root
-    field = NumberField(relation if modulus is None else modulus, interval)
-    return PointContext(x0, field, field.gen())
+        field = NumberField(modulus, (field.lo, field.hi))
+    return field.gen()
 
 
 def eval_f(x, digits: int = 30) -> Ball:

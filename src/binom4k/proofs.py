@@ -33,24 +33,23 @@ from typing import NamedTuple, Optional, Sequence
 from . import series
 from .catalog import CUBIC_31, CUBIC_32, LEMMA51_CASES, P_COEFFS, Q_COEFFS, catalog_by_id
 from .exact import Ival, NFElem, NumberField, Poly, RatFunc, count_roots
-from .genfunc import (ALPHA_CUBIC, CheckOutcome, ContextError, PointContext, exact_quotient,
-                      f_prime, f_second, point_context, times_sqrt, zero_check)
+from .genfunc import (ALPHA_CUBIC, CheckOutcome, ContextError, exact_quotient, f_prime,
+                      f_second, point_context, times_sqrt, zero_check)
 from .series import harmonic
 
 F = Fraction
 
 
 @lru_cache(maxsize=1)
-def alpha_context() -> PointContext:
-    """Q(a), a = f(1/16), on its minimal polynomial ALPHA_CUBIC, checked:
-    (11/128) a'' - (35/8) a' + 11 a + 5 = 0 with a' = f_prime(a) and
-    a'' = f_second(a)."""
-    ctx = point_context(F(1, 16), ALPHA_CUBIC)
-    a = ctx.gamma
+def alpha_context() -> NFElem:
+    """a = f(1/16), the generator of Q(a) on its minimal polynomial
+    ALPHA_CUBIC, checked: (11/128) a'' - (35/8) a' + 11 a + 5 = 0 with
+    a' = f_prime(a) and a'' = f_second(a)."""
+    a = point_context(F(1, 16), ALPHA_CUBIC)
     relation = F(11, 128) * f_second(a) - F(35, 8) * f_prime(a) + 11 * a + 5
     if not relation.is_zero():
         raise ContextError(f"closed-form relation residual is nonzero: {relation!r}")
-    return ctx
+    return a
 
 
 # 14 b^2 - 7 sqrt2 b - 1 - 2 sqrt2 = 0 as L(b) = sqrt2 R(b): (L, R)
@@ -58,23 +57,23 @@ _BETA_SIDES = (Poly([-1, 0, 14]), Poly([2, 7]))
 
 
 @lru_cache(maxsize=1)
-def beta_context() -> PointContext:
-    """Q(b), b = f(-1/256), the lemma 5.1 case m256, checked:
-    14 b^2 - 7 sqrt2 b - 1 - 2 sqrt2 = 0 and b in (0.9, 1)."""
-    ctx = case_context("m256")
-    L, R = (p(ctx.gamma) for p in _BETA_SIDES)
+def beta_context() -> NFElem:
+    """b = f(-1/256), the generator of Q(b) of the lemma 5.1 case m256,
+    checked: 14 b^2 - 7 sqrt2 b - 1 - 2 sqrt2 = 0 and b in (0.9, 1)."""
+    b = case_context("m256")
+    L, R = (p(b) for p in _BETA_SIDES)
     outcome = times_sqrt(L, R, 2)
     if not outcome.ok:
         raise ContextError(f"quadratic: {outcome.witness}")
-    lo, hi = ctx.field.embedding.refine(F(1, 100))
+    lo, hi = b.field.refine(F(1, 100))
     if not (F(9, 10) < lo and hi < 1):
         raise ContextError("embedding escaped (0.9, 1)")
-    return ctx
+    return b
 
 
 @lru_cache(maxsize=None)
-def case_context(case: str) -> PointContext:
-    """Q(f(x0)) for a lemma 5.1 case."""
+def case_context(case: str) -> NFElem:
+    """f(x0), the generator of Q(f(x0)), for a lemma 5.1 case."""
     return point_context(LEMMA51_CASES[case][0])
 
 
@@ -231,7 +230,7 @@ S3 = Poly([0, -1, -2, 3])             # 3y^3 - 2y^2 - y
 def standard_basis() -> tuple:
     """The basis elements 16 S5 - a'', 4 S3 - a' and y - a, each as its part
     over Q and its constant in Q(alpha)."""
-    a = alpha_context().gamma
+    a = alpha_context()
     return ((S5.scale(16), -f_second(a)), (S3.scale(4), -f_prime(a)), (Poly([0, 1]), -a))
 
 
@@ -372,9 +371,8 @@ def sigma_value_closure(idx: int) -> CheckOutcome:
     """Direct evaluation at the algebraic point: the sigma rational part
     reduces to 0 in Q(alpha) and the merged log argument reduces to exactly 1,
     which together close sigma = stated constant."""
-    ctx = alpha_context()
-    a = ctx.gamma
-    one = ctx.field.one()
+    a = alpha_context()
+    one = a.field.one()
     u = _U(a)                           # 2a/(3a+1); the j=2 point is u^2
     if idx == 1:
         M = (2 * a / (a + 1)) ** 3 * (2 * u) ** 2 / 2
@@ -397,7 +395,7 @@ def sigma_value_closure(idx: int) -> CheckOutcome:
 
 def alpha_power_identity() -> CheckOutcome:
     """(3a+1)^15 (a-1)^5 = 16^5 a^20 in Q(alpha)."""
-    a = alpha_context().gamma
+    a = alpha_context()
     return zero_check((3 * a + 1) ** 15 * (a - 1) ** 5 - (16 ** 5) * a ** 20)
 
 
@@ -501,8 +499,8 @@ def theorem3_combination(case: str, gamma: NFElem) -> NFElem:
 def check_theorem3_reduction(case: str) -> CheckOutcome:
     """The combination X is r sqrt(d) in Q(f(x0))."""
     _, d, _, _, r = LEMMA51_CASES[case]
-    ctx = case_context(case)
-    return times_sqrt(theorem3_combination(case, ctx.gamma), ctx.field.const(r), d)
+    g = case_context(case)
+    return times_sqrt(theorem3_combination(case, g), g.field.const(r), d)
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +538,7 @@ def substituted_integrands(j: int, width: Fraction = F(1, 10**9)) -> Substituted
     z^9 - 10z^6 + 28z^3 - 8 = 8(w^9 - 5w^6 + 7w^3 - 1) exactly.  Both
     divisions are checked (a nonzero remainder raises).
     """
-    u = _U(alpha_context().gamma)       # 2a/(3a+1)
+    u = _U(alpha_context())             # 2a/(3a+1)
     if j == 2:
         return SubstitutedIntegrand(
             j=2,

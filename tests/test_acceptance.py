@@ -89,9 +89,9 @@ def test_criterion_3_lagrange_inversion():
 
 
 def test_criterion_4_algebraic_contexts():
-    a = alpha_context().gamma
+    a = alpha_context()
     relation = F(11, 128) * f_second(a) - F(35, 8) * f_prime(a) + 11 * a + 5
-    b = beta_context().gamma
+    b = beta_context()
     L, R = 14 * b * b - 1, 7 * b + 2
     square = (L * L - 2 * R * R).is_zero() and L.sign() == R.sign() == 1
     s2 = L / R  # sqrt 2, by the square and the signs

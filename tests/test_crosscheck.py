@@ -85,7 +85,7 @@ def _references(j, x):
             q3.insert(0, c + (gamma * q3[0] if q3 else 0))
         den = Poly([0, 1]) * Poly(q3)
         return [(lambda y: 4 * (1 + 3 * y) ** 2 / den(y), den)]
-    alpha = sum(alpha_context().field.embedding.refine(cli.QUAD_WIDTH)) / 2
+    alpha = sum(alpha_context().field.refine(cli.QUAD_WIDTH)) / 2
     si = substituted_integrands(j, cli.QUAD_WIDTH)
     return [(lambda z: composite(j, z, alpha), Poly(cli._PLAIN_FORMS[j][2])),
             (lambda z: si.num(z) / si.den(z), si.den)]

@@ -1,4 +1,4 @@
-"""Exact kernel: polynomials, root counting, algebraic reals, number fields."""
+"""Exact kernel: polynomials, root counting, number fields and their roots."""
 
 import math
 import random
@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from binom4k.balls import Ball
 from binom4k.exact import (
-    AlgebraicReal,
     NFElem,
     NumberField,
     Poly,
@@ -183,27 +182,30 @@ class TestSturm:
 
 
 class TestAlgebraicReal:
+    """The field's root gamma: an algebraic real held by the squarefree
+    modulus and its isolating interval."""
+
     def test_sqrt2_refine(self):
-        a = AlgebraicReal(Poly([-2, 0, 1]), (F(1), F(2)))
+        a = NumberField(Poly([-2, 0, 1]), (F(1), F(2)))
         lo, hi = a.refine(F(1, 1000))
         assert hi - lo <= F(1, 1000)
-        assert a.defining(lo) < 0 < a.defining(hi)  # still brackets the root
+        assert a.modulus(lo) < 0 < a.modulus(hi)  # still brackets the root
         lo, hi = a.refine(F(1, 10**6))
         assert F(1414, 1000) < lo < hi < F(1415, 1000)
 
     def test_alpha_refine(self):
-        a = AlgebraicReal(ALPHA_CUBIC, (F(1), F(2)))
+        a = NumberField(ALPHA_CUBIC, (F(1), F(2)))
         lo, hi = a.refine(F(1, 1000))
         assert F(1473, 1000) < lo < hi < F(1475, 1000)
 
     def test_exact_root_collapses(self):
-        a = AlgebraicReal(Poly([-3, 1]), (F(2), F(4)))
+        a = NumberField(Poly([-3, 1]), (F(2), F(4)))
         assert a.refine(F(1, 10)) == (F(3), F(3))
 
     def test_nested_refinement(self):
-        a = AlgebraicReal(Poly([-2, 0, 1]), (F(1), F(2)))
+        a = NumberField(Poly([-2, 0, 1]), (F(1), F(2)))
         outer = a.refine(F(1, 10))
-        inner = AlgebraicReal(a.defining, outer).refine(F(1, 10**6))
+        inner = NumberField(a.modulus, outer).refine(F(1, 10**6))
         assert outer[0] <= inner[0] <= inner[1] <= outer[1]
 
     def test_refine_is_the_first_narrow_bracket(self):
@@ -212,20 +214,20 @@ class TestAlgebraicReal:
         a bisection point or at an endpoint ends the sequence on that point."""
         from binom4k.proofs import alpha_context, beta_context, cbrt2_field
 
-        roots = {
-            "alpha": alpha_context().field.embedding,
-            "beta": beta_context().field.embedding,
-            "cbrt2": cbrt2_field().embedding,
-            "sqrt2": AlgebraicReal(Poly([-2, 0, 1]), (F(1), F(2))),
-            "rational": AlgebraicReal(Poly([-3, 8]), (F(0), F(1))),   # 3/8: a bisection point
-            "endpoint-lo": AlgebraicReal(Poly([-1, 0, 1]), (F(1), F(2))),
-            "endpoint-hi": AlgebraicReal(Poly([-4, 0, 1]), (F(1), F(2))),
+        fields = {
+            "alpha": alpha_context().field,
+            "beta": beta_context().field,
+            "cbrt2": cbrt2_field(),
+            "sqrt2": NumberField(Poly([-2, 0, 1]), (F(1), F(2))),
+            "rational": NumberField(Poly([-3, 8]), (F(0), F(1))),   # 3/8: a bisection point
+            "endpoint-lo": NumberField(Poly([-1, 0, 1]), (F(1), F(2))),
+            "endpoint-hi": NumberField(Poly([-4, 0, 1]), (F(1), F(2))),
         }
         widths = sorted({F(1, 16**i) for i in range(51)} | {F(1, 10**i) for i in range(61)}
                         | {F(3, 7 * 10**i) for i in range(0, 60, 7)}, reverse=True)
-        for name, root in roots.items():
+        for name, K in fields.items():
             seq = []
-            for lo, hi in root.brackets():
+            for lo, hi in K.brackets():
                 seq.append((lo, hi))
                 if hi - lo < widths[-1]:
                     break
@@ -233,23 +235,46 @@ class TestAlgebraicReal:
                 assert lo0 <= lo1 <= hi1 <= hi0, name
                 assert hi1 - lo1 in (0, (hi0 - lo0) / 2), name
             for w in widths:
-                assert root.refine(w) == next(b for b in seq if b[1] - b[0] <= w), (name, w)
+                assert K.refine(w) == next(b for b in seq if b[1] - b[0] <= w), (name, w)
             if name == "rational":
                 assert seq[-1] == (F(3, 8), F(3, 8))
             if name.startswith("endpoint"):
-                assert len(seq) == 1 and seq[0][0] == seq[0][1] in (root.lo, root.hi)
+                assert len(seq) == 1 and seq[0][0] == seq[0][1] in (K.lo, K.hi)
             else:
-                assert seq[0] == (root.lo, root.hi)
+                assert seq[0] == (K.lo, K.hi)
 
     def test_refine_rejects_a_width_that_is_not_positive(self):
-        a = AlgebraicReal(Poly([-2, 0, 1]), (F(1), F(2)))
+        a = NumberField(Poly([-2, 0, 1]), (F(1), F(2)))
         for w in (F(0), F(-1, 100)):
             with pytest.raises(ValueError, match="positive"):
                 a.refine(w)
 
     def test_rejects_multi_root_interval(self):
         with pytest.raises(ValueError):
-            AlgebraicReal(Poly([-2, 0, 1]), (F(-2), F(2)))  # both square roots
+            NumberField(Poly([-2, 0, 1]), (F(-2), F(2)))  # both square roots
+
+    def test_rejects_an_interval_without_exactly_one_root(self):
+        """Endpoints of one sign bracket no root; endpoints that bracket may
+        hold two roots (one at an endpoint) or three; a root of the modulus
+        counts once however often it divides it."""
+        for p, iv, message in (
+                (Poly([-2, 0, 1]), (F(2), F(3)), "do not bracket"),
+                (Poly([-2, 0, 1]), (F(-2), F(2)), "do not bracket"),
+                (Poly([-1, 0, 1]), (F(-1), F(2)), "contains 2 roots"),
+                (Poly([0, 2, -3, 1]), (F(-1, 2), F(5, 2)), "contains 3 roots"),
+                (Poly([-2, 0, 1]), (F(2), F(1)), "empty")):
+            with pytest.raises(ValueError, match=message):
+                NumberField(p, iv)
+        K = NumberField(Poly([-1, 1]) ** 3 * Poly([2, 1]), (F(0), F(2)))
+        assert K.modulus == Poly([-2, 1, 1]) and K.gen() == 1
+
+    def test_a_root_at_an_endpoint_is_decided_there(self):
+        """gamma at lo or at hi: the element t - gamma is zero, its sign is 0,
+        and t - gamma + 1 has sign 1."""
+        for p, iv, root in ((Poly([-1, 0, 1]), (F(1), F(2)), 1),
+                            (Poly([-4, 0, 1]), (F(1), F(2)), 2)):
+            t = NumberField(p, iv).gen()
+            assert t == root and (t - root).sign() == 0 and (t - root + 1).sign() == 1
 
 
 class TestNumberField:
@@ -299,11 +324,10 @@ class TestNumberField:
         below 1e-40 in size; its sign is read off a 1e-60 bracket."""
         from binom4k.proofs import alpha_context
 
-        gamma = alpha_context().gamma
-        root = gamma.field.embedding
-        lo, hi = root.refine(F(1, 10**40))
+        gamma = alpha_context()
+        lo, hi = gamma.field.refine(F(1, 10**40))
         m = (lo + hi) / 2
-        lo, hi = root.refine(F(1, 10**60))
+        lo, hi = gamma.field.refine(F(1, 10**60))
         assert not lo <= m <= hi
         assert (gamma - m).sign() == (1 if m < lo else -1)
         assert (m - gamma).sign() == (-1 if m < lo else 1)

@@ -391,24 +391,22 @@ class TestLagrange:
 
 class TestContexts:
     def test_alpha_interval(self):
-        ctx = point_context(F(1, 16))
-        lo, hi = ctx.field.embedding.refine(F(1, 1000))
+        lo, hi = point_context(F(1, 16)).field.refine(F(1, 1000))
         assert F(1473, 1000) < lo < hi < F(1475, 1000)
 
     def test_alpha_relation_is_exact_zero(self):
-        a = point_context(F(1, 16)).gamma
+        a = point_context(F(1, 16))
         rel = F(11, 128) * f_second(a) - F(35, 8) * f_prime(a) + 11 * a + 5
         assert rel.is_zero()
 
     def test_beta_embedding(self):
-        ctx = point_context(F(-1, 256))
-        lo, hi = ctx.field.embedding.refine(F(1, 10**6))
+        lo, hi = point_context(F(-1, 256)).field.refine(F(1, 10**6))
         assert F(984, 1000) < lo < hi < F(986, 1000)
 
     def test_beta_quadratic(self):
         """L = 14b^2 - 1 and R = 7b + 2 have L^2 = 2 R^2 and are both
         positive, so L/R is sqrt 2 in Q(b)."""
-        b = point_context(F(-1, 256)).gamma
+        b = point_context(F(-1, 256))
         L, R = 14 * b * b - 1, 7 * b + 2
         assert (L * L - 2 * R * R).is_zero() and L.sign() == R.sign() == 1
         s2 = L / R
@@ -421,13 +419,14 @@ class TestContexts:
         assert relation_at(F(-1, 256)) == Poly([-1, -8, -18, 0, 28])
 
     def test_the_modulus_is_the_relation_as_it_stands(self):
-        """point_context divides no root out; alpha_context builds Q(f(1/16))
-        on ALPHA_CUBIC, and a modulus that does not divide the relation raises."""
+        """point_context divides no root out and returns the field's
+        generator; alpha_context builds Q(f(1/16)) on ALPHA_CUBIC, and a
+        modulus that does not divide the relation raises."""
         from binom4k.proofs import alpha_context
 
-        ctx = point_context(F(1, 16))
-        assert ctx.field.modulus == relation_at(F(1, 16)).monic() and ctx.field.degree == 4
-        assert ctx._fields == ("x0", "field", "gamma")
+        g = point_context(F(1, 16))
+        assert g.field.modulus == relation_at(F(1, 16)).monic() and g.field.degree == 4
+        assert g.rep == Poly([0, 1]) and g == g.field.gen()
         assert alpha_context().field.modulus == genfunc.ALPHA_CUBIC.monic()
         assert point_context(F(-1, 256)).field.degree == 4
         with pytest.raises(genfunc.ContextError):
@@ -436,9 +435,8 @@ class TestContexts:
     def test_rational_value_gives_the_rational_field(self):
         """Where f(x0) is rational the field is Q at its root: f(12167/331776)
         = 6/5 is a simple root of the quartic modulus, and gamma equals 6/5."""
-        ctx = point_context(F(12167, 331776))
-        g = ctx.gamma
-        assert ctx.field.degree == 4 and not (g - F(6, 5)).rep.is_zero()
+        g = point_context(F(12167, 331776))
+        assert g.field.degree == 4 and not (g - F(6, 5)).rep.is_zero()
         assert g == F(6, 5) and (g - F(6, 5)).sign() == 0 and g * g + 1 == F(61, 25)
 
     def test_a_repeated_factor_of_the_relation(self):
@@ -446,7 +444,7 @@ class TestContexts:
         squarefree part, so 3 gamma + 1, which shares the factor 3y + 1 with
         it, inverts at gamma."""
         assert relation_at(0) == Poly([-1, 1]) * Poly([1, 3]) ** 3
-        g = point_context(0).gamma
+        g = point_context(0)
         inv = (3 * g + 1).inverse()
         assert g == 1 and inv == F(1, 4) and (3 * g + 1) * inv == 1
 
@@ -463,7 +461,7 @@ class TestEvalF:
 
     def test_matches_cubic_root(self):
         ball = eval_f(F(1, 16), 33)
-        lo, hi = point_context(F(1, 16)).field.embedding.refine(F(1, 10**30))
+        lo, hi = point_context(F(1, 16)).field.refine(F(1, 10**30))
         assert lo <= ball.lo_fraction() and ball.hi_fraction() <= hi
 
     def test_beta_range(self):

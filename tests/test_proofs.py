@@ -301,7 +301,7 @@ class TestTheorem3:
 
     def test_combination_square_and_sign_are_exact(self):
         for case, (_, d, _, _, r) in LEMMA51_CASES.items():
-            X = theorem3_combination(case, case_context(case).gamma)
+            X = theorem3_combination(case, case_context(case))
             assert X * X == r * r * d
             assert X.sign() == (1 if r > 0 else -1)
 
@@ -343,9 +343,8 @@ class TestTheorem3:
 
     def test_gamma_matches_eval_f(self):
         from binom4k.genfunc import eval_f
-        ctx = case_context("128")
-        ball = eval_f(ctx.x0, 20)
-        lo, hi = ctx.gamma.embedding_interval(F(1, 10**18))
+        ball = eval_f(LEMMA51_CASES["128"][0], 20)
+        lo, hi = case_context("128").embedding_interval(F(1, 10**18))
         assert lo <= ball.hi_fraction() and ball.lo_fraction() <= hi
 
 
@@ -461,6 +460,10 @@ def _sigma_rational_plus_one(idx):
     return lambda i: proofs.sigma_rational(i) + (1 if i == idx else 0)
 
 
+# the Abel kernels with the constant coefficient of variant A's K0 one larger
+_KERNEL_A_OFF = {**proofs._ABEL_KERNELS,
+                 "A": ((25,) + proofs._ABEL_K0[1:], proofs._ABEL_KERNELS["A"][1])}
+
 # check -> (the proofs function that run_exact_checks calls for it, the input
 # rebound where that function reads it)
 _PLANTED = {
@@ -470,6 +473,18 @@ _PLANTED = {
     **{f"sigma{i}-value-closure": ("sigma_value_closure",
                                    {"sigma_rational": _sigma_rational_plus_one(i)})
        for i in (1, 2, 3, 4)},
+    "sigma1-log-closure": ("sigma_log_ident", {"_Y5_64": proofs._Y5_64 + 1}),
+    "abel-telescoping-numeric": ("abel_telescoped_sum", {"_ABEL_KERNELS": _KERNEL_A_OFF}),
+    "abel-boundary-convention": ("abel_boundary_discrepancy", {
+        "abel_telescoped_sum": _seen_by(proofs.abel_telescoped_sum, _ABEL_KERNELS=_KERNEL_A_OFF)}),
+    # a denominator factor with a root in [0, upper]: 1/4 < u^2 for j = 2, and
+    # 1/2 < u for j = 3 (z^3 - 1/4 is 2w^3 - 1/4 in w) and j = 4
+    "integrand-domain-j2": ("substituted_integrands",
+                            {"_G2_DEN": proofs._G2_DEN * Poly([F(-1, 4), 1])}),
+    "integrand-domain-j3": ("substituted_integrands",
+                            {"_G3_CUBE_FACTOR": proofs._G3_CUBE_FACTOR * Poly([F(-1, 4), 0, 0, 1])}),
+    "integrand-domain-j4": ("substituted_integrands",
+                            {"_G4_DEN": proofs._G4_DEN * Poly([F(-1, 2), 1])}),
 }
 
 
@@ -485,3 +500,33 @@ def test_a_planted_error_fails_its_check_alone(name):
     failed = [c for c in checks if not c.passed]
     assert len(checks) == 46 and [c.name for c in failed] == [name]
     assert failed[0].witness
+
+
+def test_each_field_isolates_its_root_once(monkeypatch):
+    """Building a field takes one squarefree part and one Sturm chain: one of
+    each for every lemma 5.1 case and for Q(cbrt 2), and at most two for
+    Q(f(1/16)) on ALPHA_CUBIC, where the relation's isolation is checked too."""
+    from binom4k import exact
+    from binom4k.genfunc import point_context
+
+    calls = {}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(Poly, "squarefree_part", counted("squarefree", Poly.squarefree_part))
+    monkeypatch.setattr(exact, "_sturm_chain", counted("sturm", exact._sturm_chain))
+
+    def count(build):
+        calls.update(squarefree=0, sturm=0)
+        build()
+        return calls["squarefree"], calls["sturm"]
+
+    for case in LEMMA51_CASES:
+        assert count(lambda: case_context.__wrapped__(case)) == (1, 1), case
+    squarefree, sturm = count(lambda: point_context(F(1, 16), ALPHA_CUBIC))
+    assert squarefree <= 2 and sturm <= 2
+    assert count(cbrt2_field.__wrapped__) == (1, 1)
