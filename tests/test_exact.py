@@ -250,13 +250,10 @@ class TestAlgebraicReal:
                 a.refine(w)
 
     def test_rejects_multi_root_interval(self):
-        with pytest.raises(ValueError):
-            NumberField(Poly([-2, 0, 1]), (F(-2), F(2)))  # both square roots
-
-    def test_rejects_an_interval_without_exactly_one_root(self):
-        """Endpoints of one sign bracket no root; endpoints that bracket may
-        hold two roots (one at an endpoint) or three; a root of the modulus
-        counts once however often it divides it."""
+        """An interval must hold exactly one root: endpoints of one sign (round
+        no root, or round both square roots of 2) do not bracket, and
+        endpoints that bracket may hold two roots (one at an endpoint) or
+        three.  A root of the modulus counts once however often it divides it."""
         for p, iv, message in (
                 (Poly([-2, 0, 1]), (F(2), F(3)), "do not bracket"),
                 (Poly([-2, 0, 1]), (F(-2), F(2)), "do not bracket"),
