@@ -218,20 +218,26 @@ def min_tail_cutoff(spec: SeriesSpec) -> int:
                       "no certified contraction ratio at cutoff K <=")
 
 
+def _envelope_sum(spec: SeriesSpec, k: int) -> int:
+    """n = 10 L sum_j Rj+(k) h_j, with h_j = 1 + (7/10) bitlength(jk) >= H_{jk}
+    for k >= 1 (H_n <= 1 + ln n) and h_0 = 1: the channel sum of T(k) times
+    10 L, the one place the envelope's channels and harmonic bound are read."""
+    n = 0
+    for j, cs in spec.ints.abs_channels:
+        r = 0
+        for c in cs:
+            r = r * k + c
+        n += r * (10 + 7 * (j * k).bit_length())
+    return n
+
+
 def _envelope_at(spec: SeriesSpec, k: int) -> Fraction:
     """Upper bound of T(k), rounded up to 64 significant bits.
 
     Exact but for H_n, which is bounded above, and the final rounding, which
     spares a gcd of numbers with O(k) digits."""
-    # n = 10 L sum_j Rj+(k) h_j, with h_j = 1 + (7/10) bitlength(jk) >= H_{jk}
-    # for k >= 1 (H_n <= 1 + ln n) and h_0 = 1
-    f, n = spec.ints, 0
-    for j, cs in f.abs_channels:
-        r = 0
-        for c in cs:
-            r = r * k + c
-        n += r * (10 + 7 * (j * k).bit_length())
-    num = Fraction(n, 10 * f.scale)  # reduced: the rounding reads its bit lengths
+    f = spec.ints
+    num = Fraction(_envelope_sum(spec, k), 10 * f.scale)  # reduced, for the rounding's bit lengths
     a = f.xn ** k * num.numerator
     b = f.xd ** k * num.denominator * abs(spec.denominator_at(k))
     if spec.binomial_power == 1:
@@ -254,40 +260,26 @@ def tail_bound_exact(spec: SeriesSpec, K: int) -> Fraction:
     return _envelope_at(spec, K + 1) * D / (D - N)
 
 
-def _log2(q: Fraction) -> float:
-    """log2 of a positive rational from its integers, which may lie far
-    outside the float range."""
-    return math.log2(q.numerator) - math.log2(q.denominator)
-
-
 def _tail_log2_estimator(spec: SeriesSpec):
-    """K -> a float estimate of log2 tail_bound_exact(spec, K), the same
-    formula in logarithms: lgamma for C(4k,k), log2 of the exact integers for
-    |x| and the coefficients, a log-sum of the envelope's monomials.  -inf
-    when the bound is 0, +inf where the float ratio bound reaches 1.  It
-    never raises: nothing that can leave the float range is exponentiated."""
+    """K -> a float estimate of log2 tail_bound_exact(spec, K): the log2 of
+    the certificate's own integers, the envelope sum n, the ratio bound
+    (N, D), 10 L and D(k), with lgamma for C(4k,k) and log2 |x| its only
+    floats.  -inf when the bound is 0, +inf exactly when N >= D.  It never
+    raises: nothing that can leave the float range is exponentiated."""
     f = spec.ints
-    monomials = [(j, i, math.log2(c) - math.log2(f.scale)) for j, cs in f.abs_channels
-                 for i, c in enumerate(reversed(cs)) if c]
     log2_x = math.log2(f.xn) - math.log2(f.xd) if f.xn else -math.inf
-    ln2 = math.log(2)
 
     def estimate(K: int) -> float:
         k = K + 1
-        if not monomials or log2_x == -math.inf:
+        n = _envelope_sum(spec, k)
+        if not n or log2_x == -math.inf:
             return -math.inf
-        log2_k = math.log2(k)
-        parts = [c + i * log2_k + (math.log2(1 + 0.7 * (j * k).bit_length()) if j else 0.0)
-                 for j, i, c in monomials]
-        top = max(parts)
-        log2_num = top + math.log2(sum(2.0 ** (p - top) for p in parts))
-        log2_binom = (math.lgamma(4 * k + 1) - math.lgamma(k + 1) - math.lgamma(3 * k + 1)) / ln2
         N, D = _ratio_bound(spec, K)
-        log2_q = math.log2(N) - math.log2(D)
-        if log2_q >= 0:
+        if N >= D:
             return math.inf
-        return (k * log2_x + spec.binomial_power * log2_binom + log2_num
-                - math.log2(abs(spec.denominator_at(k))) - math.log2(-math.expm1(log2_q * ln2)))
+        ln_binom = math.lgamma(4 * k + 1) - math.lgamma(k + 1) - math.lgamma(3 * k + 1)
+        return (k * log2_x + spec.binomial_power * ln_binom / math.log(2) + math.log2(n * D)
+                - math.log2((D - N) * 10 * f.scale * abs(spec.denominator_at(k))))
 
     return estimate
 
@@ -326,7 +318,7 @@ def _cutoff(spec: SeriesSpec, budget: Fraction) -> tuple[int, Fraction]:
     its K, and only when that misses does the search go on upward on the
     exact bound.  Either way the last exact bound computed is the one at
     the K returned."""
-    target = _log2(budget) + ESTIMATE_SLACK
+    target = math.log2(budget.numerator) - math.log2(budget.denominator) + ESTIMATE_SLACK
     estimate = _tail_log2_estimator(spec)
     K = _first_fit(min_tail_cutoff(spec), lambda K: estimate(K) <= target)
     bound = tail_bound_exact(spec, K)

@@ -445,7 +445,7 @@ def test_suite_filter():
 
 
 # ---------------------------------------------------------------------------
-# planted errors in the checks that Q(alpha)'s zero test decides
+# planted errors, each failing its one exact check alone
 
 
 def _seen_by(fn, **names):
@@ -460,9 +460,10 @@ def _sigma_rational_plus_one(idx):
     return lambda i: proofs.sigma_rational(i) + (1 if i == idx else 0)
 
 
-# the Abel kernels with the constant coefficient of variant A's K0 one larger
-_KERNEL_A_OFF = {**proofs._ABEL_KERNELS,
-                 "A": ((25,) + proofs._ABEL_K0[1:], proofs._ABEL_KERNELS["A"][1])}
+# the Abel kernels with the constant coefficient of one variant's K0 one larger
+_KERNEL_A_OFF, _KERNEL_B_OFF = ({**proofs._ABEL_KERNELS,
+                                 v: ((25,) + proofs._ABEL_K0[1:], proofs._ABEL_KERNELS[v][1])}
+                                for v in ("A", "B"))
 
 # check -> (the proofs function that run_exact_checks calls for it, the input
 # rebound where that function reads it)
@@ -485,6 +486,13 @@ _PLANTED = {
                             {"_G3_CUBE_FACTOR": proofs._G3_CUBE_FACTOR * Poly([F(-1, 4), 0, 0, 1])}),
     "integrand-domain-j4": ("substituted_integrands",
                             {"_G4_DEN": proofs._G4_DEN * Poly([F(-1, 2), 1])}),
+    "antiderivative-g": ("antiderivative_g", {"_G_QUADRATIC": proofs._G_QUADRATIC + 1}),
+    "antiderivative-g2": ("antiderivative_g2", {"_G2_NUM": proofs._G2_NUM + 1}),
+    "antiderivative-g3": ("antiderivative_g3", {
+        "_g3_z_factors": _seen_by(proofs._g3_z_factors, _G3_SEXTIC=proofs._G3_SEXTIC + 1)}),
+    "antiderivative-g4": ("antiderivative_g4", {"_G4_NUM": proofs._G4_NUM + 1}),
+    "abel-step-A": ("check_abel_step", {"_ABEL_KERNELS": _KERNEL_A_OFF}),
+    "abel-step-B": ("check_abel_step", {"_ABEL_KERNELS": _KERNEL_B_OFF}),
 }
 
 

@@ -540,10 +540,16 @@ def test_cutoff_miss_path_ends_on_its_bound(monkeypatch):
     assert ended_on_miss
 
 
+def _log2(q):
+    """log2 of a positive rational from its integers, which may lie far
+    outside the float range."""
+    return math.log2(q.numerator) - math.log2(q.denominator)
+
+
 def test_tail_estimate_never_raises():
     """The float estimate of log2 tail_bound_exact stays finite and close
     for coefficients 10^(+-400) and |x| = 10^-400, and is -inf for x = 0."""
-    from binom4k.series import _log2, _tail_log2_estimator
+    from binom4k.series import _tail_log2_estimator
 
     assert _tail_log2_estimator(SeriesSpec(x=F(0), channels={0: (1,), 4: (1,)}))(5) == -math.inf
     for spec in (SeriesSpec(x=F(1, 16), start=1, channels={0: (F(10**400),), 2: (0, F(1, 10**400))},
@@ -553,6 +559,45 @@ def test_tail_estimate_never_raises():
         estimate = _tail_log2_estimator(spec)
         for K in (min_tail_cutoff(spec), 100, 2000):
             assert abs(estimate(K) - _log2(tail_bound_exact(spec, K))) < 1e-6, (spec, K)
+
+
+def _near_radius_specs(rng):
+    """Seeded specs with |x| at two shares of the radius 27/256 (C(4k,k)) or of
+    256/27 (1/C(4k,k)), one per binomial power, share and highest channel
+    0..4, with either sign of x, a lower channel, small coefficients of
+    degree up to 2 and up to two denominator factors."""
+    specs = []
+    for power, radius, shares in ((1, F(27, 256), (F(93, 100), F(965, 1000))),
+                                  (-1, F(256, 27), (F(9, 10), F(945, 1000)))):
+        for share in shares:
+            for top in range(5):
+                chans = {j: tuple(F(rng.randint(-5, 5)) for _ in range(rng.randint(0, 2)))
+                         + (F(rng.choice((-3, -1, 1, 2))),) for j in {top, rng.randint(0, top)}}
+                dens = tuple(rng.sample(sorted(DENOM_FACTORS), rng.randint(0, 2)))
+                x = rng.choice((1, -1)) * (radius * share).limit_denominator(130)
+                specs.append(SeriesSpec(x=x, binomial_power=power, channels=chans,
+                                        start=1 if "k" in dens else rng.randint(0, 1),
+                                        denominator_factors=dens))
+    return specs
+
+
+def test_tail_estimate_within_1e_9_of_the_bound():
+    """The estimate lies within 1e-9 of log2 tail_bound_exact, the accuracy
+    that ESTIMATE_SLACK relies on: at K0, K0 + 1 and the cutoff for
+    10^-50 / 2 and 10^-300 / 2, on every catalog component and on seeded
+    specs near the radius (both binomial powers, highest channel 0..4)."""
+    from binom4k.catalog import builtin_catalog
+    from binom4k.series import _cutoff, _tail_log2_estimator
+
+    near = _near_radius_specs(random.Random(34))
+    assert {(s.binomial_power, max(s.channels)) for s in near} == {(p, j) for p in (1, -1)
+                                                                   for j in range(5)}
+    for spec in [spec for entry in builtin_catalog() for _, spec in entry.components] + near:
+        estimate, K0 = _tail_log2_estimator(spec), min_tail_cutoff(spec)
+        for digits in (50, 300):
+            K, _ = _cutoff(spec, F(1, 10**digits) / 2)
+            for k in (K0, K0 + 1, K):
+                assert abs(estimate(k) - _log2(tail_bound_exact(spec, k))) < 1e-9, (spec, digits, k)
 
 
 def _ref_denominator(spec, k):

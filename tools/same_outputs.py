@@ -1,11 +1,14 @@
 """Byte identity of binom4k's outputs between two checkouts.
 
     python3 tools/same_outputs.py OLD NEW [--lines N]
+    python3 tools/same_outputs.py --revs OLD_REV NEW_REV [--lines N]
 
 Runs one matrix of `python -m binom4k` commands against the `src/` of each
 checkout and prints one line for each output (stdout, stderr or exit code)
 that differs, each followed by up to N of its changed lines (default 20; 0
 prints the headers alone).  Exit status 0 when every output agrees, else 1.
+`--revs` compares two git revisions of this repository instead, exported
+by `paired_timing.export` into a temporary directory removed afterwards.
 
 The matrix:
 - `verify-all` at 10, 50, 300 and 1000 digits with `--jobs` 1 and 2, as
@@ -33,10 +36,13 @@ import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+from paired_timing import export
 
 DIGITS = (10, 50, 300, 1000)
 JSON_DIGITS = (2000,)   # JSON alone: a run takes seconds
@@ -121,13 +127,9 @@ def _changed(a: str, b: str, limit: int) -> list[str]:
     return lines[:limit] + ([f"... {len(lines) - limit} more"] if len(lines) > limit else [])
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("old", type=Path)
-    ap.add_argument("new", type=Path)
-    ap.add_argument("--lines", type=int, default=20, help="changed lines shown per output")
-    args = ap.parse_args(argv)
-    old, new = args.old.resolve(), args.new.resolve()
+def compare(old: Path, new: Path, limit: int) -> int:
+    """Run the matrix on both checkouts, print each output that differs and
+    the count; the exit status."""
     differ = 0
     with tempfile.TemporaryDirectory() as tmp:
         scratch = Path(tmp)
@@ -141,10 +143,32 @@ def main(argv=None) -> int:
                     differ += 1
                     print(f"{label}: {stream} differs" + (f" ({x} -> {y})" if stream == "exit code" else ""))
                     if stream != "exit code":
-                        for line in _changed(x, y, args.lines):
+                        for line in _changed(x, y, limit):
                             print(f"    {line}")
     print(f"{len(runs)} commands, {differ} differing outputs", file=sys.stderr)
     return 1 if differ else 0
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("old", type=Path, nargs="?")
+    ap.add_argument("new", type=Path, nargs="?")
+    ap.add_argument("--revs", nargs=2, metavar=("OLD_REV", "NEW_REV"))
+    ap.add_argument("--lines", type=int, default=20, help="changed lines shown per output")
+    args = ap.parse_args(argv)
+    if args.revs:
+        if args.old or args.new:
+            ap.error("give either two checkouts or --revs, not both")
+        base = Path(tempfile.mkdtemp(prefix="same_outputs_"))
+        try:
+            for rev, side in zip(args.revs, ("old", "new")):
+                export(rev, base / side)
+            return compare(base / "old", base / "new", args.lines)
+        finally:
+            shutil.rmtree(base)
+    if not (args.old and args.new):
+        ap.error("give two checkouts OLD NEW, or --revs OLD_REV NEW_REV")
+    return compare(args.old.resolve(), args.new.resolve(), args.lines)
 
 
 if __name__ == "__main__":
